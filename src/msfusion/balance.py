@@ -71,19 +71,32 @@ def reliability(
     the top ``n_top`` scores per modality are averaged (all available ones
     when fewer exist; 0.0 for a modality with no detections).
     """
+    return _score_modalities(vis_dets, thermal_dets, gt_boxes, n_top)[0]
+
+
+def _score_modalities(
+    vis_dets: Sequence[Detection],
+    thermal_dets: Sequence[Detection],
+    gt_boxes: Sequence[BBox],
+    n_top: int,
+) -> tuple[ReliabilityReport, np.ndarray]:
+    # The reliability report plus the reference modality's best-CIoU scores.
     if n_top < 1:
         raise ValueError(f"n_top must be >= 1, got {n_top}")
     if not gt_boxes:
         raise ValueError("no reference objects")
-    r_v, k_v = _top_mean(best_ciou_scores(vis_dets, gt_boxes), n_top)
-    r_t, k_t = _top_mean(best_ciou_scores(thermal_dets, gt_boxes), n_top)
+    scores_v = best_ciou_scores(vis_dets, gt_boxes)
+    scores_t = best_ciou_scores(thermal_dets, gt_boxes)
+    r_v, k_v = _top_mean(scores_v, n_top)
+    r_t, k_t = _top_mean(scores_t, n_top)
     thermal_ref = r_t > r_v
-    return ReliabilityReport(
+    report = ReliabilityReport(
         r_v=r_v,
         r_t=r_t,
         reference_modality="ir" if thermal_ref else "vis",
         n_used=k_t if thermal_ref else k_v,
     )
+    return report, scores_t if thermal_ref else scores_v
 
 
 def _bilinear(feature_map: np.ndarray, y: float, x: float) -> np.ndarray:
@@ -258,11 +271,10 @@ def modality_alignment_loss(
     from both maps, builds the relation matrices and returns the directed
     KL loss together with the reliability report.
     """
-    report = reliability(vis_dets, thermal_dets, gt_boxes, n_top)
+    report, scores = _score_modalities(vis_dets, thermal_dets, gt_boxes, n_top)
     reference = thermal_dets if report.reference_modality == "ir" else vis_dets
     if not reference:
         raise ValueError("no reference detections")
-    scores = best_ciou_scores(reference, gt_boxes)
     order = np.argsort(-scores, kind="stable")[: report.n_used]
     feats_v: list[RoiFeature] = []
     feats_t: list[RoiFeature] = []

@@ -18,6 +18,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from .balance import modality_alignment_loss, reliability, thermal_reliability_percentage
 from .containers import TENSORS_MAGIC, load_tensors, save_tensors
 from .evaluation import STANDARD_SETTINGS, SPLITS, apply_setting, log_average_miss_rate
@@ -217,6 +219,8 @@ def _cmd_forward(args: argparse.Namespace) -> int:
     for name in ("vis", "ir"):
         if name not in tensors:
             raise ValueError(f"{args.input}: missing tensor {name!r}")
+        if not np.isfinite(tensors[name]).all():
+            raise ValueError(f"{args.input}: tensor {name!r} has non-finite values")
     fused_vis, fused_ir = fusion_forward(tensors["vis"], tensors["ir"], weights)
     save_tensors(args.out, {"vis": fused_vis, "ir": fused_ir}, TENSORS_MAGIC)
     print(f"wrote fused tensors {tuple(fused_vis.shape)} to {args.out}")

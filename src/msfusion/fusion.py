@@ -75,11 +75,27 @@ def strip_conv(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
             f"strip kernel: {kernel.shape[0]} channel kernels for "
             f"{x.shape[1]} input channels"
         )
-    padded = np.pad(x, ((0, 0), (0, 0), (kh // 2, kh // 2), (kw // 2, kw // 2)))
-    windows = sliding_window_view(padded, (kh, kw), axis=(2, 3))
+    return _depthwise(x, kernel)
+
+
+def _pad_same(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
+    return np.pad(x, ((0, 0), (0, 0), (kh // 2, kh // 2), (kw // 2, kw // 2)))
+
+
+def _depthwise(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    # One einsum over the sliding windows; kernel is (kh, kw) or (C, kh, kw).
+    kh, kw = kernel.shape[-2:]
+    windows = sliding_window_view(_pad_same(x, kh, kw), (kh, kw), axis=(2, 3))
     if kernel.ndim == 2:
         return np.einsum("fchwuv,uv->fchw", windows, kernel)
     return np.einsum("fchwuv,cuv->fchw", windows, kernel)
+
+
+def _as_bias(bias: np.ndarray, size: int, name: str) -> np.ndarray:
+    bias = np.asarray(bias, dtype=np.float64)
+    if bias.shape != (size,):
+        raise ValueError(f"{name}: expected ({size},), got {bias.shape}")
+    return bias
 
 
 def pointwise_affine(
@@ -92,15 +108,11 @@ def pointwise_affine(
         raise ValueError(
             f"pointwise weight: expected (C_out, {x.shape[1]}), got {weight.shape}"
         )
-    out = np.einsum("fchw,oc->fohw", x, weight)
+    frames, c_in, height, width = x.shape
+    out = weight @ x.reshape(frames, c_in, height * width)
     if bias is not None:
-        bias = np.asarray(bias, dtype=np.float64)
-        if bias.shape != (weight.shape[0],):
-            raise ValueError(
-                f"pointwise bias: expected ({weight.shape[0]},), got {bias.shape}"
-            )
-        out += bias[:, None, None]
-    return out
+        out += _as_bias(bias, weight.shape[0], "pointwise bias")[:, None]
+    return out.reshape(frames, weight.shape[0], height, width)
 
 
 def conv2d_same(
@@ -113,6 +125,12 @@ def conv2d_same(
 
     ``weight`` has shape (C_out, C_in / groups, kh, kw); groups == 1 is a
     full convolution, groups == C_in with unit fan-in is depthwise.
+
+    Depthwise (unit fan-in, C_out == C_in) runs as one strip correlation.
+    Every other case sums kh * kw shifted matrix products, one per kernel
+    tap: the (G, C_out/G, C_in/G) tap weights times the shifted input viewed
+    as (F, G, C_in/G, H*W). No im2col matrix is built; one shifted input
+    slice is live at a time.
     """
     x = _as_features(x)
     weight = np.asarray(weight, dtype=np.float64)
@@ -128,21 +146,21 @@ def conv2d_same(
             f"conv weight: fan-in {fan_in} does not match {c_in} channels in "
             f"{groups} groups"
         )
-    padded = np.pad(x, ((0, 0), (0, 0), (kh // 2, kh // 2), (kw // 2, kw // 2)))
-    windows = sliding_window_view(padded, (kh, kw), axis=(2, 3))
-    out = np.empty((frames, c_out, height, width), dtype=np.float64)
-    out_per_group = c_out // groups
-    for g in range(groups):
-        xg = windows[:, g * fan_in : (g + 1) * fan_in]
-        wg = weight[g * out_per_group : (g + 1) * out_per_group]
-        out[:, g * out_per_group : (g + 1) * out_per_group] = np.einsum(
-            "fchwuv,ocuv->fohw", xg, wg
-        )
+    if fan_in == 1 and c_out == c_in:
+        out = _depthwise(x, weight[:, 0])
+    else:
+        padded = _pad_same(x, kh, kw)
+        taps = weight.reshape(groups, c_out // groups, fan_in, kh, kw)
+        out = np.zeros((frames, groups, c_out // groups, height * width))
+        for u in range(kh):
+            for v in range(kw):
+                shifted = padded[:, :, u : u + height, v : v + width]
+                out += taps[..., u, v] @ shifted.reshape(
+                    frames, groups, fan_in, height * width
+                )
+        out = out.reshape(frames, c_out, height, width)
     if bias is not None:
-        bias = np.asarray(bias, dtype=np.float64)
-        if bias.shape != (c_out,):
-            raise ValueError(f"conv bias: expected ({c_out},), got {bias.shape}")
-        out += bias[:, None, None]
+        out += _as_bias(bias, c_out, "conv bias")[:, None, None]
     return out
 
 
@@ -400,13 +418,18 @@ def temporal_adaptive_conv(
     linear projection to one factor per output channel. The factors offset
     1.0, so zeroed calibration weights reproduce the plain base convolution;
     frame t is convolved with the base kernel scaled per output channel.
+    Scaling output channels commutes with the convolution, so the whole
+    clip runs as one base convolution whose output is scaled per frame.
+
+    This is a standalone block: ``fusion_forward`` does not call it. Its
+    ``tada_*`` tensors ride along in the weights container.
     """
     x = _as_features(x)
     base_weight = np.asarray(base_weight, dtype=np.float64)
     if base_weight.ndim != 4:
         raise ValueError(f"base weight: expected rank 4, got shape {base_weight.shape}")
-    frames, _, height, width = x.shape
     c_out = base_weight.shape[0]
+    base_bias = _as_bias(base_bias, c_out, "conv bias")
     fc_w = np.asarray(fc_w, dtype=np.float64)
     if fc_w.shape[0] != c_out:
         raise ValueError(
@@ -416,10 +439,9 @@ def temporal_adaptive_conv(
     t = gelu(_conv1d_frames(descriptor, np.asarray(conv1_w, dtype=np.float64), np.asarray(conv1_b, dtype=np.float64)))
     t = _conv1d_frames(t, np.asarray(conv2_w, dtype=np.float64), np.asarray(conv2_b, dtype=np.float64))
     alpha = 1.0 + t @ fc_w.T + np.asarray(fc_b, dtype=np.float64)  # (F, C_out)
-    out = np.empty((frames, c_out, height, width), dtype=np.float64)
-    for frame in range(frames):
-        scaled = base_weight * alpha[frame][:, None, None, None]
-        out[frame] = conv2d_same(x[frame : frame + 1], scaled, base_bias)[0]
+    out = conv2d_same(x, base_weight)
+    out *= alpha[:, :, None, None]
+    out += base_bias[:, None, None]
     return out
 
 
@@ -472,8 +494,8 @@ class FusionConfig:
         return (self.height // self.patch_size) * (self.width // self.patch_size)
 
 
-# Tensor names that fusion_forward requires; the TAdaConv bundle rides along
-# in the same container but is consumed separately.
+# Tensor names that fusion_forward requires; the tada_* tensors of the
+# standalone temporal_adaptive_conv ride along in the same container.
 FORWARD_TENSORS = (
     "dws_depth_vis",
     "dws_point_vis",
@@ -508,17 +530,6 @@ FORWARD_TENSORS = (
     "mlp2_weight",
     "mlp2_bias",
     "patch_size",
-)
-
-TADA_TENSORS = (
-    "tada_base_weight",
-    "tada_base_bias",
-    "tada_conv1_weight",
-    "tada_conv1_bias",
-    "tada_conv2_weight",
-    "tada_conv2_bias",
-    "tada_fc_weight",
-    "tada_fc_bias",
 )
 
 

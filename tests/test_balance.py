@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from msfusion import balance as balance_module
 from msfusion.balance import (
     ReliabilityReport,
     RoiFeature,
@@ -402,3 +403,26 @@ class TestAlignmentPipeline:
         gts = [BBox(0, 0, 10, 10)]
         with pytest.raises(ValueError, match="no reference detections"):
             modality_alignment_loss([], [], gts, np.ones((1, 1, 8, 8)), np.ones((1, 1, 8, 8)))
+
+    @pytest.mark.parametrize("reference", ["vis", "ir"])
+    def test_scores_each_modality_once(self, monkeypatch, reference):
+        calls = []
+
+        def counting_scores(dets, gts):
+            calls.append(len(dets))
+            return best_ciou_scores(dets, gts)
+
+        monkeypatch.setattr(balance_module, "best_ciou_scores", counting_scores)
+        rng = RNG(16)
+        gts = [BBox(8, 8, 28, 48)]
+        exact = [det(BBox(8, 8, 28, 48), 0.9), det(BBox(9, 8, 29, 49), 0.8)]
+        loose = random_dets(rng, 5, "vis")
+        vis, ir = (exact, loose) if reference == "vis" else (loose, exact)
+        vis_map = rng.uniform(0.1, 1.0, (2, 4, 16, 16))
+        ir_map = rng.uniform(0.1, 1.0, (2, 4, 16, 16))
+        report, loss = modality_alignment_loss(vis, ir, gts, vis_map, ir_map, n_top=2)
+        r_v, r_t, loss_ref = alignment_loss_ref(vis, ir, gts, vis_map, ir_map, 2, 1.0)
+        assert report.reference_modality == reference
+        assert (report.r_v, report.r_t) == pytest.approx((r_v, r_t), abs=1e-9)
+        assert loss == pytest.approx(loss_ref, abs=1e-6)
+        assert calls == [len(vis), len(ir)]

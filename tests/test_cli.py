@@ -223,6 +223,22 @@ class TestForwardPipeline:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ["vis", "ir"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_forward_rejects_non_finite_input(self, tmp_path, capsys, name, bad):
+        weights = tmp_path / "w.sfwt"
+        assert main(["gen-weights", "--out", str(weights)]) == 0
+        tensors = {"vis": np.zeros((3, 8, 16, 16)), "ir": np.zeros((3, 8, 16, 16))}
+        tensors[name][1, 2, 3, 4] = bad
+        inp = tmp_path / "in.sftn"
+        save_tensors(inp, tensors, TENSORS_MAGIC)
+        out = tmp_path / "o.sftn"
+        code = main(["forward", "--weights", str(weights), "--input", str(inp), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert str(inp) in err and repr(name) in err and "non-finite" in err
+        assert not out.exists()
+
 
 class TestKlLoss:
     def test_matches_library_pipeline(self, tmp_path, capsys):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from msfusion import fusion as fusion_module
 from msfusion.fusion import (
     FusionConfig,
     FusionWeights,
@@ -301,6 +302,31 @@ class TestGroupedConv:
         with pytest.raises(ValueError, match="groups"):
             conv2d_same(rand_features((1, 4, 4, 4), 1), np.zeros((4, 2, 3, 3)), groups=3)
 
+    @pytest.mark.parametrize(
+        "x_shape, w_shape, groups",
+        [
+            ((2, 4, 6, 6), (4, 1, 5, 5), 4),  # depthwise shortcut
+            ((2, 3, 5, 5), (6, 1, 3, 3), 3),  # depthwise multiplier: no shortcut
+            ((2, 8, 5, 6), (12, 2, 3, 3), 4),  # four groups, fan-in 2
+            ((2, 3, 6, 7), (4, 3, 1, 5), 1),
+            ((2, 3, 6, 7), (4, 3, 5, 1), 1),
+            ((1, 4, 5, 5), (2, 4, 3, 3), 1),  # single frame
+        ],
+    )
+    def test_dispatch_matches_naive_loop(self, x_shape, w_shape, groups):
+        x = rand_features(x_shape, 60)
+        weight = RNG(61).standard_normal(w_shape)
+        bias = RNG(62).standard_normal(w_shape[0])
+        np.testing.assert_allclose(
+            conv2d_same(x, weight, bias, groups=groups),
+            loop_conv2d(x, weight, bias, groups=groups),
+            atol=1e-10,
+        )
+
+    def test_bias_shape_checked(self):
+        with pytest.raises(ValueError, match="conv bias"):
+            conv2d_same(rand_features((1, 4, 4, 4), 1), np.zeros((4, 4, 3, 3)), np.zeros(3))
+
 
 class TestPatches:
     def test_patch_counts(self):
@@ -430,6 +456,53 @@ class TestTemporalAdaptiveConv:
                 x[frame : frame + 1], base_w * alpha[frame][:, None, None, None], base_b
             )
             np.testing.assert_allclose(out[frame : frame + 1], expected, atol=1e-5)
+
+    def test_three_frame_scaled_kernel_oracle(self):
+        x = rand_features((3, 4, 5, 6), 56)
+        base_w = RNG(57).standard_normal((5, 4, 3, 3))
+        base_b = RNG(58).standard_normal(5)
+        calib = self._calib(4, 2, 59)
+        calib["fc_w"] = RNG(59).standard_normal((5, 2))
+        calib["fc_b"] = RNG(60).standard_normal(5)
+        out = temporal_adaptive_conv(x, base_w, base_b, **calib)
+        v = x.mean(axis=(2, 3))
+        t = gelu_ref(loop_conv1d_frames(v, calib["conv1_w"], calib["conv1_b"]))
+        t = loop_conv1d_frames(t, calib["conv2_w"], calib["conv2_b"])
+        alpha = 1.0 + t @ calib["fc_w"].T + calib["fc_b"]
+        assert np.ptp(alpha, axis=0).min() > 0.1  # calibration really varies
+        for frame in range(3):
+            expected = loop_conv2d(
+                x[frame : frame + 1], base_w * alpha[frame][:, None, None, None], base_b
+            )
+            np.testing.assert_allclose(out[frame : frame + 1], expected, atol=1e-10)
+
+    def test_bias_shape_checked(self):
+        x = rand_features((2, 4, 5, 5), 73)
+        with pytest.raises(ValueError, match="bias"):
+            temporal_adaptive_conv(
+                x, np.zeros((4, 4, 3, 3)), np.zeros(3), **self._calib(4, 2, 74)
+            )
+
+    def test_base_weight_fan_in_checked(self):
+        x = rand_features((2, 4, 5, 5), 75)
+        with pytest.raises(ValueError, match="fan-in"):
+            temporal_adaptive_conv(
+                x, np.zeros((4, 3, 3, 3)), np.zeros(4), **self._calib(4, 2, 76)
+            )
+
+    def test_one_convolution_per_clip(self, monkeypatch):
+        calls = []
+
+        def counting_conv(*args, **kwargs):
+            calls.append(args[0].shape)
+            return conv2d_same(*args, **kwargs)
+
+        monkeypatch.setattr(fusion_module, "conv2d_same", counting_conv)
+        x = rand_features((3, 4, 5, 5), 77)
+        temporal_adaptive_conv(
+            x, RNG(78).standard_normal((4, 4, 3, 3)), np.zeros(4), **self._calib(4, 2, 79)
+        )
+        assert calls == [(3, 4, 5, 5)]
 
 
 class TestFusionWeights:
