@@ -1,7 +1,7 @@
 """Deterministic numpy core for multispectral pedestrian detection.
 
 The package covers four areas: bounding-box geometry (IoU, CIoU, hulls,
-NMS), the strip-convolution fusion block forward pass, cross-modal
+NMS, and their (N, M) matrix kernels), the strip-convolution fusion block forward pass, cross-modal
 reliability scoring with a KL-divergence alignment loss, and detection
 post-processing plus log-average miss-rate evaluation.
 """
@@ -56,7 +56,17 @@ from .fusion import (
     temporal_adaptive_conv,
     temporal_fuse,
 )
-from .geometry import BBox, Detection, ciou, convex_hull, iou, nms
+from .geometry import (
+    BBox,
+    Detection,
+    boxes_array,
+    ciou,
+    ciou_matrix,
+    convex_hull,
+    iou,
+    iou_matrix,
+    nms,
+)
 from .ingest import (
     Manifest,
     ManifestFrame,
@@ -72,12 +82,6 @@ from .ingest import (
     serialize_annotations,
     serialize_detections,
 )
-from .postprocess import (
-    FusedDetection,
-    PostprocessConfig,
-    filter_by_score,
-    fuse_scale,
-    run_strategy,
-)
+from .postprocess import FusedDetection, PostprocessConfig, fuse_scale, run_strategy
 
 __version__ = "0.1.0"

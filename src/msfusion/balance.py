@@ -4,6 +4,11 @@ Reliability of each modality is the mean of its top-n CIoU scores against
 ground truth; the more reliable modality anchors RoI feature extraction,
 and a directed row-wise KL divergence between the two relation matrices
 pushes the weaker feature distribution toward the stronger one.
+
+Scoring runs on the batch geometry kernels: ``best_ciou_scores`` is the row
+maximum of one ``ciou_matrix``. ``roi_align`` pools any number of boxes in
+one call, gathering the bilinear corners of every sample point at once;
+the alignment loss calls it once per feature map.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .geometry import BBox, Detection, ciou
+from .geometry import BBox, Detection, boxes_array, ciou_matrix
 
 DEFAULT_TOP_N = 300
 
@@ -43,11 +48,13 @@ class RoiFeature:
 
 
 def best_ciou_scores(dets: Sequence[Detection], gts: Sequence[BBox]) -> np.ndarray:
-    """Best CIoU of each detection against any ground-truth box."""
-    scores = np.empty(len(dets), dtype=np.float64)
-    for i, det in enumerate(dets):
-        scores[i] = max(ciou(det.box, gt) for gt in gts)
-    return scores
+    """Best CIoU of each detection against any ground-truth box: the row
+    maxima of one ``ciou_matrix``."""
+    if not dets:
+        return np.empty(0, dtype=np.float64)
+    if not gts:
+        raise ValueError("no reference objects")
+    return ciou_matrix(boxes_array(d.box for d in dets), boxes_array(gts)).max(axis=1)
 
 
 def _top_mean(scores: np.ndarray, n_top: int) -> tuple[float, int]:
@@ -99,75 +106,92 @@ def _score_modalities(
     return report, scores_t if thermal_ref else scores_v
 
 
-def _bilinear(feature_map: np.ndarray, y: float, x: float) -> np.ndarray:
-    # feature_map: (F, C, H, W); returns (F, C). Half-pixel aligned lattice:
-    # the value of pixel (i, j) sits at continuous coordinate (j+0.5, i+0.5).
-    height, width = feature_map.shape[2:]
-    if y < -1.0 or y > height or x < -1.0 or x > width:
-        return np.zeros(feature_map.shape[:2], dtype=np.float64)
-    y = max(y, 0.0)
-    x = max(x, 0.0)
-    y_low = int(y)
-    x_low = int(x)
-    if y_low >= height - 1:
-        y_low = y_high = height - 1
-        y = float(y_low)
-    else:
-        y_high = y_low + 1
-    if x_low >= width - 1:
-        x_low = x_high = width - 1
-        x = float(x_low)
-    else:
-        x_high = x_low + 1
-    ly, lx = y - y_low, x - x_low
-    hy, hx = 1.0 - ly, 1.0 - lx
-    return (
-        hy * hx * feature_map[:, :, y_low, x_low]
-        + hy * lx * feature_map[:, :, y_low, x_high]
-        + ly * hx * feature_map[:, :, y_high, x_low]
-        + ly * lx * feature_map[:, :, y_high, x_high]
+# Boxes per RoIAlign chunk are chosen so each gathered (boxes, samples,
+# samples, F * C) corner block holds about this many float64 values.
+_ROI_CHUNK_VALUES = 1 << 16
+
+
+def _sample_axis(
+    lo: np.ndarray, extent: np.ndarray, size: int, output_size: int, sampling_ratio: int
+) -> tuple[np.ndarray, ...]:
+    # Bilinear taps along one axis for every box: sample coordinates on the
+    # half-pixel aligned lattice (the value of pixel i sits at i + 0.5),
+    # ordered bin-major, then the low/high indices, their weights and which
+    # samples fall inside [-1, size]; samples outside read as zero.
+    steps = np.array(
+        [b + (i + 0.5) / sampling_ratio for b in range(output_size) for i in range(sampling_ratio)]
     )
+    coord = (lo - 0.5)[:, None] + steps[None, :] * (extent / output_size)[:, None]
+    inside = (coord >= -1.0) & (coord <= size)
+    # Clamping to the last pixel gives it full weight, as at the map edge.
+    coord = np.clip(coord, 0.0, size - 1.0)
+    low = coord.astype(np.int64)
+    frac = coord - low
+    return low, np.minimum(low + 1, size - 1), 1.0 - frac, frac, inside
 
 
 def roi_align(
     feature_map: np.ndarray,
-    box: BBox,
+    box: BBox | Sequence[BBox],
     box_id: int = 0,
     output_size: int = 3,
     sampling_ratio: int = 2,
-) -> RoiFeature:
+) -> RoiFeature | np.ndarray:
     """Quantization-free RoI pooling of a (F, C, H, W) map to a 3x3 grid.
 
-    The box, given in feature-map coordinates with positive area, is divided
-    into output_size^2 bins; each bin averages sampling_ratio^2 bilinear
-    samples placed at the bin's interior fractions (quarter points for the
-    default 2x2), using half-pixel-aligned coordinates. The grid is
+    Each box, given in feature-map coordinates with positive area, is
+    divided into output_size^2 bins; each bin averages sampling_ratio^2
+    bilinear samples placed at the bin's interior fractions (quarter points
+    for the default 2x2), using half-pixel-aligned coordinates. The grid is
     flattened row-major to a vector of length output_size^2 * F * C.
+
+    One ``BBox`` gives a :class:`RoiFeature` tagged ``box_id``. A sequence
+    of boxes gives an (N, output_size^2 * F * C) array whose row i is the
+    vector of box i; the boxes are pooled together, gathering the four
+    bilinear corners of all their samples in chunks of boxes.
     """
     feature_map = np.asarray(feature_map, dtype=np.float64)
     if feature_map.ndim != 4:
         raise ValueError(
             f"feature map: expected (F, C, H, W), got shape {feature_map.shape}"
         )
-    if box.area <= 0.0:
-        raise ValueError(f"RoI box must have positive area, got {box!r}")
-    f, c = feature_map.shape[:2]
-    # Shift by half a pixel so box coordinates line up with pixel centers.
-    x0 = box.x_min - 0.5
-    y0 = box.y_min - 0.5
-    bin_w = box.width / output_size
-    bin_h = box.height / output_size
-    grid = np.empty((f, c, output_size, output_size), dtype=np.float64)
-    for by in range(output_size):
-        for bx in range(output_size):
-            acc = np.zeros((f, c), dtype=np.float64)
-            for iy in range(sampling_ratio):
-                sy = y0 + (by + (iy + 0.5) / sampling_ratio) * bin_h
-                for ix in range(sampling_ratio):
-                    sx = x0 + (bx + (ix + 0.5) / sampling_ratio) * bin_w
-                    acc += _bilinear(feature_map, sy, sx)
-            grid[:, :, by, bx] = acc / (sampling_ratio * sampling_ratio)
-    return RoiFeature(values=grid.reshape(-1), box_id=box_id)
+    boxes = [box] if isinstance(box, BBox) else list(box)
+    for b in boxes:
+        if b.area <= 0.0:
+            raise ValueError(f"RoI box must have positive area, got {b!r}")
+    f, c, height, width = feature_map.shape
+    corners = boxes_array(boxes)
+    ys = _sample_axis(corners[:, 1], corners[:, 3] - corners[:, 1], height,
+                      output_size, sampling_ratio)
+    xs = _sample_axis(corners[:, 0], corners[:, 2] - corners[:, 0], width,
+                      output_size, sampling_ratio)
+    # Channels last, so each gathered corner is one contiguous F * C row.
+    pixels = np.ascontiguousarray(feature_map.transpose(2, 3, 0, 1))
+    pixels = pixels.reshape(height, width, f * c)
+    samples = output_size * sampling_ratio
+    out = np.empty((len(boxes), output_size, output_size, f * c))
+    chunk = max(1, _ROI_CHUNK_VALUES // (samples * samples * f * c))
+    for start in range(0, len(boxes), chunk):
+        part = slice(start, start + chunk)
+        y_lo, y_hi, hy, ly, y_in = (a[part, :, None] for a in ys)
+        x_lo, x_hi, hx, lx, x_in = (a[part, None, :] for a in xs)
+        value = (hy * hx)[..., None] * pixels[y_lo, x_lo]
+        value += (hy * lx)[..., None] * pixels[y_lo, x_hi]
+        value += (ly * hx)[..., None] * pixels[y_hi, x_lo]
+        value += (ly * lx)[..., None] * pixels[y_hi, x_hi]
+        value[~(y_in & x_in)] = 0.0
+        value = value.reshape(-1, output_size, sampling_ratio, output_size, sampling_ratio, f * c)
+        acc = np.zeros((len(value), output_size, output_size, f * c))
+        for iy in range(sampling_ratio):
+            for ix in range(sampling_ratio):
+                acc += value[:, :, iy, :, ix]
+        out[part] = acc / (sampling_ratio * sampling_ratio)
+    # (N, by, bx, F * C) -> rows flattened as (F, C, by, bx).
+    flat = out.reshape(len(boxes), output_size * output_size, f * c).transpose(0, 2, 1)
+    flat = flat.reshape(len(boxes), -1)
+    if isinstance(box, BBox):
+        return RoiFeature(values=flat[0], box_id=box_id)
+    return flat
 
 
 def cosine_matrix(features: Sequence[RoiFeature | np.ndarray]) -> np.ndarray:
@@ -276,17 +300,12 @@ def modality_alignment_loss(
     if not reference:
         raise ValueError("no reference detections")
     order = np.argsort(-scores, kind="stable")[: report.n_used]
-    feats_v: list[RoiFeature] = []
-    feats_t: list[RoiFeature] = []
-    for rank, idx in enumerate(order):
-        box = reference[int(idx)].box
-        scaled = BBox(
-            box.x_min / stride, box.y_min / stride, box.x_max / stride, box.y_max / stride
-        )
-        feats_v.append(roi_align(vis_features, scaled, box_id=rank))
-        feats_t.append(roi_align(thermal_features, scaled, box_id=rank))
-    m_v = relation_matrix(cosine_matrix(feats_v))
-    m_t = relation_matrix(cosine_matrix(feats_t))
+    scaled = [
+        BBox(b.x_min / stride, b.y_min / stride, b.x_max / stride, b.y_max / stride)
+        for b in (reference[int(idx)].box for idx in order)
+    ]
+    m_v = relation_matrix(cosine_matrix(roi_align(vis_features, scaled)))
+    m_t = relation_matrix(cosine_matrix(roi_align(thermal_features, scaled)))
     return report, kl_loss(report, m_v, m_t)
 
 

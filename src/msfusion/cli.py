@@ -24,7 +24,7 @@ from .balance import modality_alignment_loss, reliability, thermal_reliability_p
 from .containers import TENSORS_MAGIC, load_tensors, save_tensors
 from .evaluation import STANDARD_SETTINGS, SPLITS, apply_setting, log_average_miss_rate
 from .fusion import FusionConfig, FusionWeights, fusion_forward
-from .geometry import SCALES, iou
+from .geometry import SCALES, boxes_array, iou_matrix
 from .ingest import (
     RunConfig,
     attach_detections,
@@ -188,14 +188,13 @@ def _cmd_reliability(args: argparse.Namespace) -> int:
         gts = [g.box for g in record.gts if not g.ignore]
         if not gts:
             continue
+        gt_corners = boxes_array(gts)
         frame_dets = by_frame.get(record.frame_id, [])
         for scale in SCALES:
             vis = [d for d in frame_dets if d.scale_id == scale and d.modality == "vis"]
             ir = [d for d in frame_dets if d.scale_id == scale and d.modality == "ir"]
-            overlaps = any(
-                iou(d.box, g) > 0.0 for d in vis + ir for g in gts
-            )
-            if not overlaps:
+            det_corners = boxes_array(d.box for d in vis + ir)
+            if not (iou_matrix(det_corners, gt_corners) > 0.0).any():
                 reports.append(None)
                 continue
             report = reliability(vis, ir, gts, cfg.n_top)

@@ -5,6 +5,11 @@ occlusion tiers); the rest become ignore regions. Detections are matched
 greedily in score order, the confidence threshold is swept to trace the
 (FPPI, miss rate) curve, and the metric is the geometric mean of the miss
 rates sampled at nine FPPI reference points log-spaced in [1e-2, 1].
+
+Matching scores each frame's detections against its ground truths with one
+``iou_matrix`` (bitwise equal to the scalar ``iou``). The threshold sweep
+sorts the outcomes once and reads true- and false-positive counts off
+cumulative sums, so a curve costs O(N log N) in the number of outcomes.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .geometry import BBox, Detection, iou
+from .geometry import BBox, Detection, boxes_array, iou_matrix
 
 OCCLUSION_LEVELS = ("none", "partial", "heavy")
 TIMES_OF_DAY = ("day", "night")
@@ -160,28 +165,33 @@ def match_frame(
     misses.
     """
     ordered = sorted(dets, key=lambda d: -d.score)
-    taken = [False] * len(evaluated_gts)
+    n_eval = len(evaluated_gts)
+    both = iou_matrix(
+        boxes_array(d.box for d in ordered),
+        boxes_array(g.box for g in (*evaluated_gts, *ignored_gts)),
+    )
+    overlap = both[:, :n_eval]
+    # Masking taken ground truths only lowers a row, so a detection with
+    # no candidate now never gets one.
+    candidate = (overlap >= match_iou).any(axis=1).tolist()
+    absorbed = (both[:, n_eval:] >= match_iou).any(axis=1).tolist()
     outcomes: list[tuple[float, str]] = []
     tp = fp = 0
-    for det in ordered:
-        best_idx = -1
-        best_iou = match_iou
-        for idx, gt in enumerate(evaluated_gts):
-            if taken[idx]:
+    for k, det in enumerate(ordered):
+        if candidate[k]:
+            # Taken ground truths are masked to -inf, so the first-index
+            # argmax is the best untaken one, ties going to the lower index.
+            best = int(overlap[k].argmax())
+            if overlap[k, best] >= match_iou:
+                overlap[:, best] = -np.inf
+                tp += 1
+                outcomes.append((det.score, "tp"))
                 continue
-            overlap = iou(det.box, gt.box)
-            if overlap > best_iou or (best_idx < 0 and overlap == best_iou):
-                best_idx, best_iou = idx, overlap
-        if best_idx >= 0:
-            taken[best_idx] = True
-            tp += 1
-            outcomes.append((det.score, "tp"))
-            continue
-        if any(iou(det.box, g.box) >= match_iou for g in ignored_gts):
+        if absorbed[k]:
             outcomes.append((det.score, "ignored"))
-            continue
-        fp += 1
-        outcomes.append((det.score, "fp"))
+        else:
+            fp += 1
+            outcomes.append((det.score, "fp"))
     return MatchResult(
         tp=tp, fp=fp, misses=len(evaluated_gts) - tp, outcomes=tuple(outcomes)
     )
@@ -227,13 +237,19 @@ def miss_rate_curve(
         thresholds = sorted({score for score, _ in outcomes}, reverse=True)
     else:
         thresholds = sorted(set(score_sweep), reverse=True)
+    # One stable sort plus cumulative counts: the outcomes scoring at least
+    # a threshold are those after its left insertion point.
+    scores = np.array([score for score, _ in outcomes], dtype=np.float64)
+    is_tp = np.array([flag == "tp" for _, flag in outcomes], dtype=bool)
+    is_fp = np.array([flag == "fp" for _, flag in outcomes], dtype=bool)
+    order = np.argsort(scores, kind="stable")
+    below = np.searchsorted(scores[order], thresholds, side="left")
+    tp_below = np.concatenate(([0], np.cumsum(is_tp[order])))
+    fp_below = np.concatenate(([0], np.cumsum(is_fp[order])))
+    tps = (tp_below[-1] - tp_below[below]).tolist()
+    fps = (fp_below[-1] - fp_below[below]).tolist()
     n_frames = len(records)
-    points: list[tuple[float, float]] = []
-    for threshold in thresholds:
-        tp = sum(1 for s, flag in outcomes if s >= threshold and flag == "tp")
-        fp = sum(1 for s, flag in outcomes if s >= threshold and flag == "fp")
-        points.append((fp / n_frames, 1.0 - tp / total_gt))
-    return points
+    return [(fp / n_frames, 1.0 - tp / total_gt) for tp, fp in zip(tps, fps)]
 
 
 def log_average_miss_rate(

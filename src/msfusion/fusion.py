@@ -164,11 +164,20 @@ def conv2d_same(
     return out
 
 
-def _conv1d_frames(v: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
+def _conv1d_frames(
+    v: np.ndarray, weight: np.ndarray, bias: np.ndarray, name: str
+) -> np.ndarray:
     # v: (F, C_in); weight: (C_out, C_in, k); zero "same" padding over frames.
+    # ``name`` prefixes the tensor names (name_w, name_b) in errors.
+    weight = np.asarray(weight, dtype=np.float64)
+    if weight.ndim != 3 or weight.shape[1] != v.shape[1]:
+        raise ValueError(
+            f"{name}_w: expected (C_out, {v.shape[1]}, k), got shape {weight.shape}"
+        )
     k = weight.shape[2]
     if k % 2 == 0:
-        raise ValueError(f"frame conv: kernel size must be odd, got {k}")
+        raise ValueError(f"{name}_w: frame kernel size must be odd, got {k}")
+    bias = _as_bias(bias, weight.shape[0], f"{name}_b")
     padded = np.pad(v, ((k // 2, k // 2), (0, 0)))
     windows = sliding_window_view(padded, k, axis=0)
     return np.einsum("fcu,ocu->fo", windows, weight) + bias
@@ -430,15 +439,13 @@ def temporal_adaptive_conv(
         raise ValueError(f"base weight: expected rank 4, got shape {base_weight.shape}")
     c_out = base_weight.shape[0]
     base_bias = _as_bias(base_bias, c_out, "conv bias")
-    fc_w = np.asarray(fc_w, dtype=np.float64)
-    if fc_w.shape[0] != c_out:
-        raise ValueError(
-            f"calibration fc: expected ({c_out}, reduce), got {fc_w.shape}"
-        )
     descriptor = x.mean(axis=(2, 3))  # (F, C_in)
-    t = gelu(_conv1d_frames(descriptor, np.asarray(conv1_w, dtype=np.float64), np.asarray(conv1_b, dtype=np.float64)))
-    t = _conv1d_frames(t, np.asarray(conv2_w, dtype=np.float64), np.asarray(conv2_b, dtype=np.float64))
-    alpha = 1.0 + t @ fc_w.T + np.asarray(fc_b, dtype=np.float64)  # (F, C_out)
+    t = gelu(_conv1d_frames(descriptor, conv1_w, conv1_b, "conv1"))
+    t = _conv1d_frames(t, conv2_w, conv2_b, "conv2")
+    fc_w = np.asarray(fc_w, dtype=np.float64)
+    if fc_w.shape != (c_out, t.shape[1]):
+        raise ValueError(f"fc_w: expected ({c_out}, {t.shape[1]}), got shape {fc_w.shape}")
+    alpha = 1.0 + t @ fc_w.T + _as_bias(fc_b, c_out, "fc_b")  # (F, C_out)
     out = conv2d_same(x, base_weight)
     out *= alpha[:, :, None, None]
     out += base_bias[:, None, None]

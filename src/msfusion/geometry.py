@@ -3,13 +3,23 @@
 Boxes are stored in corner form (x_min, y_min, x_max, y_max); the center
 form (x_c, y_c, w, h) is a derived view. All operations are pure functions
 over immutable inputs and are safe to call concurrently.
+
+Two forms of the pairwise measures exist. ``iou`` and ``ciou`` score one
+pair of ``BBox`` in pure Python. ``iou_matrix`` and ``ciou_matrix`` score
+every pair of two (N, 4) corner arrays (built by ``boxes_array``) in one
+numpy pass; the pairwise callers (NMS, pair fusion, matching, reliability)
+use them. ``iou_matrix`` repeats the operations of ``iou`` in the same
+order, so its entries equal ``iou`` bit for bit; ``ciou_matrix`` differs
+from ``ciou`` only by the last-place rounding of numpy's arctangent.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
+
+import numpy as np
 
 MODALITIES = ("vis", "ir", "fused")
 SCALES = ("s80", "s40", "s20")
@@ -17,7 +27,10 @@ SCALES = ("s80", "s40", "s20")
 
 @dataclass(frozen=True)
 class BBox:
-    """Axis-aligned box in corner form, in pixel units."""
+    """Axis-aligned box in corner form, in pixel units.
+
+    Corners must be finite with x_min <= x_max and y_min <= y_max.
+    """
 
     x_min: float
     y_min: float
@@ -25,7 +38,11 @@ class BBox:
     y_max: float
 
     def __post_init__(self) -> None:
-        if not (self.x_min <= self.x_max and self.y_min <= self.y_max):
+        # Chained comparisons also reject NaN and infinite corners.
+        if not (
+            -math.inf < self.x_min <= self.x_max < math.inf
+            and -math.inf < self.y_min <= self.y_max < math.inf
+        ):
             raise ValueError(f"invalid box corners: {self!r}")
 
     @property
@@ -102,6 +119,28 @@ def iou(a: BBox, b: BBox) -> float:
     return inter / union
 
 
+def boxes_array(boxes: Iterable[BBox]) -> np.ndarray:
+    """(N, 4) float64 array of the corners (x_min, y_min, x_max, y_max)."""
+    corners = [(b.x_min, b.y_min, b.x_max, b.y_max) for b in boxes]
+    return np.array(corners, dtype=np.float64).reshape(len(corners), 4)
+
+
+def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """IoU of every pair of rows of two (N, 4) and (M, 4) corner arrays.
+
+    Entry (i, j) equals ``iou`` of box i of ``a`` and box j of ``b`` bit
+    for bit: the same operations run in the same order, and an empty
+    union gives 0.0.
+    """
+    iw = np.minimum(a[:, None, 2], b[None, :, 2]) - np.maximum(a[:, None, 0], b[None, :, 0])
+    ih = np.minimum(a[:, None, 3], b[None, :, 3]) - np.maximum(a[:, None, 1], b[None, :, 1])
+    inter = np.where((iw > 0.0) & (ih > 0.0), iw * ih, 0.0)
+    area_a = (a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1])
+    area_b = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
+    union = area_a[:, None] + area_b[None, :] - inter
+    return np.divide(inter, union, out=np.zeros_like(inter), where=union > 0.0)
+
+
 def convex_hull(a: BBox, b: BBox) -> BBox:
     """Smallest axis-aligned box containing both inputs."""
     return BBox(
@@ -142,6 +181,36 @@ def ciou(pred: BBox, gt: BBox) -> float:
     return overlap - rho2 / c2 - aspect_term
 
 
+def ciou_matrix(pred: np.ndarray, gt: np.ndarray) -> np.ndarray:
+    """CIoU of every predicted box (rows of ``pred``, (N, 4)) against every
+    reference box (rows of ``gt``, (M, 4)), as an (N, M) matrix.
+
+    The formula and operation order are those of ``ciou``; entries agree
+    with it to within the rounding of the arctangent (1e-15). Any box with
+    non-positive width or height raises, as ``ciou`` would for its pairs.
+    """
+    w_p, h_p = pred[:, 2] - pred[:, 0], pred[:, 3] - pred[:, 1]
+    w_g, h_g = gt[:, 2] - gt[:, 0], gt[:, 3] - gt[:, 1]
+    if len(pred) and len(gt) and min(w_p.min(), h_p.min(), w_g.min(), h_g.min()) <= 0.0:
+        raise ValueError("degenerate aspect ratio")
+    overlap = iou_matrix(pred, gt)
+    hull_w = np.maximum(pred[:, None, 2], gt[None, :, 2]) - np.minimum(
+        pred[:, None, 0], gt[None, :, 0]
+    )
+    hull_h = np.maximum(pred[:, None, 3], gt[None, :, 3]) - np.minimum(
+        pred[:, None, 1], gt[None, :, 1]
+    )
+    dx = ((pred[:, 0] + pred[:, 2])[:, None] - gt[None, :, 0] - gt[None, :, 2]) / 2.0
+    dy = ((pred[:, 1] + pred[:, 3])[:, None] - gt[None, :, 1] - gt[None, :, 3]) / 2.0
+    rho2 = dx * dx + dy * dy
+    c2 = hull_w * hull_w + hull_h * hull_h
+    v = (4.0 / math.pi**2) * (
+        np.arctan(w_g / h_g)[None, :] - np.arctan(w_p / h_p)[:, None]
+    ) ** 2
+    aspect_term = np.divide(v * v, (1.0 - overlap) + v, out=np.zeros_like(v), where=v > 0.0)
+    return overlap - rho2 / c2 - aspect_term
+
+
 def nms(dets: Sequence[Detection], iou_threshold: float = 0.45) -> list[Detection]:
     """Greedy class-agnostic non-maximum suppression.
 
@@ -150,12 +219,21 @@ def nms(dets: Sequence[Detection], iou_threshold: float = 0.45) -> list[Detectio
     higher-scoring detection strictly exceeds ``iou_threshold``. The result
     is sorted by descending score and rerunning on its own output is the
     identity.
+
+    Each kept box scores the boxes still alive after it with one IoU row,
+    so memory stays O(n); no n x n matrix is built.
     """
     if not 0.0 <= iou_threshold <= 1.0:
         raise ValueError(f"iou_threshold must be in [0, 1], got {iou_threshold}")
     ordered = sorted(dets, key=lambda d: -d.score)
+    corners = boxes_array(d.box for d in ordered)
+    alive = np.arange(len(ordered))
     kept: list[Detection] = []
-    for det in ordered:
-        if all(iou(det.box, k.box) <= iou_threshold for k in kept):
-            kept.append(det)
+    while alive.size:
+        first, rest = alive[0], alive[1:]
+        kept.append(ordered[first])
+        if not rest.size:
+            break
+        overlap = iou_matrix(corners[first : first + 1], corners[rest])[0]
+        alive = rest[~(overlap > iou_threshold)]
     return kept

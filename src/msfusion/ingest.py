@@ -49,7 +49,6 @@ class RunConfig:
     beta: float = 2.0
     n_top: int = 300
     postprocess: PostprocessConfig = field(default_factory=PostprocessConfig)
-    patch_size: int = 4
     settings: tuple[str, ...] = ("reasonable",)
     scale_strides: Mapping[str, float] = field(
         default_factory=lambda: dict(DEFAULT_SCALE_STRIDES)
@@ -74,7 +73,6 @@ class RunConfig:
             "iou_thres": repr(self.postprocess.iou_thres),
             "nms_thres": repr(self.postprocess.nms_threshold),
             "strategy": self.postprocess.strategy,
-            "patch_size": str(self.patch_size),
             "settings": ",".join(self.settings),
         }
         for scale in SCALES:
@@ -107,7 +105,6 @@ def run_config_from_mapping(mapping: Mapping[str, str]) -> RunConfig:
         "iou_thres",
         "nms_thres",
         "strategy",
-        "patch_size",
         "settings",
         "stride_s80",
         "stride_s40",
@@ -138,7 +135,6 @@ def run_config_from_mapping(mapping: Mapping[str, str]) -> RunConfig:
         beta=float(get("beta", base.beta)),
         n_top=int(get("n_top", base.n_top)),
         postprocess=post,
-        patch_size=int(get("patch_size", base.patch_size)),
         settings=settings,
         scale_strides=strides,
     )
@@ -173,7 +169,10 @@ def parse_annotation_text(
             raise ValueError(f"{source}:{lineno}: negative box size")
         if occ_code not in _OCCLUSION_CODES:
             raise ValueError(f"{source}:{lineno}: occlusion code must be 0, 1, or 2")
-        box = BBox(x * scale_x, y * scale_y, (x + w) * scale_x, (y + h) * scale_y)
+        try:
+            box = BBox(x * scale_x, y * scale_y, (x + w) * scale_x, (y + h) * scale_y)
+        except ValueError as err:
+            raise ValueError(f"{source}:{lineno}: {err}") from None
         gts.append(
             GroundTruthBox(
                 box=box,
@@ -370,29 +369,49 @@ class Manifest:
 
 
 def load_manifest(path: str | Path) -> Manifest:
+    """Read a manifest JSON file; any malformed content raises a
+    ``ValueError`` that names the file."""
     path = Path(path)
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as err:
         raise ValueError(f"{path}: invalid manifest JSON ({err})") from None
-    frames = tuple(
-        ManifestFrame(
-            frame_id=str(entry["frame_id"]),
-            time_of_day=str(entry.get("time_of_day", "day")),
-            annotations=entry.get("annotations"),
-            detections=entry.get("detections"),
+    try:
+        return _manifest_from_payload(payload, path.parent)
+    except (TypeError, ValueError) as err:
+        raise ValueError(f"{path}: {err}") from None
+
+
+def _manifest_from_payload(payload, root: Path) -> Manifest:
+    # Structural errors raise ValueError; a wrongly typed leaf (a number
+    # where a list belongs, say) surfaces as TypeError from the conversion.
+    if not isinstance(payload, dict):
+        raise ValueError(f"expected a JSON object, got {type(payload).__name__}")
+    frames = []
+    for k, entry in enumerate(payload.get("frames", [])):
+        if not isinstance(entry, dict) or "frame_id" not in entry:
+            raise ValueError(f"frames[{k}]: expected an object with a 'frame_id'")
+        frames.append(
+            ManifestFrame(
+                frame_id=str(entry["frame_id"]),
+                time_of_day=str(entry.get("time_of_day", "day")),
+                annotations=entry.get("annotations"),
+                detections=entry.get("detections"),
+            )
         )
-        for entry in payload.get("frames", [])
-    )
     sequence = payload.get("sequence", {})
+    if not isinstance(sequence, dict):
+        raise ValueError(f"sequence: expected an object, got {sequence!r}")
     scale = payload.get("annotation_scale", [1.0, 1.0])
+    if not isinstance(scale, list) or len(scale) != 2:
+        raise ValueError(f"annotation_scale: expected [scale_x, scale_y], got {scale!r}")
     return Manifest(
-        frames=frames,
+        frames=tuple(frames),
         frames_per_group=sequence.get("frames_per_group"),
         stride=sequence.get("stride"),
         groups=tuple(tuple(str(f) for f in g) for g in sequence.get("groups", [])),
         annotation_scale=(float(scale[0]), float(scale[1])),
-        root=path.parent,
+        root=root,
     )
 
 

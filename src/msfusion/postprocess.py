@@ -5,6 +5,10 @@ modality, all-pairs IoU matching between the filtered visible and thermal
 boxes of each frame, convex-hull boxes with averaged confidences for the
 matches, and the four output strategies (single-modality NMS, joint NMS,
 or pair fusion followed by joint NMS).
+
+Pair fusion scores each frame's visible x thermal pairs with one
+``iou_matrix`` call; the hulls and confidences are elementwise numpy over
+the matched pairs and equal ``convex_hull`` and the scalar mean exactly.
 """
 
 from __future__ import annotations
@@ -12,7 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Sequence
 
-from .geometry import BBox, Detection, convex_hull, iou, nms
+import numpy as np
+
+from .geometry import BBox, Detection, boxes_array, iou_matrix, nms
 
 STRATEGIES = ("vis", "ir", "both", "algo1")
 
@@ -57,13 +63,6 @@ class FusedDetection:
         return self.box.to_center()
 
 
-def filter_by_score(dets: Sequence[Detection], threshold: float) -> list[Detection]:
-    """Keep detections scoring at least ``threshold``, preserving order."""
-    if not 0.0 <= threshold <= 1.0:
-        raise ValueError(f"threshold must be in [0, 1], got {threshold}")
-    return [d for d in dets if d.score >= threshold]
-
-
 def fuse_scale(
     vis: Sequence[Detection],
     ir: Sequence[Detection],
@@ -96,19 +95,31 @@ def fuse_scale(
         ir_kept = ir_by_frame.get(frame, [])
         if not vis_kept or not ir_kept:
             continue
-        for i, dv in vis_kept:
-            for j, dt in ir_kept:
-                if iou(dv.box, dt.box) >= cfg.iou_thres:
-                    fused.append(
-                        FusedDetection(
-                            box=convex_hull(dv.box, dt.box),
-                            f_conf=(dv.score + dt.score) / 2.0,
-                            parent_v=i,
-                            parent_t=j,
-                            scale_id=dv.scale_id,
-                            frame_id=frame,
-                        )
-                    )
+        box_v = boxes_array(d.box for _, d in vis_kept)
+        box_t = boxes_array(d.box for _, d in ir_kept)
+        # Row-major nonzero keeps the pairs in visible-major order.
+        rows, cols = np.nonzero(iou_matrix(box_v, box_t) >= cfg.iou_thres)
+        pv, pt = box_v[rows], box_t[cols]
+        # Ties keep the visible corner, as convex_hull does.
+        hulls = np.concatenate(
+            [np.where(pt[:, :2] < pv[:, :2], pt[:, :2], pv[:, :2]),
+             np.where(pt[:, 2:] > pv[:, 2:], pt[:, 2:], pv[:, 2:])],
+            axis=1,
+        )
+        score_v = np.array([d.score for _, d in vis_kept])
+        score_t = np.array([d.score for _, d in ir_kept])
+        confs = (score_v[rows] + score_t[cols]) / 2.0
+        for r, c, hull, conf in zip(rows.tolist(), cols.tolist(), hulls.tolist(), confs.tolist()):
+            fused.append(
+                FusedDetection(
+                    box=BBox(*hull),
+                    f_conf=conf,
+                    parent_v=vis_kept[r][0],
+                    parent_t=ir_kept[c][0],
+                    scale_id=vis_kept[r][1].scale_id,
+                    frame_id=frame,
+                )
+            )
     return fused
 
 

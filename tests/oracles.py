@@ -347,6 +347,26 @@ def bilinear_ref(fmap, y, x):
     )
 
 
+def roi_ref(fmap, box):
+    """3x3 RoIAlign of one box: four bilinear_ref samples per bin at the
+    quarter points, averaged, flattened as (F, C, 3, 3)."""
+    bw = box.width / 3.0
+    bh = box.height / 3.0
+    grid = np.zeros((fmap.shape[0], fmap.shape[1], 3, 3))
+    for by in range(3):
+        for bx in range(3):
+            acc = np.zeros(fmap.shape[:2])
+            for iy in (0.25, 0.75):
+                for ix in (0.25, 0.75):
+                    acc += bilinear_ref(
+                        fmap,
+                        box.y_min - 0.5 + (by + iy) * bh,
+                        box.x_min - 0.5 + (bx + ix) * bw,
+                    )
+            grid[:, :, by, bx] = acc / 4.0
+    return grid.reshape(-1)
+
+
 def _bilinear_grid(fmap, ys, xs):
     # Vectorized bilinear interpolation at the outer product of ys and xs;
     # returns (F, C, len(ys), len(xs)).
@@ -423,21 +443,7 @@ def alignment_loss_ref(vis_dets, thermal_dets, gt_boxes, vis_map, thermal_map, n
 
     def roi(fmap, box):
         scaled = BBox(box.x_min / stride, box.y_min / stride, box.x_max / stride, box.y_max / stride)
-        bw = scaled.width / 3.0
-        bh = scaled.height / 3.0
-        grid = np.zeros((fmap.shape[0], fmap.shape[1], 3, 3))
-        for by in range(3):
-            for bx in range(3):
-                acc = np.zeros(fmap.shape[:2])
-                for iy in (0.25, 0.75):
-                    for ix in (0.25, 0.75):
-                        acc += bilinear_ref(
-                            fmap,
-                            scaled.y_min - 0.5 + (by + iy) * bh,
-                            scaled.x_min - 0.5 + (bx + ix) * bw,
-                        )
-                grid[:, :, by, bx] = acc / 4.0
-        return grid.reshape(-1)
+        return roi_ref(fmap, scaled)
 
     def relation(fmap):
         vecs = [roi(fmap, reference[i].box) for i in order]
@@ -522,11 +528,12 @@ def run_strategy_ref(vis, ir, strategy, conf_v, conf_t, iou_thres, nms_thres):
 # ---------------------------------------------------------------------------
 # evaluation
 
-def match_frame_ref(dets, evaluated, ignored, match_iou):
-    """Greedy matching recomputed from the rules."""
+def match_outcomes_ref(dets, evaluated, ignored, match_iou):
+    """Greedy matching recomputed from the rules: (score, flag) per
+    detection in stable descending score order."""
     order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
     taken = set()
-    tp = fp = 0
+    outcomes = []
     for i in order:
         candidates = [
             (iou_ref(dets[i].box, g.box), j)
@@ -537,9 +544,36 @@ def match_frame_ref(dets, evaluated, ignored, match_iou):
         if candidates:
             best = max(candidates, key=lambda t: (t[0], -t[1]))
             taken.add(best[1])
-            tp += 1
-            continue
-        if any(iou_ref(dets[i].box, g.box) >= match_iou for g in ignored):
-            continue
-        fp += 1
-    return tp, fp, len(evaluated) - tp
+            outcomes.append((dets[i].score, "tp"))
+        elif any(iou_ref(dets[i].box, g.box) >= match_iou for g in ignored):
+            outcomes.append((dets[i].score, "ignored"))
+        else:
+            outcomes.append((dets[i].score, "fp"))
+    return outcomes
+
+
+def match_frame_ref(dets, evaluated, ignored, match_iou):
+    """(tp, fp, misses) of the greedy matching."""
+    flags = [flag for _, flag in match_outcomes_ref(dets, evaluated, ignored, match_iou)]
+    tp = flags.count("tp")
+    return tp, flags.count("fp"), len(evaluated) - tp
+
+
+def miss_rate_curve_ref(records, setting, source, score_sweep=None):
+    """(FPPI, miss rate) per threshold, recounting every outcome at every
+    threshold of the descending sweep."""
+    total_gt = 0
+    outcomes = []
+    for record in records:
+        evaluated = [g for g in record.gts if setting.admits(g)]
+        ignored = [g for g in record.gts if not setting.admits(g)]
+        total_gt += len(evaluated)
+        dets = record.detections.get(source, [])
+        outcomes += match_outcomes_ref(dets, evaluated, ignored, setting.match_iou)
+    sweep = {s for s, _ in outcomes} if score_sweep is None else set(score_sweep)
+    points = []
+    for threshold in sorted(sweep, reverse=True):
+        tp = sum(1 for s, flag in outcomes if s >= threshold and flag == "tp")
+        fp = sum(1 for s, flag in outcomes if s >= threshold and flag == "fp")
+        points.append((fp / len(records), 1.0 - tp / total_gt))
+    return points

@@ -23,7 +23,7 @@ from msfusion.balance import (
     total_loss,
 )
 from msfusion.geometry import BBox, Detection, ciou
-from oracles import alignment_loss_ref, kl_ref, relation_ref, supersampled_roi
+from oracles import alignment_loss_ref, kl_ref, relation_ref, roi_ref, supersampled_roi
 
 RNG = np.random.default_rng
 
@@ -165,6 +165,48 @@ class TestRoiAlign:
         lhs = roi_align(2.0 * x + 3.0 * y, box).values
         rhs = 2.0 * roi_align(x, box).values + 3.0 * roi_align(y, box).values
         np.testing.assert_allclose(lhs, rhs, atol=1e-6)
+
+
+class TestBatchedRoiAlign:
+    def _boxes(self, rng, count, side):
+        # Anywhere from well inside to mostly off the map on every side.
+        out = []
+        for _ in range(count):
+            x0, y0 = rng.uniform(-4.0, side + 2.0, 2)
+            w, h = rng.uniform(0.3, 6.0, 2)
+            out.append(BBox(x0, y0, x0 + w, y0 + h))
+        return out
+
+    def test_rows_match_per_box_bilinear_oracle(self):
+        rng = RNG(60)
+        fmap = rng.standard_normal((2, 3, 9, 7))
+        boxes = self._boxes(rng, 40, 8) + [BBox(-3.0, -3.0, 12.0, 10.0)]
+        got = roi_align(fmap, boxes)
+        assert got.shape == (len(boxes), 9 * 2 * 3)
+        for row, box in zip(got, boxes):
+            np.testing.assert_allclose(row, roi_ref(fmap, box), rtol=0, atol=1e-12)
+
+    def test_single_box_is_the_one_row_case(self):
+        rng = RNG(61)
+        fmap = rng.standard_normal((1, 4, 8, 8))
+        boxes = self._boxes(rng, 5, 8)
+        batch = roi_align(fmap, boxes)
+        for k, box in enumerate(boxes):
+            single = roi_align(fmap, box, box_id=k)
+            assert single.box_id == k
+            np.testing.assert_array_equal(single.values, batch[k])
+
+    def test_chunking_does_not_change_the_result(self, monkeypatch):
+        rng = RNG(62)
+        fmap = rng.standard_normal((2, 2, 8, 8))
+        boxes = self._boxes(rng, 11, 8)
+        whole = roi_align(fmap, boxes)
+        monkeypatch.setattr(balance_module, "_ROI_CHUNK_VALUES", 1)  # one box per chunk
+        np.testing.assert_array_equal(roi_align(fmap, boxes), whole)
+
+    def test_degenerate_box_in_batch_rejected(self):
+        with pytest.raises(ValueError, match="positive area"):
+            roi_align(np.zeros((1, 1, 8, 8)), [BBox(0, 0, 2, 2), BBox(2, 2, 2, 4)])
 
 
 class TestCosineMatrix:

@@ -136,6 +136,14 @@ class TestFuse:
         assert fused[0].score == pytest.approx(0.7)
         assert fused[0].box == BBox(0, 0, 12, 12)
 
+    def test_non_finite_box_fails_naming_the_line(self, tmp_path, capsys):
+        # An inf corner used to parse, give a NaN IoU and drop the pair.
+        path = tmp_path / "d.txt"
+        path.write_text("f1 vis s80 0 0 inf 10 0.9\nf1 ir s80 0 0 10 10 0.9\n", "utf-8")
+        code = main(["fuse", "--detections", str(path), "--out", str(tmp_path / "o.txt")])
+        assert code == 1
+        assert f"{path}:1: invalid box corners" in capsys.readouterr().err
+
     def test_higher_threshold_fuses_nothing(self, tmp_path, capsys):
         out = tmp_path / "fused.txt"
         code = main(

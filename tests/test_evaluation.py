@@ -17,7 +17,7 @@ from msfusion.evaluation import (
     miss_rate_curve,
 )
 from msfusion.geometry import BBox, Detection
-from oracles import match_frame_ref
+from oracles import match_frame_ref, miss_rate_curve_ref
 
 RNG = np.random.default_rng
 
@@ -125,6 +125,67 @@ class TestMatchFrame:
             result = match_frame(dets, evaluated, ignored, 0.4)
             want = match_frame_ref(dets, evaluated, ignored, 0.4)
             assert (result.tp, result.fp, result.misses) == want
+
+
+    def test_equal_iou_goes_to_the_first_ground_truth(self):
+        # The top detection has IoU 1/3 with both gts; taking gt 0 leaves
+        # the second detection (IoU 1/2 with gt 0 only) a false positive.
+        dets = [det(5, 0, 15, 10, 0.9), det(0, 0, 10, 5, 0.8)]
+        evaluated = [gt(0, 0, 10, 10), gt(10, 0, 20, 10)]
+        result = match_frame(dets, evaluated, [], 1.0 / 3.0)
+        assert (result.tp, result.fp, result.misses) == (1, 1, 1)
+        assert (result.tp, result.fp, result.misses) == match_frame_ref(
+            dets, evaluated, [], 1.0 / 3.0
+        )
+        assert [flag for _, flag in result.outcomes] == ["tp", "fp"]
+
+
+class TestMissRateCurve:
+    def _records(self, rng, n_frames):
+        # Scores on a 0.1 grid, so many outcomes tie; some gts after the
+        # first are ignore regions, so all three outcome flags occur.
+        records = []
+        for k in range(n_frames):
+            gts = [
+                gt(x, y, x + w, y + h, ignore=bool(i > 0 and rng.uniform() < 0.2))
+                for i, (x, y, w, h) in enumerate(
+                    rng.uniform(0, 60, (int(rng.integers(1, 5)), 4)) + [0, 0, 10, 10]
+                )
+            ]
+            dets = [
+                det(x, y, x + w, y + h, round(float(rng.uniform(0, 1)), 1), f"f{k}")
+                for x, y, w, h in rng.uniform(0, 60, (int(rng.integers(0, 7)), 4)) + [0, 0, 10, 10]
+            ]
+            for g in gts[:2]:  # near-hits, so true positives occur
+                x0, y0 = g.box.x_min + rng.uniform(-2, 2), g.box.y_min + rng.uniform(-2, 2)
+                dets.append(det(x0, y0, x0 + g.box.width, y0 + g.box.height,
+                                round(float(rng.uniform(0, 1)), 1), f"f{k}"))
+            records.append(FrameRecord(f"f{k}", gts=gts, detections={"det": dets}))
+        return records
+
+    def test_matches_recounting_oracle_with_tied_scores(self):
+        rng = RNG(31)
+        setting = STANDARD_SETTINGS["all"]
+        flags = set()
+        for _ in range(20):
+            records = self._records(rng, int(rng.integers(1, 6)))
+            got = miss_rate_curve(records, setting, "det")
+            assert got == miss_rate_curve_ref(records, setting, "det")
+            for r in records:
+                evaluated, ignored = apply_setting(r.gts, setting)
+                result = match_frame(r.detections["det"], evaluated, ignored)
+                flags |= {flag for _, flag in result.outcomes}
+        assert flags == {"tp", "fp", "ignored"}
+
+    def test_sweep_thresholds_between_and_beyond_scores(self):
+        rng = RNG(32)
+        setting = STANDARD_SETTINGS["all"]
+        sweep = [1.5, 1.0, 0.95, 0.55, 0.55, 0.5, 0.25, 0.0, -0.5]
+        for _ in range(20):
+            records = self._records(rng, int(rng.integers(1, 6)))
+            got = miss_rate_curve(records, setting, "det", score_sweep=sweep)
+            assert got == miss_rate_curve_ref(records, setting, "det", score_sweep=sweep)
+            assert len(got) == len(set(sweep))
 
 
 def _hand_corpus():

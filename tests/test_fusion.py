@@ -490,6 +490,26 @@ class TestTemporalAdaptiveConv:
                 x, np.zeros((4, 3, 3, 3)), np.zeros(4), **self._calib(4, 2, 76)
             )
 
+    @pytest.mark.parametrize(
+        "name, shape",
+        [
+            ("conv1_w", (2, 4)),  # rank 2
+            ("conv1_w", (2, 3, 3)),  # fan-in 3, descriptor has 4 channels
+            ("conv1_w", (2, 4, 2)),  # even frame kernel
+            ("conv1_b", (3,)),
+            ("conv2_w", (2, 3, 3)),  # fan-in 3, conv1 gives 2
+            ("conv2_b", (1,)),
+            ("fc_w", (4, 3)),
+            ("fc_b", (5,)),
+        ],
+    )
+    def test_calibration_shapes_checked(self, name, shape):
+        x = rand_features((2, 4, 5, 5), 77)
+        calib = self._calib(4, 2, 78)
+        calib[name] = np.zeros(shape)
+        with pytest.raises(ValueError, match=name):
+            temporal_adaptive_conv(x, np.zeros((4, 4, 3, 3)), np.zeros(4), **calib)
+
     def test_one_convolution_per_clip(self, monkeypatch):
         calls = []
 

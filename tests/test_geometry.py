@@ -1,11 +1,24 @@
-"""Box algebra: IoU, CIoU, hulls, and greedy NMS."""
+"""Box algebra: IoU, CIoU, hulls, their matrix kernels, and greedy NMS."""
+
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from msfusion.geometry import BBox, Detection, ciou, convex_hull, iou, nms
+from msfusion import geometry
+from msfusion.geometry import (
+    BBox,
+    Detection,
+    boxes_array,
+    ciou,
+    ciou_matrix,
+    convex_hull,
+    iou,
+    iou_matrix,
+    nms,
+)
 from oracles import check_nms_survivors, ciou_ref, iou_ref, nms_ref
 
 
@@ -26,6 +39,14 @@ class TestBBox:
     def test_rejects_inverted_corners(self):
         with pytest.raises(ValueError):
             BBox(5, 0, 1, 10)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("corner", range(4))
+    def test_rejects_non_finite_corners(self, corner, bad):
+        corners = [0.0, 0.0, 10.0, 10.0]
+        corners[corner] = bad
+        with pytest.raises(ValueError, match="invalid box corners"):
+            BBox(*corners)
 
     def test_center_form_roundtrip_within_one_ulp(self):
         # One ulp measured at the box's largest coordinate magnitude.
@@ -120,6 +141,45 @@ class TestCIoU:
             assert ciou(a, b) == pytest.approx(ciou_ref(a, b), abs=1e-9)
 
 
+class TestMatrixKernels:
+    def test_boxes_array_layout(self):
+        assert boxes_array([]).shape == (0, 4)
+        np.testing.assert_array_equal(
+            boxes_array([box(1, 2, 3, 4), box(5, 6, 7, 8)]), [[1, 2, 3, 4], [5, 6, 7, 8]]
+        )
+
+    @given(st.lists(boxes(), max_size=6), st.lists(boxes(), max_size=6))
+    @settings(max_examples=200)
+    def test_iou_matrix_equals_scalar_iou_bitwise(self, a, b):
+        # Degenerate and touching boxes included: hypothesis draws zero sizes.
+        got = iou_matrix(boxes_array(a), boxes_array(b))
+        assert got.shape == (len(a), len(b))
+        for i, p in enumerate(a):
+            for j, q in enumerate(b):
+                assert got[i, j] == iou(p, q)
+
+    @given(st.lists(boxes(min_size=0.5), max_size=6), st.lists(boxes(min_size=0.5), max_size=6))
+    @settings(max_examples=200)
+    def test_ciou_matrix_matches_scalar_ciou(self, pred, gt):
+        got = ciou_matrix(boxes_array(pred), boxes_array(gt))
+        assert got.shape == (len(pred), len(gt))
+        for i, p in enumerate(pred):
+            for j, q in enumerate(gt):
+                assert abs(got[i, j] - ciou(p, q)) <= 1e-15
+
+    def test_ciou_matrix_identical_boxes_score_one(self):
+        corners = boxes_array([box(0, 0, 4, 4), box(1, 2, 7, 3)])
+        np.testing.assert_array_equal(np.diag(ciou_matrix(corners, corners)), [1.0, 1.0])
+
+    @pytest.mark.parametrize("side", ["pred", "gt"])
+    def test_ciou_matrix_degenerate_box_raises(self, side):
+        good = boxes_array([box(0, 0, 2, 2), box(1, 1, 4, 5)])
+        flat = boxes_array([box(0, 0, 2, 2), box(0, 0, 5, 0)])
+        pred, gt = (flat, good) if side == "pred" else (good, flat)
+        with pytest.raises(ValueError, match="degenerate aspect ratio"):
+            ciou_matrix(pred, gt)
+
+
 class TestConvexHull:
     def test_overlapping_pair(self):
         assert convex_hull(box(0, 0, 10, 10), box(2, 2, 12, 12)) == box(0, 0, 12, 12)
@@ -176,6 +236,40 @@ class TestNMS:
             kept = nms(dets, threshold)
             assert kept == nms_ref(dets, threshold)
             assert check_nms_survivors(dets, kept, threshold)
+
+    def test_ties_and_threshold_boundary_match_oracle(self):
+        # (0,0,10,10) vs (0,0,10,5) and vs (5,0,15,10) both have IoU 1/2
+        # and 1/3 exactly: at the threshold a box survives (strict >), and
+        # equal scores keep the input order.
+        rng = np.random.default_rng(12)
+        shapes = [(0, 0, 10, 10), (0, 0, 10, 5), (5, 0, 15, 10), (0, 5, 10, 10), (0, 0, 5, 10)]
+        for _ in range(100):
+            dets = [
+                det(*shapes[int(k)], float(rng.choice([0.5, 0.7, 0.9])))
+                for k in rng.integers(0, len(shapes), 8)
+            ]
+            for threshold in (1.0 / 3.0, 0.5):
+                kept = nms(dets, threshold)
+                assert [id(d) for d in kept] == [id(d) for d in nms_ref(dets, threshold)]
+
+    def test_scores_one_row_per_kept_box(self, monkeypatch):
+        # Memory guard: NMS never builds more than one IoU row at a time.
+        rows = []
+        original = geometry.iou_matrix
+
+        def recording(a, b):
+            rows.append(a.shape[0])
+            return original(a, b)
+
+        monkeypatch.setattr(geometry, "iou_matrix", recording)
+        rng = np.random.default_rng(13)
+        dets = []
+        for _ in range(200):
+            x0, y0 = rng.uniform(0, 60, 2)
+            w, h = rng.uniform(5, 30, 2)
+            dets.append(det(x0, y0, x0 + w, y0 + h, float(rng.uniform(0, 1))))
+        kept = nms(dets, 0.3)
+        assert rows and set(rows) == {1} and len(rows) <= len(kept)
 
     def test_idempotent_and_subset(self):
         rng = np.random.default_rng(10)

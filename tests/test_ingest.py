@@ -1,5 +1,7 @@
 """File format parsing, serialization round trips, and run configuration."""
 
+import json
+
 import pytest
 
 from msfusion.evaluation import STANDARD_SETTINGS, apply_setting
@@ -56,6 +58,12 @@ class TestAnnotations:
         with pytest.raises(ValueError, match="occlusion"):
             parse_annotation_text("% bbGt version=3\nperson 0 0 30 80 5\n")
 
+    def test_non_finite_annotation_rejected_with_location(self):
+        with pytest.raises(ValueError, match="ann.txt:3: invalid box corners"):
+            parse_annotation_text(
+                "% bbGt version=3\nperson 0 0 10 20 0\nperson 0 0 inf 20 0\n", "ann.txt"
+            )
+
     def test_scaling_applied(self):
         gts = parse_annotation_text(
             "% bbGt version=3\nperson 10 20 30 60 0\n", scale_x=2.0, scale_y=0.5
@@ -110,6 +118,12 @@ class TestDetections:
     def test_invalid_box_rejected(self):
         with pytest.raises(ValueError, match="invalid box"):
             parse_detection_line("f vis s80 50 10 10 110 0.5", "x", 4)
+
+    def test_non_finite_corner_rejected_with_location(self, tmp_path):
+        path = tmp_path / "d.txt"
+        path.write_text("f1 vis s80 0 0 10 10 0.9\nf1 vis s80 0 0 inf 10 0.9\n", "utf-8")
+        with pytest.raises(ValueError, match=r"d\.txt:2: invalid box corners"):
+            ingest_detections(path)
 
     def test_unknown_scale_rejected(self):
         with pytest.raises(ValueError, match="scale_id"):
@@ -196,7 +210,6 @@ class TestRunConfig:
             "iou_thres",
             "nms_thres",
             "strategy",
-            "patch_size",
             "settings",
             "stride_s80",
             "stride_s40",
@@ -264,6 +277,26 @@ class TestManifest:
                 stride=3,
                 groups=(("000001", "000003"),),
             )
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"frames": [{"time_of_day": "day"}]},  # no frame_id: was KeyError
+            {"frames": [], "annotation_scale": [2]},  # was IndexError
+            [{"frame_id": "a"}],  # top-level list: was AttributeError
+            {"frames": ["a"]},
+            {"frames": 3},
+            {"frames": [], "sequence": [1, 2]},
+            {"frames": [], "annotation_scale": [1, None]},
+            {"frames": [], "annotation_scale": ["x", 1]},
+        ],
+    )
+    def test_malformed_manifest_raises_value_error_naming_file(self, tmp_path, payload):
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(ValueError) as err:
+            load_manifest(path)
+        assert str(err.value).startswith(f"{path}: ")
 
     def test_current_frames_are_group_tails(self, tmp_path):
         manifest = self._manifest(tmp_path)

@@ -1,15 +1,12 @@
 """Cross-modal pair fusion and the four output strategies."""
 
+import math
+
 import numpy as np
 import pytest
 
 from msfusion.geometry import BBox, Detection
-from msfusion.postprocess import (
-    PostprocessConfig,
-    filter_by_score,
-    fuse_scale,
-    run_strategy,
-)
+from msfusion.postprocess import PostprocessConfig, fuse_scale, run_strategy
 from oracles import fuse_scale_ref, run_strategy_ref
 
 RNG = np.random.default_rng
@@ -40,21 +37,6 @@ class TestConfig:
             PostprocessConfig(strategy="mean")
 
 
-class TestFilter:
-    def test_zero_threshold_is_identity(self):
-        dets = [det(0, 0, 1, 1, s) for s in (0.1, 0.5, 0.9)]
-        assert filter_by_score(dets, 0.0) == dets
-
-    def test_threshold_one_drops_all_below(self):
-        dets = [det(0, 0, 1, 1, s) for s in (0.1, 0.5, 0.9)]
-        assert filter_by_score(dets, 1.0) == []
-
-    def test_keeps_at_or_above_threshold(self):
-        dets = [det(0, 0, 1, 1, s) for s in (0.1, 0.25, 0.6)]
-        kept = filter_by_score(dets, 0.2)
-        assert [d.score for d in kept] == [0.25, 0.6]
-
-
 class TestFuseScale:
     def _cfg(self, iou_thres=0.4, conf=0.2):
         return PostprocessConfig(
@@ -75,6 +57,20 @@ class TestFuseScale:
         vis = [det(0, 0, 10, 10, 0.8, "vis")]
         ir = [det(2, 2, 12, 12, 0.6, "ir")]
         assert fuse_scale(vis, ir, self._cfg(iou_thres=0.5)) == []
+
+    @pytest.mark.parametrize(
+        "ir_box, iou_thres",
+        [((0, 0, 10, 5), 0.5), ((5, 0, 15, 10), 1.0 / 3.0), ((0, 0, 5, 5), 0.25)],
+    )
+    def test_iou_exactly_at_threshold_fuses(self, ir_box, iou_thres):
+        # IoU 1/2, 1/3 and 1/4 exactly against (0,0,10,10): fusion uses >=.
+        vis = [det(0, 0, 10, 10, 0.8, "vis")]
+        ir = [det(*ir_box, 0.6, "ir")]
+        fused = fuse_scale(vis, ir, self._cfg(iou_thres=iou_thres))
+        want = fuse_scale_ref(vis, ir, 0.2, 0.2, iou_thres)
+        assert len(fused) == len(want) == 1
+        assert fused[0].box == want[0][3] and fused[0].f_conf == want[0][4]
+        assert fuse_scale(vis, ir, self._cfg(iou_thres=math.nextafter(iou_thres, 2.0))) == []
 
     def test_empty_visible_side_contributes_nothing(self):
         ir = [det(0, 0, 10, 10, 0.9, "ir")]
