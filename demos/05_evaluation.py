@@ -69,10 +69,11 @@ for fppi, miss in curve[:5]:
 mr = log_average_miss_rate(records, setting, "algo1")
 print(f"\nlog-average miss rate (reasonable): {mr:.2f}%")
 
-# The full grid over settings and day/night splits. Cells without any
-# evaluated ground truth come back as None (printed n/a).
+# The full grid over settings and day/night splits. Each cell holds the MR
+# and the number of evaluated ground truths; a cell without any evaluated
+# ground truth has MR None (printed n/a).
 table = evaluate_matrix(records, ["algo1"])
-print("\nsetting      split  MR%")
-for (setting_name, split, _), value in sorted(table.items()):
-    text = "n/a" if value is None else f"{value:6.2f}"
-    print(f"{setting_name:<12} {split:<6} {text}")
+print("\nsetting      split  MR%     gts")
+for (setting_name, split, _), (mr, num_gt) in sorted(table.items()):
+    text = "   n/a" if mr is None else f"{mr:6.2f}"
+    print(f"{setting_name:<12} {split:<6} {text}  {num_gt}")

@@ -295,6 +295,8 @@ def modality_alignment_loss(
     from both maps, builds the relation matrices and returns the directed
     KL loss together with the reliability report.
     """
+    if not (math.isfinite(stride) and stride > 0.0):
+        raise ValueError(f"stride must be positive and finite, got {stride}")
     report, scores = _score_modalities(vis_dets, thermal_dets, gt_boxes, n_top)
     reference = thermal_dets if report.reference_modality == "ir" else vis_dets
     if not reference:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .balance import modality_alignment_loss, reliability, thermal_reliability_percentage
 from .containers import TENSORS_MAGIC, load_tensors, save_tensors
-from .evaluation import STANDARD_SETTINGS, SPLITS, apply_setting, log_average_miss_rate
+from .evaluation import STANDARD_SETTINGS, SPLITS, evaluate_matrix
 from .fusion import FusionConfig, FusionWeights, fusion_forward
 from .geometry import SCALES, boxes_array, iou_matrix
 from .ingest import (
@@ -51,13 +51,15 @@ def _add_threshold_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--conf-thres-v", type=float, dest="conf_thres_v")
     parser.add_argument("--conf-thres-t", type=float, dest="conf_thres_t")
     parser.add_argument("--nms-thres", type=float, dest="nms_thres")
-    parser.add_argument("--beta", type=float)
     parser.add_argument("--n-top", type=int, dest="n_top")
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
     mapping = load_config(args.config) if getattr(args, "config", None) else {}
-    cfg = run_config_from_mapping(mapping)
+    try:
+        cfg = run_config_from_mapping(mapping)
+    except ValueError as err:  # only a config file's values can fail here
+        raise ValueError(f"{args.config}: {err}") from None
     post = cfg.postprocess
     if getattr(args, "strategy", None):
         post = replace(post, strategy=args.strategy)
@@ -70,8 +72,6 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     if getattr(args, "nms_thres", None) is not None:
         post = replace(post, nms_threshold=args.nms_thres)
     overrides: dict = {"postprocess": post}
-    if getattr(args, "beta", None) is not None:
-        overrides["beta"] = args.beta
     if getattr(args, "n_top", None) is not None:
         overrides["n_top"] = args.n_top
     if getattr(args, "setting", None):
@@ -104,24 +104,11 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     manifest = load_manifest(args.manifest)
     records = manifest.load_records()
     dets = ingest_detections(args.detections)
-    label = args.label
-    records = attach_detections(records, dets, label)
+    records = attach_detections(records, dets, args.label)
     splits = [args.split] if args.split else list(SPLITS)
-    rows = []
-    for setting_name in cfg.settings:
-        setting = STANDARD_SETTINGS[setting_name]
-        for split in splits:
-            subset = (
-                records
-                if split == "all"
-                else [r for r in records if r.time_of_day == split]
-            )
-            num_gt = sum(len(apply_setting(r.gts, setting)[0]) for r in subset)
-            try:
-                mr = log_average_miss_rate(subset, setting, label)
-            except ValueError:
-                mr = None
-            rows.append((setting_name, split, label, mr, num_gt))
+    settings = {name: STANDARD_SETTINGS[name] for name in cfg.settings}
+    table = evaluate_matrix(records, [args.label], settings, splits)
+    rows = [(*key, mr, num_gt) for key, (mr, num_gt) in table.items()]
     header = {"command": "eval", **cfg.echo()}
     text = format_results(rows, header)
     _emit(text, args.out)
@@ -163,7 +150,6 @@ def _cmd_kl_loss(args: argparse.Namespace) -> int:
         f"frame_id = {frame_id}",
         f"scale = {scale}",
         f"stride = {stride!r}",
-        f"beta = {cfg.beta!r}",
         f"n_top = {cfg.n_top}",
         f"r_v = {report.r_v!r}",
         f"r_t = {report.r_t!r}",
@@ -273,7 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scale", choices=SCALES, default="s80")
     p.add_argument("--stride", type=float, help="override the per-scale box stride")
     p.add_argument("--n-top", type=int, dest="n_top")
-    p.add_argument("--beta", type=float)
     _add_common(p)
     p.set_defaults(func=_cmd_kl_loss)
 

@@ -292,24 +292,23 @@ def evaluate_matrix(
     strategies: Sequence[str],
     settings: Mapping[str, EvalSetting] | None = None,
     splits: Sequence[str] = SPLITS,
-) -> dict[tuple[str, str, str], float | None]:
-    """Full MR grid over (setting, split, strategy).
+) -> dict[tuple[str, str, str], tuple[float | None, int]]:
+    """Full MR grid over (setting, split, strategy), keyed in that order.
 
-    Day and night rows evaluate only matching frames. Cells with no frames
-    or no evaluated ground truths hold None (rendered as n/a).
+    Each cell is (MR percent, evaluated ground truths). Day and night rows
+    evaluate only matching frames. A cell with no evaluated ground truth
+    has MR None (rendered n/a); any other failure raises.
     """
     settings = dict(settings) if settings is not None else dict(STANDARD_SETTINGS)
-    table: dict[tuple[str, str, str], float | None] = {}
+    table: dict[tuple[str, str, str], tuple[float | None, int]] = {}
     for setting_name, setting in settings.items():
         for split in splits:
             if split == "all":
                 subset = list(records)
             else:
                 subset = [r for r in records if r.time_of_day == split]
+            num_gt = sum(len(apply_setting(r.gts, setting)[0]) for r in subset)
             for strategy in strategies:
-                key = (setting_name, split, strategy)
-                try:
-                    table[key] = log_average_miss_rate(subset, setting, strategy)
-                except ValueError:
-                    table[key] = None
+                mr = log_average_miss_rate(subset, setting, strategy) if num_gt else None
+                table[(setting_name, split, strategy)] = (mr, num_gt)
     return table

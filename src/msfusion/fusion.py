@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -452,12 +453,35 @@ def temporal_adaptive_conv(
     return out
 
 
+def _input_dims(
+    frames: int, channels: int, height: int, width: int, patch_size: int
+) -> dict[str, int]:
+    """Sizes the weight layout derives from a (frames, channels, height,
+    width) input cut into patch_size patches."""
+    if channels % 2:
+        raise ValueError(f"channels must be even, got {channels}")
+    s = patch_size
+    if s < 1 or height % s or width % s:
+        raise ValueError(f"patch_size {s} does not divide {(height, width)}")
+    return {
+        "c": channels,
+        "half": channels // 2,
+        "two_s": 2 * s * s,
+        "fp": frames * (height // s) * (width // s),
+    }
+
+
+def _check_cascade_groups(groups: int, half: int, name: str) -> None:
+    if groups < 1 or half % groups:
+        raise ValueError(f"{name}: {groups} groups do not divide {half} mixer channels")
+
+
 @dataclass(frozen=True)
 class FusionConfig:
     """Static shape of one fusion block instance (one feature scale).
 
-    Hidden widths default to values derived from the channel count;
-    ``mix_groups`` None means depthwise for the channel-mixing convolution.
+    Every other size of the seeded weights comes from the layout tables,
+    ``FORWARD_SCHEMA`` and ``TADA_SCHEMA``.
     """
 
     frames: int = 3
@@ -466,77 +490,77 @@ class FusionConfig:
     width: int = 16
     patch_size: int = 4
     cascade_groups: int = 4
-    dws_kernel: int = 3
-    cascade_kernel: int = 5
-    local_kernel: tuple[int, int] = (5, 7)
-    mix_kernel: int = 11
-    mix_groups: int | None = None
-    gate_hidden: int | None = None
-    mix_hidden: int | None = None
-    tada_kernel: int = 3
-    tada_reduce: int | None = None
 
     def __post_init__(self) -> None:
-        if self.channels % 2:
-            raise ValueError(f"channels must be even, got {self.channels}")
-        half = self.channels // 2
-        if half % self.cascade_groups:
-            raise ValueError(
-                f"cascade_groups {self.cascade_groups} does not divide "
-                f"{half} mixer channels"
-            )
-        if self.height % self.patch_size or self.width % self.patch_size:
-            raise ValueError(
-                f"patch_size {self.patch_size} does not divide "
-                f"{(self.height, self.width)}"
-            )
-        groups = self.channels if self.mix_groups is None else self.mix_groups
-        if self.channels % groups:
-            raise ValueError(
-                f"mix_groups {groups} does not divide {self.channels} channels"
-            )
-
-    @property
-    def patches(self) -> int:
-        return (self.height // self.patch_size) * (self.width // self.patch_size)
+        dims = _input_dims(
+            self.frames, self.channels, self.height, self.width, self.patch_size
+        )
+        _check_cascade_groups(self.cascade_groups, dims["half"], "cascade_groups")
 
 
-# Tensor names that fusion_forward requires; the tada_* tensors of the
-# standalone temporal_adaptive_conv ride along in the same container.
-FORWARD_TENSORS = (
-    "dws_depth_vis",
-    "dws_point_vis",
-    "dws_point_bias_vis",
-    "dws_depth_ir",
-    "dws_point_ir",
-    "dws_point_bias_ir",
-    "mlp1_weight",
-    "mlp1_bias",
-    "cascade_row_kernels",
-    "cascade_col_kernels",
-    "local_height_kernel",
-    "local_width_kernel",
-    "gate_w1",
-    "gate_b1",
-    "gate_w2",
-    "gate_b2",
-    "gate_proj_weight",
-    "gate_proj_bias",
-    "merge_weight",
-    "merge_bias",
-    "mix_conv_weight",
-    "mix_conv_bias",
-    "grn_gamma",
-    "grn_beta",
-    "mix_mlp_w1",
-    "mix_mlp_b1",
-    "mix_mlp_w2",
-    "mix_mlp_b2",
-    "temporal_ln_gamma",
-    "temporal_ln_beta",
-    "mlp2_weight",
-    "mlp2_bias",
-    "patch_size",
+class WeightSpec(NamedTuple):
+    """One row of the weight layout: a tensor name, its dims, and the init
+    of seeded weights, ``offset + scale * N(0, 1)``."""
+
+    name: str
+    dims: tuple[int | str, ...]
+    scale: float
+    offset: float = 0.0
+
+
+_W, _B = 0.1, 0.01  # seeded scales of weights and of biases
+
+# A dim is an int; an input size (c, half, two_s, fp, from _input_dims); a
+# shared size, bound by the first row that names it and checked on every
+# later row; or a kernel side k_N that each tensor picks for itself (the
+# blocks check that it is odd) and that seeded weights set to N. Rows are in
+# seeding order.
+FORWARD_SCHEMA = (
+    WeightSpec("dws_depth_vis", ("c", "k_3", "k_3"), _W),
+    WeightSpec("dws_point_vis", ("c", "c"), _W),
+    WeightSpec("dws_point_bias_vis", ("c",), _B),
+    WeightSpec("dws_depth_ir", ("c", "k_3", "k_3"), _W),
+    WeightSpec("dws_point_ir", ("c", "c"), _W),
+    WeightSpec("dws_point_bias_ir", ("c",), _B),
+    WeightSpec("mlp1_weight", ("c", "c"), _W),
+    WeightSpec("mlp1_bias", ("c",), _B),
+    WeightSpec("cascade_row_kernels", ("cascade_groups", 1, "k_5"), _W),
+    WeightSpec("cascade_col_kernels", ("cascade_groups", "k_5", 1), _W),
+    WeightSpec("local_height_kernel", ("k_5", "k_7"), _W),
+    WeightSpec("local_width_kernel", ("k_7", "k_5"), _W),
+    WeightSpec("gate_w1", ("gate_hidden", "half"), _W),
+    WeightSpec("gate_b1", ("gate_hidden",), _B),
+    WeightSpec("gate_w2", ("half", "gate_hidden"), _W),
+    WeightSpec("gate_b2", ("half",), _B),
+    WeightSpec("gate_proj_weight", (3,), _W),
+    WeightSpec("gate_proj_bias", (3,), _B),
+    WeightSpec("merge_weight", ("c", "c"), _W),
+    WeightSpec("merge_bias", ("c",), _B),
+    WeightSpec("mix_conv_weight", ("c", "mix_fan_in", "k_11", "k_11"), _W),
+    WeightSpec("mix_conv_bias", ("c",), _B),
+    WeightSpec("grn_gamma", ("c",), _W),
+    WeightSpec("grn_beta", ("c",), _B),
+    WeightSpec("mix_mlp_w1", ("mix_hidden", "c"), _W),
+    WeightSpec("mix_mlp_b1", ("mix_hidden",), _B),
+    WeightSpec("mix_mlp_w2", ("c", "mix_hidden"), _W),
+    WeightSpec("mix_mlp_b2", ("c",), _B),
+    WeightSpec("temporal_ln_gamma", ("two_s",), _B, offset=1.0),
+    WeightSpec("temporal_ln_beta", ("two_s",), _B),
+    WeightSpec("mlp2_weight", ("fp", "fp"), _W),
+    WeightSpec("mlp2_bias", ("fp",), _B),
+)
+
+# The standalone temporal_adaptive_conv, in its argument order; seeded after
+# the forward tensors. The container also holds a scalar "patch_size".
+TADA_SCHEMA = (
+    WeightSpec("tada_base_weight", ("c", "c", "k_3", "k_3"), _W),
+    WeightSpec("tada_base_bias", ("c",), _B),
+    WeightSpec("tada_conv1_weight", ("reduce", "c", "k_3"), _W),
+    WeightSpec("tada_conv1_bias", ("reduce",), _B),
+    WeightSpec("tada_conv2_weight", ("reduce", "reduce", "k_3"), _W),
+    WeightSpec("tada_conv2_bias", ("reduce",), _B),
+    WeightSpec("tada_fc_weight", ("c", "reduce"), _W),
+    WeightSpec("tada_fc_bias", ("c",), _B),
 )
 
 
@@ -557,72 +581,34 @@ class FusionWeights:
 
     @property
     def patch_size(self) -> int:
-        return int(round(float(self.tensor("patch_size"))))
+        value = self.tensor("patch_size")
+        if value.size != 1 or not np.isfinite(value).all():
+            raise ValueError(f"patch_size: expected one finite value, got {value}")
+        return int(round(value.item()))
 
     @classmethod
     def seeded(cls, config: FusionConfig | None = None, seed: int = 0) -> "FusionWeights":
-        """Deterministic random weights for testing and demos."""
+        """Deterministic random weights for testing and demos: the schema
+        rows drawn in order at the seeded sizes."""
         cfg = config or FusionConfig()
         rng = np.random.default_rng(seed)
         c = cfg.channels
-        half = c // 2
-        gate_hidden = cfg.gate_hidden or half
-        mix_hidden = cfg.mix_hidden or c
-        reduce = cfg.tada_reduce or max(c // 4, 1)
-        kh, kw = cfg.local_kernel
-        two_s = 2 * cfg.patch_size**2
-        fp = cfg.frames * cfg.patches
-        mix_groups = cfg.mix_groups or c
-
-        def w(*shape: int) -> np.ndarray:
-            return rng.standard_normal(shape) * 0.1
-
-        def b(*shape: int) -> np.ndarray:
-            return rng.standard_normal(shape) * 0.01
-
-        tensors: dict[str, np.ndarray] = {
-            "dws_depth_vis": w(c, cfg.dws_kernel, cfg.dws_kernel),
-            "dws_point_vis": w(c, c),
-            "dws_point_bias_vis": b(c),
-            "dws_depth_ir": w(c, cfg.dws_kernel, cfg.dws_kernel),
-            "dws_point_ir": w(c, c),
-            "dws_point_bias_ir": b(c),
-            "mlp1_weight": w(c, c),
-            "mlp1_bias": b(c),
-            "cascade_row_kernels": w(cfg.cascade_groups, 1, cfg.cascade_kernel),
-            "cascade_col_kernels": w(cfg.cascade_groups, cfg.cascade_kernel, 1),
-            "local_height_kernel": w(kh, kw),
-            "local_width_kernel": w(kw, kh),
-            "gate_w1": w(gate_hidden, half),
-            "gate_b1": b(gate_hidden),
-            "gate_w2": w(half, gate_hidden),
-            "gate_b2": b(half),
-            "gate_proj_weight": w(3),
-            "gate_proj_bias": b(3),
-            "merge_weight": w(c, c),
-            "merge_bias": b(c),
-            "mix_conv_weight": w(c, c // mix_groups, cfg.mix_kernel, cfg.mix_kernel),
-            "mix_conv_bias": b(c),
-            "grn_gamma": w(c),
-            "grn_beta": b(c),
-            "mix_mlp_w1": w(mix_hidden, c),
-            "mix_mlp_b1": b(mix_hidden),
-            "mix_mlp_w2": w(c, mix_hidden),
-            "mix_mlp_b2": b(c),
-            "temporal_ln_gamma": 1.0 + b(two_s),
-            "temporal_ln_beta": b(two_s),
-            "mlp2_weight": w(fp, fp),
-            "mlp2_bias": b(fp),
-            "tada_base_weight": w(c, c, cfg.tada_kernel, cfg.tada_kernel),
-            "tada_base_bias": b(c),
-            "tada_conv1_weight": w(reduce, c, 3),
-            "tada_conv1_bias": b(reduce),
-            "tada_conv2_weight": w(reduce, reduce, 3),
-            "tada_conv2_bias": b(reduce),
-            "tada_fc_weight": w(c, reduce),
-            "tada_fc_bias": b(c),
-            "patch_size": np.float64(cfg.patch_size),
-        }
+        sizes = _input_dims(cfg.frames, c, cfg.height, cfg.width, cfg.patch_size)
+        sizes.update(
+            cascade_groups=cfg.cascade_groups,
+            gate_hidden=c // 2,
+            mix_hidden=c,
+            mix_fan_in=1,  # depthwise channel-mix convolution
+            reduce=max(c // 4, 1),
+        )
+        tensors: dict[str, np.ndarray] = {}
+        for spec in FORWARD_SCHEMA + TADA_SCHEMA:
+            shape = tuple(
+                d if isinstance(d, int) else int(d[2:]) if d.startswith("k_") else sizes[d]
+                for d in spec.dims
+            )
+            tensors[spec.name] = spec.offset + rng.standard_normal(shape) * spec.scale
+        tensors["patch_size"] = np.float64(cfg.patch_size)
         return cls(tensors)
 
     @classmethod
@@ -643,80 +629,30 @@ class FusionWeights:
         return channels // fan_in
 
     def validate(self, frames: int, channels: int, height: int, width: int) -> None:
-        """Check that every forward tensor is present with a shape consistent
-        with a (frames, channels, height, width) input."""
-        for name in FORWARD_TENSORS:
-            self.tensor(name)
-        c = channels
-        half = c // 2
-        if c % 2:
-            raise ValueError(f"input channels must be even, got {c}")
-        expect_exact = {
-            "dws_point_vis": (c, c),
-            "dws_point_bias_vis": (c,),
-            "dws_point_ir": (c, c),
-            "dws_point_bias_ir": (c,),
-            "mlp1_weight": (c, c),
-            "mlp1_bias": (c,),
-            "gate_b2": (half,),
-            "gate_proj_weight": (3,),
-            "gate_proj_bias": (3,),
-            "merge_weight": (c, c),
-            "merge_bias": (c,),
-            "mix_conv_bias": (c,),
-            "grn_gamma": (c,),
-            "grn_beta": (c,),
-            "mix_mlp_b2": (c,),
-        }
-        for name, shape in expect_exact.items():
-            actual = self.tensor(name).shape
-            if actual != shape:
-                raise ValueError(f"{name}: expected shape {shape}, got {actual}")
-        for name in ("dws_depth_vis", "dws_depth_ir"):
-            shape = self.tensor(name).shape
-            if len(shape) != 3 or shape[0] != c:
-                raise ValueError(f"{name}: expected ({c}, kh, kw), got {shape}")
-        rows = self.tensor("cascade_row_kernels")
-        cols = self.tensor("cascade_col_kernels")
-        if rows.ndim != 3 or cols.ndim != 3 or rows.shape[0] != cols.shape[0]:
-            raise ValueError("cascade kernels: mismatched group stacks")
-        if rows.shape[0] < 1 or half % rows.shape[0]:
-            raise ValueError(
-                f"cascade_row_kernels: {rows.shape[0]} groups do not divide "
-                f"{half} mixer channels"
-            )
-        if self.tensor("gate_w1").shape[1] != half:
-            raise ValueError(
-                f"gate_w1: expected (hidden, {half}), "
-                f"got {self.tensor('gate_w1').shape}"
-            )
-        if self.tensor("gate_w2").shape[0] != half:
-            raise ValueError(
-                f"gate_w2: expected ({half}, hidden), "
-                f"got {self.tensor('gate_w2').shape}"
-            )
-        if self.tensor("mix_mlp_w1").shape[1] != c or self.tensor("mix_mlp_w2").shape[0] != c:
-            raise ValueError("mix MLP weights do not match the channel count")
-        self.mix_groups()
-        s = self.patch_size
-        if s < 1 or height % s or width % s:
-            raise ValueError(f"patch_size {s} does not divide {(height, width)}")
-        two_s = 2 * s * s
-        for name in ("temporal_ln_gamma", "temporal_ln_beta"):
-            if self.tensor(name).shape != (two_s,):
+        """Check every ``FORWARD_SCHEMA`` tensor against a (frames, channels,
+        height, width) input; an error names the tensor."""
+        sizes = _input_dims(frames, channels, height, width, self.patch_size)
+        bound_by: dict[str, str] = {}
+        for spec in FORWARD_SCHEMA:
+            shape = self.tensor(spec.name).shape
+            ok = len(shape) == len(spec.dims)
+            for dim, actual in zip(spec.dims, shape):
+                if str(dim).startswith("k_"):
+                    continue
+                if isinstance(dim, str) and dim not in sizes:
+                    sizes[dim] = actual
+                    bound_by[dim] = spec.name
+                ok = ok and actual == (dim if isinstance(dim, int) else sizes[dim])
+            if not ok:
+                known = {d: sizes[d] for d in spec.dims if d in sizes}
+                bound = "".join(f"; {d} from {bound_by[d]}" for d in known if d in bound_by)
                 raise ValueError(
-                    f"{name}: expected ({two_s},), got {self.tensor(name).shape}"
+                    f"{spec.name}: expected shape {spec.dims} with {known}{bound}, got {shape}"
                 )
-        fp = frames * (height // s) * (width // s)
-        if self.tensor("mlp2_weight").shape != (fp, fp):
-            raise ValueError(
-                f"mlp2_weight: expected ({fp}, {fp}), "
-                f"got {self.tensor('mlp2_weight').shape}"
-            )
-        if self.tensor("mlp2_bias").shape != (fp,):
-            raise ValueError(
-                f"mlp2_bias: expected ({fp},), got {self.tensor('mlp2_bias').shape}"
-            )
+        _check_cascade_groups(
+            sizes["cascade_groups"], sizes["half"], "cascade_row_kernels"
+        )
+        self.mix_groups()
 
 
 @contextmanager
@@ -789,31 +725,11 @@ def fusion_forward(
     ir_mid = ir_mid + ir1
 
     groups = weights.mix_groups()
+    mix = [t(n) for n in ("mix_conv_weight", "mix_conv_bias", "grn_gamma", "grn_beta")]
+    mix += [t(n) for n in ("mix_mlp_w1", "mix_mlp_b1", "mix_mlp_w2", "mix_mlp_b2")]
     with _named_block("channel mix"):
-        vis2 = channel_mix(
-            vis_mid,
-            t("mix_conv_weight"),
-            t("mix_conv_bias"),
-            t("grn_gamma"),
-            t("grn_beta"),
-            t("mix_mlp_w1"),
-            t("mix_mlp_b1"),
-            t("mix_mlp_w2"),
-            t("mix_mlp_b2"),
-            groups=groups,
-        )
-        ir2 = channel_mix(
-            ir_mid,
-            t("mix_conv_weight"),
-            t("mix_conv_bias"),
-            t("grn_gamma"),
-            t("grn_beta"),
-            t("mix_mlp_w1"),
-            t("mix_mlp_b1"),
-            t("mix_mlp_w2"),
-            t("mix_mlp_b2"),
-            groups=groups,
-        )
+        vis2 = channel_mix(vis_mid, *mix, groups=groups)
+        ir2 = channel_mix(ir_mid, *mix, groups=groups)
     with _named_block("temporal fuse"):
         return temporal_fuse(
             vis2,

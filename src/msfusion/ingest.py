@@ -18,11 +18,12 @@ Formats handled here:
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .evaluation import STANDARD_SETTINGS, FrameRecord, GroundTruthBox
+from .evaluation import STANDARD_SETTINGS, TIMES_OF_DAY, FrameRecord, GroundTruthBox
 from .geometry import SCALES, BBox, Detection
 from .postprocess import PostprocessConfig
 
@@ -46,7 +47,6 @@ DEFAULT_SCALE_STRIDES = {"s80": 8.0, "s40": 16.0, "s20": 32.0}
 class RunConfig:
     """Every tunable knob of the pipeline, with overridable defaults."""
 
-    beta: float = 2.0
     n_top: int = 300
     postprocess: PostprocessConfig = field(default_factory=PostprocessConfig)
     settings: tuple[str, ...] = ("reasonable",)
@@ -55,18 +55,18 @@ class RunConfig:
     )
 
     def __post_init__(self) -> None:
-        if self.beta < 0.0:
-            raise ValueError(f"beta must be >= 0, got {self.beta}")
         if self.n_top < 1:
             raise ValueError(f"n_top must be >= 1, got {self.n_top}")
         for name in self.settings:
             if name not in STANDARD_SETTINGS:
                 raise ValueError(f"unknown eval setting {name!r}")
+        for scale, stride in self.scale_strides.items():
+            if not (math.isfinite(stride) and stride > 0.0):
+                raise ValueError(f"stride_{scale} must be positive and finite, got {stride}")
 
     def echo(self) -> dict[str, str]:
         """Flat key/value view for provenance headers."""
         out = {
-            "beta": repr(self.beta),
             "n_top": str(self.n_top),
             "conf_thres_v": repr(self.postprocess.conf_threshold_v),
             "conf_thres_t": repr(self.postprocess.conf_threshold_t),
@@ -98,7 +98,6 @@ def run_config_from_mapping(mapping: Mapping[str, str]) -> RunConfig:
     """Build a RunConfig from string key/value pairs, applying defaults."""
     base = RunConfig()
     known = {
-        "beta",
         "n_top",
         "conf_thres_v",
         "conf_thres_t",
@@ -114,26 +113,29 @@ def run_config_from_mapping(mapping: Mapping[str, str]) -> RunConfig:
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
 
-    def get(key: str, default):
-        return mapping.get(key, default)
+    def get(key: str, default, kind=float):
+        if key not in mapping:
+            return default
+        try:
+            return kind(mapping[key])
+        except ValueError:
+            raise ValueError(f"{key}: expected {kind.__name__}, got {mapping[key]!r}") from None
 
     post = PostprocessConfig(
-        conf_threshold_v=float(get("conf_thres_v", base.postprocess.conf_threshold_v)),
-        conf_threshold_t=float(get("conf_thres_t", base.postprocess.conf_threshold_t)),
-        iou_thres=float(get("iou_thres", base.postprocess.iou_thres)),
-        nms_threshold=float(get("nms_thres", base.postprocess.nms_threshold)),
-        strategy=str(get("strategy", base.postprocess.strategy)),
+        conf_threshold_v=get("conf_thres_v", base.postprocess.conf_threshold_v),
+        conf_threshold_t=get("conf_thres_t", base.postprocess.conf_threshold_t),
+        iou_thres=get("iou_thres", base.postprocess.iou_thres),
+        nms_threshold=get("nms_thres", base.postprocess.nms_threshold),
+        strategy=get("strategy", base.postprocess.strategy, str),
     )
     settings = tuple(
-        s.strip() for s in str(get("settings", ",".join(base.settings))).split(",") if s.strip()
+        s.strip() for s in get("settings", ",".join(base.settings), str).split(",") if s.strip()
     )
     strides = {
-        scale: float(get(f"stride_{scale}", DEFAULT_SCALE_STRIDES[scale]))
-        for scale in SCALES
+        scale: get(f"stride_{scale}", DEFAULT_SCALE_STRIDES[scale]) for scale in SCALES
     }
     return RunConfig(
-        beta=float(get("beta", base.beta)),
-        n_top=int(get("n_top", base.n_top)),
+        n_top=get("n_top", base.n_top, int),
         postprocess=post,
         settings=settings,
         scale_strides=strides,
@@ -301,6 +303,12 @@ class ManifestFrame:
     time_of_day: str
     annotations: str | None = None
     detections: str | None = None
+
+    def __post_init__(self) -> None:
+        if self.time_of_day not in TIMES_OF_DAY:
+            raise ValueError(
+                f"frame {self.frame_id!r}: unknown time_of_day {self.time_of_day!r}"
+            )
 
 
 @dataclass(frozen=True)

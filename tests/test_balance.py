@@ -446,6 +446,16 @@ class TestAlignmentPipeline:
         with pytest.raises(ValueError, match="no reference detections"):
             modality_alignment_loss([], [], gts, np.ones((1, 1, 8, 8)), np.ones((1, 1, 8, 8)))
 
+    @pytest.mark.parametrize("stride", [0.0, -8.0, math.nan, math.inf])
+    def test_non_positive_or_non_finite_stride_rejected(self, stride):
+        # 0 used to raise ZeroDivisionError; nan and inf failed later on a
+        # box or not at all.
+        gts = [BBox(0, 0, 10, 10)]
+        dets = [det(BBox(0, 0, 10, 10), 0.9)]
+        maps = np.ones((1, 1, 8, 8))
+        with pytest.raises(ValueError, match="stride"):
+            modality_alignment_loss(dets, dets, gts, maps, maps, stride=stride)
+
     @pytest.mark.parametrize("reference", ["vis", "ir"])
     def test_scores_each_modality_once(self, monkeypatch, reference):
         calls = []

@@ -303,6 +303,22 @@ class TestKlLoss:
         assert float(text["kl_loss"]) == pytest.approx(loss, abs=1e-9)
         assert text["reference"] == report.reference_modality
 
+    @pytest.mark.parametrize("stride", ["0", "-8", "nan", "inf"])
+    def test_bad_stride_flag_fails_naming_stride(self, tmp_path, capsys, stride):
+        # --stride 0 used to fail as "float division by zero".
+        features = tmp_path / "feat.sftn"
+        maps = {"vis": np.ones((1, 1, 8, 8)), "ir": np.ones((1, 1, 8, 8))}
+        save_tensors(features, maps, TENSORS_MAGIC)
+        det_file = tmp_path / "dets.txt"
+        det_file.write_text("f1 vis s80 0 0 10 10 0.5\nf1 ir s80 0 0 10 10 0.5\n", "utf-8")
+        ann = tmp_path / "f1.txt"
+        write_annotation(ann, ["person 0 0 10 10 0"])
+        args = ["kl-loss", "--features", str(features), "--detections", str(det_file)]
+        code = main(args + ["--annotations", str(ann), "--stride", stride])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "stride must be positive and finite" in err
+
     def test_ambiguous_frame_requires_flag(self, tmp_path, capsys):
         features = tmp_path / "feat.sftn"
         save_tensors(
@@ -381,6 +397,21 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["fuse", "--detections", "x", "--frobnicate"])
         assert exc.value.code == 2
+
+    def test_removed_beta_flag_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["fuse", "--detections", "x", "--beta", "2.0"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "line, key", [("n_top = 3.5", "n_top"), ("stride_s80 = nan", "stride_s80")]
+    )
+    def test_bad_config_value_names_file_and_key(self, tmp_path, capsys, line, key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n", "utf-8")
+        code = main(["fuse", "--detections", "x", "--config", str(cfg)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {cfg}: {key}")
 
     def test_missing_input_file_is_runtime_error(self, tmp_path, capsys):
         code = main(["fuse", "--detections", str(tmp_path / "absent.txt")])

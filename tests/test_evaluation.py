@@ -322,8 +322,8 @@ class TestEvaluateMatrix:
         table = evaluate_matrix(
             records, ["det"], {"all": STANDARD_SETTINGS["all"]}
         )
-        assert table[("all", "night", "det")] is None
-        assert table[("all", "day", "det")] is not None
+        assert table[("all", "night", "det")] == (None, 0)
+        assert table[("all", "day", "det")][0] is not None
         assert table[("all", "all", "det")] == table[("all", "day", "det")]
 
     def test_grid_matches_per_cell_recomputation(self):
@@ -343,7 +343,7 @@ class TestEvaluateMatrix:
                 total_gt += len(evaluated)
                 outcomes.append((r, evaluated, ignored))
             if total_gt == 0:
-                return None
+                return None, 0
             scores = sorted(
                 {
                     d.score
@@ -371,17 +371,27 @@ class TestEvaluateMatrix:
                 ok = [m for f, m in stair if f <= ref]
                 sampled.append(ok[-1] if ok else top)
             if all(m == 0.0 for m in sampled):
-                return 0.0
+                return 0.0, total_gt
             return 100.0 * math.exp(
                 sum(math.log(max(m, 1e-10)) for m in sampled) / len(sampled)
-            )
+            ), total_gt
 
-        for (setting_name, split, _), value in table.items():
-            want = cell_oracle(settings[setting_name], split)
-            if want is None:
-                assert value is None
+        for (setting_name, split, _), (mr, num_gt) in table.items():
+            want_mr, want_gt = cell_oracle(settings[setting_name], split)
+            assert num_gt == want_gt
+            if want_mr is None:
+                assert mr is None
             else:
-                assert value == pytest.approx(want, abs=1e-9)
+                assert mr == pytest.approx(want_mr, abs=1e-9)
+
+    def test_failing_cell_raises_instead_of_na(self):
+        # Only a cell without evaluated ground truth is n/a; an ambiguous
+        # detection source used to be swallowed into n/a as well.
+        records = _hand_corpus()
+        for r in records:
+            r.detections["other"] = []
+        with pytest.raises(ValueError, match="ambiguous detection source"):
+            evaluate_matrix(records, [None], {"all": STANDARD_SETTINGS["all"]})
 
     def test_strategy_independence(self):
         records = _hand_corpus()

@@ -5,6 +5,8 @@ import pytest
 
 from msfusion import fusion as fusion_module
 from msfusion.fusion import (
+    FORWARD_SCHEMA,
+    TADA_SCHEMA,
     FusionConfig,
     FusionWeights,
     cascade_strip_mix,
@@ -557,6 +559,103 @@ class TestFusionWeights:
         w = FusionWeights.seeded()
         with pytest.raises(ValueError, match="mlp2_weight"):
             w.validate(2, 8, 16, 16)  # FP differs from the seeded F=3
+
+
+def _off_by_one_cases():
+    # Every schema dim except the free kernel sides, one size too small and
+    # one too large. A channel-mix fan-in of 2 is a valid grouped
+    # convolution, so that one case is checked on its own below.
+    for spec in FORWARD_SCHEMA:
+        for axis, dim in enumerate(spec.dims):
+            if str(dim).startswith("k_"):
+                continue
+            for delta in (-1, 1):
+                if (spec.name, axis, delta) != ("mix_conv_weight", 1, 1):
+                    yield pytest.param(spec.name, axis, delta, id=f"{spec.name}-{axis}{delta:+d}")
+
+
+SCHEMA_CONFIGS = [
+    FusionConfig(),
+    FusionConfig(frames=2, channels=4, height=8, width=8, patch_size=2, cascade_groups=2),
+    FusionConfig(frames=1, channels=2, height=4, width=6, patch_size=2, cascade_groups=1),
+    FusionConfig(frames=4, channels=16, height=9, width=6, patch_size=3, cascade_groups=8),
+]
+
+
+class TestWeightSchema:
+    @pytest.mark.parametrize("name, axis, delta", list(_off_by_one_cases()))
+    def test_size_off_by_one_names_the_tensor(self, name, axis, delta):
+        # gate_b1, mix_mlp_b1 and the cascade column stack went unchecked.
+        w = FusionWeights.seeded(seed=11)
+        shape = list(w.tensors[name].shape)
+        shape[axis] += delta
+        w.tensors[name] = np.zeros(shape)
+        with pytest.raises(ValueError, match=name):
+            w.validate(3, 8, 16, 16)
+
+    def test_grouped_mix_conv_is_valid(self):
+        w = FusionWeights.seeded(seed=11)
+        w.tensors["mix_conv_weight"] = w.tensors["mix_conv_weight"][:, [0, 0]] / 2
+        w.validate(3, 8, 16, 16)
+        assert w.mix_groups() == 4
+        vis = rand_features((3, 8, 16, 16), 90)
+        out = fusion_forward(vis, vis, w)
+        ref = reference_forward(vis, vis, w.tensors, 4)
+        assert max(np.max(np.abs(o - r)) for o, r in zip(out, ref)) <= 1e-5
+
+    @pytest.mark.parametrize("cfg", SCHEMA_CONFIGS, ids=str)
+    def test_seeded_weights_validate_and_run(self, cfg):
+        w = FusionWeights.seeded(cfg, seed=4)
+        shape = (cfg.frames, cfg.channels, cfg.height, cfg.width)
+        w.validate(*shape)
+        vis, ir = rand_features(shape, 91), rand_features(shape, 92)
+        out_vis, out_ir = fusion_forward(vis, ir, w)
+        assert out_vis.shape == out_ir.shape == shape
+        # TADA_SCHEMA lists the standalone block's tensors in argument order.
+        tada = temporal_adaptive_conv(vis, *(w.tensor(spec.name) for spec in TADA_SCHEMA))
+        assert tada.shape == shape
+        assert list(w.tensors) == [
+            spec.name for spec in FORWARD_SCHEMA + TADA_SCHEMA
+        ] + ["patch_size"]
+
+    def test_kernel_sides_are_free_per_tensor(self):
+        # vis and ir depthwise kernels of different, non-square sides.
+        w = FusionWeights.seeded(seed=12)
+        w.tensors["dws_depth_ir"] = RNG(93).standard_normal((8, 5, 3)) * 0.1
+        w.tensors["mix_conv_weight"] = RNG(94).standard_normal((8, 1, 7, 9)) * 0.1
+        w.validate(3, 8, 16, 16)
+        vis = rand_features((3, 8, 16, 16), 95)
+        out = fusion_forward(vis, vis, w)
+        ref = reference_forward(vis, vis, w.tensors, 8)
+        assert max(np.max(np.abs(o - r)) for o, r in zip(out, ref)) <= 1e-5
+
+    @pytest.mark.parametrize("value", [np.inf, np.nan, np.array([4.0, 4.0])])
+    def test_patch_size_must_be_one_finite_value(self, value):
+        # inf raised OverflowError and a two-element tensor TypeError.
+        w = FusionWeights.seeded()
+        w.tensors["patch_size"] = np.asarray(value, dtype=np.float64)
+        with pytest.raises(ValueError, match="patch_size"):
+            w.validate(3, 8, 16, 16)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"channels": 7}, "even"),
+            ({"patch_size": 3}, "patch_size"),
+            ({"patch_size": 0}, "patch_size"),  # was ZeroDivisionError
+            ({"cascade_groups": 3}, "cascade_groups"),
+            ({"cascade_groups": 0}, "cascade_groups"),  # was ZeroDivisionError
+            ({"cascade_groups": -2}, "cascade_groups"),
+        ],
+    )
+    def test_config_rejects_inconsistent_shapes(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            FusionConfig(**kwargs)
+
+    def test_config_has_only_the_caller_set_fields(self):
+        assert list(FusionConfig.__dataclass_fields__) == [
+            "frames", "channels", "height", "width", "patch_size", "cascade_groups"
+        ]
 
 
 class TestFusionForward:

@@ -153,7 +153,6 @@ class TestDetections:
 class TestRunConfig:
     def test_defaults(self):
         cfg = RunConfig()
-        assert cfg.beta == 2.0
         assert cfg.n_top == 300
         assert cfg.postprocess.strategy == "algo1"
         assert cfg.scale_strides["s80"] == 8.0
@@ -161,12 +160,11 @@ class TestRunConfig:
     def test_config_file_overrides(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text(
-            "# demo config\nbeta = 0.5\nn_top = 10\nstrategy = both\n"
+            "# demo config\nn_top = 10\nstrategy = both\n"
             "iou_thres = 0.4\nsettings = reasonable,all\nstride_s20 = 64\n",
             encoding="utf-8",
         )
         cfg = run_config_from_mapping(load_config(path))
-        assert cfg.beta == 0.5
         assert cfg.n_top == 10
         assert cfg.postprocess.strategy == "both"
         assert cfg.postprocess.iou_thres == 0.4
@@ -184,13 +182,27 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="run.cfg:1"):
             load_config(path)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("n_top", "3.5"), ("n_top", "many"), ("iou_thres", "half"), ("stride_s40", "x")],
+    )
+    def test_malformed_value_names_the_key(self, key, value):
+        # n_top = 3.5 used to fail as "invalid literal for int()".
+        with pytest.raises(ValueError, match=f"^{key}: expected"):
+            run_config_from_mapping({key: value})
+
+    @pytest.mark.parametrize("value", ["0", "-8", "nan", "inf", "-inf"])
+    def test_non_positive_or_non_finite_stride_rejected(self, value):
+        with pytest.raises(ValueError, match="stride_s80"):
+            run_config_from_mapping({"stride_s80": value})
+
     def test_unknown_setting_rejected(self):
         with pytest.raises(ValueError, match="eval setting"):
             run_config_from_mapping({"settings": "unreasonable"})
 
     def test_echo_roundtrips_through_the_parser(self):
         cfg = run_config_from_mapping(
-            {"beta": "0.5", "strategy": "ir", "iou_thres": "0.41", "n_top": "12"}
+            {"strategy": "ir", "iou_thres": "0.41", "n_top": "12", "stride_s40": "12.5"}
         )
         again = run_config_from_mapping(cfg.echo())
         assert again == cfg
@@ -203,7 +215,6 @@ class TestRunConfig:
     def test_echo_covers_every_numeric_default(self):
         echo = RunConfig().echo()
         for key in (
-            "beta",
             "n_top",
             "conf_thres_v",
             "conf_thres_t",
@@ -289,6 +300,7 @@ class TestManifest:
             {"frames": [], "sequence": [1, 2]},
             {"frames": [], "annotation_scale": [1, None]},
             {"frames": [], "annotation_scale": ["x", 1]},
+            {"frames": [{"frame_id": "a", "time_of_day": "dusk"}]},  # failed in load_records
         ],
     )
     def test_malformed_manifest_raises_value_error_naming_file(self, tmp_path, payload):
