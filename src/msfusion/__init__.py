@@ -1,9 +1,10 @@
 """Deterministic numpy core for multispectral pedestrian detection.
 
 The package covers four areas: bounding-box geometry (IoU, CIoU, hulls,
-NMS, and their (N, M) matrix kernels), the strip-convolution fusion block forward pass, cross-modal
-reliability scoring with a KL-divergence alignment loss, and detection
-post-processing plus log-average miss-rate evaluation.
+NMS, their (N, M) matrix kernels, and the columnar ``DetectionTable``),
+the strip-convolution fusion block forward pass, cross-modal reliability
+scoring with a KL-divergence alignment loss, and detection post-processing
+plus log-average miss-rate evaluation.
 """
 
 from .balance import (
@@ -59,12 +60,15 @@ from .fusion import (
 from .geometry import (
     BBox,
     Detection,
+    DetectionTable,
+    as_table,
     boxes_array,
     ciou,
     ciou_matrix,
     convex_hull,
     iou,
     iou_matrix,
+    iou_pairs,
     nms,
 )
 from .ingest import (

@@ -6,9 +6,12 @@ and a directed row-wise KL divergence between the two relation matrices
 pushes the weaker feature distribution toward the stronger one.
 
 Scoring runs on the batch geometry kernels: ``best_ciou_scores`` is the row
-maximum of one ``ciou_matrix``. ``roi_align`` pools any number of boxes in
-one call, gathering the bilinear corners of every sample point at once;
-the alignment loss calls it once per feature map.
+maximum of one ``ciou_matrix`` over the corner column of a
+``DetectionTable`` (a list of detections is converted once). ``roi_align``
+pools any number of boxes, given as ``BBox`` objects or as an (N, 4) corner
+array, in one call, gathering the bilinear corners of every sample point at
+once; the alignment loss calls it once per feature map with the scaled
+corners of the reference modality's top detections.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .geometry import BBox, Detection, boxes_array, ciou_matrix
+from .geometry import BBox, Detection, as_table, boxes_array, check_corners, ciou_matrix
 
 DEFAULT_TOP_N = 300
 
@@ -54,7 +57,7 @@ def best_ciou_scores(dets: Sequence[Detection], gts: Sequence[BBox]) -> np.ndarr
         return np.empty(0, dtype=np.float64)
     if not gts:
         raise ValueError("no reference objects")
-    return ciou_matrix(boxes_array(d.box for d in dets), boxes_array(gts)).max(axis=1)
+    return ciou_matrix(as_table(dets).corners, boxes_array(gts)).max(axis=1)
 
 
 def _top_mean(scores: np.ndarray, n_top: int) -> tuple[float, int]:
@@ -132,7 +135,7 @@ def _sample_axis(
 
 def roi_align(
     feature_map: np.ndarray,
-    box: BBox | Sequence[BBox],
+    box: BBox | Sequence[BBox] | np.ndarray,
     box_id: int = 0,
     output_size: int = 3,
     sampling_ratio: int = 2,
@@ -146,21 +149,29 @@ def roi_align(
     flattened row-major to a vector of length output_size^2 * F * C.
 
     One ``BBox`` gives a :class:`RoiFeature` tagged ``box_id``. A sequence
-    of boxes gives an (N, output_size^2 * F * C) array whose row i is the
-    vector of box i; the boxes are pooled together, gathering the four
-    bilinear corners of all their samples in chunks of boxes.
+    of boxes, or an (N, 4) array of their corners, gives an
+    (N, output_size^2 * F * C) array whose row i is the vector of box i;
+    the boxes are pooled together, gathering the four bilinear corners of
+    all their samples in chunks of boxes.
     """
     feature_map = np.asarray(feature_map, dtype=np.float64)
     if feature_map.ndim != 4:
         raise ValueError(
             f"feature map: expected (F, C, H, W), got shape {feature_map.shape}"
         )
-    boxes = [box] if isinstance(box, BBox) else list(box)
-    for b in boxes:
-        if b.area <= 0.0:
-            raise ValueError(f"RoI box must have positive area, got {b!r}")
+    if isinstance(box, np.ndarray):
+        corners = check_corners(box)
+    else:
+        boxes = [box] if isinstance(box, BBox) else list(box)
+        corners = boxes_array(boxes)
+    area = (corners[:, 2] - corners[:, 0]) * (corners[:, 3] - corners[:, 1])
+    degenerate = np.flatnonzero(area <= 0.0)
+    if degenerate.size:
+        k = int(degenerate[0])
+        shown = BBox(*corners[k].tolist()) if isinstance(box, np.ndarray) else boxes[k]
+        raise ValueError(f"RoI box must have positive area, got {shown!r}")
     f, c, height, width = feature_map.shape
-    corners = boxes_array(boxes)
+    n = len(corners)
     ys = _sample_axis(corners[:, 1], corners[:, 3] - corners[:, 1], height,
                       output_size, sampling_ratio)
     xs = _sample_axis(corners[:, 0], corners[:, 2] - corners[:, 0], width,
@@ -169,9 +180,9 @@ def roi_align(
     pixels = np.ascontiguousarray(feature_map.transpose(2, 3, 0, 1))
     pixels = pixels.reshape(height, width, f * c)
     samples = output_size * sampling_ratio
-    out = np.empty((len(boxes), output_size, output_size, f * c))
+    out = np.empty((n, output_size, output_size, f * c))
     chunk = max(1, _ROI_CHUNK_VALUES // (samples * samples * f * c))
-    for start in range(0, len(boxes), chunk):
+    for start in range(0, n, chunk):
         part = slice(start, start + chunk)
         y_lo, y_hi, hy, ly, y_in = (a[part, :, None] for a in ys)
         x_lo, x_hi, hx, lx, x_in = (a[part, None, :] for a in xs)
@@ -187,8 +198,8 @@ def roi_align(
                 acc += value[:, :, iy, :, ix]
         out[part] = acc / (sampling_ratio * sampling_ratio)
     # (N, by, bx, F * C) -> rows flattened as (F, C, by, bx).
-    flat = out.reshape(len(boxes), output_size * output_size, f * c).transpose(0, 2, 1)
-    flat = flat.reshape(len(boxes), -1)
+    flat = out.reshape(n, output_size * output_size, f * c).transpose(0, 2, 1)
+    flat = flat.reshape(n, -1)
     if isinstance(box, BBox):
         return RoiFeature(values=flat[0], box_id=box_id)
     return flat
@@ -298,14 +309,11 @@ def modality_alignment_loss(
     if not (math.isfinite(stride) and stride > 0.0):
         raise ValueError(f"stride must be positive and finite, got {stride}")
     report, scores = _score_modalities(vis_dets, thermal_dets, gt_boxes, n_top)
-    reference = thermal_dets if report.reference_modality == "ir" else vis_dets
+    reference = as_table(thermal_dets if report.reference_modality == "ir" else vis_dets)
     if not reference:
         raise ValueError("no reference detections")
     order = np.argsort(-scores, kind="stable")[: report.n_used]
-    scaled = [
-        BBox(b.x_min / stride, b.y_min / stride, b.x_max / stride, b.y_max / stride)
-        for b in (reference[int(idx)].box for idx in order)
-    ]
+    scaled = reference.corners[order] / stride
     m_v = relation_matrix(cosine_matrix(roi_align(vis_features, scaled)))
     m_t = relation_matrix(cosine_matrix(roi_align(thermal_features, scaled)))
     return report, kl_loss(report, m_v, m_t)

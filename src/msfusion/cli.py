@@ -7,6 +7,11 @@ truth), ``reliability`` (thermal reliability percentage over a corpus),
 ``forward`` (fusion block forward pass over tensor files), and
 ``gen-weights`` (deterministic seeded weights for testing).
 
+Detection dumps are read into one ``DetectionTable`` and carried as columns
+through every subcommand: per-modality, per-scale and per-frame subsets are
+row selections, and ``fuse`` writes its output rows straight from the
+columns, so no ``Detection`` object is built for an input line.
+
 Exit codes: 0 on success, 1 on runtime/I-O failure (with a one-line
 diagnostic on stderr), 2 on usage errors.
 """
@@ -29,7 +34,6 @@ from .ingest import (
     RunConfig,
     attach_detections,
     format_results,
-    group_by_frame,
     ingest_detections,
     load_config,
     load_manifest,
@@ -89,9 +93,7 @@ def _emit(text: str, out: str | None) -> None:
 def _cmd_fuse(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     dets = ingest_detections(args.detections)
-    vis = [d for d in dets if d.modality == "vis"]
-    ir = [d for d in dets if d.modality == "ir"]
-    kept = run_strategy(vis, ir, cfg.postprocess)
+    kept = run_strategy(dets.subset(modality="vis"), dets.subset(modality="ir"), cfg.postprocess)
     header = {"command": "fuse", **cfg.echo()}
     _emit(serialize_detections(kept, header), args.out)
     if args.out:
@@ -124,7 +126,7 @@ def _cmd_kl_loss(args: argparse.Namespace) -> int:
         if name not in features:
             raise ValueError(f"{args.features}: missing tensor {name!r}")
     dets = ingest_detections(args.detections)
-    frames = sorted({d.frame_id for d in dets})
+    frames = [frame for frame, _ in dets.by_frame()]
     frame_id = args.frame_id
     if frame_id is None:
         if len(frames) != 1:
@@ -134,8 +136,8 @@ def _cmd_kl_loss(args: argparse.Namespace) -> int:
         frame_id = frames[0]
     scale = args.scale
     stride = args.stride if args.stride is not None else cfg.scale_strides[scale]
-    vis = [d for d in dets if d.frame_id == frame_id and d.scale_id == scale and d.modality == "vis"]
-    ir = [d for d in dets if d.frame_id == frame_id and d.scale_id == scale and d.modality == "ir"]
+    vis = dets.subset(frame_id=frame_id, modality="vis", scale_id=scale)
+    ir = dets.subset(frame_id=frame_id, modality="ir", scale_id=scale)
     gts = [
         g.box
         for g in parse_annotation_text(
@@ -167,7 +169,8 @@ def _cmd_reliability(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     manifest = load_manifest(args.manifest)
     records = manifest.load_records()
-    by_frame = group_by_frame(ingest_detections(args.detections))
+    dets = ingest_detections(args.detections)
+    groups, empty = dets.groups(), dets[:0]
     reports = []
     lines = []
     for record in records:
@@ -175,11 +178,10 @@ def _cmd_reliability(args: argparse.Namespace) -> int:
         if not gts:
             continue
         gt_corners = boxes_array(gts)
-        frame_dets = by_frame.get(record.frame_id, [])
         for scale in SCALES:
-            vis = [d for d in frame_dets if d.scale_id == scale and d.modality == "vis"]
-            ir = [d for d in frame_dets if d.scale_id == scale and d.modality == "ir"]
-            det_corners = boxes_array(d.box for d in vis + ir)
+            vis = groups.get((record.frame_id, scale, "vis"), empty)
+            ir = groups.get((record.frame_id, scale, "ir"), empty)
+            det_corners = np.concatenate([vis.corners, ir.corners])
             if not (iou_matrix(det_corners, gt_corners) > 0.0).any():
                 reports.append(None)
                 continue

@@ -45,7 +45,10 @@ def load_tensors(path: str | Path, magic: bytes | None = None) -> dict[str, np.n
     """Read a container written by :func:`save_tensors`.
 
     Returns float64 arrays keyed by name. ``magic`` restricts the accepted
-    container kind; None accepts both known kinds.
+    container kind; None accepts both known kinds. A malformed container
+    (bad magic, truncated, trailing bytes, a tensor name that is not UTF-8
+    or that repeats an earlier one) raises a ``ValueError`` naming the file
+    and, where one is at fault, the tensor's index.
     """
     raw = Path(path).read_bytes()
     if len(raw) < 12:
@@ -69,11 +72,18 @@ def load_tensors(path: str | Path, magic: bytes | None = None) -> dict[str, np.n
 
     count = read_u32()
     manifest: list[tuple[str, tuple[int, ...]]] = []
-    for _ in range(count):
+    seen: set[str] = set()
+    for index in range(count):
         name_len = read_u32()
         if offset + name_len > len(raw):
             raise ValueError(f"{path}: truncated container")
-        name = raw[offset : offset + name_len].decode("utf-8")
+        try:
+            name = raw[offset : offset + name_len].decode("utf-8")
+        except UnicodeDecodeError:
+            raise ValueError(f"{path}: tensor {index}: name is not valid UTF-8") from None
+        if name in seen:
+            raise ValueError(f"{path}: tensor {index}: duplicate tensor name {name!r}")
+        seen.add(name)
         offset += name_len
         rank = read_u32()
         shape = tuple(read_u32() for _ in range(rank))

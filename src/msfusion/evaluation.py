@@ -7,9 +7,12 @@ greedily in score order, the confidence threshold is swept to trace the
 rates sampled at nine FPPI reference points log-spaced in [1e-2, 1].
 
 Matching scores each frame's detections against its ground truths with one
-``iou_matrix`` (bitwise equal to the scalar ``iou``). The threshold sweep
-sorts the outcomes once and reads true- and false-positive counts off
-cumulative sums, so a curve costs O(N log N) in the number of outcomes.
+``iou_matrix`` (bitwise equal to the scalar ``iou``); a frame's detections
+may be a list or a ``DetectionTable``, whose columns are read directly. The
+threshold sweep sorts the outcomes once and reads true- and false-positive
+counts off cumulative sums, so a curve costs O(N log N) in the number of
+outcomes. ``evaluate_matrix`` matches each frame once per setting and
+source, and its day and night cells reuse the matches of the whole set.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .geometry import BBox, Detection, boxes_array, iou_matrix
+from .geometry import BBox, Detection, as_table, boxes_array, iou_matrix
 
 OCCLUSION_LEVELS = ("none", "partial", "heavy")
 TIMES_OF_DAY = ("day", "night")
@@ -118,7 +121,7 @@ class FrameRecord:
     frame_id: str
     time_of_day: str = "day"
     gts: list[GroundTruthBox] = field(default_factory=list)
-    detections: dict[str, list[Detection]] = field(default_factory=dict)
+    detections: dict[str, Sequence[Detection]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.time_of_day not in TIMES_OF_DAY:
@@ -164,10 +167,12 @@ def match_frame(
     otherwise it is a false positive. Unmatched evaluated ground truths are
     misses.
     """
-    ordered = sorted(dets, key=lambda d: -d.score)
+    table = as_table(dets)
+    ordered = np.argsort(-table.scores, kind="stable")
+    scores = table.scores[ordered].tolist()
     n_eval = len(evaluated_gts)
     both = iou_matrix(
-        boxes_array(d.box for d in ordered),
+        table.corners[ordered],
         boxes_array(g.box for g in (*evaluated_gts, *ignored_gts)),
     )
     overlap = both[:, :n_eval]
@@ -177,7 +182,7 @@ def match_frame(
     absorbed = (both[:, n_eval:] >= match_iou).any(axis=1).tolist()
     outcomes: list[tuple[float, str]] = []
     tp = fp = 0
-    for k, det in enumerate(ordered):
+    for k, score in enumerate(scores):
         if candidate[k]:
             # Taken ground truths are masked to -inf, so the first-index
             # argmax is the best untaken one, ties going to the lower index.
@@ -185,19 +190,19 @@ def match_frame(
             if overlap[k, best] >= match_iou:
                 overlap[:, best] = -np.inf
                 tp += 1
-                outcomes.append((det.score, "tp"))
+                outcomes.append((score, "tp"))
                 continue
         if absorbed[k]:
-            outcomes.append((det.score, "ignored"))
+            outcomes.append((score, "ignored"))
         else:
             fp += 1
-            outcomes.append((det.score, "fp"))
+            outcomes.append((score, "fp"))
     return MatchResult(
         tp=tp, fp=fp, misses=len(evaluated_gts) - tp, outcomes=tuple(outcomes)
     )
 
 
-def _select_detections(record: FrameRecord, source: str | None) -> list[Detection]:
+def _select_detections(record: FrameRecord, source: str | None) -> Sequence[Detection]:
     if source is None:
         if len(record.detections) != 1:
             raise ValueError(
@@ -206,6 +211,45 @@ def _select_detections(record: FrameRecord, source: str | None) -> list[Detectio
             )
         return next(iter(record.detections.values()))
     return record.detections.get(source, [])
+
+
+def _match_record(
+    record: FrameRecord,
+    split_gts: tuple[list[GroundTruthBox], list[GroundTruthBox]],
+    setting: EvalSetting,
+    source: str | None,
+) -> tuple[int, MatchResult]:
+    # (evaluated ground truths, match result) of one frame.
+    evaluated, ignored = split_gts
+    dets = _select_detections(record, source)
+    return len(evaluated), match_frame(dets, evaluated, ignored, setting.match_iou)
+
+
+def _curve(
+    matches: Sequence[tuple[int, MatchResult]], score_sweep: Sequence[float] | None
+) -> list[tuple[float, float]]:
+    # The (FPPI, miss rate) points of matched frames over a threshold sweep.
+    total_gt = sum(n for n, _ in matches)
+    if total_gt == 0:
+        raise ValueError("empty setting")
+    outcomes = [outcome for _, result in matches for outcome in result.outcomes]
+    if score_sweep is None:
+        thresholds = sorted({score for score, _ in outcomes}, reverse=True)
+    else:
+        thresholds = sorted(set(score_sweep), reverse=True)
+    # One stable sort plus cumulative counts: the outcomes scoring at least
+    # a threshold are those after its left insertion point.
+    scores = np.array([score for score, _ in outcomes], dtype=np.float64)
+    is_tp = np.array([flag == "tp" for _, flag in outcomes], dtype=bool)
+    is_fp = np.array([flag == "fp" for _, flag in outcomes], dtype=bool)
+    order = np.argsort(scores, kind="stable")
+    below = np.searchsorted(scores[order], thresholds, side="left")
+    tp_below = np.concatenate(([0], np.cumsum(is_tp[order])))
+    fp_below = np.concatenate(([0], np.cumsum(is_fp[order])))
+    tps = (tp_below[-1] - tp_below[below]).tolist()
+    fps = (fp_below[-1] - fp_below[below]).tolist()
+    n_frames = len(matches)
+    return [(fp / n_frames, 1.0 - tp / total_gt) for tp, fp in zip(tps, fps)]
 
 
 def miss_rate_curve(
@@ -222,51 +266,14 @@ def miss_rate_curve(
     """
     if not records:
         raise ValueError("empty setting")
-    total_gt = 0
-    outcomes: list[tuple[float, str]] = []
-    for record in records:
-        evaluated, ignored = apply_setting(record.gts, setting)
-        total_gt += len(evaluated)
-        result = match_frame(
-            _select_detections(record, source), evaluated, ignored, setting.match_iou
-        )
-        outcomes.extend(result.outcomes)
-    if total_gt == 0:
-        raise ValueError("empty setting")
-    if score_sweep is None:
-        thresholds = sorted({score for score, _ in outcomes}, reverse=True)
-    else:
-        thresholds = sorted(set(score_sweep), reverse=True)
-    # One stable sort plus cumulative counts: the outcomes scoring at least
-    # a threshold are those after its left insertion point.
-    scores = np.array([score for score, _ in outcomes], dtype=np.float64)
-    is_tp = np.array([flag == "tp" for _, flag in outcomes], dtype=bool)
-    is_fp = np.array([flag == "fp" for _, flag in outcomes], dtype=bool)
-    order = np.argsort(scores, kind="stable")
-    below = np.searchsorted(scores[order], thresholds, side="left")
-    tp_below = np.concatenate(([0], np.cumsum(is_tp[order])))
-    fp_below = np.concatenate(([0], np.cumsum(is_fp[order])))
-    tps = (tp_below[-1] - tp_below[below]).tolist()
-    fps = (fp_below[-1] - fp_below[below]).tolist()
-    n_frames = len(records)
-    return [(fp / n_frames, 1.0 - tp / total_gt) for tp, fp in zip(tps, fps)]
+    matches = [
+        _match_record(r, apply_setting(r.gts, setting), setting, source) for r in records
+    ]
+    return _curve(matches, score_sweep)
 
 
-def log_average_miss_rate(
-    records: Sequence[FrameRecord],
-    setting: EvalSetting,
-    source: str | None = None,
-    score_sweep: Sequence[float] | None = None,
-) -> float:
-    """Log-average miss rate in percent.
-
-    The miss rate is sampled at nine FPPI points log-spaced in [1e-2, 1]:
-    for each reference the miss rate at the largest achieved FPPI not above
-    it, or the curve's highest miss rate when no point qualifies. The
-    result is exp(mean(ln(miss rates))) * 100 with rates floored at 1e-10;
-    an all-zero sample (perfect detector) reports exactly 0.
-    """
-    points = miss_rate_curve(records, setting, source, score_sweep)
+def _log_average(points: Sequence[tuple[float, float]]) -> float:
+    # Log-average miss rate in percent of a curve (see log_average_miss_rate).
     if not points:
         sampled = [1.0] * len(FPPI_REFERENCE_POINTS)
     else:
@@ -287,6 +294,23 @@ def log_average_miss_rate(
     return float(np.exp(np.mean(np.log(floored))) * 100.0)
 
 
+def log_average_miss_rate(
+    records: Sequence[FrameRecord],
+    setting: EvalSetting,
+    source: str | None = None,
+    score_sweep: Sequence[float] | None = None,
+) -> float:
+    """Log-average miss rate in percent.
+
+    The miss rate is sampled at nine FPPI points log-spaced in [1e-2, 1]:
+    for each reference the miss rate at the largest achieved FPPI not above
+    it, or the curve's highest miss rate when no point qualifies. The
+    result is exp(mean(ln(miss rates))) * 100 with rates floored at 1e-10;
+    an all-zero sample (perfect detector) reports exactly 0.
+    """
+    return _log_average(miss_rate_curve(records, setting, source, score_sweep))
+
+
 def evaluate_matrix(
     records: Sequence[FrameRecord],
     strategies: Sequence[str],
@@ -298,17 +322,30 @@ def evaluate_matrix(
     Each cell is (MR percent, evaluated ground truths). Day and night rows
     evaluate only matching frames. A cell with no evaluated ground truth
     has MR None (rendered n/a); any other failure raises.
+
+    Each frame is matched at most once per setting and strategy: the cells
+    of every split read the same matches (the curve counts do not depend
+    on the order of the outcomes, so every cell equals its own
+    ``log_average_miss_rate``).
     """
     settings = dict(settings) if settings is not None else dict(STANDARD_SETTINGS)
     table: dict[tuple[str, str, str], tuple[float | None, int]] = {}
     for setting_name, setting in settings.items():
+        split_gts = [apply_setting(r.gts, setting) for r in records]
+        matches: dict[tuple[str, int], tuple[int, MatchResult]] = {}
         for split in splits:
-            if split == "all":
-                subset = list(records)
-            else:
-                subset = [r for r in records if r.time_of_day == split]
-            num_gt = sum(len(apply_setting(r.gts, setting)[0]) for r in subset)
+            members = [
+                i for i, r in enumerate(records) if split == "all" or r.time_of_day == split
+            ]
+            num_gt = sum(len(split_gts[i][0]) for i in members)
             for strategy in strategies:
-                mr = log_average_miss_rate(subset, setting, strategy) if num_gt else None
+                mr = None
+                if num_gt:
+                    for i in members:
+                        if (strategy, i) not in matches:
+                            matches[strategy, i] = _match_record(
+                                records[i], split_gts[i], setting, strategy
+                            )
+                    mr = _log_average(_curve([matches[strategy, i] for i in members], None))
                 table[(setting_name, split, strategy)] = (mr, num_gt)
     return table

@@ -1,4 +1,5 @@
-"""Axis-aligned bounding-box algebra: IoU, CIoU, convex hulls, greedy NMS.
+"""Axis-aligned bounding-box algebra: IoU, CIoU, convex hulls, greedy NMS,
+and the columnar detection table the pipeline runs on.
 
 Boxes are stored in corner form (x_min, y_min, x_max, y_max); the center
 form (x_c, y_c, w, h) is a derived view. All operations are pure functions
@@ -6,18 +7,35 @@ over immutable inputs and are safe to call concurrently.
 
 Two forms of the pairwise measures exist. ``iou`` and ``ciou`` score one
 pair of ``BBox`` in pure Python. ``iou_matrix`` and ``ciou_matrix`` score
-every pair of two (N, 4) corner arrays (built by ``boxes_array``) in one
-numpy pass; the pairwise callers (NMS, pair fusion, matching, reliability)
-use them. ``iou_matrix`` repeats the operations of ``iou`` in the same
-order, so its entries equal ``iou`` bit for bit; ``ciou_matrix`` differs
-from ``ciou`` only by the last-place rounding of numpy's arctangent.
+every pair of two (N, 4) corner arrays in one numpy pass, and ``iou_pairs``
+scores matching rows of two (P, 4) arrays; the pairwise callers (NMS, pair
+fusion, matching, reliability) use them. ``iou_matrix`` and ``iou_pairs``
+repeat the operations of ``iou`` in the same order, so their entries equal
+``iou`` bit for bit; ``ciou_matrix`` differs from ``ciou`` only by the
+last-place rounding of numpy's arctangent.
+
+``DetectionTable`` holds many detections as columns: the corners as an
+(N, 4) float64 array, the scores as a float64 array, and integer codes for
+frame, modality, scale and strategy tag. Frame codes index ``frame_ids``,
+which is kept in Python ``str`` sort order, so sorting rows by frame code
+sorts them by frame id (numpy string arrays are never used: they drop
+trailing NUL characters). The table is itself a ``Sequence[Detection]``:
+``len``, indexing and iteration build ``Detection`` rows on demand, and a
+slice is a table. ``Detection`` objects are built only there: the library's
+list API converts a list into a table once and runs the same array code.
+
+Ordering contract, kept by every array path: frames are visited in sorted
+frame-id order; NMS visits rows in a stable ``-score`` order and suppresses
+on IoU strictly above the threshold; pair fusion emits visible-major pairs
+with IoU ``>=`` its threshold, and hull ties keep the visible corner.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -125,20 +143,29 @@ def boxes_array(boxes: Iterable[BBox]) -> np.ndarray:
     return np.array(corners, dtype=np.float64).reshape(len(corners), 4)
 
 
+def iou_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """IoU of matching rows of two corner arrays of shape (..., 4), with
+    numpy broadcasting over the leading axes.
+
+    Each entry equals ``iou`` of its two boxes bit for bit: the same
+    operations run in the same order, and an empty union gives 0.0.
+    """
+    iw = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
+    ih = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
+    inter = np.where((iw > 0.0) & (ih > 0.0), iw * ih, 0.0)
+    area_a = (a[..., 2] - a[..., 0]) * (a[..., 3] - a[..., 1])
+    area_b = (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1])
+    union = area_a + area_b - inter
+    return np.divide(inter, union, out=np.zeros_like(inter), where=union > 0.0)
+
+
 def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """IoU of every pair of rows of two (N, 4) and (M, 4) corner arrays.
 
     Entry (i, j) equals ``iou`` of box i of ``a`` and box j of ``b`` bit
-    for bit: the same operations run in the same order, and an empty
-    union gives 0.0.
+    for bit (see ``iou_pairs``).
     """
-    iw = np.minimum(a[:, None, 2], b[None, :, 2]) - np.maximum(a[:, None, 0], b[None, :, 0])
-    ih = np.minimum(a[:, None, 3], b[None, :, 3]) - np.maximum(a[:, None, 1], b[None, :, 1])
-    inter = np.where((iw > 0.0) & (ih > 0.0), iw * ih, 0.0)
-    area_a = (a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1])
-    area_b = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
-    union = area_a[:, None] + area_b[None, :] - inter
-    return np.divide(inter, union, out=np.zeros_like(inter), where=union > 0.0)
+    return iou_pairs(a[:, None, :], b[None, :, :])
 
 
 def convex_hull(a: BBox, b: BBox) -> BBox:
@@ -211,29 +238,328 @@ def ciou_matrix(pred: np.ndarray, gt: np.ndarray) -> np.ndarray:
     return overlap - rho2 / c2 - aspect_term
 
 
-def nms(dets: Sequence[Detection], iou_threshold: float = 0.45) -> list[Detection]:
+def _invalid_corners(corners: np.ndarray) -> np.ndarray:
+    # Rows BBox rejects; the comparisons are false for NaN, as in BBox.
+    x0, y0, x1, y1 = corners.T
+    return ~(
+        (-np.inf < x0) & (x0 <= x1) & (x1 < np.inf)
+        & (-np.inf < y0) & (y0 <= y1) & (y1 < np.inf)
+    )
+
+
+def _invalid_rows(corners: np.ndarray, scores: np.ndarray) -> np.ndarray:
+    # Rows BBox or Detection rejects: bad corners, or a score outside [0, 1].
+    return _invalid_corners(corners) | ~((0.0 <= scores) & (scores <= 1.0))
+
+
+def check_corners(corners) -> np.ndarray:
+    """``corners`` as an (N, 4) float64 array whose every row is a valid
+    ``BBox``; the first invalid row raises ``BBox``'s own error."""
+    corners = np.asarray(corners, dtype=np.float64)
+    if corners.ndim != 2 or corners.shape[1] != 4:
+        raise ValueError(f"expected (N, 4) corners, got shape {corners.shape}")
+    bad = np.flatnonzero(_invalid_corners(corners))
+    if bad.size:
+        BBox(*corners[bad[0]].tolist())  # raises
+    return corners
+
+
+_MODALITY_CODES = {m: i for i, m in enumerate(MODALITIES)}
+_SCALE_CODES = {s: i for i, s in enumerate(SCALES)}
+
+
+def _codes(values, n: int, size: int, name: str) -> np.ndarray:
+    codes = np.asarray(values)
+    if codes.shape != (n,) or (n and codes.dtype.kind not in "iu"):
+        raise ValueError(f"{name}: expected {n} integer codes, got shape {codes.shape}")
+    codes = codes.astype(np.intp, copy=False)
+    if n and not (0 <= codes.min() and codes.max() < size):
+        raise ValueError(f"{name}: codes must lie in [0, {size})")
+    return codes
+
+
+def _recode(vocab: tuple, codes: np.ndarray, lookup: dict) -> np.ndarray:
+    # Codes into ``vocab`` rewritten as codes into the vocabulary ``lookup`` indexes.
+    return np.array([lookup[v] for v in vocab], dtype=np.intp)[codes]
+
+
+def _runs(key: np.ndarray) -> tuple[np.ndarray, list[tuple[int, int]]]:
+    # A stable order sorting ``key``, and the [start, end) runs of equal keys in it.
+    order = np.argsort(key, kind="stable")
+    ordered = key[order]
+    cuts = (np.flatnonzero(ordered[1:] != ordered[:-1]) + 1).tolist()
+    bounds = [0, *cuts, len(key)] if len(key) else []
+    return order, list(zip(bounds, bounds[1:]))
+
+
+class DetectionTable(Sequence):
+    """Detections as columns (struct of arrays).
+
+    ``corners`` is (N, 4) float64 in corner form and ``scores`` is (N,)
+    float64. ``frame_codes`` index ``frame_ids`` (unique, in Python ``str``
+    sort order), ``modality_codes`` index ``MODALITIES``, ``scale_codes``
+    index ``SCALES``, and ``strategy_codes`` index ``strategies`` (tags,
+    each a string or None). Every row is a valid detection; the constructor
+    checks it and raises the error ``Detection`` would raise for the first
+    invalid row.
+
+    A table is a ``Sequence[Detection]``: indexing and iteration build
+    ``Detection`` rows, a slice is a table sharing the columns, and a table
+    equals any sequence holding equal detections in the same order. Tables
+    share columns with their slices, so the columns are read, never written.
+    """
+
+    __slots__ = (
+        "corners", "scores", "frame_codes", "frame_ids",
+        "modality_codes", "scale_codes", "strategy_codes", "strategies",
+    )
+
+    def __init__(
+        self,
+        corners,
+        scores,
+        frame_codes,
+        frame_ids: Sequence[str],
+        modality_codes,
+        scale_codes,
+        strategy_codes=None,
+        strategies: Sequence[str | None] = (None,),
+    ) -> None:
+        corners = np.asarray(corners, dtype=np.float64)
+        n = len(corners)
+        if corners.shape != (n, 4):
+            raise ValueError(f"corners: expected shape (N, 4), got {corners.shape}")
+        scores = np.asarray(scores, dtype=np.float64)
+        if scores.shape != (n,):
+            raise ValueError(f"scores: expected shape ({n},), got {scores.shape}")
+        frame_ids = tuple(frame_ids)
+        if not all(isinstance(f, str) for f in frame_ids) or any(
+            a >= b for a, b in zip(frame_ids, frame_ids[1:])
+        ):
+            raise ValueError("frame_ids must be unique strings in sorted order")
+        strategies = tuple(strategies)
+        if not all(s is None or isinstance(s, str) for s in strategies):
+            raise ValueError("strategies must be strings or None")
+        if strategy_codes is None:
+            strategy_codes = np.zeros(n, dtype=np.intp)
+        self._set(
+            corners,
+            scores,
+            _codes(frame_codes, n, len(frame_ids), "frame_codes"),
+            frame_ids,
+            _codes(modality_codes, n, len(MODALITIES), "modality_codes"),
+            _codes(scale_codes, n, len(SCALES), "scale_codes"),
+            _codes(strategy_codes, n, len(strategies), "strategy_codes"),
+            strategies,
+        )
+        bad = np.flatnonzero(_invalid_rows(corners, scores))
+        if bad.size:
+            try:
+                self[int(bad[0])]
+            except ValueError as err:
+                raise ValueError(f"row {bad[0]}: {err}") from None
+
+    def _set(self, *columns) -> "DetectionTable":
+        for name, value in zip(self.__slots__, columns):
+            setattr(self, name, value)
+        return self
+
+    @classmethod
+    def _make(cls, *columns) -> "DetectionTable":
+        # Columns already known valid: a subset, reordering or merge of tables.
+        return object.__new__(cls)._set(*columns)
+
+    @classmethod
+    def from_detections(cls, dets: Iterable[Detection]) -> "DetectionTable":
+        """The table holding ``dets`` in order."""
+        dets = list(dets)
+        frame_ids = tuple(sorted({d.frame_id for d in dets}))
+        frame_lookup = {f: i for i, f in enumerate(frame_ids)}
+        strategies = tuple(dict.fromkeys(d.strategy for d in dets)) or (None,)
+        strategy_lookup = {s: i for i, s in enumerate(strategies)}
+        corners = [(d.box.x_min, d.box.y_min, d.box.x_max, d.box.y_max) for d in dets]
+        return cls._make(
+            np.array(corners, dtype=np.float64).reshape(len(dets), 4),
+            np.array([d.score for d in dets], dtype=np.float64),
+            np.array([frame_lookup[d.frame_id] for d in dets], dtype=np.intp),
+            frame_ids,
+            np.array([_MODALITY_CODES[d.modality] for d in dets], dtype=np.intp),
+            np.array([_SCALE_CODES[d.scale_id] for d in dets], dtype=np.intp),
+            np.array([strategy_lookup[d.strategy] for d in dets], dtype=np.intp),
+            strategies,
+        )
+
+    @classmethod
+    def concat(cls, tables: Sequence["DetectionTable"]) -> "DetectionTable":
+        """Rows of every table in order, over the union of their frame ids
+        and strategy tags. Needs at least one table."""
+        first = tables[0]
+        frame_ids, strategies = first.frame_ids, first.strategies
+        frames = [t.frame_codes for t in tables]
+        tags = [t.strategy_codes for t in tables]
+        if any(t.frame_ids != frame_ids for t in tables):
+            frame_ids = tuple(sorted(set().union(*(t.frame_ids for t in tables))))
+            lookup = {f: i for i, f in enumerate(frame_ids)}
+            frames = [_recode(t.frame_ids, t.frame_codes, lookup) for t in tables]
+        if any(t.strategies != strategies for t in tables):
+            strategies = tuple(dict.fromkeys(s for t in tables for s in t.strategies))
+            lookup = {s: i for i, s in enumerate(strategies)}
+            tags = [_recode(t.strategies, t.strategy_codes, lookup) for t in tables]
+        return cls._make(
+            np.concatenate([t.corners for t in tables]),
+            np.concatenate([t.scores for t in tables]),
+            np.concatenate(frames),
+            frame_ids,
+            np.concatenate([t.modality_codes for t in tables]),
+            np.concatenate([t.scale_codes for t in tables]),
+            np.concatenate(tags),
+            strategies,
+        )
+
+    def take(self, index) -> "DetectionTable":
+        """The rows at ``index`` (an index array, a boolean mask or a
+        slice), in that order; a slice shares the columns."""
+        return self._make(
+            self.corners[index],
+            self.scores[index],
+            self.frame_codes[index],
+            self.frame_ids,
+            self.modality_codes[index],
+            self.scale_codes[index],
+            self.strategy_codes[index],
+            self.strategies,
+        )
+
+    def subset(
+        self,
+        frame_id: str | None = None,
+        modality: str | None = None,
+        scale_id: str | None = None,
+    ) -> "DetectionTable":
+        """The rows matching every given tag, in order."""
+        keep = np.ones(len(self), dtype=bool)
+        if frame_id is not None:
+            code = self.frame_ids.index(frame_id) if frame_id in self.frame_ids else -1
+            keep &= self.frame_codes == code
+        if modality is not None:
+            if modality not in _MODALITY_CODES:
+                raise ValueError(f"unknown modality {modality!r}")
+            keep &= self.modality_codes == _MODALITY_CODES[modality]
+        if scale_id is not None:
+            if scale_id not in _SCALE_CODES:
+                raise ValueError(f"unknown scale_id {scale_id!r}")
+            keep &= self.scale_codes == _SCALE_CODES[scale_id]
+        return self.take(np.flatnonzero(keep))
+
+    def with_strategy(self, strategy: str | None) -> "DetectionTable":
+        """The same rows, all tagged ``strategy``."""
+        return self._make(
+            self.corners,
+            self.scores,
+            self.frame_codes,
+            self.frame_ids,
+            self.modality_codes,
+            self.scale_codes,
+            np.zeros(len(self), dtype=np.intp),
+            (strategy,),
+        )
+
+    def by_frame(self) -> list[tuple[str, np.ndarray]]:
+        """(frame id, row indices) for every frame with rows, in sorted
+        frame-id order; each frame's indices ascend."""
+        order, runs = _runs(self.frame_codes)
+        return [(self.frame_ids[self.frame_codes[order[a]]], order[a:b]) for a, b in runs]
+
+    def groups(self) -> dict[tuple[str, str, str], "DetectionTable"]:
+        """The rows of every (frame id, scale id, modality) present, each
+        group in row order."""
+        n_tags = len(SCALES) * len(MODALITIES)
+        key = self.frame_codes * n_tags + self.scale_codes * len(MODALITIES) + self.modality_codes
+        order, runs = _runs(key)
+        ordered = self.take(order)
+        out = {}
+        for a, b in runs:
+            frame, tags = divmod(int(key[order[a]]), n_tags)
+            scale, modality = divmod(tags, len(MODALITIES))
+            out[self.frame_ids[frame], SCALES[scale], MODALITIES[modality]] = ordered[a:b]
+        return out
+
+    def __len__(self) -> int:
+        return len(self.scores)
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return self.take(key)
+        n = len(self)
+        i = key + n if -n <= key < 0 else key
+        if not 0 <= i < n:
+            raise IndexError(f"detection index {key} out of range for {n} rows")
+        return next(iter(self.take(slice(i, i + 1))))
+
+    def __iter__(self):
+        frame_ids, strategies = self.frame_ids, self.strategies
+        for corners, score, frame, modality, scale, tag in zip(
+            self.corners.tolist(),
+            self.scores.tolist(),
+            self.frame_codes.tolist(),
+            self.modality_codes.tolist(),
+            self.scale_codes.tolist(),
+            self.strategy_codes.tolist(),
+        ):
+            yield Detection(
+                BBox(*corners),
+                score,
+                MODALITIES[modality],
+                SCALES[scale],
+                frame_ids[frame],
+                strategies[tag],
+            )
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, Sequence) and not isinstance(other, (str, bytes)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"DetectionTable({len(self)} detections, {len(self.frame_ids)} frame ids)"
+
+
+def as_table(dets: Iterable[Detection]) -> DetectionTable:
+    """``dets`` itself when it is a table, else the table holding it."""
+    if isinstance(dets, DetectionTable):
+        return dets
+    return DetectionTable.from_detections(dets)
+
+
+def nms(dets: Sequence[Detection], iou_threshold: float = 0.45) -> Sequence[Detection]:
     """Greedy class-agnostic non-maximum suppression.
 
     Detections are visited in descending score order (ties keep the input
     order); a detection is suppressed when its IoU with an already kept,
     higher-scoring detection strictly exceeds ``iou_threshold``. The result
     is sorted by descending score and rerunning on its own output is the
-    identity.
+    identity. A table gives a table; any other sequence gives a list of
+    its own detection objects.
 
     Each kept box scores the boxes still alive after it with one IoU row,
     so memory stays O(n); no n x n matrix is built.
     """
     if not 0.0 <= iou_threshold <= 1.0:
         raise ValueError(f"iou_threshold must be in [0, 1], got {iou_threshold}")
-    ordered = sorted(dets, key=lambda d: -d.score)
-    corners = boxes_array(d.box for d in ordered)
-    alive = np.arange(len(ordered))
-    kept: list[Detection] = []
+    table = as_table(dets)
+    corners = table.corners
+    alive = np.argsort(-table.scores, kind="stable")
+    kept: list[int] = []
     while alive.size:
         first, rest = alive[0], alive[1:]
-        kept.append(ordered[first])
+        kept.append(first)
         if not rest.size:
             break
         overlap = iou_matrix(corners[first : first + 1], corners[rest])[0]
         alive = rest[~(overlap > iou_threshold)]
-    return kept
+    index = np.array(kept, dtype=np.intp)
+    if isinstance(dets, DetectionTable):
+        return dets.take(index)
+    return [dets[i] for i in index.tolist()]

@@ -7,7 +7,17 @@ Formats handled here:
   codes 0/1/2 for none/partial/heavy. Labels other than ``person`` become
   ignore regions.
 * detections: one per line, ``frame_id modality scale_id x_min y_min x_max
-  y_max score``; ``#`` lines are comments.
+  y_max score``; ``#`` lines are comments. ``ingest_detections`` reads a
+  dump into a ``DetectionTable`` in one pass, a chunk of lines at a time:
+  it splits the lines into tokens, fills the columns, converts numbers
+  with Python ``float`` and lets the table validate the rows with array
+  operations. A bad line fails with the message
+  ``parse_detection_line`` gives for it, naming the file and line.
+  ``serialize_detections`` writes rows straight from the columns, and
+  ``group_by_frame`` returns per-frame tables for a table, so no
+  ``Detection`` object is built on the way; ``parse_detection_line``
+  builds one per call, and a table builds one per row it is indexed or
+  iterated for. Rows keep file order; the table's frame ids are sorted.
 * manifest: JSON listing frames (id, time of day, file paths) and optional
   sequence grouping (frames per group and stride).
 * run config: UTF-8 ``key = value`` lines.
@@ -23,8 +33,17 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 from .evaluation import STANDARD_SETTINGS, TIMES_OF_DAY, FrameRecord, GroundTruthBox
-from .geometry import SCALES, BBox, Detection
+from .geometry import (
+    MODALITIES,
+    SCALES,
+    BBox,
+    Detection,
+    DetectionTable,
+    as_table,
+)
 from .postprocess import PostprocessConfig
 
 ANNOTATION_HEADER = "% bbGt version=3"
@@ -39,6 +58,8 @@ _MODALITY_ALIASES = {
     "t": "ir",
     "fused": "fused",
 }
+_MODALITY_ALIAS_CODES = {alias: MODALITIES.index(m) for alias, m in _MODALITY_ALIASES.items()}
+_SCALE_CODES = {scale: k for k, scale in enumerate(SCALES)}
 
 DEFAULT_SCALE_STRIDES = {"s80": 8.0, "s40": 16.0, "s20": 32.0}
 
@@ -265,36 +286,91 @@ def parse_detection_line(line: str, source: str = "<string>", lineno: int = 0) -
         raise ValueError(f"{source}:{lineno}: {err}") from None
 
 
-def ingest_detections(path: str | Path) -> list[Detection]:
-    """Read a detection dump; duplicates are kept (suppression is NMS's job)."""
-    dets: list[Detection] = []
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+# Lines tokenized at a time: bounds the live token strings, which take
+# several times the memory of the columns they fill.
+_INGEST_CHUNK = 4096
+
+
+def _table_from_lines(raw_lines: list[str]) -> DetectionTable:
+    # Raises ValueError, naming no line, when any data line is malformed.
+    frame_code: dict[str, int] = {}  # in order of first appearance
+    values, frames, modalities, scales = [], [], [], []
+    for start in range(0, len(raw_lines), _INGEST_CHUNK):
+        rows = [
+            tokens
+            for tokens in map(str.split, raw_lines[start : start + _INGEST_CHUNK])
+            if tokens and not tokens[0].startswith("#")
+        ]
+        if any(len(tokens) != 8 for tokens in rows):
+            raise ValueError("wrong token count")
+        if not rows:
             continue
-        dets.append(parse_detection_line(line, str(path), lineno))
-    return dets
+        frame, modality, scale, *numbers = zip(*rows)
+        values.append(np.array([list(map(float, column)) for column in numbers]))
+        frames += [frame_code.setdefault(f, len(frame_code)) for f in frame]
+        modalities += [_MODALITY_ALIAS_CODES.get(m.lower(), -1) for m in modality]
+        scales += [_SCALE_CODES.get(s, -1) for s in scale]
+    numbers = np.concatenate(values, axis=1) if values else np.empty((5, 0))
+    frame_ids = sorted(frame_code)
+    rank = np.empty(len(frame_ids), dtype=np.intp)
+    rank[[frame_code[f] for f in frame_ids]] = np.arange(len(frame_ids))
+    return DetectionTable(
+        np.ascontiguousarray(numbers[:4].T),
+        numbers[4],
+        rank[np.array(frames, dtype=np.intp)],
+        frame_ids,
+        modalities,
+        scales,
+    )
+
+
+def ingest_detections(path: str | Path) -> DetectionTable:
+    """Read a detection dump into a table; duplicates are kept (suppression
+    is NMS's job). A malformed line raises the ``ValueError`` that
+    ``parse_detection_line`` raises for it, naming the file and line."""
+    raw_lines = Path(path).read_text(encoding="utf-8").splitlines()
+    try:
+        return _table_from_lines(raw_lines)
+    except ValueError:
+        # The line parser applies the same rules line by line, so it raises
+        # the first bad line's own error.
+        for lineno, raw in enumerate(raw_lines, 1):
+            line = raw.strip()
+            if line and not line.startswith("#"):
+                parse_detection_line(line, str(path), lineno)
+        raise
 
 
 def serialize_detections(
     dets: Iterable[Detection], header: Mapping[str, str] | None = None
 ) -> str:
     """Render detections in the line format accepted by ingest_detections."""
+    table = as_table(dets)
     lines = [f"# {key} = {value}" for key, value in (header or {}).items()]
-    for d in dets:
-        lines.append(
-            f"{d.frame_id} {d.modality} {d.scale_id} "
-            f"{_fmt(d.box.x_min)} {_fmt(d.box.y_min)} {_fmt(d.box.x_max)} "
-            f"{_fmt(d.box.y_max)} {_fmt(d.score)}"
+    frame_ids = table.frame_ids
+    # repr of a builtin float round-trips exactly (see _fmt).
+    lines.extend(
+        f"{frame_ids[f]} {MODALITIES[m]} {SCALES[s]} {x0!r} {y0!r} {x1!r} {y1!r} {score!r}"
+        for f, m, s, (x0, y0, x1, y1), score in zip(
+            table.frame_codes.tolist(),
+            table.modality_codes.tolist(),
+            table.scale_codes.tolist(),
+            table.corners.tolist(),
+            table.scores.tolist(),
         )
+    )
     return "\n".join(lines) + "\n"
 
 
-def group_by_frame(dets: Sequence[Detection]) -> dict[str, list[Detection]]:
-    out: dict[str, list[Detection]] = {}
-    for d in dets:
-        out.setdefault(d.frame_id, []).append(d)
-    return out
+def group_by_frame(dets: Sequence[Detection]) -> dict[str, Sequence[Detection]]:
+    """Detections per frame id, frames in order of first appearance. A
+    table gives per-frame tables; other sequences give lists of their own
+    detection objects."""
+    table = as_table(dets)
+    groups = sorted(table.by_frame(), key=lambda group: group[1][0])
+    if isinstance(dets, DetectionTable):
+        return {frame: dets.take(rows) for frame, rows in groups}
+    return {frame: [dets[i] for i in rows.tolist()] for frame, rows in groups}
 
 
 @dataclass(frozen=True)
@@ -399,9 +475,16 @@ def _manifest_from_payload(payload, root: Path) -> Manifest:
     for k, entry in enumerate(payload.get("frames", [])):
         if not isinstance(entry, dict) or "frame_id" not in entry:
             raise ValueError(f"frames[{k}]: expected an object with a 'frame_id'")
+        frame_id = str(entry["frame_id"])
+        for key in ("annotations", "detections"):
+            value = entry.get(key)
+            if value is not None and not isinstance(value, str):
+                raise ValueError(
+                    f"frame {frame_id!r}: {key} must be a file path string, got {value!r}"
+                )
         frames.append(
             ManifestFrame(
-                frame_id=str(entry["frame_id"]),
+                frame_id=frame_id,
                 time_of_day=str(entry.get("time_of_day", "day")),
                 annotations=entry.get("annotations"),
                 detections=entry.get("detections"),

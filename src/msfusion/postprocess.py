@@ -6,19 +6,38 @@ boxes of each frame, convex-hull boxes with averaged confidences for the
 matches, and the four output strategies (single-modality NMS, joint NMS,
 or pair fusion followed by joint NMS).
 
-Pair fusion scores each frame's visible x thermal pairs with one
-``iou_matrix`` call; the hulls and confidences are elementwise numpy over
-the matched pairs and equal ``convex_hull`` and the scalar mean exactly.
+Both public functions run on ``DetectionTable`` columns. Pair fusion lists
+the same-frame visible x thermal pairs of every frame at once, scores them
+with one ``iou_pairs`` call, and builds the hulls and confidences
+elementwise; they equal ``convex_hull`` and the scalar mean exactly. NMS
+runs per frame on row selections of one table. Given tables, both
+functions return tables and build no ``Detection`` object; given lists,
+they convert them once, run the same array code, and return
+``FusedDetection`` and ``Detection`` lists.
+
+Ordering contract: frames are visited in sorted frame-id order; fused
+pairs (IoU ``>=`` the threshold) come out visible-major, thermal-minor,
+and a hull tie keeps the visible corner, signed zeros included; algo1 pools
+the scales in sorted scale-id order before NMS, which visits rows in a
+stable ``-score`` order and suppresses on IoU strictly above its threshold.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .geometry import BBox, Detection, boxes_array, iou_matrix, nms
+from .geometry import (
+    SCALES,
+    BBox,
+    Detection,
+    DetectionTable,
+    as_table,
+    iou_pairs,
+    nms,
+)
 
 STRATEGIES = ("vis", "ir", "both", "algo1")
 
@@ -63,11 +82,28 @@ class FusedDetection:
         return self.box.to_center()
 
 
+def _same_frame_pairs(
+    frame_v: np.ndarray, keep_v: np.ndarray, frame_t: np.ndarray, keep_t: np.ndarray, n_frames: int
+) -> tuple[np.ndarray, np.ndarray]:
+    # Every (visible row, thermal row) pair of kept rows sharing a frame:
+    # frames ascending, then visible rows ascending, then thermal rows.
+    rows_v = np.flatnonzero(keep_v)
+    rows_v = rows_v[np.argsort(frame_v[rows_v], kind="stable")]
+    rows_t = np.flatnonzero(keep_t)
+    rows_t = rows_t[np.argsort(frame_t[rows_t], kind="stable")]
+    count_t = np.bincount(frame_t[rows_t], minlength=n_frames)
+    start_t = np.cumsum(count_t) - count_t
+    per_row = count_t[frame_v[rows_v]]
+    first = np.repeat(start_t[frame_v[rows_v]], per_row)
+    offset = np.arange(len(first)) - np.repeat(np.cumsum(per_row) - per_row, per_row)
+    return np.repeat(rows_v, per_row), rows_t[first + offset]
+
+
 def fuse_scale(
     vis: Sequence[Detection],
     ir: Sequence[Detection],
     cfg: PostprocessConfig,
-) -> list[FusedDetection]:
+) -> list[FusedDetection] | DetectionTable:
     """All-pairs cross-modal fusion of one feature-map scale.
 
     Frames are processed independently in sorted frame-id order. Within a
@@ -76,97 +112,86 @@ def fuse_scale(
     IoU >= cfg.iou_thres (many-to-many) emits a fused detection whose box is
     the convex hull of the pair and whose confidence is the mean of the two
     scores, appended in visible-major, thermal-minor order.
+
+    Two tables give a table of the fused detections (modality ``fused``);
+    other sequences give ``FusedDetection`` objects that name their parents.
     """
-    scales = {d.scale_id for d in vis} | {d.scale_id for d in ir}
+    both = DetectionTable.concat([as_table(vis), as_table(ir)])  # one frame-id space
+    scales = sorted({SCALES[c] for c in np.unique(both.scale_codes).tolist()})
     if len(scales) > 1:
-        raise ValueError(f"mixed scale_id in fuse_scale inputs: {sorted(scales)}")
-    vis_by_frame: dict[str, list[tuple[int, Detection]]] = {}
-    for i, d in enumerate(vis):
-        if d.score >= cfg.conf_threshold_v:
-            vis_by_frame.setdefault(d.frame_id, []).append((i, d))
-    ir_by_frame: dict[str, list[tuple[int, Detection]]] = {}
-    for j, d in enumerate(ir):
-        if d.score >= cfg.conf_threshold_t:
-            ir_by_frame.setdefault(d.frame_id, []).append((j, d))
-    fused: list[FusedDetection] = []
-    frames = sorted({d.frame_id for d in vis} | {d.frame_id for d in ir})
-    for frame in frames:
-        vis_kept = vis_by_frame.get(frame, [])
-        ir_kept = ir_by_frame.get(frame, [])
-        if not vis_kept or not ir_kept:
-            continue
-        box_v = boxes_array(d.box for _, d in vis_kept)
-        box_t = boxes_array(d.box for _, d in ir_kept)
-        # Row-major nonzero keeps the pairs in visible-major order.
-        rows, cols = np.nonzero(iou_matrix(box_v, box_t) >= cfg.iou_thres)
-        pv, pt = box_v[rows], box_t[cols]
-        # Ties keep the visible corner, as convex_hull does.
-        hulls = np.concatenate(
-            [np.where(pt[:, :2] < pv[:, :2], pt[:, :2], pv[:, :2]),
-             np.where(pt[:, 2:] > pv[:, 2:], pt[:, 2:], pv[:, 2:])],
-            axis=1,
-        )
-        score_v = np.array([d.score for _, d in vis_kept])
-        score_t = np.array([d.score for _, d in ir_kept])
-        confs = (score_v[rows] + score_t[cols]) / 2.0
-        for r, c, hull, conf in zip(rows.tolist(), cols.tolist(), hulls.tolist(), confs.tolist()):
-            fused.append(
-                FusedDetection(
-                    box=BBox(*hull),
-                    f_conf=conf,
-                    parent_v=vis_kept[r][0],
-                    parent_t=ir_kept[c][0],
-                    scale_id=vis_kept[r][1].scale_id,
-                    frame_id=frame,
-                )
-            )
-    return fused
-
-
-def _as_detection(fused: FusedDetection) -> Detection:
-    return Detection(
-        box=fused.box,
-        score=fused.f_conf,
-        modality="fused",
-        scale_id=fused.scale_id,
-        frame_id=fused.frame_id,
+        raise ValueError(f"mixed scale_id in fuse_scale inputs: {scales}")
+    v, t = both[: len(vis)], both[len(vis) :]
+    rows, cols = _same_frame_pairs(
+        v.frame_codes,
+        v.scores >= cfg.conf_threshold_v,
+        t.frame_codes,
+        t.scores >= cfg.conf_threshold_t,
+        len(both.frame_ids),
     )
+    hit = iou_pairs(v.corners[rows], t.corners[cols]) >= cfg.iou_thres
+    rows, cols = rows[hit], cols[hit]
+    pv, pt = v.corners[rows], t.corners[cols]
+    # Ties keep the visible corner, as convex_hull does.
+    hulls = np.concatenate(
+        [np.where(pt[:, :2] < pv[:, :2], pt[:, :2], pv[:, :2]),
+         np.where(pt[:, 2:] > pv[:, 2:], pt[:, 2:], pv[:, 2:])],
+        axis=1,
+    )
+    confs = (v.scores[rows] + t.scores[cols]) / 2.0
+    fused = DetectionTable(
+        hulls,
+        confs,
+        v.frame_codes[rows],
+        both.frame_ids,
+        np.full(len(rows), 2),  # MODALITIES.index("fused")
+        v.scale_codes[rows],
+    )
+    if isinstance(vis, DetectionTable) and isinstance(ir, DetectionTable):
+        return fused
+    return [
+        FusedDetection(
+            box=d.box, f_conf=d.score, parent_v=r, parent_t=c,
+            scale_id=d.scale_id, frame_id=d.frame_id,
+        )
+        for d, r, c in zip(fused, rows.tolist(), cols.tolist())
+    ]
 
 
-def _nms_per_frame(dets: Sequence[Detection], threshold: float) -> list[Detection]:
-    by_frame: dict[str, list[Detection]] = {}
-    for d in dets:
-        by_frame.setdefault(d.frame_id, []).append(d)
-    out: list[Detection] = []
-    for frame in sorted(by_frame):
-        out.extend(nms(by_frame[frame], threshold))
-    return out
+def _nms_per_frame(dets: DetectionTable, threshold: float) -> DetectionTable:
+    kept = [nms(dets.take(rows), threshold) for _, rows in dets.by_frame()]
+    return DetectionTable.concat(kept) if kept else dets
 
 
 def run_strategy(
     vis: Sequence[Detection],
     ir: Sequence[Detection],
     cfg: PostprocessConfig,
-) -> list[Detection]:
+) -> list[Detection] | DetectionTable:
     """Produce final detections under the configured output strategy.
 
     vis / ir run NMS on a single modality; both runs joint NMS over the
     pooled modalities; algo1 fuses cross-modal pairs per scale first and
     then runs joint NMS over the pooled fused boxes only. NMS is applied
     per frame at cfg.nms_threshold; outputs are tagged with the strategy.
+    Two tables give a table; other sequences give a list.
     """
+    table_v, table_t = as_table(vis), as_table(ir)
     if cfg.strategy == "vis":
-        kept = _nms_per_frame(vis, cfg.nms_threshold)
+        kept = _nms_per_frame(table_v, cfg.nms_threshold)
     elif cfg.strategy == "ir":
-        kept = _nms_per_frame(ir, cfg.nms_threshold)
+        kept = _nms_per_frame(table_t, cfg.nms_threshold)
     elif cfg.strategy == "both":
-        kept = _nms_per_frame(list(vis) + list(ir), cfg.nms_threshold)
-    else:  # algo1
-        pooled: list[Detection] = []
-        scales = sorted({d.scale_id for d in vis} | {d.scale_id for d in ir})
-        for scale in scales:
-            vis_s = [d for d in vis if d.scale_id == scale]
-            ir_s = [d for d in ir if d.scale_id == scale]
-            pooled.extend(_as_detection(f) for f in fuse_scale(vis_s, ir_s, cfg))
-        kept = _nms_per_frame(pooled, cfg.nms_threshold)
-    return [replace(d, strategy=cfg.strategy) for d in kept]
+        kept = _nms_per_frame(DetectionTable.concat([table_v, table_t]), cfg.nms_threshold)
+    else:  # algo1: scales in sorted name order, as the pooled order
+        codes = set(table_v.scale_codes.tolist()) | set(table_t.scale_codes.tolist())
+        pooled = [
+            fuse_scale(table_v.subset(scale_id=scale), table_t.subset(scale_id=scale), cfg)
+            for scale in sorted(SCALES[c] for c in codes)
+        ]
+        kept = _nms_per_frame(
+            DetectionTable.concat(pooled) if pooled else table_v[:0], cfg.nms_threshold
+        )
+    kept = kept.with_strategy(cfg.strategy)
+    if isinstance(vis, DetectionTable) and isinstance(ir, DetectionTable):
+        return kept
+    return list(kept)

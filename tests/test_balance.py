@@ -22,7 +22,7 @@ from msfusion.balance import (
     thermal_reliability_percentage,
     total_loss,
 )
-from msfusion.geometry import BBox, Detection, ciou
+from msfusion.geometry import BBox, Detection, DetectionTable, boxes_array, ciou
 from oracles import alignment_loss_ref, kl_ref, relation_ref, roi_ref, supersampled_roi
 
 RNG = np.random.default_rng
@@ -207,6 +207,19 @@ class TestBatchedRoiAlign:
     def test_degenerate_box_in_batch_rejected(self):
         with pytest.raises(ValueError, match="positive area"):
             roi_align(np.zeros((1, 1, 8, 8)), [BBox(0, 0, 2, 2), BBox(2, 2, 2, 4)])
+
+    def test_corner_array_pools_like_the_boxes(self):
+        rng = RNG(63)
+        fmap = rng.standard_normal((2, 3, 8, 8))
+        boxes = self._boxes(rng, 9, 8)
+        np.testing.assert_array_equal(roi_align(fmap, boxes_array(boxes)), roi_align(fmap, boxes))
+
+    def test_invalid_corner_array_rejected(self):
+        fmap = np.zeros((1, 1, 8, 8))
+        with pytest.raises(ValueError, match="invalid box corners"):
+            roi_align(fmap, np.array([[0.0, 0.0, 2.0, 2.0], [0.0, 0.0, np.inf, 2.0]]))
+        with pytest.raises(ValueError, match="positive area, got BBox"):
+            roi_align(fmap, np.array([[2.0, 2.0, 2.0, 4.0]]))
 
 
 class TestCosineMatrix:
@@ -440,6 +453,17 @@ class TestAlignmentPipeline:
         assert report.r_t == pytest.approx(r_t, abs=1e-9)
         assert loss == pytest.approx(loss_ref, abs=1e-6)
         assert report.n_used == 10
+
+    def test_tables_give_the_same_result_as_lists(self):
+        rng = RNG(16)
+        gts = [BBox(8, 8, 28, 48), BBox(30, 20, 46, 60)]
+        vis, ir = random_dets(rng, 12, "vis"), random_dets(rng, 12, "ir")
+        maps = rng.uniform(0.1, 1.0, (2, 3, 16, 16)), rng.uniform(0.1, 1.0, (2, 3, 16, 16))
+        tables = DetectionTable.from_detections(vis), DetectionTable.from_detections(ir)
+        assert modality_alignment_loss(*tables, gts, *maps, n_top=7, stride=4.0) == (
+            modality_alignment_loss(vis, ir, gts, *maps, n_top=7, stride=4.0)
+        )
+        assert reliability(*tables, gts, 5) == reliability(vis, ir, gts, 5)
 
     def test_reference_modality_empty_raises(self):
         gts = [BBox(0, 0, 10, 10)]

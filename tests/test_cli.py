@@ -8,7 +8,7 @@ import pytest
 from msfusion.balance import modality_alignment_loss
 from msfusion.cli import main
 from msfusion.containers import TENSORS_MAGIC, load_tensors, save_tensors
-from msfusion.geometry import BBox, Detection
+from msfusion.geometry import SCALES, BBox, Detection
 from msfusion.ingest import ingest_detections, serialize_detections
 
 
@@ -194,6 +194,39 @@ class TestFuse:
         )
         assert code == 0
         assert "f1 vis s80" in capsys.readouterr().out
+
+
+    def test_stays_columnar(self, tmp_path, monkeypatch):
+        # One Detection object per input line would show up here: fuse may
+        # build at most one per output row.
+        rng = np.random.default_rng(4)
+        lines = []
+        for k in range(500):
+            x0, y0 = rng.uniform(0, 500, 2).tolist()
+            w, h = rng.uniform(10, 60, 2).tolist()
+            for modality in ("vis", "ir"):
+                dx, dy = rng.uniform(-2, 2, 2).tolist()
+                lines.append(
+                    f"{k % 25:06d} {modality} {SCALES[k % 3]} {x0 + dx!r} {y0 + dy!r} "
+                    f"{x0 + w!r} {y0 + h!r} {float(rng.uniform(0.1, 1.0))!r}"
+                )
+        dets = tmp_path / "d.txt"
+        dets.write_text("\n".join(lines) + "\n", "utf-8")
+        built = []
+        post_init = Detection.__post_init__
+
+        def counting(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(Detection, "__post_init__", counting)
+        out = tmp_path / "fused.txt"
+        args = ["fuse", "--detections", str(dets), "--strategy", "algo1", "--out", str(out)]
+        assert main(args) == 0
+        monkeypatch.undo()
+        n_out = len(ingest_detections(out))
+        assert len(lines) == 1000 and n_out > 0
+        assert len(built) <= n_out
 
 
 class TestForwardPipeline:

@@ -1,5 +1,7 @@
 """Binary tensor container round trips and validation."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -64,3 +66,25 @@ def test_float64_values_are_cast_to_float32(tmp_path):
     save_tensors(path, {"w": value}, TENSORS_MAGIC)
     back = load_tensors(path)["w"]
     assert back[0] == np.float32(1.0 / 3.0)
+
+
+def _scalar_container(names):
+    # A hand-built container of rank-0 tensors with the given raw name bytes.
+    parts = [TENSORS_MAGIC, struct.pack("<I", len(names))]
+    for name in names:
+        parts += [struct.pack("<I", len(name)), name, struct.pack("<I", 0)]
+    return b"".join(parts) + np.zeros(len(names), dtype="<f4").tobytes()
+
+
+def test_non_utf8_name_rejected_naming_file_and_tensor(tmp_path):
+    path = tmp_path / "t.bin"
+    path.write_bytes(_scalar_container([b"ok", b"\xff"]))
+    with pytest.raises(ValueError, match=r"t\.bin: tensor 1: name is not valid UTF-8"):
+        load_tensors(path)
+
+
+def test_duplicate_name_rejected_naming_file_and_tensor(tmp_path):
+    path = tmp_path / "t.bin"
+    path.write_bytes(_scalar_container([b"w", b"v", b"w"]))
+    with pytest.raises(ValueError, match=r"t\.bin: tensor 2: duplicate tensor name 'w'"):
+        load_tensors(path)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from msfusion import evaluation
 from msfusion.evaluation import (
     FPPI_REFERENCE_POINTS,
     STANDARD_SETTINGS,
@@ -16,7 +17,7 @@ from msfusion.evaluation import (
     match_frame,
     miss_rate_curve,
 )
-from msfusion.geometry import BBox, Detection
+from msfusion.geometry import BBox, Detection, DetectionTable
 from oracles import match_frame_ref, miss_rate_curve_ref
 
 RNG = np.random.default_rng
@@ -79,6 +80,13 @@ class TestApplySetting:
 
 
 class TestMatchFrame:
+    def test_table_matches_like_a_list(self):
+        rng = RNG(9)
+        dets = [det(*rng.uniform(0, 20, 2).tolist(), 60, 120, s) for s in (0.5, 0.9, 0.5, 0.7)]
+        evaluated, ignored = [gt(5, 5, 60, 120), gt(0, 0, 40, 100)], [gt(10, 0, 60, 110)]
+        table = DetectionTable.from_detections(dets)
+        assert match_frame(table, evaluated, ignored, 0.5) == match_frame(dets, evaluated, ignored, 0.5)
+
     def test_exact_hit(self):
         result = match_frame([det(0, 0, 30, 90, 0.9)], [gt(0, 0, 30, 90)], [], 0.5)
         assert (result.tp, result.fp, result.misses) == (1, 0, 0)
@@ -383,6 +391,21 @@ class TestEvaluateMatrix:
                 assert mr is None
             else:
                 assert mr == pytest.approx(want_mr, abs=1e-9)
+
+    def test_each_frame_matched_once_per_setting(self, monkeypatch):
+        # The day and night cells reuse the matches of the "all" pass.
+        calls = []
+        original = evaluation.match_frame
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(evaluation, "match_frame", counting)
+        records = _hand_corpus()
+        settings = {k: STANDARD_SETTINGS[k] for k in ("all", "reasonable")}
+        evaluate_matrix(records, ["det"], settings)
+        assert len(calls) == len(records) * len(settings)
 
     def test_failing_cell_raises_instead_of_na(self):
         # Only a cell without evaluated ground truth is n/a; an ambiguous

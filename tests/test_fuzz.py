@@ -9,8 +9,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from msfusion import ingest
 from msfusion.containers import TENSORS_MAGIC, load_tensors, save_tensors
 from msfusion.ingest import (
+    ingest_detections,
     load_config,
     load_manifest,
     parse_annotation_text,
@@ -46,6 +48,56 @@ def parses_or_raises_value_error(call, *args):
 @settings(max_examples=150)
 def test_parse_detection_line(line):
     parses_or_raises_value_error(parse_detection_line, line, "dets.txt", 1)
+
+
+# Detection dump lines: mostly valid, with every way a line can fail. Frame
+# ids that differ only by trailing NULs are distinct frames (numpy string
+# arrays would merge them).
+number_tokens = st.one_of(
+    st.floats(-5.0, 50.0).map(repr),
+    st.sampled_from(["0", "1", "0.5", "-0.0", "1e400", "nan", "inf", "-inf", "1_0", "x", ""]),
+)
+detection_lines = st.one_of(
+    st.tuples(
+        st.sampled_from(["f", "f\x00", "f\x00\x00", "a", "000001", "\x00"]),
+        st.sampled_from(["vis", "ir", "VIS", "Thermal", "rgb", "t", "fused", "x"]),
+        st.sampled_from(["s80", "s40", "s20", "s77", "S80"]),
+        st.tuples(*[number_tokens] * 4),
+        st.one_of(st.floats(0.0, 1.0).map(repr), number_tokens),
+        st.sampled_from([" ", "  ", "\t", " \x0b "]),
+    ).map(lambda t: t[5].join([*t[:3], *t[3], t[4]])),
+    st.sampled_from(["", "   ", "# comment", "  # indented comment", "f vis s80 0 0 1", "#"]),
+    lines,
+)
+
+
+@given(st.lists(detection_lines, max_size=12))
+@FILE_FIXTURE
+def test_ingest_detections_matches_line_parser(tmp_path, monkeypatch, body):
+    # The columnar reader returns exactly what parse_detection_line gives on
+    # each data line, in order, or fails with the first failing line's error.
+    # Three-line chunks make frames and errors cross chunk boundaries.
+    monkeypatch.setattr(ingest, "_INGEST_CHUNK", 3)
+    path = tmp_path / "dets.txt"
+    path.write_text("\n".join(body), encoding="utf-8")
+    expected, error = [], None
+    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            expected.append(parse_detection_line(line, str(path), lineno))
+        except ValueError as err:
+            error = str(err)
+            break
+    if error is not None:
+        with pytest.raises(ValueError) as err:
+            ingest_detections(path)
+        assert str(err.value) == error
+        return
+    table = ingest_detections(path)
+    assert list(table) == expected
+    assert [frame for frame, _ in table.by_frame()] == sorted({d.frame_id for d in expected})
 
 
 @given(

@@ -11,12 +11,14 @@ from msfusion import geometry
 from msfusion.geometry import (
     BBox,
     Detection,
+    DetectionTable,
     boxes_array,
     ciou,
     ciou_matrix,
     convex_hull,
     iou,
     iou_matrix,
+    iou_pairs,
     nms,
 )
 from oracles import check_nms_survivors, ciou_ref, iou_ref, nms_ref
@@ -283,3 +285,91 @@ class TestNMS:
         assert nms(kept, 0.45) == kept
         scores = [k.score for k in kept]
         assert scores == sorted(scores, reverse=True)
+
+
+def _mixed_dets():
+    # Frames out of order, a frame id with a trailing NUL, every modality,
+    # scale and a few strategy tags.
+    frames = ["b", "a\x00", "a", "b", "a"]
+    tags = [None, "vis", None, "algo1", None]
+    return [
+        Detection(BBox(k, 2 * k, k + 3.5, 2 * k + 1.25), 0.1 * (k + 1),
+                  geometry.MODALITIES[k % 3], geometry.SCALES[k % 3], frame, tag)
+        for k, (frame, tag) in enumerate(zip(frames, tags))
+    ]
+
+
+class TestDetectionTable:
+    def test_rows_round_trip(self):
+        dets = _mixed_dets()
+        table = DetectionTable.from_detections(dets)
+        assert len(table) == len(dets)
+        assert list(table) == dets and table == dets
+        assert table[1] == dets[1] and table[-1] == dets[-1]
+        assert isinstance(table[1:3], DetectionTable) and table[1:3] == dets[1:3]
+        with pytest.raises(IndexError):
+            table[len(dets)]
+        assert DetectionTable.from_detections([]) == []
+
+    def test_frame_ids_keep_python_str_order_and_trailing_nul(self):
+        table = DetectionTable.from_detections(_mixed_dets())
+        assert table.frame_ids == ("a", "a\x00", "b")
+        assert [(frame, rows.tolist()) for frame, rows in table.by_frame()] == [
+            ("a", [2, 4]), ("a\x00", [1]), ("b", [0, 3]),
+        ]
+
+    def test_constructor_raises_the_row_error(self):
+        corners = [[0.0, 0.0, 1.0, 1.0], [0.0, 0.0, math.inf, 1.0]]
+        with pytest.raises(ValueError, match="row 1: invalid box corners"):
+            DetectionTable(corners, [0.5, 0.5], [0, 0], ["f"], [0, 0], [0, 0])
+        with pytest.raises(ValueError, match=r"row 0: score must be in \[0, 1\]"):
+            DetectionTable(corners[:1], [1.5], [0], ["f"], [0], [0])
+        with pytest.raises(ValueError, match="sorted order"):
+            DetectionTable(corners[:1], [0.5], [0], ["g", "f"], [0], [0])
+        with pytest.raises(ValueError, match="modality_codes"):
+            DetectionTable(corners[:1], [0.5], [0], ["f"], [3], [0])
+        with pytest.raises(ValueError, match="corners"):
+            DetectionTable([[0.0, 1.0]], [0.5], [0], ["f"], [0], [0])
+
+    def test_concat_merges_frame_ids_and_tags(self):
+        dets = _mixed_dets()
+        parts = [DetectionTable.from_detections(dets[:2]), DetectionTable.from_detections(dets[2:])]
+        merged = DetectionTable.concat(parts)
+        assert merged == dets
+        assert merged.frame_ids == ("a", "a\x00", "b")
+
+    def test_take_subset_and_groups_select_rows_in_order(self):
+        dets = _mixed_dets()
+        table = DetectionTable.from_detections(dets)
+        assert table.take([3, 0]) == [dets[3], dets[0]]
+        assert table.subset(frame_id="a") == [d for d in dets if d.frame_id == "a"]
+        assert table.subset(frame_id="zz") == []
+        assert table.subset(modality="ir", scale_id="s40") == [
+            d for d in dets if d.modality == "ir" and d.scale_id == "s40"
+        ]
+        groups = table.groups()
+        assert sorted(groups) == sorted({(d.frame_id, d.scale_id, d.modality) for d in dets})
+        for (frame, scale, modality), rows in groups.items():
+            assert rows == [
+                d for d in dets
+                if (d.frame_id, d.scale_id, d.modality) == (frame, scale, modality)
+            ]
+        assert all(d.strategy == "both" for d in table.with_strategy("both"))
+
+    def test_nms_on_a_table_returns_the_same_rows_as_a_table(self):
+        rng = np.random.default_rng(17)
+        dets = []
+        for _ in range(60):
+            x0, y0 = rng.uniform(0, 40, 2).tolist()
+            w, h = rng.uniform(2, 20, 2).tolist()
+            dets.append(det(x0, y0, x0 + w, y0 + h, float(rng.choice([0.3, 0.5, 0.9]))))
+        kept = nms(DetectionTable.from_detections(dets), 0.4)
+        assert isinstance(kept, DetectionTable)
+        assert kept == nms(dets, 0.4)
+
+    @given(st.lists(boxes(), min_size=1, max_size=6), st.lists(boxes(), min_size=1, max_size=6))
+    @settings(max_examples=50)
+    def test_iou_pairs_equals_scalar_iou_bitwise(self, a, b):
+        n = min(len(a), len(b))
+        got = iou_pairs(boxes_array(a[:n]), boxes_array(b[:n]))
+        assert got.tolist() == [iou(x, y) for x, y in zip(a[:n], b[:n])]

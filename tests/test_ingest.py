@@ -5,11 +5,12 @@ import json
 import pytest
 
 from msfusion.evaluation import STANDARD_SETTINGS, apply_setting
-from msfusion.geometry import BBox, Detection
+from msfusion.geometry import BBox, Detection, DetectionTable
 from msfusion.ingest import (
     Manifest,
     ManifestFrame,
     RunConfig,
+    group_by_frame,
     ingest_annotations,
     ingest_detections,
     load_config,
@@ -148,6 +149,31 @@ class TestDetections:
         assert [(d.frame_id, d.modality, d.scale_id, d.box, d.score) for d in again] == [
             (d.frame_id, d.modality, d.scale_id, d.box, d.score) for d in dets
         ]
+
+
+    def test_reads_a_table_and_writes_it_back_byte_for_byte(self, tmp_path):
+        dets = [
+            Detection(BBox(10.0, -0.0, 50.0, 110.0), 0.93, "vis", "s80", "b"),
+            Detection(BBox(0.25, 1.5, 5.75, 9.125), 0.5, "ir", "s40", "a"),
+            Detection(BBox(1e-300, 2.0, 3.0, 1e300), 1.0, "fused", "s20", "a\x00"),
+        ]
+        text = serialize_detections(dets, {"k": "v"})
+        path = tmp_path / "d.txt"
+        path.write_text(text, encoding="utf-8")
+        table = ingest_detections(path)
+        assert isinstance(table, DetectionTable) and table == dets
+        assert serialize_detections(table, {"k": "v"}) == text
+
+    def test_group_by_frame_of_a_table_and_a_list_agree(self):
+        dets = [
+            Detection(BBox(0, 0, 1, 1), 0.5, "vis", "s80", frame)
+            for frame in ("b", "a", "b", "a\x00")
+        ]
+        lists = group_by_frame(dets)
+        tables = group_by_frame(DetectionTable.from_detections(dets))
+        assert list(lists) == list(tables) == ["b", "a", "a\x00"]
+        assert all(lists[f][0] is dets[[d.frame_id for d in dets].index(f)] for f in lists)
+        assert all(tables[f] == lists[f] for f in lists)
 
 
 class TestRunConfig:
@@ -301,6 +327,9 @@ class TestManifest:
             {"frames": [], "annotation_scale": [1, None]},
             {"frames": [], "annotation_scale": ["x", 1]},
             {"frames": [{"frame_id": "a", "time_of_day": "dusk"}]},  # failed in load_records
+            {"frames": [{"frame_id": "a", "annotations": 5}]},  # TypeError in load_records
+            {"frames": [{"frame_id": "a", "detections": 5}]},
+            {"frames": [{"frame_id": "a", "annotations": ["a.txt"]}]},
         ],
     )
     def test_malformed_manifest_raises_value_error_naming_file(self, tmp_path, payload):

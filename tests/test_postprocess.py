@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from msfusion.geometry import BBox, Detection
+from msfusion.geometry import BBox, Detection, DetectionTable
 from msfusion.postprocess import PostprocessConfig, fuse_scale, run_strategy
 from oracles import fuse_scale_ref, run_strategy_ref
 
@@ -209,3 +209,40 @@ class TestRunStrategy:
                 w.frame_id,
                 w.scale_id,
             )
+
+
+class TestTableInputs:
+    def _corpus(self, seed):
+        rng = RNG(seed)
+        vis, ir = [], []
+        for frame in ("f1", "f0", "f0\x00"):
+            for scale in ("s80", "s40", "s20"):
+                vis += random_frame_dets(rng, frame, "vis", int(rng.integers(0, 7)), scale)
+                ir += random_frame_dets(rng, frame, "ir", int(rng.integers(0, 7)), scale)
+        return vis, ir
+
+    def test_fuse_scale_table_rows_equal_the_list_form(self):
+        vis, ir = self._corpus(31)
+        vis = [d for d in vis if d.scale_id == "s40"]
+        ir = [d for d in ir if d.scale_id == "s40"]
+        cfg = PostprocessConfig(iou_thres=0.3)
+        fused = fuse_scale(DetectionTable.from_detections(vis), DetectionTable.from_detections(ir), cfg)
+        assert isinstance(fused, DetectionTable)
+        assert fused == [
+            Detection(f.box, f.f_conf, "fused", f.scale_id, f.frame_id)
+            for f in fuse_scale(vis, ir, cfg)
+        ]
+
+    @pytest.mark.parametrize("strategy", ["vis", "ir", "both", "algo1"])
+    def test_run_strategy_table_rows_equal_the_list_form(self, strategy):
+        vis, ir = self._corpus(32)
+        cfg = PostprocessConfig(iou_thres=0.3, strategy=strategy)
+        # Separate tables have separate frame-id lists; one table's subsets share one.
+        pooled = DetectionTable.from_detections(vis + ir)
+        for table_v, table_t in [
+            (DetectionTable.from_detections(vis), DetectionTable.from_detections(ir)),
+            (pooled.subset(modality="vis"), pooled.subset(modality="ir")),
+        ]:
+            got = run_strategy(table_v, table_t, cfg)
+            assert isinstance(got, DetectionTable)
+            assert got == run_strategy(vis, ir, cfg)
