@@ -12,6 +12,7 @@ from .balance import (
     ReliabilityReport,
     RoiFeature,
     best_ciou_scores,
+    corpus_reliability,
     cosine_matrix,
     kl_loss,
     kl_rowwise,
@@ -65,6 +66,7 @@ from .geometry import (
     boxes_array,
     ciou,
     ciou_matrix,
+    ciou_pairs,
     convex_hull,
     iou,
     iou_matrix,

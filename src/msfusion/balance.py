@@ -5,13 +5,21 @@ ground truth; the more reliable modality anchors RoI feature extraction,
 and a directed row-wise KL divergence between the two relation matrices
 pushes the weaker feature distribution toward the stronger one.
 
-Scoring runs on the batch geometry kernels: ``best_ciou_scores`` is the row
-maximum of one ``ciou_matrix`` over the corner column of a
-``DetectionTable`` (a list of detections is converted once). ``roi_align``
-pools any number of boxes, given as ``BBox`` objects or as an (N, 4) corner
-array, in one call, gathering the bilinear corners of every sample point at
-once; the alignment loss calls it once per feature map with the scaled
-corners of the reference modality's top detections.
+Scoring runs as one numpy pass per corpus. ``corpus_reliability`` lists
+every (detection, ground truth) pair of the same frame, scores them with
+one ``geometry.ciou_pairs`` call, takes each detection's best score and
+overlap test with ``reduceat``, and averages the top scores of all
+(instance, modality) slices of one length as the rows of one sorted
+matrix. ``best_ciou_scores`` and ``reliability`` are its one-frame,
+one-instance case, on the same code, so every report is bit for bit the
+one the per-instance arithmetic (a sorted slice's ``.mean()``) gives.
+Instances come in record order, then ``SCALES`` order; ties ``r_t == r_v``
+go to visible.
+
+``roi_align`` pools any number of boxes, given as ``BBox`` objects or as an
+(N, 4) corner array, in one call, gathering the bilinear corners of every
+sample point at once; the alignment loss calls it once per feature map with
+the scaled corners of the reference modality's top detections.
 """
 
 from __future__ import annotations
@@ -22,7 +30,18 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .geometry import BBox, Detection, as_table, boxes_array, check_corners, ciou_matrix
+from .evaluation import FrameRecord
+from .geometry import (
+    MODALITIES,
+    SCALES,
+    BBox,
+    Detection,
+    as_table,
+    boxes_array,
+    check_corners,
+    ciou_pairs,
+    degenerate_rows,
+)
 
 DEFAULT_TOP_N = 300
 
@@ -50,23 +69,73 @@ class RoiFeature:
     box_id: int = 0
 
 
+def _best_ciou(
+    corners: np.ndarray,
+    segment: np.ndarray,
+    gt_corners: np.ndarray,
+    gt_start: np.ndarray,
+    gt_count: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    # Best CIoU of every detection over the ground truths of its segment
+    # (rows gt_start[s]:gt_start[s] + gt_count[s] of gt_corners, at least
+    # one per segment), and whether any of them overlaps it (IoU > 0). The
+    # detection-major pair list goes through one ciou_pairs call; reduceat
+    # takes each detection's run of pairs.
+    if not len(corners):
+        return np.empty(0, dtype=np.float64), np.empty(0, dtype=bool)
+    per_det = gt_count[segment]
+    first = np.cumsum(per_det) - per_det
+    det_rows = np.repeat(np.arange(len(corners)), per_det)
+    gt_rows = np.arange(first[-1] + per_det[-1]) + np.repeat(gt_start[segment] - first, per_det)
+    overlap, score = ciou_pairs(corners, gt_corners, det_rows, gt_rows)
+    return np.maximum.reduceat(score, first), np.logical_or.reduceat(overlap > 0.0, first)
+
+
 def best_ciou_scores(dets: Sequence[Detection], gts: Sequence[BBox]) -> np.ndarray:
-    """Best CIoU of each detection against any ground-truth box: the row
-    maxima of one ``ciou_matrix``."""
+    """Best CIoU of each detection against any ground-truth box: the
+    one-segment case of the corpus kernel behind ``corpus_reliability``."""
     if not dets:
         return np.empty(0, dtype=np.float64)
     if not gts:
         raise ValueError("no reference objects")
-    return ciou_matrix(as_table(dets).corners, boxes_array(gts)).max(axis=1)
+    corners, gt_corners = as_table(dets).corners, boxes_array(gts)
+    if degenerate_rows(corners).any() or degenerate_rows(gt_corners).any():
+        raise ValueError("degenerate aspect ratio")
+    one = np.zeros(len(corners), dtype=np.intp)
+    return _best_ciou(corners, one, gt_corners, np.zeros(1, np.intp), np.array([len(gts)]))[0]
 
 
-def _top_mean(scores: np.ndarray, n_top: int) -> tuple[float, int]:
-    # Mean of the n_top best scores; fewer candidates average what exists.
-    if scores.size == 0:
-        return 0.0, 0
-    k = min(n_top, scores.size)
-    top = np.sort(scores)[::-1][:k]
-    return float(top.mean()), k
+def _instance_reports(
+    scores: np.ndarray, slices: np.ndarray, n_instances: int, n_top: int
+) -> list[ReliabilityReport]:
+    # One report per instance from its detections' best CIoU scores, where
+    # slices[i] = 2 * instance + (1 if thermal else 0) ascends, so that each
+    # (instance, modality) slice is one run of scores. Each modality
+    # averages its n_top best scores (all of them when fewer exist, 0.0
+    # when it has none). Slices of one length are sorted as the rows of one
+    # matrix, and .mean(axis=1) of contiguous descending rows is the same
+    # pairwise sum and division, bit for bit, as .mean() of each slice's
+    # descending top scores.
+    count = np.bincount(slices, minlength=2 * n_instances)
+    start = np.cumsum(count) - count
+    means = np.zeros(2 * n_instances)
+    for size in np.unique(count[count > 0]).tolist():
+        which = np.flatnonzero(count == size)
+        rows = -np.sort(-scores[start[which, None] + np.arange(size)], axis=1)
+        means[which] = rows[:, :n_top].mean(axis=1)
+    used = np.minimum(count, n_top).tolist()
+    reports = []
+    for r_v, r_t, k_v, k_t in zip(means[0::2].tolist(), means[1::2].tolist(), used[0::2], used[1::2]):
+        thermal_ref = r_t > r_v  # ties go to visible
+        reports.append(
+            ReliabilityReport(
+                r_v=r_v,
+                r_t=r_t,
+                reference_modality="ir" if thermal_ref else "vis",
+                n_used=k_t if thermal_ref else k_v,
+            )
+        )
+    return reports
 
 
 def reliability(
@@ -90,23 +159,84 @@ def _score_modalities(
     gt_boxes: Sequence[BBox],
     n_top: int,
 ) -> tuple[ReliabilityReport, np.ndarray]:
-    # The reliability report plus the reference modality's best-CIoU scores.
+    # The reliability report of one instance, plus the rows of the reference
+    # modality's top n_used detections in descending score order.
     if n_top < 1:
         raise ValueError(f"n_top must be >= 1, got {n_top}")
     if not gt_boxes:
         raise ValueError("no reference objects")
     scores_v = best_ciou_scores(vis_dets, gt_boxes)
     scores_t = best_ciou_scores(thermal_dets, gt_boxes)
-    r_v, k_v = _top_mean(scores_v, n_top)
-    r_t, k_t = _top_mean(scores_t, n_top)
-    thermal_ref = r_t > r_v
-    report = ReliabilityReport(
-        r_v=r_v,
-        r_t=r_t,
-        reference_modality="ir" if thermal_ref else "vis",
-        n_used=k_t if thermal_ref else k_v,
-    )
-    return report, scores_t if thermal_ref else scores_v
+    slices = np.repeat([0, 1], [len(scores_v), len(scores_t)])
+    (report,) = _instance_reports(np.concatenate([scores_v, scores_t]), slices, 1, n_top)
+    scores = scores_t if report.reference_modality == "ir" else scores_v
+    return report, np.argsort(-scores, kind="stable")[: report.n_used]
+
+
+def corpus_reliability(
+    dets: Sequence[Detection],
+    records: Sequence[FrameRecord],
+    n_top: int = DEFAULT_TOP_N,
+) -> list[tuple[str, str, Optional[ReliabilityReport]]]:
+    """Reliability of every (record, scale) instance of a corpus.
+
+    Each record with at least one non-ignored ground truth gives one entry
+    per scale, in record order and then ``SCALES`` order: (frame id, scale,
+    report), where the report is what ``reliability`` gives for the vis and
+    ir detections of that frame and scale against those ground truths, or
+    None when none of them overlaps a ground truth (IoU > 0). Detections of
+    frames without a record, and fused ones, are ignored. A box without an
+    aspect ratio raises only in an instance that is scored.
+
+    The whole corpus runs as one pass. One stable sort groups the rows by
+    frame, scale and modality; every same-record (detection, ground truth)
+    pair is listed with ``np.repeat`` and scored by one ``ciou_pairs``
+    call; ``reduceat`` takes each detection's best score and overlap test;
+    and the (instance, modality) slices of each length are sorted and
+    averaged as the rows of one matrix. Each report equals the one
+    ``reliability`` gives for its instance, bit for bit.
+    """
+    if n_top < 1:
+        raise ValueError(f"n_top must be >= 1, got {n_top}")
+    table = as_table(dets)
+    truths = [(r.frame_id, [g.box for g in r.gts if not g.ignore]) for r in records]
+    truths = [(frame_id, boxes) for frame_id, boxes in truths if boxes]
+    gt_count = np.array([len(boxes) for _, boxes in truths], dtype=np.intp)
+    gt_start = np.cumsum(gt_count) - gt_count
+    gt_corners = boxes_array([b for _, boxes in truths for b in boxes])
+    # Each record's vis and ir rows, by scale, then modality, then row; a
+    # frame without detections gets the empty code past the last frame.
+    n_frames = len(table.frame_ids)
+    lookup = {frame_id: i for i, frame_id in enumerate(table.frame_ids)}
+    code = np.array([lookup.get(frame_id, n_frames) for frame_id, _ in truths], dtype=np.intp)
+    key = (table.frame_codes * len(SCALES) + table.scale_codes) * len(MODALITIES)
+    key += table.modality_codes
+    rows = np.flatnonzero(table.modality_codes != MODALITIES.index("fused"))
+    rows = rows[np.argsort(key[rows], kind="stable")]
+    per_frame = np.bincount(table.frame_codes[rows], minlength=n_frames + 1)
+    frame_start = np.cumsum(per_frame) - per_frame
+    per_record = per_frame[code]
+    record = np.repeat(np.arange(len(truths)), per_record)
+    first = np.cumsum(per_record) - per_record
+    rows = rows[np.arange(len(record)) + np.repeat(frame_start[code] - first, per_record)]
+
+    corners = table.corners[rows]
+    scores, hits = _best_ciou(corners, record, gt_corners, gt_start, gt_count)
+    instance = record * len(SCALES) + table.scale_codes[rows]
+    scored = np.zeros(len(truths) * len(SCALES), dtype=bool)
+    scored[instance[hits]] = True
+    keep = scored[instance]
+    if len(truths):
+        flat_gts = np.logical_or.reduceat(degenerate_rows(gt_corners), gt_start)
+        if degenerate_rows(corners[keep]).any() or flat_gts[record[keep]].any():
+            raise ValueError("degenerate aspect ratio")
+    thermal = table.modality_codes[rows[keep]] == MODALITIES.index("ir")
+    reports = _instance_reports(scores[keep], 2 * instance[keep] + thermal, len(scored), n_top)
+    instances = [(frame_id, scale) for frame_id, _ in truths for scale in SCALES]
+    return [
+        (frame_id, scale, report if hit else None)
+        for (frame_id, scale), report, hit in zip(instances, reports, scored.tolist())
+    ]
 
 
 # Boxes per RoIAlign chunk are chosen so each gathered (boxes, samples,
@@ -308,12 +438,11 @@ def modality_alignment_loss(
     """
     if not (math.isfinite(stride) and stride > 0.0):
         raise ValueError(f"stride must be positive and finite, got {stride}")
-    report, scores = _score_modalities(vis_dets, thermal_dets, gt_boxes, n_top)
+    report, top = _score_modalities(vis_dets, thermal_dets, gt_boxes, n_top)
     reference = as_table(thermal_dets if report.reference_modality == "ir" else vis_dets)
     if not reference:
         raise ValueError("no reference detections")
-    order = np.argsort(-scores, kind="stable")[: report.n_used]
-    scaled = reference.corners[order] / stride
+    scaled = reference.corners[top] / stride
     m_v = relation_matrix(cosine_matrix(roi_align(vis_features, scaled)))
     m_t = relation_matrix(cosine_matrix(roi_align(thermal_features, scaled)))
     return report, kl_loss(report, m_v, m_t)

@@ -25,11 +25,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .balance import modality_alignment_loss, reliability, thermal_reliability_percentage
+from .balance import corpus_reliability, modality_alignment_loss, thermal_reliability_percentage
 from .containers import TENSORS_MAGIC, load_tensors, save_tensors
 from .evaluation import STANDARD_SETTINGS, SPLITS, evaluate_matrix
 from .fusion import FusionConfig, FusionWeights, fusion_forward
-from .geometry import SCALES, boxes_array, iou_matrix
+from .geometry import SCALES
 from .ingest import (
     RunConfig,
     attach_detections,
@@ -90,6 +90,18 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _load_pair(path: str) -> dict[str, np.ndarray]:
+    # The "vis" and "ir" maps of a tensor file; a missing or non-finite one
+    # raises naming the file and the tensor.
+    tensors = load_tensors(path, TENSORS_MAGIC)
+    for name in ("vis", "ir"):
+        if name not in tensors:
+            raise ValueError(f"{path}: missing tensor {name!r}")
+        if not np.isfinite(tensors[name]).all():
+            raise ValueError(f"{path}: tensor {name!r} has non-finite values")
+    return tensors
+
+
 def _cmd_fuse(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     dets = ingest_detections(args.detections)
@@ -121,10 +133,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 def _cmd_kl_loss(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
-    features = load_tensors(args.features, TENSORS_MAGIC)
-    for name in ("vis", "ir"):
-        if name not in features:
-            raise ValueError(f"{args.features}: missing tensor {name!r}")
+    features = _load_pair(args.features)
     dets = ingest_detections(args.detections)
     frames = [frame for frame, _ in dets.by_frame()]
     frame_id = args.frame_id
@@ -170,44 +179,24 @@ def _cmd_reliability(args: argparse.Namespace) -> int:
     manifest = load_manifest(args.manifest)
     records = manifest.load_records()
     dets = ingest_detections(args.detections)
-    groups, empty = dets.groups(), dets[:0]
-    reports = []
-    lines = []
-    for record in records:
-        gts = [g.box for g in record.gts if not g.ignore]
-        if not gts:
-            continue
-        gt_corners = boxes_array(gts)
-        for scale in SCALES:
-            vis = groups.get((record.frame_id, scale, "vis"), empty)
-            ir = groups.get((record.frame_id, scale, "ir"), empty)
-            det_corners = np.concatenate([vis.corners, ir.corners])
-            if not (iou_matrix(det_corners, gt_corners) > 0.0).any():
-                reports.append(None)
-                continue
-            report = reliability(vis, ir, gts, cfg.n_top)
-            reports.append(report)
-            lines.append(
-                f"{record.frame_id}\t{scale}\t{report.r_v!r}\t{report.r_t!r}\t"
-                f"{report.reference_modality}"
-            )
-    thermal = thermal_reliability_percentage(reports)
+    reports = corpus_reliability(dets, records, cfg.n_top)
+    lines = [
+        f"{frame_id}\t{scale}\t{report.r_v!r}\t{report.r_t!r}\t{report.reference_modality}"
+        for frame_id, scale, report in reports
+        if report is not None
+    ]
+    thermal = thermal_reliability_percentage(report for _, _, report in reports)
     lines.append(f"# thermal_percent = {thermal!r}")
     lines.append(f"# visible_percent = {100.0 - thermal!r}")
     _emit("\n".join(lines) + "\n", args.out)
     print(f"thermal reliability: {thermal:.2f}% over "
-          f"{sum(r is not None for r in reports)} valid instances")
+          f"{sum(report is not None for _, _, report in reports)} valid instances")
     return 0
 
 
 def _cmd_forward(args: argparse.Namespace) -> int:
     weights = FusionWeights.load(args.weights)
-    tensors = load_tensors(args.input, TENSORS_MAGIC)
-    for name in ("vis", "ir"):
-        if name not in tensors:
-            raise ValueError(f"{args.input}: missing tensor {name!r}")
-        if not np.isfinite(tensors[name]).all():
-            raise ValueError(f"{args.input}: tensor {name!r} has non-finite values")
+    tensors = _load_pair(args.input)
     fused_vis, fused_ir = fusion_forward(tensors["vis"], tensors["ir"], weights)
     save_tensors(args.out, {"vis": fused_vis, "ir": fused_ir}, TENSORS_MAGIC)
     print(f"wrote fused tensors {tuple(fused_vis.shape)} to {args.out}")

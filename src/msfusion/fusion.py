@@ -16,7 +16,6 @@ from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.special import erf
 
 from .containers import WEIGHTS_MAGIC, load_tensors, save_tensors
 
@@ -25,7 +24,13 @@ GRN_EPS = 1e-6
 
 
 def gelu(x: np.ndarray) -> np.ndarray:
-    """Exact Gaussian error linear unit."""
+    """Exact Gaussian error linear unit.
+
+    ``scipy.special`` is imported on the first call rather than with the
+    package: it is most of the import time, and only the forward pass needs it.
+    """
+    from scipy.special import erf
+
     x = np.asarray(x, dtype=np.float64)
     return 0.5 * x * (1.0 + erf(x / np.sqrt(2.0)))
 

@@ -7,12 +7,23 @@ over immutable inputs and are safe to call concurrently.
 
 Two forms of the pairwise measures exist. ``iou`` and ``ciou`` score one
 pair of ``BBox`` in pure Python. ``iou_matrix`` and ``ciou_matrix`` score
-every pair of two (N, 4) corner arrays in one numpy pass, and ``iou_pairs``
-scores matching rows of two (P, 4) arrays; the pairwise callers (NMS, pair
-fusion, matching, reliability) use them. ``iou_matrix`` and ``iou_pairs``
-repeat the operations of ``iou`` in the same order, so their entries equal
-``iou`` bit for bit; ``ciou_matrix`` differs from ``ciou`` only by the
+every pair of two (N, 4) corner arrays in one numpy pass; ``iou_pairs``
+scores matching rows of two (P, 4) arrays and ``ciou_pairs`` a list of
+(row, row) pairs of two corner arrays, so that the pairs of a whole corpus
+(each detection with the ground truths of its own frame) take one call.
+The pairwise callers (NMS, pair fusion, matching, reliability) use them.
+``iou_matrix`` and ``iou_pairs`` repeat the operations of ``iou`` in the
+same order, so their entries equal ``iou`` bit for bit; ``ciou_matrix`` and
+``ciou_pairs`` run one elementwise core, take the arctangent once per box,
+equal each other bit for bit, and differ from ``ciou`` only by the
 last-place rounding of numpy's arctangent.
+
+NMS runs many frames at once as a wavefront (``nms(..., per_frame=True)``):
+each round keeps the best live row of every frame and scores the frame's
+other live rows against it in one ``iou_pairs`` call, so the rounds number
+the most rows any one frame keeps, not the sum over frames. Once one frame
+is left, each round scores one ``iou_matrix`` row, as single-frame NMS
+always does.
 
 ``DetectionTable`` holds many detections as columns: the corners as an
 (N, 4) float64 array, the scores as a float64 array, and integer codes for
@@ -26,8 +37,9 @@ list API converts a list into a table once and runs the same array code.
 
 Ordering contract, kept by every array path: frames are visited in sorted
 frame-id order; NMS visits rows in a stable ``-score`` order and suppresses
-on IoU strictly above the threshold; pair fusion emits visible-major pairs
-with IoU ``>=`` its threshold, and hull ties keep the visible corner.
+on IoU strictly above the threshold, and per-frame NMS returns the frames
+in sorted frame-id order; pair fusion emits visible-major pairs with IoU
+``>=`` its threshold, and hull ties keep the visible corner.
 """
 
 from __future__ import annotations
@@ -143,6 +155,13 @@ def boxes_array(boxes: Iterable[BBox]) -> np.ndarray:
     return np.array(corners, dtype=np.float64).reshape(len(corners), 4)
 
 
+def _overlap(iw, ih, area_a, area_b) -> np.ndarray:
+    # IoU from the intersection sides and the two areas, in ``iou``'s order.
+    inter = np.where((iw > 0.0) & (ih > 0.0), iw * ih, 0.0)
+    union = area_a + area_b - inter
+    return np.divide(inter, union, out=np.zeros_like(inter), where=union > 0.0)
+
+
 def iou_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """IoU of matching rows of two corner arrays of shape (..., 4), with
     numpy broadcasting over the leading axes.
@@ -150,13 +169,12 @@ def iou_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     Each entry equals ``iou`` of its two boxes bit for bit: the same
     operations run in the same order, and an empty union gives 0.0.
     """
-    iw = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
-    ih = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
-    inter = np.where((iw > 0.0) & (ih > 0.0), iw * ih, 0.0)
-    area_a = (a[..., 2] - a[..., 0]) * (a[..., 3] - a[..., 1])
-    area_b = (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1])
-    union = area_a + area_b - inter
-    return np.divide(inter, union, out=np.zeros_like(inter), where=union > 0.0)
+    return _overlap(
+        np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0]),
+        np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1]),
+        (a[..., 2] - a[..., 0]) * (a[..., 3] - a[..., 1]),
+        (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1]),
+    )
 
 
 def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -208,34 +226,90 @@ def ciou(pred: BBox, gt: BBox) -> float:
     return overlap - rho2 / c2 - aspect_term
 
 
+def degenerate_rows(corners: np.ndarray) -> np.ndarray:
+    """Which rows of an (N, 4) corner array have zero width or height, and
+    so no aspect ratio for CIoU."""
+    return (corners[:, 2] - corners[:, 0] <= 0.0) | (corners[:, 3] - corners[:, 1] <= 0.0)
+
+
+def _ciou_columns(corners: np.ndarray) -> np.ndarray:
+    # The per-box terms of CIoU as the rows of one (8, N) array: the four
+    # corners, the area, the doubled centre (x_min + x_max, y_min + y_max)
+    # and the arctangent of the aspect ratio, computed once per box. A box
+    # with zero height gets a meaningless arctangent, without a warning.
+    x0, y0, x1, y1 = corners.T
+    w, h = x1 - x0, y1 - y0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.stack([x0, y0, x1, y1, w * h, x0 + x1, y0 + y1, np.arctan(w / h)])
+
+
+def _ciou_terms(p: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # IoU and CIoU of predicted and reference boxes given as ``_ciou_columns``
+    # rows of any two broadcastable shapes; the operations and their order
+    # are those of ``ciou``. Degenerate pairs give meaningless CIoU silently.
+    px0, py0, px1, py1, p_area, p_sx, p_sy, p_atan = p
+    gx0, gy0, gx1, gy1, g_area, _, _, g_atan = g
+    overlap = _overlap(
+        np.minimum(px1, gx1) - np.maximum(px0, gx0),
+        np.minimum(py1, gy1) - np.maximum(py0, gy0),
+        p_area,
+        g_area,
+    )
+    hull_w = np.maximum(px1, gx1) - np.minimum(px0, gx0)
+    hull_h = np.maximum(py1, gy1) - np.minimum(py0, gy0)
+    dx = (p_sx - gx0 - gx1) / 2.0
+    dy = (p_sy - gy0 - gy1) / 2.0
+    rho2 = dx * dx + dy * dy
+    c2 = hull_w * hull_w + hull_h * hull_h
+    v = (4.0 / math.pi**2) * (g_atan - p_atan) ** 2
+    aspect_term = np.divide(v * v, (1.0 - overlap) + v, out=np.zeros_like(v), where=v > 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return overlap, overlap - rho2 / c2 - aspect_term
+
+
+# Pairs per ciou_pairs chunk: the gathered columns and temporaries of a
+# chunk stay small enough for the allocator to reuse, instead of mapping
+# fresh pages for every array.
+_PAIR_CHUNK = 1 << 13
+
+
+def ciou_pairs(
+    pred: np.ndarray, gt: np.ndarray, pred_rows: np.ndarray, gt_rows: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """IoU and CIoU of the pairs (``pred[pred_rows[k]]``, ``gt[gt_rows[k]]``)
+    of two (N, 4) and (M, 4) corner arrays.
+
+    The per-box terms, arctangent included, are computed once per box and
+    gathered per pair as 1-D columns; the pair arithmetic is that of
+    ``ciou_matrix``, so entry k equals its entry for the same two boxes bit
+    for bit, and the IoU equals ``iou_pairs``. Boxes are not checked: a
+    pair with a zero-width or zero-height box gets a meaningless CIoU (its
+    IoU stays exact), so callers reject such boxes first (``degenerate_rows``).
+    """
+    p_columns, g_columns = _ciou_columns(pred), _ciou_columns(gt)
+    overlap, score = np.empty(len(pred_rows)), np.empty(len(pred_rows))
+    for start in range(0, len(pred_rows), _PAIR_CHUNK):
+        part = slice(start, start + _PAIR_CHUNK)
+        # np.take along axis 1 keeps each gathered column contiguous.
+        overlap[part], score[part] = _ciou_terms(
+            np.take(p_columns, pred_rows[part], axis=1),
+            np.take(g_columns, gt_rows[part], axis=1),
+        )
+    return overlap, score
+
+
 def ciou_matrix(pred: np.ndarray, gt: np.ndarray) -> np.ndarray:
     """CIoU of every predicted box (rows of ``pred``, (N, 4)) against every
     reference box (rows of ``gt``, (M, 4)), as an (N, M) matrix.
 
     The formula and operation order are those of ``ciou``; entries agree
-    with it to within the rounding of the arctangent (1e-15). Any box with
-    non-positive width or height raises, as ``ciou`` would for its pairs.
+    with it to within the rounding of the arctangent (1e-15), and equal
+    ``ciou_pairs`` bit for bit. Any box with non-positive width or height
+    raises, as ``ciou`` would for its pairs.
     """
-    w_p, h_p = pred[:, 2] - pred[:, 0], pred[:, 3] - pred[:, 1]
-    w_g, h_g = gt[:, 2] - gt[:, 0], gt[:, 3] - gt[:, 1]
-    if len(pred) and len(gt) and min(w_p.min(), h_p.min(), w_g.min(), h_g.min()) <= 0.0:
+    if len(pred) and len(gt) and (degenerate_rows(pred).any() or degenerate_rows(gt).any()):
         raise ValueError("degenerate aspect ratio")
-    overlap = iou_matrix(pred, gt)
-    hull_w = np.maximum(pred[:, None, 2], gt[None, :, 2]) - np.minimum(
-        pred[:, None, 0], gt[None, :, 0]
-    )
-    hull_h = np.maximum(pred[:, None, 3], gt[None, :, 3]) - np.minimum(
-        pred[:, None, 1], gt[None, :, 1]
-    )
-    dx = ((pred[:, 0] + pred[:, 2])[:, None] - gt[None, :, 0] - gt[None, :, 2]) / 2.0
-    dy = ((pred[:, 1] + pred[:, 3])[:, None] - gt[None, :, 1] - gt[None, :, 3]) / 2.0
-    rho2 = dx * dx + dy * dy
-    c2 = hull_w * hull_w + hull_h * hull_h
-    v = (4.0 / math.pi**2) * (
-        np.arctan(w_g / h_g)[None, :] - np.arctan(w_p / h_p)[:, None]
-    ) ** 2
-    aspect_term = np.divide(v * v, (1.0 - overlap) + v, out=np.zeros_like(v), where=v > 0.0)
-    return overlap - rho2 / c2 - aspect_term
+    return _ciou_terms(_ciou_columns(pred)[:, :, None], _ciou_columns(gt)[:, None, :])[1]
 
 
 def _invalid_corners(corners: np.ndarray) -> np.ndarray:
@@ -533,33 +607,63 @@ def as_table(dets: Iterable[Detection]) -> DetectionTable:
     return DetectionTable.from_detections(dets)
 
 
-def nms(dets: Sequence[Detection], iou_threshold: float = 0.45) -> Sequence[Detection]:
+def _segmented_nms(
+    corners: np.ndarray, scores: np.ndarray, segments: np.ndarray, iou_threshold: float
+) -> np.ndarray:
+    # Rows kept by greedy NMS run separately within every segment (rows of
+    # equal ``segments`` code), segments ascending, each in descending score
+    # order. The segments run as a wavefront: every round keeps the first
+    # live row of each segment and scores the segment's other live rows
+    # against it in one ``iou_pairs`` call, so there are as many rounds as
+    # the largest segment keeps rows. Once one segment is left, each round
+    # scores one ``iou_matrix`` row, the single-segment walk.
+    alive = np.lexsort((-scores, segments))  # stable: ties keep row order
+    kept = []
+    while alive.size and segments[alive[0]] != segments[alive[-1]]:
+        segment = segments[alive]
+        head = np.empty(alive.size, dtype=bool)
+        head[0] = True
+        np.not_equal(segment[1:], segment[:-1], out=head[1:])
+        heads = alive[head]
+        kept.append(heads)
+        owner = heads[np.cumsum(head)[~head] - 1]
+        alive = alive[~head]
+        if alive.size:
+            alive = alive[~(iou_pairs(corners[owner], corners[alive]) > iou_threshold)]
+    walk = []
+    while alive.size:
+        first, rest = alive[0], alive[1:]
+        walk.append(first)
+        if not rest.size:
+            break
+        overlap = iou_matrix(corners[first : first + 1], corners[rest])[0]
+        alive = rest[~(overlap > iou_threshold)]
+    kept = np.concatenate([*kept, np.array(walk, dtype=np.intp)])
+    return kept[np.argsort(segments[kept], kind="stable")]
+
+
+def nms(
+    dets: Sequence[Detection], iou_threshold: float = 0.45, per_frame: bool = False
+) -> Sequence[Detection]:
     """Greedy class-agnostic non-maximum suppression.
 
     Detections are visited in descending score order (ties keep the input
     order); a detection is suppressed when its IoU with an already kept,
     higher-scoring detection strictly exceeds ``iou_threshold``. The result
     is sorted by descending score and rerunning on its own output is the
-    identity. A table gives a table; any other sequence gives a list of
-    its own detection objects.
+    identity. With ``per_frame`` every frame is suppressed on its own and
+    the result holds the frames in sorted frame-id order. A table gives a
+    table; any other sequence gives a list of its own detection objects.
 
-    Each kept box scores the boxes still alive after it with one IoU row,
-    so memory stays O(n); no n x n matrix is built.
+    All frames run together as a wavefront (``_segmented_nms``), one IoU
+    call per round; a single frame scores one IoU row per kept box, so
+    memory stays O(n) and no n x n matrix is built.
     """
     if not 0.0 <= iou_threshold <= 1.0:
         raise ValueError(f"iou_threshold must be in [0, 1], got {iou_threshold}")
     table = as_table(dets)
-    corners = table.corners
-    alive = np.argsort(-table.scores, kind="stable")
-    kept: list[int] = []
-    while alive.size:
-        first, rest = alive[0], alive[1:]
-        kept.append(first)
-        if not rest.size:
-            break
-        overlap = iou_matrix(corners[first : first + 1], corners[rest])[0]
-        alive = rest[~(overlap > iou_threshold)]
-    index = np.array(kept, dtype=np.intp)
+    segments = table.frame_codes if per_frame else np.zeros(len(table), dtype=np.intp)
+    index = _segmented_nms(table.corners, table.scores, segments, iou_threshold)
     if isinstance(dets, DetectionTable):
         return dets.take(index)
     return [dets[i] for i in index.tolist()]

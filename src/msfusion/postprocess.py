@@ -10,7 +10,8 @@ Both public functions run on ``DetectionTable`` columns. Pair fusion lists
 the same-frame visible x thermal pairs of every frame at once, scores them
 with one ``iou_pairs`` call, and builds the hulls and confidences
 elementwise; they equal ``convex_hull`` and the scalar mean exactly. NMS
-runs per frame on row selections of one table. Given tables, both
+runs every frame of one table at once (``nms(..., per_frame=True)``, a
+wavefront of one IoU call per round). Given tables, both
 functions return tables and build no ``Detection`` object; given lists,
 they convert them once, run the same array code, and return
 ``FusedDetection`` and ``Detection`` lists.
@@ -157,11 +158,6 @@ def fuse_scale(
     ]
 
 
-def _nms_per_frame(dets: DetectionTable, threshold: float) -> DetectionTable:
-    kept = [nms(dets.take(rows), threshold) for _, rows in dets.by_frame()]
-    return DetectionTable.concat(kept) if kept else dets
-
-
 def run_strategy(
     vis: Sequence[Detection],
     ir: Sequence[Detection],
@@ -177,19 +173,21 @@ def run_strategy(
     """
     table_v, table_t = as_table(vis), as_table(ir)
     if cfg.strategy == "vis":
-        kept = _nms_per_frame(table_v, cfg.nms_threshold)
+        kept = nms(table_v, cfg.nms_threshold, per_frame=True)
     elif cfg.strategy == "ir":
-        kept = _nms_per_frame(table_t, cfg.nms_threshold)
+        kept = nms(table_t, cfg.nms_threshold, per_frame=True)
     elif cfg.strategy == "both":
-        kept = _nms_per_frame(DetectionTable.concat([table_v, table_t]), cfg.nms_threshold)
+        kept = nms(DetectionTable.concat([table_v, table_t]), cfg.nms_threshold, per_frame=True)
     else:  # algo1: scales in sorted name order, as the pooled order
         codes = set(table_v.scale_codes.tolist()) | set(table_t.scale_codes.tolist())
         pooled = [
             fuse_scale(table_v.subset(scale_id=scale), table_t.subset(scale_id=scale), cfg)
             for scale in sorted(SCALES[c] for c in codes)
         ]
-        kept = _nms_per_frame(
-            DetectionTable.concat(pooled) if pooled else table_v[:0], cfg.nms_threshold
+        kept = nms(
+            DetectionTable.concat(pooled) if pooled else table_v[:0],
+            cfg.nms_threshold,
+            per_frame=True,
         )
     kept = kept.with_strategy(cfg.strategy)
     if isinstance(vis, DetectionTable) and isinstance(ir, DetectionTable):

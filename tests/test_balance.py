@@ -12,6 +12,7 @@ from msfusion.balance import (
     ReliabilityReport,
     RoiFeature,
     best_ciou_scores,
+    corpus_reliability,
     cosine_matrix,
     kl_loss,
     kl_rowwise,
@@ -22,7 +23,8 @@ from msfusion.balance import (
     thermal_reliability_percentage,
     total_loss,
 )
-from msfusion.geometry import BBox, Detection, DetectionTable, boxes_array, ciou
+from msfusion.evaluation import FrameRecord, GroundTruthBox
+from msfusion.geometry import SCALES, BBox, Detection, DetectionTable, boxes_array, ciou, ciou_matrix
 from oracles import alignment_loss_ref, kl_ref, relation_ref, roi_ref, supersampled_roi
 
 RNG = np.random.default_rng
@@ -107,6 +109,49 @@ class TestReliability:
         # adding a perfect detection cannot decrease the reliability
         better = vis + [det(BBox(5, 5, 25, 45), 0.5, "vis")]
         assert reliability(better, [], gts, n_top=4).r_v >= base.r_v - 1e-12
+
+
+class TestCorpusReliability:
+    @staticmethod
+    def _sorted_slice_mean(dets, gts, n_top):
+        # Each modality as the per-instance code scored it: ciou_matrix row
+        # maxima, then the mean of the descending top slice.
+        if not dets:
+            return 0.0
+        scores = ciou_matrix(boxes_array([d.box for d in dets]), boxes_array(gts)).max(axis=1)
+        return float(np.sort(scores)[::-1][: min(n_top, scores.size)].mean())
+
+    @pytest.mark.parametrize("n_top", [1, 7, 128, 300])
+    def test_long_slices_match_the_sorted_slice_means_bitwise(self, n_top):
+        # Slices of up to 150 scores, so numpy's pairwise summation blocks
+        # (8 and 128 values) are all exercised.
+        rng = RNG(17)
+        dets, records = [], []
+        for f in range(5):
+            frame = f"{f:06d}"
+            gts = [BBox(10 * g, 5, 10 * g + 30, 70) for g in range(1 + f % 3)]
+            records.append(FrameRecord(frame, "day", [GroundTruthBox(b) for b in gts]))
+            for scale in ("s80", "s40", "s20"):
+                for modality in ("vis", "ir"):
+                    dets += [det(d.box, d.score, modality, frame, scale)
+                             for d in random_dets(rng, int(rng.integers(0, 150)), modality)]
+        rng.shuffle(dets)
+        got = corpus_reliability(DetectionTable.from_detections(dets), records, n_top)
+        assert [(f, s) for f, s, _ in got] == [(r.frame_id, s) for r in records for s in SCALES]
+        for frame_id, scale, report in got:
+            gts = [g.box for g in records[int(frame_id)].gts]
+            for modality, value in (("vis", report.r_v), ("ir", report.r_t)):
+                same = [d for d in dets if (d.frame_id, d.scale_id, d.modality) == (frame_id, scale, modality)]
+                assert value == self._sorted_slice_mean(same, gts, n_top)
+
+    def test_empty_corpus_and_empty_table(self):
+        assert corpus_reliability([], [], 5) == []
+        record = FrameRecord("f0", "day", [GroundTruthBox(BBox(0, 0, 4, 4))])
+        assert corpus_reliability([], [record], 5) == [("f0", s, None) for s in SCALES]
+
+    def test_n_top_checked(self):
+        with pytest.raises(ValueError, match="n_top must be >= 1"):
+            corpus_reliability([], [], 0)
 
 
 class TestRoiAlign:

@@ -379,6 +379,36 @@ class TestKlLoss:
         assert code == 1
         assert "--frame-id" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ["vis", "ir"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("pixel", [(0, 0, 7, 7), (0, 0, 2, 2)], ids=["outside", "inside"])
+    def test_non_finite_feature_map_fails_naming_file_and_tensor(
+        self, tmp_path, capsys, name, bad, pixel
+    ):
+        # Pixel (7, 7) lies outside the RoI at stride 8 and used to pass
+        # silently; pixel (2, 2) lies inside it and failed naming neither.
+        features = tmp_path / "feat.sftn"
+        maps = {"vis": np.ones((1, 1, 8, 8)), "ir": np.ones((1, 1, 8, 8))}
+        maps[name][pixel] = bad
+        save_tensors(features, maps, TENSORS_MAGIC)
+        det_file = tmp_path / "dets.txt"
+        det_file.write_text("f1 vis s80 8 8 24 40 0.9\nf1 ir s80 8 8 24 40 0.8\n", "utf-8")
+        ann = tmp_path / "f1.txt"
+        write_annotation(ann, ["person 8 8 16 32 0"])
+        args = ["kl-loss", "--features", str(features), "--detections", str(det_file)]
+        with np.errstate(all="raise"):
+            code = main(args + ["--annotations", str(ann)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert str(features) in err and repr(name) in err and "non-finite" in err
+
+    def test_missing_feature_tensor_names_file_and_tensor(self, tmp_path, capsys):
+        features = tmp_path / "feat.sftn"
+        save_tensors(features, {"vis": np.ones((1, 1, 8, 8))}, TENSORS_MAGIC)
+        args = ["kl-loss", "--features", str(features), "--detections", str(tmp_path / "d.txt")]
+        assert main(args + ["--annotations", str(tmp_path / "a.txt")]) == 1
+        assert f"{features}: missing tensor 'ir'" in capsys.readouterr().err
+
 
 class TestReliabilityCommand:
     def test_percentage_over_corpus(self, corpus, capsys):
@@ -418,6 +448,142 @@ class TestReliabilityCommand:
         )
         assert code == 1
         assert "no valid instances" in capsys.readouterr().err
+
+    # Edge cases of the corpus scan: instances are (manifest frame, scale)
+    # pairs in manifest order, and only instances whose detections overlap a
+    # non-ignored ground truth are scored.
+
+    def _run(self, corpus, capsys, lines, frames=None):
+        if frames is not None:
+            write_manifest(corpus / "manifest.json", frames)
+        dets = corpus / "rel_dets.txt"
+        dets.write_text("".join(line + "\n" for line in lines), "utf-8")
+        out = corpus / "rel.tsv"
+        args = ["reliability", "--detections", str(dets), "--manifest", str(corpus / "manifest.json")]
+        code = main(args + ["--out", str(out)])
+        rows = out.read_text("utf-8").splitlines() if code == 0 else []
+        return code, [r.split("\t")[:2] for r in rows if not r.startswith("#")], capsys.readouterr()
+
+    def test_zero_width_detection_in_unscored_instance_is_skipped(self, corpus, capsys):
+        code, rows, _ = self._run(
+            corpus, capsys,
+            ["000001 vis s80 12 12 40 95 0.9", "000001 vis s40 200 200 200 240 0.9"],
+        )
+        assert code == 0
+        assert rows == [["000001", "s80"]]
+
+    def test_zero_width_detection_in_scored_instance_fails(self, corpus, capsys):
+        code, _, captured = self._run(
+            corpus, capsys,
+            ["000001 vis s80 12 12 40 95 0.9", "000001 ir s80 200 200 200 240 0.9"],
+        )
+        assert code == 1
+        assert "degenerate aspect ratio" in captured.err
+
+    def test_frames_absent_from_the_manifest_are_ignored(self, corpus, capsys):
+        base = ["000001 vis s80 12 12 40 95 0.9", "000001 ir s80 10 10 40 100 0.8"]
+        code, rows, _ = self._run(corpus, capsys, base)
+        expected = (corpus / "rel.tsv").read_text("utf-8")
+        stray = ["999999 vis s80 10 10 40 100 0.9", "000000 ir s40 10 10 40 100 0.9"]
+        code_stray, rows_stray, _ = self._run(corpus, capsys, stray + base + stray)
+        assert code == code_stray == 0 and rows == rows_stray == [["000001", "s80"]]
+        assert (corpus / "rel.tsv").read_text("utf-8") == expected
+
+    def test_all_ignored_ground_truths_yield_no_row(self, corpus, capsys):
+        write_annotation(corpus / "ann" / "000002.txt", ["people 50 20 30 90 0"])
+        code, rows, captured = self._run(
+            corpus, capsys,
+            ["000001 vis s80 12 12 40 95 0.9", "000002 vis s80 50 20 80 110 0.9"],
+        )
+        assert code == 0
+        assert rows == [["000001", "s80"]]
+        assert "1 valid instances" in captured.out
+
+    def test_rows_follow_manifest_order(self, corpus, capsys):
+        frames = [
+            {"frame_id": "000002", "time_of_day": "night", "annotations": "ann/000002.txt"},
+            {"frame_id": "000001", "time_of_day": "day", "annotations": "ann/000001.txt"},
+        ]
+        code, rows, _ = self._run(
+            corpus, capsys,
+            ["000001 vis s20 12 12 40 95 0.9", "000001 ir s80 10 10 40 100 0.9",
+             "000002 vis s40 55 25 80 105 0.9"],
+            frames,
+        )
+        assert code == 0
+        assert rows == [["000002", "s40"], ["000001", "s80"], ["000001", "s20"]]
+
+
+def _multi_frame_dump(path, frames=12, per_frame=14, seed=8):
+    # Overlapping boxes in every frame, modality and scale: NMS keeps a few
+    # per frame and suppresses the rest.
+    rng = np.random.default_rng(seed)
+    lines = []
+    for f in range(frames):
+        for modality in ("vis", "ir"):
+            for scale in SCALES:
+                for _ in range(per_frame):
+                    x0, y0 = rng.uniform(0, 80, 2).tolist()
+                    w, h = rng.uniform(15, 40, 2).tolist()
+                    score = float(rng.uniform(0.1, 1.0))
+                    lines.append(f"{f:06d} {modality} {scale} {x0!r} {y0!r} "
+                                 f"{x0 + w!r} {y0 + h!r} {score!r}")
+    path.write_text("\n".join(lines) + "\n", "utf-8")
+
+
+class TestKernelCalls:
+    """The per-corpus workflows run their pair kernels once per corpus (or
+    once per NMS round), not once per frame."""
+
+    def test_reliability_scores_the_corpus_with_one_ciou_call(self, tmp_path, monkeypatch):
+        from msfusion import balance
+
+        dets = tmp_path / "dets.txt"
+        _multi_frame_dump(dets)
+        (tmp_path / "ann").mkdir()
+        frames = []
+        for f in range(12):
+            write_annotation(tmp_path / "ann" / f"{f:06d}.txt",
+                             ["person 20 20 30 40 0", "person 60 30 25 45 0"])
+            frames.append({"frame_id": f"{f:06d}", "time_of_day": "day",
+                           "annotations": f"ann/{f:06d}.txt"})
+        write_manifest(tmp_path / "manifest.json", frames)
+        calls = []
+        for kernel in ("ciou_matrix", "ciou_pairs"):
+            original = getattr(balance, kernel, None)
+            if original is not None:
+                def counting(*args, _original=original, **kwargs):
+                    calls.append(len(args[0]))
+                    return _original(*args, **kwargs)
+
+                monkeypatch.setattr(balance, kernel, counting)
+        out = tmp_path / "rel.tsv"
+        args = ["reliability", "--detections", str(dets), "--manifest", str(tmp_path / "manifest.json")]
+        assert main(args + ["--out", str(out)]) == 0
+        rows = [l for l in out.read_text("utf-8").splitlines() if not l.startswith("#")]
+        assert len(rows) == 12 * len(SCALES)
+        assert len(calls) == 1
+
+    def test_nms_runs_one_iou_call_per_round_across_frames(self, tmp_path, monkeypatch):
+        from msfusion import geometry
+
+        dets = tmp_path / "dets.txt"
+        _multi_frame_dump(dets)
+        calls = []
+        original = geometry.iou_pairs
+
+        def counting(a, b):
+            calls.append(a.shape)
+            return original(a, b)
+
+        monkeypatch.setattr(geometry, "iou_pairs", counting)
+        out = tmp_path / "kept.txt"
+        assert main(["fuse", "--detections", str(dets), "--strategy", "vis", "--out", str(out)]) == 0
+        monkeypatch.undo()
+        kept = [frame for frame, _ in ingest_detections(out).by_frame()]
+        per_frame = [len(ingest_detections(out).subset(frame_id=f)) for f in kept]
+        assert len(per_frame) == 12 and min(per_frame) > 1
+        assert max(per_frame) - 1 <= len(calls) <= max(per_frame) < sum(per_frame)
 
 
 class TestExitCodes:

@@ -1,5 +1,10 @@
 """Fusion block forward pass: per-op oracles, degenerate forms, determinism."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -745,6 +750,23 @@ class TestActivations:
     def test_gelu_matches_reference(self):
         x = np.linspace(-4, 4, 101)
         np.testing.assert_allclose(gelu(x), gelu_ref(x), atol=1e-12)
+
+    def test_gelu_is_exactly_scipy_erf(self):
+        from scipy.special import erf
+
+        x = np.concatenate([np.linspace(-8, 8, 1001), [0.0, -0.0, 1e-300, -1e-300, 40.0]])
+        expected = 0.5 * x * (1.0 + erf(x / np.sqrt(2.0)))
+        assert gelu(x).tobytes() == expected.tobytes()
+
+    def test_package_import_leaves_scipy_unloaded(self):
+        # scipy.special is most of the import time and only gelu needs it.
+        src = Path(fusion_module.__file__).resolve().parents[1]
+        code = "import sys, msfusion, msfusion.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "[]"
 
     def test_softmax_rows(self):
         x = RNG(70).standard_normal((5, 7))

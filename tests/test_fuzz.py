@@ -1,6 +1,7 @@
 """Boundary parsers under fuzzed input: each call either parses or raises a
 ValueError. Any other exception (KeyError, TypeError, IndexError, ...) is a
-missing check at the boundary."""
+missing check at the boundary. Also differential tests of the columnar and
+corpus kernels against the per-line and per-segment code they batch."""
 
 import json
 
@@ -10,7 +11,18 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from msfusion import ingest
+from msfusion.balance import ReliabilityReport, corpus_reliability, reliability
 from msfusion.containers import TENSORS_MAGIC, load_tensors, save_tensors
+from msfusion.evaluation import FrameRecord, GroundTruthBox
+from msfusion.geometry import (
+    BBox,
+    Detection,
+    DetectionTable,
+    boxes_array,
+    ciou_matrix,
+    iou_matrix,
+    nms,
+)
 from msfusion.ingest import (
     ingest_detections,
     load_config,
@@ -19,6 +31,7 @@ from msfusion.ingest import (
     parse_detection_line,
     run_config_from_mapping,
 )
+from oracles import nms_ref
 
 FILE_FIXTURE = settings(
     max_examples=75, suppress_health_check=[HealthCheck.function_scoped_fixture]
@@ -210,3 +223,116 @@ def test_load_tensors_arbitrary_bytes(tmp_path, magic, body):
     path = tmp_path / "t.bin"
     path.write_bytes(magic + body)
     parses_or_raises_value_error(load_tensors, path)
+
+
+# Differential tests of the corpus kernels against their per-segment loops.
+# Boxes come from a few shapes whose pairwise IoUs include exactly 1/2 and
+# 1/3, scores from a few values so ties are common, and frame ids include
+# ones that differ only by trailing NULs.
+SHAPES = [(0, 0, 10, 10), (0, 0, 10, 5), (5, 0, 15, 10), (0, 5, 10, 10), (0, 0, 5, 10),
+          (20, 20, 30, 40), (2, 1, 9, 12)]
+FRAME_IDS = ["a", "a\x00", "a\x00\x00", "b", "000001"]
+corpus_boxes = st.one_of(
+    st.sampled_from(SHAPES),
+    st.tuples(st.integers(0, 20), st.integers(0, 20), st.integers(1, 12), st.integers(1, 12))
+    .map(lambda t: (t[0], t[1], t[0] + t[2], t[1] + t[3])),
+)
+corpus_dets = st.lists(
+    st.tuples(
+        st.sampled_from(FRAME_IDS + ["absent"]),
+        st.sampled_from(["vis", "ir", "fused"]),
+        st.sampled_from(["s80", "s40", "s20"]),
+        corpus_boxes,
+        st.sampled_from([0.5, 0.7, 0.9, 1.0]),
+    ).map(lambda t: Detection(BBox(*t[3]), t[4], t[1], t[2], t[0])),
+    max_size=30,
+)
+
+
+def _old_reliability(vis, ir, gts, n_top):
+    # Reference arithmetic for one instance: a ciou_matrix row maximum per
+    # detection and the .mean() of each modality's sorted top slice.
+    def top_mean(dets):
+        if not dets:
+            return 0.0, 0
+        scores = ciou_matrix(boxes_array(d.box for d in dets), boxes_array(gts)).max(axis=1)
+        k = min(n_top, scores.size)
+        return float(np.sort(scores)[::-1][:k].mean()), k
+
+    (r_v, k_v), (r_t, k_t) = top_mean(vis), top_mean(ir)
+    return ReliabilityReport(r_v, r_t, "ir" if r_t > r_v else "vis", k_t if r_t > r_v else k_v)
+
+
+def _reliability_loop(dets, records, n_top, score):
+    # Reference loop over instances in record order, then scale order; an
+    # instance whose detections overlap no ground truth (IoU > 0) is None.
+    out = []
+    for record in records:
+        gts = [g.box for g in record.gts if not g.ignore]
+        if not gts:
+            continue
+        for scale in ("s80", "s40", "s20"):
+            vis = [d for d in dets if (d.frame_id, d.scale_id, d.modality) == (record.frame_id, scale, "vis")]
+            ir = [d for d in dets if (d.frame_id, d.scale_id, d.modality) == (record.frame_id, scale, "ir")]
+            corners = boxes_array([d.box for d in vis + ir])
+            if not (iou_matrix(corners, boxes_array(gts)) > 0.0).any():
+                out.append((record.frame_id, scale, None))
+            else:
+                out.append((record.frame_id, scale, score(vis, ir, gts, n_top)))
+    return out
+
+
+def _outcome(call, *args):
+    try:
+        return call(*args)
+    except ValueError as err:
+        return f"ValueError: {err}"
+
+
+@given(
+    corpus_dets,
+    st.lists(
+        st.tuples(
+            st.lists(st.tuples(corpus_boxes, st.booleans()), max_size=3),
+            st.sampled_from(["day", "night"]),
+        ),
+        max_size=len(FRAME_IDS),
+    ),
+    st.permutations(FRAME_IDS),
+    st.sampled_from([1, 2, 3, 300]),
+    st.booleans(),
+)
+@settings(max_examples=150, deadline=None)
+def test_corpus_reliability_matches_the_per_instance_loop(dets, frames, ids, n_top, flat):
+    if flat and dets:  # a zero-width box: skipped unless its instance is scored
+        d = dets[0]
+        dets[0] = Detection(BBox(d.box.x_min, d.box.y_min, d.box.x_min, d.box.y_max),
+                            d.score, d.modality, d.scale_id, d.frame_id)
+    records = [
+        FrameRecord(frame_id, tod, [GroundTruthBox(BBox(*b), "none", ignore) for b, ignore in gts])
+        for frame_id, (gts, tod) in zip(ids, frames)
+    ]
+    got = _outcome(corpus_reliability, DetectionTable.from_detections(dets), records, n_top)
+    assert got == _outcome(_reliability_loop, dets, records, n_top, reliability)
+    assert got == _outcome(_reliability_loop, dets, records, n_top, _old_reliability)
+    if not isinstance(got, str):  # the kernel takes a list as well as a table
+        assert got == corpus_reliability(dets, records, n_top)
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(FRAME_IDS), corpus_boxes, st.sampled_from([0.5, 0.7, 0.9])
+        ).map(lambda t: Detection(BBox(*t[1]), t[2], "vis", "s80", t[0])),
+        max_size=30,
+    ),
+    st.sampled_from([0.0, 1.0 / 3.0, 0.45, 0.5, 1.0]),
+)
+@settings(max_examples=200, deadline=None)
+def test_per_frame_nms_matches_nms_ref_frame_by_frame(dets, threshold):
+    expected = []
+    for frame in sorted({d.frame_id for d in dets}):
+        expected += nms_ref([d for d in dets if d.frame_id == frame], threshold)
+    kept = nms(dets, threshold, per_frame=True)
+    assert [id(d) for d in kept] == [id(d) for d in expected]
+    assert nms(DetectionTable.from_detections(dets), threshold, per_frame=True) == expected

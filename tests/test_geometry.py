@@ -15,7 +15,9 @@ from msfusion.geometry import (
     boxes_array,
     ciou,
     ciou_matrix,
+    ciou_pairs,
     convex_hull,
+    degenerate_rows,
     iou,
     iou_matrix,
     iou_pairs,
@@ -169,6 +171,37 @@ class TestMatrixKernels:
             for j, q in enumerate(gt):
                 assert abs(got[i, j] - ciou(p, q)) <= 1e-15
 
+    @given(st.lists(boxes(min_size=0.5), max_size=6), st.lists(boxes(min_size=0.5), max_size=6))
+    @settings(max_examples=200)
+    def test_ciou_pairs_equal_the_matrix_kernels_bitwise(self, pred, gt):
+        p, g = boxes_array(pred), boxes_array(gt)
+        rows = np.repeat(np.arange(len(pred)), len(gt))
+        cols = np.tile(np.arange(len(gt)), len(pred))
+        overlap, score = ciou_pairs(p, g, rows, cols)
+        assert overlap.tobytes() == iou_matrix(p, g).tobytes()
+        assert score.tobytes() == ciou_matrix(p, g).tobytes()
+        # Any pair order, repeats included, gives the same entries.
+        order = np.random.default_rng(len(rows)).permutation(np.repeat(np.arange(len(rows)), 2))
+        _, shuffled = ciou_pairs(p, g, rows[order], cols[order])
+        assert shuffled.tobytes() == score[order].tobytes()
+
+    def test_ciou_pairs_chunks_do_not_change_the_result(self, monkeypatch):
+        rng = np.random.default_rng(14)
+        corners = rng.uniform(0, 50, (40, 2))
+        corners = np.hstack([corners, corners + rng.uniform(1, 30, (40, 2))])
+        rows, cols = rng.integers(0, 40, 300), rng.integers(0, 40, 300)
+        whole = ciou_pairs(corners, corners, rows, cols)
+        monkeypatch.setattr(geometry, "_PAIR_CHUNK", 7)
+        for got, expected in zip(ciou_pairs(corners, corners, rows, cols), whole):
+            assert got.tobytes() == expected.tobytes()
+
+    def test_ciou_pairs_leave_degenerate_boxes_to_the_caller(self):
+        corners = boxes_array([box(0, 0, 2, 2), box(1, 1, 1, 3), box(0, 0, 0, 0)])
+        np.testing.assert_array_equal(degenerate_rows(corners), [False, True, True])
+        with np.errstate(all="raise"):
+            overlap, _ = ciou_pairs(corners, corners, np.arange(3), np.zeros(3, dtype=int))
+        assert overlap.tolist() == [1.0, 0.0, 0.0]
+
     def test_ciou_matrix_identical_boxes_score_one(self):
         corners = boxes_array([box(0, 0, 4, 4), box(1, 2, 7, 3)])
         np.testing.assert_array_equal(np.diag(ciou_matrix(corners, corners)), [1.0, 1.0])
@@ -272,6 +305,24 @@ class TestNMS:
             dets.append(det(x0, y0, x0 + w, y0 + h, float(rng.uniform(0, 1))))
         kept = nms(dets, 0.3)
         assert rows and set(rows) == {1} and len(rows) <= len(kept)
+
+    def test_per_frame_runs_each_frame_alone_in_sorted_frame_order(self):
+        rng = np.random.default_rng(15)
+        dets = []
+        for frame in ("b", "a\x00", "a", "c"):
+            for _ in range(12):
+                x0, y0 = rng.uniform(0, 30, 2)
+                w, h = rng.uniform(5, 20, 2)
+                dets.append(Detection(BBox(x0, y0, x0 + w, y0 + h), 0.5, "vis", "s80", frame))
+        rng.shuffle(dets)
+        kept = nms(dets, 0.3, per_frame=True)
+        expected = []
+        for frame in ("a", "a\x00", "b", "c"):
+            expected += nms_ref([d for d in dets if d.frame_id == frame], 0.3)
+        assert [id(d) for d in kept] == [id(d) for d in expected]
+        table = nms(DetectionTable.from_detections(dets), 0.3, per_frame=True)
+        assert isinstance(table, DetectionTable) and table == expected
+        assert nms([], 0.3, per_frame=True) == []
 
     def test_idempotent_and_subset(self):
         rng = np.random.default_rng(10)
