@@ -10,9 +10,11 @@ every (detection, ground truth) pair of the same frame, scores them with
 one ``geometry.ciou_pairs`` call, takes each detection's best score and
 overlap test with ``reduceat``, and averages the top scores of all
 (instance, modality) slices of one length as the rows of one sorted
-matrix. ``best_ciou_scores`` and ``reliability`` are its one-frame,
-one-instance case, on the same code, so every report is bit for bit the
-one the per-instance arithmetic (a sorted slice's ``.mean()``) gives.
+matrix. ``reliability`` scores one instance with ``best_ciou_scores``
+(the row maxima of one ``ciou_matrix``, which runs the elementwise core of
+``ciou_pairs`` and equals it bit for bit) and averages through the same
+top-n step, so every report is bit for bit the one the per-instance
+arithmetic (a sorted slice's ``.mean()``) gives.
 Instances come in record order, then ``SCALES`` order; ties ``r_t == r_v``
 go to visible.
 
@@ -39,6 +41,7 @@ from .geometry import (
     as_table,
     boxes_array,
     check_corners,
+    ciou_matrix,
     ciou_pairs,
     degenerate_rows,
 )
@@ -92,17 +95,13 @@ def _best_ciou(
 
 
 def best_ciou_scores(dets: Sequence[Detection], gts: Sequence[BBox]) -> np.ndarray:
-    """Best CIoU of each detection against any ground-truth box: the
-    one-segment case of the corpus kernel behind ``corpus_reliability``."""
+    """Best CIoU of each detection against any ground-truth box: the row
+    maxima of one ``ciou_matrix``."""
     if not dets:
         return np.empty(0, dtype=np.float64)
     if not gts:
         raise ValueError("no reference objects")
-    corners, gt_corners = as_table(dets).corners, boxes_array(gts)
-    if degenerate_rows(corners).any() or degenerate_rows(gt_corners).any():
-        raise ValueError("degenerate aspect ratio")
-    one = np.zeros(len(corners), dtype=np.intp)
-    return _best_ciou(corners, one, gt_corners, np.zeros(1, np.intp), np.array([len(gts)]))[0]
+    return ciou_matrix(as_table(dets).corners, boxes_array(gts)).max(axis=1)
 
 
 def _instance_reports(
@@ -125,7 +124,8 @@ def _instance_reports(
         means[which] = rows[:, :n_top].mean(axis=1)
     used = np.minimum(count, n_top).tolist()
     reports = []
-    for r_v, r_t, k_v, k_t in zip(means[0::2].tolist(), means[1::2].tolist(), used[0::2], used[1::2]):
+    r_v_all, r_t_all = means[0::2].tolist(), means[1::2].tolist()
+    for r_v, r_t, k_v, k_t in zip(r_v_all, r_t_all, used[0::2], used[1::2]):
         thermal_ref = r_t > r_v  # ties go to visible
         reports.append(
             ReliabilityReport(

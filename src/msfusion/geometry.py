@@ -18,8 +18,8 @@ same order, so their entries equal ``iou`` bit for bit; ``ciou_matrix`` and
 equal each other bit for bit, and differ from ``ciou`` only by the
 last-place rounding of numpy's arctangent.
 
-NMS runs many frames at once as a wavefront (``nms(..., per_frame=True)``):
-each round keeps the best live row of every frame and scores the frame's
+NMS suppresses each frame on its own and runs all frames at once as a
+wavefront: each round keeps the best live row of every frame and scores the frame's
 other live rows against it in one ``iou_pairs`` call, so the rounds number
 the most rows any one frame keeps, not the sum over frames. Once one frame
 is left, each round scores one ``iou_matrix`` row, as single-frame NMS
@@ -642,18 +642,17 @@ def _segmented_nms(
     return kept[np.argsort(segments[kept], kind="stable")]
 
 
-def nms(
-    dets: Sequence[Detection], iou_threshold: float = 0.45, per_frame: bool = False
-) -> Sequence[Detection]:
-    """Greedy class-agnostic non-maximum suppression.
+def nms(dets: Sequence[Detection], iou_threshold: float = 0.45) -> Sequence[Detection]:
+    """Greedy class-agnostic non-maximum suppression within each frame.
 
-    Detections are visited in descending score order (ties keep the input
-    order); a detection is suppressed when its IoU with an already kept,
-    higher-scoring detection strictly exceeds ``iou_threshold``. The result
-    is sorted by descending score and rerunning on its own output is the
-    identity. With ``per_frame`` every frame is suppressed on its own and
-    the result holds the frames in sorted frame-id order. A table gives a
-    table; any other sequence gives a list of its own detection objects.
+    Every frame is suppressed on its own. Within a frame, detections are
+    visited in descending score order (ties keep the input order); a
+    detection is suppressed when its IoU with an already kept,
+    higher-scoring detection of its frame strictly exceeds
+    ``iou_threshold``. The result holds the frames in sorted frame-id
+    order, each in descending score order, and rerunning on its own output
+    is the identity. A table gives a table; any other sequence gives a list
+    of its own detection objects.
 
     All frames run together as a wavefront (``_segmented_nms``), one IoU
     call per round; a single frame scores one IoU row per kept box, so
@@ -662,8 +661,7 @@ def nms(
     if not 0.0 <= iou_threshold <= 1.0:
         raise ValueError(f"iou_threshold must be in [0, 1], got {iou_threshold}")
     table = as_table(dets)
-    segments = table.frame_codes if per_frame else np.zeros(len(table), dtype=np.intp)
-    index = _segmented_nms(table.corners, table.scores, segments, iou_threshold)
+    index = _segmented_nms(table.corners, table.scores, table.frame_codes, iou_threshold)
     if isinstance(dets, DetectionTable):
         return dets.take(index)
     return [dets[i] for i in index.tolist()]

@@ -10,8 +10,8 @@ Both public functions run on ``DetectionTable`` columns. Pair fusion lists
 the same-frame visible x thermal pairs of every frame at once, scores them
 with one ``iou_pairs`` call, and builds the hulls and confidences
 elementwise; they equal ``convex_hull`` and the scalar mean exactly. NMS
-runs every frame of one table at once (``nms(..., per_frame=True)``, a
-wavefront of one IoU call per round). Given tables, both
+runs every frame of one table at once (``nms`` suppresses each frame on
+its own as a wavefront of one IoU call per round). Given tables, both
 functions return tables and build no ``Detection`` object; given lists,
 they convert them once, run the same array code, and return
 ``FusedDetection`` and ``Detection`` lists.
@@ -173,22 +173,18 @@ def run_strategy(
     """
     table_v, table_t = as_table(vis), as_table(ir)
     if cfg.strategy == "vis":
-        kept = nms(table_v, cfg.nms_threshold, per_frame=True)
+        kept = nms(table_v, cfg.nms_threshold)
     elif cfg.strategy == "ir":
-        kept = nms(table_t, cfg.nms_threshold, per_frame=True)
+        kept = nms(table_t, cfg.nms_threshold)
     elif cfg.strategy == "both":
-        kept = nms(DetectionTable.concat([table_v, table_t]), cfg.nms_threshold, per_frame=True)
+        kept = nms(DetectionTable.concat([table_v, table_t]), cfg.nms_threshold)
     else:  # algo1: scales in sorted name order, as the pooled order
         codes = set(table_v.scale_codes.tolist()) | set(table_t.scale_codes.tolist())
         pooled = [
             fuse_scale(table_v.subset(scale_id=scale), table_t.subset(scale_id=scale), cfg)
             for scale in sorted(SCALES[c] for c in codes)
         ]
-        kept = nms(
-            DetectionTable.concat(pooled) if pooled else table_v[:0],
-            cfg.nms_threshold,
-            per_frame=True,
-        )
+        kept = nms(DetectionTable.concat(pooled) if pooled else table_v[:0], cfg.nms_threshold)
     kept = kept.with_strategy(cfg.strategy)
     if isinstance(vis, DetectionTable) and isinstance(ir, DetectionTable):
         return kept

@@ -333,6 +333,6 @@ def test_per_frame_nms_matches_nms_ref_frame_by_frame(dets, threshold):
     expected = []
     for frame in sorted({d.frame_id for d in dets}):
         expected += nms_ref([d for d in dets if d.frame_id == frame], threshold)
-    kept = nms(dets, threshold, per_frame=True)
+    kept = nms(dets, threshold)
     assert [id(d) for d in kept] == [id(d) for d in expected]
-    assert nms(DetectionTable.from_detections(dets), threshold, per_frame=True) == expected
+    assert nms(DetectionTable.from_detections(dets), threshold) == expected

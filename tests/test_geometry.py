@@ -315,14 +315,14 @@ class TestNMS:
                 w, h = rng.uniform(5, 20, 2)
                 dets.append(Detection(BBox(x0, y0, x0 + w, y0 + h), 0.5, "vis", "s80", frame))
         rng.shuffle(dets)
-        kept = nms(dets, 0.3, per_frame=True)
+        kept = nms(dets, 0.3)
         expected = []
         for frame in ("a", "a\x00", "b", "c"):
             expected += nms_ref([d for d in dets if d.frame_id == frame], 0.3)
         assert [id(d) for d in kept] == [id(d) for d in expected]
-        table = nms(DetectionTable.from_detections(dets), 0.3, per_frame=True)
+        table = nms(DetectionTable.from_detections(dets), 0.3)
         assert isinstance(table, DetectionTable) and table == expected
-        assert nms([], 0.3, per_frame=True) == []
+        assert nms([], 0.3) == []
 
     def test_idempotent_and_subset(self):
         rng = np.random.default_rng(10)
