@@ -5,10 +5,11 @@ ground truth; the more reliable modality anchors RoI feature extraction,
 and a directed row-wise KL divergence between the two relation matrices
 pushes the weaker feature distribution toward the stronger one.
 
-Scoring runs as one numpy pass per corpus. ``corpus_reliability`` lists
-every (detection, ground truth) pair of the same frame, scores them with
-one ``geometry.ciou_pairs`` call, takes each detection's best score and
-overlap test with ``reduceat``, and averages the top scores of all
+Scoring runs as one numpy pass per corpus. ``corpus_reliability`` takes
+every (detection, ground truth) pair of the same frame from
+``geometry.segment_pairs``, in the pair order stated there, scores them
+with one ``geometry.ciou_pairs`` call, takes each detection's best score
+and overlap test with ``reduceat``, and averages the top scores of all
 (instance, modality) slices of one length as the rows of one sorted
 matrix. ``reliability`` scores one instance with ``best_ciou_scores``
 (the row maxima of one ``ciou_matrix``, which runs the elementwise core of
@@ -44,6 +45,7 @@ from .geometry import (
     ciou_matrix,
     ciou_pairs,
     degenerate_rows,
+    segment_pairs,
 )
 
 DEFAULT_TOP_N = 300
@@ -70,28 +72,6 @@ class RoiFeature:
 
     values: np.ndarray
     box_id: int = 0
-
-
-def _best_ciou(
-    corners: np.ndarray,
-    segment: np.ndarray,
-    gt_corners: np.ndarray,
-    gt_start: np.ndarray,
-    gt_count: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    # Best CIoU of every detection over the ground truths of its segment
-    # (rows gt_start[s]:gt_start[s] + gt_count[s] of gt_corners, at least
-    # one per segment), and whether any of them overlaps it (IoU > 0). The
-    # detection-major pair list goes through one ciou_pairs call; reduceat
-    # takes each detection's run of pairs.
-    if not len(corners):
-        return np.empty(0, dtype=np.float64), np.empty(0, dtype=bool)
-    per_det = gt_count[segment]
-    first = np.cumsum(per_det) - per_det
-    det_rows = np.repeat(np.arange(len(corners)), per_det)
-    gt_rows = np.arange(first[-1] + per_det[-1]) + np.repeat(gt_start[segment] - first, per_det)
-    overlap, score = ciou_pairs(corners, gt_corners, det_rows, gt_rows)
-    return np.maximum.reduceat(score, first), np.logical_or.reduceat(overlap > 0.0, first)
 
 
 def best_ciou_scores(dets: Sequence[Detection], gts: Sequence[BBox]) -> np.ndarray:
@@ -189,47 +169,45 @@ def corpus_reliability(
     aspect ratio raises only in an instance that is scored.
 
     The whole corpus runs as one pass. One stable sort groups the rows by
-    frame, scale and modality; every same-record (detection, ground truth)
-    pair is listed with ``np.repeat`` and scored by one ``ciou_pairs``
-    call; ``reduceat`` takes each detection's best score and overlap test;
-    and the (instance, modality) slices of each length are sorted and
-    averaged as the rows of one matrix. Each report equals the one
-    ``reliability`` gives for its instance, bit for bit.
+    frame, scale and modality; ``segment_pairs`` gives each record its
+    frame's rows and each of those rows the record's ground truths; one
+    ``ciou_pairs`` call scores the pairs; ``reduceat`` takes each
+    detection's best score and overlap test; and the (instance, modality)
+    slices of each length are sorted and averaged as the rows of one
+    matrix. Each report equals the one ``reliability`` gives for its
+    instance, bit for bit.
     """
     if n_top < 1:
         raise ValueError(f"n_top must be >= 1, got {n_top}")
     table = as_table(dets)
     truths = [(r.frame_id, [g.box for g in r.gts if not g.ignore]) for r in records]
     truths = [(frame_id, boxes) for frame_id, boxes in truths if boxes]
-    gt_count = np.array([len(boxes) for _, boxes in truths], dtype=np.intp)
-    gt_start = np.cumsum(gt_count) - gt_count
     gt_corners = boxes_array([b for _, boxes in truths for b in boxes])
+    gt_record = np.repeat(np.arange(len(truths)), [len(boxes) for _, boxes in truths])
     # Each record's vis and ir rows, by scale, then modality, then row; a
-    # frame without detections gets the empty code past the last frame.
-    n_frames = len(table.frame_ids)
+    # frame without detections gets a code no row has.
     lookup = {frame_id: i for i, frame_id in enumerate(table.frame_ids)}
-    code = np.array([lookup.get(frame_id, n_frames) for frame_id, _ in truths], dtype=np.intp)
+    code = [lookup.get(frame_id, len(lookup)) for frame_id, _ in truths]
     key = (table.frame_codes * len(SCALES) + table.scale_codes) * len(MODALITIES)
     key += table.modality_codes
     rows = np.flatnonzero(table.modality_codes != MODALITIES.index("fused"))
     rows = rows[np.argsort(key[rows], kind="stable")]
-    per_frame = np.bincount(table.frame_codes[rows], minlength=n_frames + 1)
-    frame_start = np.cumsum(per_frame) - per_frame
-    per_record = per_frame[code]
-    record = np.repeat(np.arange(len(truths)), per_record)
-    first = np.cumsum(per_record) - per_record
-    rows = rows[np.arange(len(record)) + np.repeat(frame_start[code] - first, per_record)]
-
+    record, at = segment_pairs(code, table.frame_codes[rows])
+    rows = rows[at]
     corners = table.corners[rows]
-    scores, hits = _best_ciou(corners, record, gt_corners, gt_start, gt_count)
+    # Each detection meets the ground truths of its record in one run of
+    # pairs, which reduceat takes.
+    det, gt = segment_pairs(record, gt_record)
+    overlap, score = ciou_pairs(corners, gt_corners, det, gt)
+    first = np.flatnonzero(np.diff(det, prepend=-1))
+    scores = np.maximum.reduceat(score, first)
+    hits = np.logical_or.reduceat(overlap > 0.0, first)
     instance = record * len(SCALES) + table.scale_codes[rows]
     scored = np.zeros(len(truths) * len(SCALES), dtype=bool)
     scored[instance[hits]] = True
     keep = scored[instance]
-    if len(truths):
-        flat_gts = np.logical_or.reduceat(degenerate_rows(gt_corners), gt_start)
-        if degenerate_rows(corners[keep]).any() or flat_gts[record[keep]].any():
-            raise ValueError("degenerate aspect ratio")
+    if degenerate_rows(corners[keep]).any() or degenerate_rows(gt_corners)[gt[keep[det]]].any():
+        raise ValueError("degenerate aspect ratio")
     thermal = table.modality_codes[rows[keep]] == MODALITIES.index("ir")
     reports = _instance_reports(scores[keep], 2 * instance[keep] + thermal, len(scored), n_top)
     instances = [(frame_id, scale) for frame_id, _ in truths for scale in SCALES]

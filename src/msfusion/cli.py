@@ -90,16 +90,20 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _load_pair(path: str) -> dict[str, np.ndarray]:
-    # The "vis" and "ir" maps of a tensor file; a missing or non-finite one
-    # raises naming the file and the tensor.
-    tensors = load_tensors(path, TENSORS_MAGIC)
-    for name in ("vis", "ir"):
+def _check_finite(path: str, tensors: dict[str, np.ndarray], names) -> dict[str, np.ndarray]:
+    # ``tensors`` (read from ``path``) when each of ``names`` is there with
+    # finite values; otherwise raises, naming the file and the tensor.
+    for name in names:
         if name not in tensors:
             raise ValueError(f"{path}: missing tensor {name!r}")
         if not np.isfinite(tensors[name]).all():
             raise ValueError(f"{path}: tensor {name!r} has non-finite values")
     return tensors
+
+
+def _load_pair(path: str) -> dict[str, np.ndarray]:
+    # The "vis" and "ir" maps of a tensor file.
+    return _check_finite(path, load_tensors(path, TENSORS_MAGIC), ("vis", "ir"))
 
 
 def _cmd_fuse(args: argparse.Namespace) -> int:
@@ -135,7 +139,7 @@ def _cmd_kl_loss(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     features = _load_pair(args.features)
     dets = ingest_detections(args.detections)
-    frames = [frame for frame, _ in dets.by_frame()]
+    frames = list(dets.frame_ids)
     frame_id = args.frame_id
     if frame_id is None:
         if len(frames) != 1:
@@ -196,6 +200,7 @@ def _cmd_reliability(args: argparse.Namespace) -> int:
 
 def _cmd_forward(args: argparse.Namespace) -> int:
     weights = FusionWeights.load(args.weights)
+    _check_finite(args.weights, weights.tensors, weights.tensors)
     tensors = _load_pair(args.input)
     fused_vis, fused_ir = fusion_forward(tensors["vis"], tensors["ir"], weights)
     save_tensors(args.out, {"vis": fused_vis, "ir": fused_ir}, TENSORS_MAGIC)

@@ -635,11 +635,13 @@ class FusionWeights:
 
     def validate(self, frames: int, channels: int, height: int, width: int) -> None:
         """Check every ``FORWARD_SCHEMA`` tensor against a (frames, channels,
-        height, width) input; an error names the tensor."""
+        height, width) input, and that its values are finite; an error
+        names the tensor."""
         sizes = _input_dims(frames, channels, height, width, self.patch_size)
         bound_by: dict[str, str] = {}
         for spec in FORWARD_SCHEMA:
-            shape = self.tensor(spec.name).shape
+            value = self.tensor(spec.name)
+            shape = value.shape
             ok = len(shape) == len(spec.dims)
             for dim, actual in zip(spec.dims, shape):
                 if str(dim).startswith("k_"):
@@ -654,6 +656,8 @@ class FusionWeights:
                 raise ValueError(
                     f"{spec.name}: expected shape {spec.dims} with {known}{bound}, got {shape}"
                 )
+            if not np.isfinite(value).all():
+                raise ValueError(f"tensor {spec.name!r} has non-finite values")
         _check_cascade_groups(
             sizes["cascade_groups"], sizes["half"], "cascade_row_kernels"
         )

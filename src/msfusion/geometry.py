@@ -11,7 +11,10 @@ every pair of two (N, 4) corner arrays in one numpy pass; ``iou_pairs``
 scores matching rows of two (P, 4) arrays and ``ciou_pairs`` a list of
 (row, row) pairs of two corner arrays, so that the pairs of a whole corpus
 (each detection with the ground truths of its own frame) take one call.
-The pairwise callers (NMS, pair fusion, matching, reliability) use them.
+``segment_pairs`` builds every such list: the rows of two arrays carry
+segment codes (a frame, a record), and it pairs each row of one with the
+rows of the other that share its code. The pairwise callers (NMS, pair
+fusion, matching, reliability) use them.
 ``iou_matrix`` and ``iou_pairs`` repeat the operations of ``iou`` in the
 same order, so their entries equal ``iou`` bit for bit; ``ciou_matrix`` and
 ``ciou_pairs`` run one elementwise core, take the arctangent once per box,
@@ -38,8 +41,12 @@ list API converts a list into a table once and runs the same array code.
 Ordering contract, kept by every array path: frames are visited in sorted
 frame-id order; NMS visits rows in a stable ``-score`` order and suppresses
 on IoU strictly above the threshold, and per-frame NMS returns the frames
-in sorted frame-id order; pair fusion emits visible-major pairs with IoU
-``>=`` its threshold, and hull ties keep the visible corner.
+in sorted frame-id order. ``segment_pairs`` lists its pairs (i, j) with i
+ascending and, for each i, j ascending. So a first side sorted by segment
+gives its pairs segment by segment, and every row's partners form one run
+in the second side's order: pair fusion's pairs come frames ascending,
+visible-major and thermal-minor, and each detection meets the ground
+truths of its record in record order.
 """
 
 from __future__ import annotations
@@ -312,6 +319,25 @@ def ciou_matrix(pred: np.ndarray, gt: np.ndarray) -> np.ndarray:
     return _ciou_terms(_ciou_columns(pred)[:, :, None], _ciou_columns(gt)[:, None, :])[1]
 
 
+def segment_pairs(seg_a, seg_b) -> tuple[np.ndarray, np.ndarray]:
+    """Every pair (i, j) with ``seg_a[i] == seg_b[j]``, as two index arrays
+    in (i, j) order: i ascending, and the j of each i ascending.
+
+    Segment codes are non-negative integers and ``seg_a`` need not be
+    sorted. A code found on one side only, or an empty side, gives no pairs.
+    """
+    seg_a = np.asarray(seg_a, dtype=np.intp)
+    seg_b = np.asarray(seg_b, dtype=np.intp)
+    count_b = np.bincount(seg_b, minlength=seg_a.max(initial=-1) + 1)
+    per_a = count_b[seg_a]
+    rows_a = np.repeat(np.arange(len(seg_a)), per_a)
+    # Pair k of row i is the (k - first pair of i)-th row of its segment
+    # in seg_b's stable sort order.
+    shift = (np.cumsum(count_b) - count_b)[seg_a] - (np.cumsum(per_a) - per_a)
+    order_b = np.argsort(seg_b, kind="stable")
+    return rows_a, order_b[np.arange(len(rows_a)) + np.repeat(shift, per_a)]
+
+
 def _invalid_corners(corners: np.ndarray) -> np.ndarray:
     # Rows BBox rejects; the comparisons are false for NaN, as in BBox.
     x0, y0, x1, y1 = corners.T
@@ -355,15 +381,6 @@ def _codes(values, n: int, size: int, name: str) -> np.ndarray:
 def _recode(vocab: tuple, codes: np.ndarray, lookup: dict) -> np.ndarray:
     # Codes into ``vocab`` rewritten as codes into the vocabulary ``lookup`` indexes.
     return np.array([lookup[v] for v in vocab], dtype=np.intp)[codes]
-
-
-def _runs(key: np.ndarray) -> tuple[np.ndarray, list[tuple[int, int]]]:
-    # A stable order sorting ``key``, and the [start, end) runs of equal keys in it.
-    order = np.argsort(key, kind="stable")
-    ordered = key[order]
-    cuts = (np.flatnonzero(ordered[1:] != ordered[:-1]) + 1).tolist()
-    bounds = [0, *cuts, len(key)] if len(key) else []
-    return order, list(zip(bounds, bounds[1:]))
 
 
 class DetectionTable(Sequence):
@@ -541,22 +558,9 @@ class DetectionTable(Sequence):
     def by_frame(self) -> list[tuple[str, np.ndarray]]:
         """(frame id, row indices) for every frame with rows, in sorted
         frame-id order; each frame's indices ascend."""
-        order, runs = _runs(self.frame_codes)
-        return [(self.frame_ids[self.frame_codes[order[a]]], order[a:b]) for a, b in runs]
-
-    def groups(self) -> dict[tuple[str, str, str], "DetectionTable"]:
-        """The rows of every (frame id, scale id, modality) present, each
-        group in row order."""
-        n_tags = len(SCALES) * len(MODALITIES)
-        key = self.frame_codes * n_tags + self.scale_codes * len(MODALITIES) + self.modality_codes
-        order, runs = _runs(key)
-        ordered = self.take(order)
-        out = {}
-        for a, b in runs:
-            frame, tags = divmod(int(key[order[a]]), n_tags)
-            scale, modality = divmod(tags, len(MODALITIES))
-            out[self.frame_ids[frame], SCALES[scale], MODALITIES[modality]] = ordered[a:b]
-        return out
+        codes, counts = np.unique(self.frame_codes, return_counts=True)
+        runs = np.split(np.argsort(self.frame_codes, kind="stable"), np.cumsum(counts)[:-1])
+        return [(self.frame_ids[code], rows) for code, rows in zip(codes.tolist(), runs)]
 
     def __len__(self) -> int:
         return len(self.scores)

@@ -35,8 +35,10 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .balance import DEFAULT_TOP_N
 from .evaluation import STANDARD_SETTINGS, TIMES_OF_DAY, FrameRecord, GroundTruthBox
 from .geometry import (
+    _SCALE_CODES,
     MODALITIES,
     SCALES,
     BBox,
@@ -59,7 +61,6 @@ _MODALITY_ALIASES = {
     "fused": "fused",
 }
 _MODALITY_ALIAS_CODES = {alias: MODALITIES.index(m) for alias, m in _MODALITY_ALIASES.items()}
-_SCALE_CODES = {scale: k for k, scale in enumerate(SCALES)}
 
 DEFAULT_SCALE_STRIDES = {"s80": 8.0, "s40": 16.0, "s20": 32.0}
 
@@ -68,7 +69,7 @@ DEFAULT_SCALE_STRIDES = {"s80": 8.0, "s40": 16.0, "s20": 32.0}
 class RunConfig:
     """Every tunable knob of the pipeline, with overridable defaults."""
 
-    n_top: int = 300
+    n_top: int = DEFAULT_TOP_N
     postprocess: PostprocessConfig = field(default_factory=PostprocessConfig)
     settings: tuple[str, ...] = ("reasonable",)
     scale_strides: Mapping[str, float] = field(
@@ -399,6 +400,11 @@ class Manifest:
     root: Path = Path(".")
 
     def __post_init__(self) -> None:
+        if not all(math.isfinite(s) and s > 0.0 for s in self.annotation_scale):
+            raise ValueError(
+                "annotation_scale: expected two positive finite numbers, "
+                f"got {list(self.annotation_scale)}"
+            )
         ids = [f.frame_id for f in self.frames]
         if len(ids) != len(set(ids)):
             raise ValueError("manifest frame_ids must be unique")

@@ -6,19 +6,20 @@ boxes of each frame, convex-hull boxes with averaged confidences for the
 matches, and the four output strategies (single-modality NMS, joint NMS,
 or pair fusion followed by joint NMS).
 
-Both public functions run on ``DetectionTable`` columns. Pair fusion lists
-the same-frame visible x thermal pairs of every frame at once, scores them
-with one ``iou_pairs`` call, and builds the hulls and confidences
-elementwise; they equal ``convex_hull`` and the scalar mean exactly. NMS
-runs every frame of one table at once (``nms`` suppresses each frame on
-its own as a wavefront of one IoU call per round). Given tables, both
-functions return tables and build no ``Detection`` object; given lists,
-they convert them once, run the same array code, and return
-``FusedDetection`` and ``Detection`` lists.
+Both public functions run on ``DetectionTable`` columns. Pair fusion takes
+the same-frame visible x thermal pairs of every frame at once from
+``geometry.segment_pairs``, scores them with one ``iou_pairs`` call, and
+builds the hulls and confidences elementwise; they equal ``convex_hull``
+and the scalar mean exactly. NMS runs every frame of one table at once
+(``nms`` suppresses each frame on its own as a wavefront of one IoU call
+per round). Given tables, both functions return tables and build no
+``Detection`` object; given lists, they convert them once, run the same
+array code, and return ``FusedDetection`` and ``Detection`` lists.
 
-Ordering contract: frames are visited in sorted frame-id order; fused
-pairs (IoU ``>=`` the threshold) come out visible-major, thermal-minor,
-and a hull tie keeps the visible corner, signed zeros included; algo1 pools
+Ordering contract: fused pairs (IoU ``>=`` the threshold) keep the pair
+order of ``geometry.segment_pairs`` over the frame-sorted visible rows
+(frames ascending, visible-major, thermal-minor; see ``geometry``), and a
+hull tie keeps the visible corner, signed zeros included; algo1 pools
 the scales in sorted scale-id order before NMS, which visits rows in a
 stable ``-score`` order and suppresses on IoU strictly above its threshold.
 """
@@ -31,6 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from .geometry import (
+    MODALITIES,
     SCALES,
     BBox,
     Detection,
@@ -38,6 +40,7 @@ from .geometry import (
     as_table,
     iou_pairs,
     nms,
+    segment_pairs,
 )
 
 STRATEGIES = ("vis", "ir", "both", "algo1")
@@ -83,23 +86,6 @@ class FusedDetection:
         return self.box.to_center()
 
 
-def _same_frame_pairs(
-    frame_v: np.ndarray, keep_v: np.ndarray, frame_t: np.ndarray, keep_t: np.ndarray, n_frames: int
-) -> tuple[np.ndarray, np.ndarray]:
-    # Every (visible row, thermal row) pair of kept rows sharing a frame:
-    # frames ascending, then visible rows ascending, then thermal rows.
-    rows_v = np.flatnonzero(keep_v)
-    rows_v = rows_v[np.argsort(frame_v[rows_v], kind="stable")]
-    rows_t = np.flatnonzero(keep_t)
-    rows_t = rows_t[np.argsort(frame_t[rows_t], kind="stable")]
-    count_t = np.bincount(frame_t[rows_t], minlength=n_frames)
-    start_t = np.cumsum(count_t) - count_t
-    per_row = count_t[frame_v[rows_v]]
-    first = np.repeat(start_t[frame_v[rows_v]], per_row)
-    offset = np.arange(len(first)) - np.repeat(np.cumsum(per_row) - per_row, per_row)
-    return np.repeat(rows_v, per_row), rows_t[first + offset]
-
-
 def fuse_scale(
     vis: Sequence[Detection],
     ir: Sequence[Detection],
@@ -122,13 +108,11 @@ def fuse_scale(
     if len(scales) > 1:
         raise ValueError(f"mixed scale_id in fuse_scale inputs: {scales}")
     v, t = both[: len(vis)], both[len(vis) :]
-    rows, cols = _same_frame_pairs(
-        v.frame_codes,
-        v.scores >= cfg.conf_threshold_v,
-        t.frame_codes,
-        t.scores >= cfg.conf_threshold_t,
-        len(both.frame_ids),
-    )
+    rows = np.flatnonzero(v.scores >= cfg.conf_threshold_v)
+    rows = rows[np.argsort(v.frame_codes[rows], kind="stable")]
+    cols = np.flatnonzero(t.scores >= cfg.conf_threshold_t)
+    pair_v, pair_t = segment_pairs(v.frame_codes[rows], t.frame_codes[cols])
+    rows, cols = rows[pair_v], cols[pair_t]
     hit = iou_pairs(v.corners[rows], t.corners[cols]) >= cfg.iou_thres
     rows, cols = rows[hit], cols[hit]
     pv, pt = v.corners[rows], t.corners[cols]
@@ -144,7 +128,7 @@ def fuse_scale(
         confs,
         v.frame_codes[rows],
         both.frame_ids,
-        np.full(len(rows), 2),  # MODALITIES.index("fused")
+        np.full(len(rows), MODALITIES.index("fused")),
         v.scale_codes[rows],
     )
     if isinstance(vis, DetectionTable) and isinstance(ir, DetectionTable):

@@ -7,7 +7,7 @@ import pytest
 
 from msfusion.balance import modality_alignment_loss
 from msfusion.cli import main
-from msfusion.containers import TENSORS_MAGIC, load_tensors, save_tensors
+from msfusion.containers import TENSORS_MAGIC, WEIGHTS_MAGIC, load_tensors, save_tensors
 from msfusion.geometry import SCALES, BBox, Detection
 from msfusion.ingest import ingest_detections, serialize_detections
 
@@ -278,6 +278,27 @@ class TestForwardPipeline:
         assert code == 1
         err = capsys.readouterr().err
         assert str(inp) in err and repr(name) in err and "non-finite" in err
+        assert not out.exists()
+
+    def test_forward_rejects_non_finite_weights(self, tmp_path, capsys):
+        # One NaN in mlp1_weight used to exit 0 with 6,144 non-finite outputs.
+        weights = tmp_path / "w.sfwt"
+        assert main(["gen-weights", "--seed", "3", "--out", str(weights)]) == 0
+        tensors = load_tensors(weights, WEIGHTS_MAGIC)
+        tensors["mlp1_weight"][0, 1] = np.nan
+        save_tensors(weights, tensors, WEIGHTS_MAGIC)
+        rng = np.random.default_rng(1)
+        inp = tmp_path / "in.sftn"
+        save_tensors(
+            inp,
+            {"vis": rng.standard_normal((3, 8, 16, 16)), "ir": rng.standard_normal((3, 8, 16, 16))},
+            TENSORS_MAGIC,
+        )
+        out = tmp_path / "o.sftn"
+        code = main(["forward", "--weights", str(weights), "--input", str(inp), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"{weights}: tensor 'mlp1_weight' has non-finite values" in err
         assert not out.exists()
 
 

@@ -634,6 +634,15 @@ class TestWeightSchema:
         ref = reference_forward(vis, vis, w.tensors, 8)
         assert max(np.max(np.abs(o - r)) for o, r in zip(out, ref)) <= 1e-5
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_forward_rejects_non_finite_weights_naming_the_tensor(self, bad):
+        # One NaN in mlp1_weight used to turn every output value non-finite.
+        w = FusionWeights.seeded(seed=4)
+        w.tensors["mlp1_weight"][1, 2] = bad
+        vis = rand_features((3, 8, 16, 16), 96)
+        with pytest.raises(ValueError, match="tensor 'mlp1_weight' has non-finite values"):
+            fusion_forward(vis, vis, w)
+
     @pytest.mark.parametrize("value", [np.inf, np.nan, np.array([4.0, 4.0])])
     def test_patch_size_must_be_one_finite_value(self, value):
         # inf raised OverflowError and a two-element tensor TypeError.

@@ -7,7 +7,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from msfusion import ingest
@@ -22,6 +22,7 @@ from msfusion.geometry import (
     ciou_matrix,
     iou_matrix,
     nms,
+    segment_pairs,
 )
 from msfusion.ingest import (
     ingest_detections,
@@ -336,3 +337,22 @@ def test_per_frame_nms_matches_nms_ref_frame_by_frame(dets, threshold):
     kept = nms(dets, threshold)
     assert [id(d) for d in kept] == [id(d) for d in expected]
     assert nms(DetectionTable.from_detections(dets), threshold) == expected
+
+
+segment_codes = st.lists(st.integers(0, 5), max_size=12)
+
+
+@given(segment_codes, segment_codes)
+@example([], [])
+@example([0, 2], [])  # one side empty
+@example([], [1, 1])
+@example([4, 0], [1, 2, 1])  # codes on one side only
+@example([2, 0, 2, 1], [1, 2, 0, 2])  # unsorted seg_a and seg_b
+@example([3, 3, 3], [3, 3])  # a single segment
+@settings(max_examples=200)
+def test_segment_pairs_match_the_double_loop(seg_a, seg_b):
+    expected = [
+        (i, j) for i in range(len(seg_a)) for j in range(len(seg_b)) if seg_a[i] == seg_b[j]
+    ]
+    rows_a, rows_b = segment_pairs(seg_a, seg_b)
+    assert list(zip(rows_a.tolist(), rows_b.tolist())) == expected

@@ -398,13 +398,6 @@ class TestDetectionTable:
         assert table.subset(modality="ir", scale_id="s40") == [
             d for d in dets if d.modality == "ir" and d.scale_id == "s40"
         ]
-        groups = table.groups()
-        assert sorted(groups) == sorted({(d.frame_id, d.scale_id, d.modality) for d in dets})
-        for (frame, scale, modality), rows in groups.items():
-            assert rows == [
-                d for d in dets
-                if (d.frame_id, d.scale_id, d.modality) == (frame, scale, modality)
-            ]
         assert all(d.strategy == "both" for d in table.with_strategy("both"))
 
     def test_nms_on_a_table_returns_the_same_rows_as_a_table(self):

@@ -330,6 +330,9 @@ class TestManifest:
             {"frames": [{"frame_id": "a", "annotations": 5}]},  # TypeError in load_records
             {"frames": [{"frame_id": "a", "detections": 5}]},
             {"frames": [{"frame_id": "a", "annotations": ["a.txt"]}]},
+            {"frames": [], "annotation_scale": [0, 1]},  # zero-width gts: eval exited 0
+            {"frames": [], "annotation_scale": [-1, 1]},
+            {"frames": [], "annotation_scale": [float("nan"), 1]},
         ],
     )
     def test_malformed_manifest_raises_value_error_naming_file(self, tmp_path, payload):
