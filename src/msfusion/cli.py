@@ -143,8 +143,10 @@ def _cmd_kl_loss(args: argparse.Namespace) -> int:
     frame_id = args.frame_id
     if frame_id is None:
         if len(frames) != 1:
+            shown = ", ".join(frames[:3]) + (", ..." if len(frames) > 3 else "")
             raise ValueError(
-                f"detections cover frames {frames}; pass --frame-id to pick one"
+                f"detections cover {len(frames)} frames ({shown}); "
+                f"pass --frame-id to pick one"
             )
         frame_id = frames[0]
     scale = args.scale

@@ -6,13 +6,24 @@ greedily in score order, the confidence threshold is swept to trace the
 (FPPI, miss rate) curve, and the metric is the geometric mean of the miss
 rates sampled at nine FPPI reference points log-spaced in [1e-2, 1].
 
-Matching scores each frame's detections against its ground truths with one
-``iou_matrix`` (bitwise equal to the scalar ``iou``); a frame's detections
-may be a list or a ``DetectionTable``, whose columns are read directly. The
-threshold sweep sorts the outcomes once and reads true- and false-positive
-counts off cumulative sums, so a curve costs O(N log N) in the number of
-outcomes. ``evaluate_matrix`` matches each frame once per setting and
-source, and its day and night cells reuse the matches of the whole set.
+Matching runs a whole corpus at once. The detections are sorted stably by
+(frame, -score); ``geometry.segment_pairs`` lists each frame's (detection,
+ground truth) pairs, the evaluated ground truths before the ignored ones,
+each in record order; one ``iou_pairs`` call (bitwise equal to the scalar
+``iou``) scores them all. Then the matching runs as a wavefront: round r
+takes the r-th detection of every frame that has an evaluated pair at or
+above the match IoU, all at once, and each takes the untaken evaluated
+ground truth of highest IoU, equal IoUs going to the first in record
+order. A detection left without one is ignored when it reaches an
+ignored ground truth at the match IoU, and a false positive otherwise.
+So the rounds number the most candidates any one frame holds, and a
+frame's outcome is that of the greedy score-ordered loop. ``match_frame``
+is the one-frame case. A frame's detections may be a list or a
+``DetectionTable``, whose columns are read directly. The threshold sweep
+sorts the outcomes once and reads true- and false-positive counts off
+cumulative sums, so a curve costs O(N log N) in the number of outcomes.
+``evaluate_matrix`` matches every frame of every strategy in one pass per
+setting, and its day and night cells reuse the matches of the whole set.
 """
 
 from __future__ import annotations
@@ -22,7 +33,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .geometry import BBox, Detection, as_table, boxes_array, iou_matrix
+from .geometry import BBox, Detection, as_table, boxes_array, iou_pairs, segment_pairs
 
 OCCLUSION_LEVELS = ("none", "partial", "heavy")
 TIMES_OF_DAY = ("day", "night")
@@ -152,6 +163,63 @@ class MatchResult:
     outcomes: tuple[tuple[float, str], ...]
 
 
+# Outcome codes of the corpus matcher; each indexes its ``MatchResult`` flag.
+_TP, _FP, _IGNORED = range(3)
+_FLAGS = ("tp", "fp", "ignored")
+
+
+def _match_frames(
+    frames: Sequence[
+        tuple[Sequence[Detection], Sequence[GroundTruthBox], Sequence[GroundTruthBox]]
+    ],
+    match_iou: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # The greedy matching of every (detections, evaluated, ignored) frame,
+    # as (frame index, score, outcome code) per detection, in (frame,
+    # -score) order. See the module docstring for the wavefront.
+    tables = [as_table(dets) for dets, _, _ in frames]
+    det_frame = np.repeat(np.arange(len(frames)), [len(t) for t in tables])
+    corners = np.concatenate([t.corners for t in tables] + [np.empty((0, 4))])
+    scores = np.concatenate([t.scores for t in tables] + [np.empty(0)])
+    order = np.lexsort((-scores, det_frame))  # stable: ties keep row order
+    det_frame, corners, scores = det_frame[order], corners[order], scores[order]
+    boxes, evaluated = [], []
+    for _, ev, ig in frames:
+        boxes += [g.box for g in (*ev, *ig)]
+        evaluated += [True] * len(ev) + [False] * len(ig)
+    gt_frame = np.repeat(np.arange(len(frames)), [len(ev) + len(ig) for _, ev, ig in frames])
+    det, gt = segment_pairs(det_frame, gt_frame)
+    overlap = iou_pairs(corners[det], boxes_array(boxes)[gt])
+    hit = overlap >= match_iou
+    is_evaluated = np.array(evaluated, dtype=bool)[gt]
+    outcome = np.full(len(scores), _FP, dtype=np.intp)
+    outcome[det[hit & ~is_evaluated]] = _IGNORED
+    # A candidate is a detection with an evaluated pair over the threshold;
+    # its round is its rank among its frame's candidates.
+    live = hit & is_evaluated
+    det, gt, overlap = det[live], gt[live], overlap[live]
+    candidates, pair_candidate = np.unique(det, return_inverse=True)
+    frame = det_frame[candidates]
+    rank = np.arange(len(candidates)) - np.searchsorted(frame, frame)
+    pair_round = rank[pair_candidate]
+    # Rounds in order; within one, each detection's pairs best overlap
+    # first, equal overlaps in ground-truth order (the sort is stable).
+    by_round = np.lexsort((-overlap, det, pair_round))
+    det, gt, pair_round = det[by_round], gt[by_round], pair_round[by_round]
+    bounds = np.searchsorted(pair_round, np.arange(rank.max(initial=-1) + 2))
+    taken = np.zeros(len(boxes), dtype=bool)
+    for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        free = ~taken[gt[lo:hi]]
+        d, g = det[lo:hi][free], gt[lo:hi][free]
+        # Each detection takes its first free pair; the round's detections
+        # belong to distinct frames, so they never contend.
+        first = np.ones(len(d), dtype=bool)
+        np.not_equal(d[1:], d[:-1], out=first[1:])
+        taken[g[first]] = True
+        outcome[d[first]] = _TP
+    return det_frame, scores, outcome
+
+
 def match_frame(
     dets: Sequence[Detection],
     evaluated_gts: Sequence[GroundTruthBox],
@@ -165,40 +233,15 @@ def match_frame(
     ignored ground truth under the same IoU rule (ignored gts absorb any
     number of detections and the detection counts as neither tp nor fp);
     otherwise it is a false positive. Unmatched evaluated ground truths are
-    misses.
+    misses. This is the corpus matcher run on one frame.
     """
-    table = as_table(dets)
-    ordered = np.argsort(-table.scores, kind="stable")
-    scores = table.scores[ordered].tolist()
-    n_eval = len(evaluated_gts)
-    both = iou_matrix(
-        table.corners[ordered],
-        boxes_array(g.box for g in (*evaluated_gts, *ignored_gts)),
-    )
-    overlap = both[:, :n_eval]
-    # Masking taken ground truths only lowers a row, so a detection with
-    # no candidate now never gets one.
-    candidate = (overlap >= match_iou).any(axis=1).tolist()
-    absorbed = (both[:, n_eval:] >= match_iou).any(axis=1).tolist()
-    outcomes: list[tuple[float, str]] = []
-    tp = fp = 0
-    for k, score in enumerate(scores):
-        if candidate[k]:
-            # Taken ground truths are masked to -inf, so the first-index
-            # argmax is the best untaken one, ties going to the lower index.
-            best = int(overlap[k].argmax())
-            if overlap[k, best] >= match_iou:
-                overlap[:, best] = -np.inf
-                tp += 1
-                outcomes.append((score, "tp"))
-                continue
-        if absorbed[k]:
-            outcomes.append((score, "ignored"))
-        else:
-            fp += 1
-            outcomes.append((score, "fp"))
+    _, scores, outcome = _match_frames([(dets, evaluated_gts, ignored_gts)], match_iou)
+    tp = int(np.count_nonzero(outcome == _TP))
     return MatchResult(
-        tp=tp, fp=fp, misses=len(evaluated_gts) - tp, outcomes=tuple(outcomes)
+        tp=tp,
+        fp=int(np.count_nonzero(outcome == _FP)),
+        misses=len(evaluated_gts) - tp,
+        outcomes=tuple(zip(scores.tolist(), [_FLAGS[k] for k in outcome.tolist()])),
     )
 
 
@@ -213,42 +256,29 @@ def _select_detections(record: FrameRecord, source: str | None) -> Sequence[Dete
     return record.detections.get(source, [])
 
 
-def _match_record(
-    record: FrameRecord,
-    split_gts: tuple[list[GroundTruthBox], list[GroundTruthBox]],
-    setting: EvalSetting,
-    source: str | None,
-) -> tuple[int, MatchResult]:
-    # (evaluated ground truths, match result) of one frame.
-    evaluated, ignored = split_gts
-    dets = _select_detections(record, source)
-    return len(evaluated), match_frame(dets, evaluated, ignored, setting.match_iou)
-
-
 def _curve(
-    matches: Sequence[tuple[int, MatchResult]], score_sweep: Sequence[float] | None
+    scores: np.ndarray,
+    outcome: np.ndarray,
+    n_frames: int,
+    total_gt: int,
+    score_sweep: Sequence[float] | None,
 ) -> list[tuple[float, float]]:
-    # The (FPPI, miss rate) points of matched frames over a threshold sweep.
-    total_gt = sum(n for n, _ in matches)
+    # The (FPPI, miss rate) points of matched frames' outcomes over a
+    # threshold sweep.
     if total_gt == 0:
         raise ValueError("empty setting")
-    outcomes = [outcome for _, result in matches for outcome in result.outcomes]
     if score_sweep is None:
-        thresholds = sorted({score for score, _ in outcomes}, reverse=True)
+        thresholds = np.unique(scores)[::-1]
     else:
         thresholds = sorted(set(score_sweep), reverse=True)
     # One stable sort plus cumulative counts: the outcomes scoring at least
     # a threshold are those after its left insertion point.
-    scores = np.array([score for score, _ in outcomes], dtype=np.float64)
-    is_tp = np.array([flag == "tp" for _, flag in outcomes], dtype=bool)
-    is_fp = np.array([flag == "fp" for _, flag in outcomes], dtype=bool)
     order = np.argsort(scores, kind="stable")
     below = np.searchsorted(scores[order], thresholds, side="left")
-    tp_below = np.concatenate(([0], np.cumsum(is_tp[order])))
-    fp_below = np.concatenate(([0], np.cumsum(is_fp[order])))
+    tp_below = np.concatenate(([0], np.cumsum(outcome[order] == _TP)))
+    fp_below = np.concatenate(([0], np.cumsum(outcome[order] == _FP)))
     tps = (tp_below[-1] - tp_below[below]).tolist()
     fps = (fp_below[-1] - fp_below[below]).tolist()
-    n_frames = len(matches)
     return [(fp / n_frames, 1.0 - tp / total_gt) for tp, fp in zip(tps, fps)]
 
 
@@ -266,10 +296,10 @@ def miss_rate_curve(
     """
     if not records:
         raise ValueError("empty setting")
-    matches = [
-        _match_record(r, apply_setting(r.gts, setting), setting, source) for r in records
-    ]
-    return _curve(matches, score_sweep)
+    frames = [(_select_detections(r, source), *apply_setting(r.gts, setting)) for r in records]
+    _, scores, outcome = _match_frames(frames, setting.match_iou)
+    total_gt = sum(len(evaluated) for _, evaluated, _ in frames)
+    return _curve(scores, outcome, len(records), total_gt, score_sweep)
 
 
 def _log_average(points: Sequence[tuple[float, float]]) -> float:
@@ -323,29 +353,44 @@ def evaluate_matrix(
     evaluate only matching frames. A cell with no evaluated ground truth
     has MR None (rendered n/a); any other failure raises.
 
-    Each frame is matched at most once per setting and strategy: the cells
-    of every split read the same matches (the curve counts do not depend
-    on the order of the outcomes, so every cell equals its own
+    Each setting runs the corpus matcher once, over every frame of every
+    strategy that a cell with evaluated ground truth needs: the cells of
+    every split read the same matches (the curve counts do not depend on
+    the order of the outcomes, so every cell equals its own
     ``log_average_miss_rate``).
     """
     settings = dict(settings) if settings is not None else dict(STANDARD_SETTINGS)
     table: dict[tuple[str, str, str], tuple[float | None, int]] = {}
     for setting_name, setting in settings.items():
         split_gts = [apply_setting(r.gts, setting) for r in records]
-        matches: dict[tuple[str, int], tuple[int, MatchResult]] = {}
+        n_gt = np.array([len(evaluated) for evaluated, _ in split_gts], dtype=np.intp)
+        members = {
+            split: np.array([split == "all" or r.time_of_day == split for r in records], dtype=bool)
+            for split in splits
+        }
+        num_gt = {split: int(n_gt[members[split]].sum()) for split in splits}
+        # The records some cell with evaluated ground truth reads, matched
+        # once under each strategy.
+        needed = np.zeros(len(records), dtype=bool)
         for split in splits:
-            members = [
-                i for i, r in enumerate(records) if split == "all" or r.time_of_day == split
-            ]
-            num_gt = sum(len(split_gts[i][0]) for i in members)
-            for strategy in strategies:
+            if num_gt[split]:
+                needed |= members[split]
+        needed = np.flatnonzero(needed)
+        frames = [
+            (_select_detections(records[i], strategy), *split_gts[i])
+            for strategy in strategies
+            for i in needed.tolist()
+        ]
+        frame, scores, outcome = _match_frames(frames, setting.match_iou)
+        record = np.tile(needed, len(strategies))[frame]
+        strategy_index = np.repeat(np.arange(len(strategies)), len(needed))[frame]
+        for split in splits:
+            n_frames = int(np.count_nonzero(members[split]))
+            for k, strategy in enumerate(strategies):
                 mr = None
-                if num_gt:
-                    for i in members:
-                        if (strategy, i) not in matches:
-                            matches[strategy, i] = _match_record(
-                                records[i], split_gts[i], setting, strategy
-                            )
-                    mr = _log_average(_curve([matches[strategy, i] for i in members], None))
-                table[(setting_name, split, strategy)] = (mr, num_gt)
+                if num_gt[split]:
+                    cell = (strategy_index == k) & members[split][record]
+                    points = _curve(scores[cell], outcome[cell], n_frames, num_gt[split], None)
+                    mr = _log_average(points)
+                table[(setting_name, split, strategy)] = (mr, num_gt[split])
     return table

@@ -437,9 +437,14 @@ def temporal_adaptive_conv(
     clip runs as one base convolution whose output is scaled per frame.
 
     This is a standalone block: ``fusion_forward`` does not call it. Its
-    ``tada_*`` tensors ride along in the weights container.
+    ``tada_*`` tensors ride along in the weights container. A non-finite
+    value in any of them raises, naming its ``TADA_SCHEMA`` tensor.
     """
     x = _as_features(x)
+    weights = (base_weight, base_bias, conv1_w, conv1_b, conv2_w, conv2_b, fc_w, fc_b)
+    for spec, value in zip(TADA_SCHEMA, weights):
+        if not np.isfinite(np.asarray(value, dtype=np.float64)).all():
+            raise ValueError(f"tensor {spec.name!r} has non-finite values")
     base_weight = np.asarray(base_weight, dtype=np.float64)
     if base_weight.ndim != 4:
         raise ValueError(f"base weight: expected rank 4, got shape {base_weight.shape}")

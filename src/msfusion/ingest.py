@@ -7,15 +7,30 @@ Formats handled here:
   codes 0/1/2 for none/partial/heavy. Labels other than ``person`` become
   ignore regions.
 * detections: one per line, ``frame_id modality scale_id x_min y_min x_max
-  y_max score``; ``#`` lines are comments. ``ingest_detections`` reads a
-  dump into a ``DetectionTable`` in one pass, a chunk of lines at a time:
-  it splits the lines into tokens, fills the columns, converts numbers
-  with Python ``float`` and lets the table validate the rows with array
-  operations. A bad line fails with the message
-  ``parse_detection_line`` gives for it, naming the file and line.
-  ``serialize_detections`` writes rows straight from the columns, and
-  ``group_by_frame`` returns per-frame tables for a table, so no
-  ``Detection`` object is built on the way; ``parse_detection_line``
+  y_max score``; ``#`` lines are comments. A line's tokens are split on
+  any whitespace (``str.split``), and a line is a comment when its first
+  token starts with ``#``. ``ingest_detections`` has two paths:
+
+  - the fast form, read in one vectorized pass per chunk of about 256 KB
+    (ending at a line break): tokens are separated by spaces and tabs
+    only, lines end in ``\n`` or ``\r\n`` (reading turns ``\r\n`` and a
+    lone ``\r`` into ``\n``), and every data line has exactly eight
+    tokens. numpy finds each line's token count and its comment lines
+    over the chunk's bytes, or its code points when the chunk is not
+    ASCII; ``chunk.split()`` gives the tokens, and ``np.array(column,
+    dtype=float64)`` converts each numeric column, parsing each token as
+    Python ``float`` does (``1_0``, ``+1``, ``infinity``, non-ASCII
+    digits). The table then validates the rows with array operations.
+  - ``parse_detection_line``, line by line, for any other file: one
+    holding other whitespace or line breaks (``\v``, ``\f``,
+    ``\x1c``-``\x1f``, ``\x85``, ``\xa0``, ``\u2028``, ...) or any token or
+    row the fast form cannot read. It builds the table, or raises the
+    first bad line's own error, naming the file and line.
+
+  Both paths give the same table bit for bit. ``serialize_detections``
+  writes rows straight from the columns and rejects a frame id the format
+  cannot carry; ``group_by_frame`` returns per-frame tables for a table,
+  so no ``Detection`` object is built on the way. ``parse_detection_line``
   builds one per call, and a table builds one per row it is indexed or
   iterated for. Rows keep file order; the table's frame ids are sorted.
 * manifest: JSON listing frames (id, time of day, file paths) and optional
@@ -30,6 +45,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
+from itertools import compress
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -287,68 +303,135 @@ def parse_detection_line(line: str, source: str = "<string>", lineno: int = 0) -
         raise ValueError(f"{source}:{lineno}: {err}") from None
 
 
-# Lines tokenized at a time: bounds the live token strings, which take
-# several times the memory of the columns they fill.
-_INGEST_CHUNK = 4096
+# Characters read per vectorized pass, ending at a line break: bounds the
+# live token strings, which take several times the memory of the columns
+# they fill.
+_CHUNK_CHARS = 1 << 18
+
+# Character classes of the fast form, by code point (128 stands for every
+# non-ASCII one that is not whitespace): 0 part of a token, 1 a separator
+# (space or tab), 2 a line break (\n; reading translates \r\n and \r), 3
+# any other whitespace, which sends the file to the line parser.
+_CLASSES = np.zeros(129, dtype=np.uint8)
+_CLASSES[[ord(" "), ord("\t")]] = 1
+_CLASSES[ord("\n")] = 2
+_CLASSES[[ord(c) for c in "\v\f\r\x1c\x1d\x1e\x1f"]] = 3
+_CLASS_TABLE = _CLASSES[:128].tobytes() + bytes(128)  # for bytes.translate
 
 
-def _table_from_lines(raw_lines: list[str]) -> DetectionTable:
-    # Raises ValueError, naming no line, when any data line is malformed.
-    frame_code: dict[str, int] = {}  # in order of first appearance
-    values, frames, modalities, scales = [], [], [], []
-    for start in range(0, len(raw_lines), _INGEST_CHUNK):
-        rows = [
-            tokens
-            for tokens in map(str.split, raw_lines[start : start + _INGEST_CHUNK])
-            if tokens and not tokens[0].startswith("#")
-        ]
-        if any(len(tokens) != 8 for tokens in rows):
-            raise ValueError("wrong token count")
-        if not rows:
+def _chunk_tokens(chunk: str) -> list[str]:
+    # The tokens of a chunk's data lines, in order. Raises ValueError,
+    # naming no line, when the chunk is not in the fast form: whitespace
+    # other than space, tab and line breaks, or a data line without exactly
+    # eight tokens.
+    if chunk.isascii():
+        raw = chunk.encode("ascii")
+        codes = np.frombuffer(raw, dtype=np.uint8)
+        classes = np.frombuffer(raw.translate(_CLASS_TABLE), dtype=np.uint8)
+    else:
+        codes = np.frombuffer(chunk.encode("utf-32-le"), dtype=np.uint32)
+        if any(chr(c).isspace() for c in np.unique(codes[codes > 127]).tolist()):
+            raise ValueError("whitespace outside the fast form")
+        classes = _CLASSES[np.minimum(codes, 128)]
+    if (classes == 3).any():
+        raise ValueError("whitespace outside the fast form")
+    # A token starts where a token character follows a separator or line
+    # break; the chunk is read as if a line break preceded it.
+    token = classes == 0
+    starts = np.flatnonzero(token[1:] > token[:-1]) + 1
+    if token.size and token[0]:
+        starts = np.concatenate(([0], starts))
+    # Line k holds the starts before its line break and after line k - 1's.
+    line_ends = np.append(np.flatnonzero(classes == 2), len(codes))
+    first = np.searchsorted(starts, line_ends)
+    count = np.diff(first, prepend=0)
+    first = first - count
+    comment = np.zeros(len(count), dtype=bool)
+    comment[count > 0] = codes[starts[first[count > 0]]] == ord("#")
+    if ((count != 0) & (count != 8) & ~comment).any():
+        raise ValueError("wrong token count")
+    tokens = chunk.split()
+    if comment.any():
+        tokens = list(compress(tokens, np.repeat(~comment, count).tolist()))
+    return tokens
+
+
+def _encode(tokens: list[str], code_of) -> np.ndarray:
+    # Integer codes of string tokens; ``code_of`` runs once per distinct token.
+    lookup = {token: code_of(token) for token in set(tokens)}
+    return np.fromiter(map(lookup.__getitem__, tokens), dtype=np.intp, count=len(tokens))
+
+
+def _table_from_text(text: str) -> DetectionTable:
+    # The fast form read one chunk at a time. Raises ValueError, naming no
+    # line, when the text is not in the fast form or any row fails.
+    frame_code: dict[str, int] = {}  # provisional; ranked in sorted order below
+    numbers, frames, modalities, scales = [], [], [], []
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + _CHUNK_CHARS) + 1 or len(text)
+        tokens = _chunk_tokens(text[start:end])
+        start = end
+        if not tokens:
             continue
-        frame, modality, scale, *numbers = zip(*rows)
-        values.append(np.array([list(map(float, column)) for column in numbers]))
-        frames += [frame_code.setdefault(f, len(frame_code)) for f in frame]
-        modalities += [_MODALITY_ALIAS_CODES.get(m.lower(), -1) for m in modality]
-        scales += [_SCALE_CODES.get(s, -1) for s in scale]
-    numbers = np.concatenate(values, axis=1) if values else np.empty((5, 0))
+        numbers.append(np.array([tokens[k::8] for k in range(3, 8)], dtype=np.float64))
+        frames.append(_encode(tokens[0::8], lambda f: frame_code.setdefault(f, len(frame_code))))
+        modalities.append(
+            _encode(tokens[1::8], lambda m: _MODALITY_ALIAS_CODES.get(m.lower(), -1))
+        )
+        scales.append(_encode(tokens[2::8], lambda s: _SCALE_CODES.get(s, -1)))
+    if not numbers:
+        return DetectionTable(np.empty((0, 4)), np.empty(0), [], [], [], [])
+    values = np.concatenate(numbers, axis=1)
     frame_ids = sorted(frame_code)
     rank = np.empty(len(frame_ids), dtype=np.intp)
     rank[[frame_code[f] for f in frame_ids]] = np.arange(len(frame_ids))
     return DetectionTable(
-        np.ascontiguousarray(numbers[:4].T),
-        numbers[4],
-        rank[np.array(frames, dtype=np.intp)],
+        np.ascontiguousarray(values[:4].T),
+        values[4],
+        rank[np.concatenate(frames)],
         frame_ids,
-        modalities,
-        scales,
+        np.concatenate(modalities),
+        np.concatenate(scales),
     )
 
 
 def ingest_detections(path: str | Path) -> DetectionTable:
     """Read a detection dump into a table; duplicates are kept (suppression
     is NMS's job). A malformed line raises the ``ValueError`` that
-    ``parse_detection_line`` raises for it, naming the file and line."""
-    raw_lines = Path(path).read_text(encoding="utf-8").splitlines()
+    ``parse_detection_line`` raises for it, naming the file and line.
+
+    A dump in the fast form is read in vectorized passes (see the module
+    docstring); any other dump, and any dump with a failing row, goes to
+    ``parse_detection_line`` line by line, which builds the table or
+    raises the first bad line's own error.
+    """
+    text = Path(path).read_text(encoding="utf-8")
     try:
-        return _table_from_lines(raw_lines)
+        return _table_from_text(text)
     except ValueError:
-        # The line parser applies the same rules line by line, so it raises
-        # the first bad line's own error.
-        for lineno, raw in enumerate(raw_lines, 1):
-            line = raw.strip()
-            if line and not line.startswith("#"):
-                parse_detection_line(line, str(path), lineno)
-        raise
+        dets = [
+            parse_detection_line(line, str(path), lineno)
+            for lineno, line in enumerate(map(str.strip, text.splitlines()), 1)
+            if line and not line.startswith("#")
+        ]
+        return DetectionTable.from_detections(dets)
 
 
 def serialize_detections(
     dets: Iterable[Detection], header: Mapping[str, str] | None = None
 ) -> str:
-    """Render detections in the line format accepted by ingest_detections."""
+    """Render detections in the line format accepted by ingest_detections.
+
+    A frame id the format cannot carry raises ``ValueError`` naming it: an
+    empty one, one holding whitespace, or one starting with ``#`` (its line
+    would read back as a comment)."""
     table = as_table(dets)
     lines = [f"# {key} = {value}" for key, value in (header or {}).items()]
     frame_ids = table.frame_ids
+    for frame_id in (frame_ids[code] for code in np.unique(table.frame_codes).tolist()):
+        if frame_id.split() != [frame_id] or frame_id.startswith("#"):
+            raise ValueError(f"frame id {frame_id!r} cannot be written as a detection line")
     # repr of a builtin float round-trips exactly (see _fmt).
     lines.extend(
         f"{frame_ids[f]} {MODALITIES[m]} {SCALES[s]} {x0!r} {y0!r} {x1!r} {y1!r} {score!r}"

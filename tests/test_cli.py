@@ -400,6 +400,29 @@ class TestKlLoss:
         assert code == 1
         assert "--frame-id" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "frames, listed",
+        [(["f1", "f2"], "2 frames (f1, f2)"),
+         ([f"{2 * f:06d}" for f in range(600)], "600 frames (000000, 000002, 000004, ...)")],
+        ids=["two", "600"],
+    )
+    def test_ambiguous_frame_message_counts_and_names_a_few(
+        self, tmp_path, capsys, frames, listed
+    ):
+        # It used to list every frame id: about 6 KB of stderr for 600 frames.
+        features = tmp_path / "feat.sftn"
+        save_tensors(features, {"vis": np.ones((1, 1, 8, 8)), "ir": np.ones((1, 1, 8, 8))},
+                     TENSORS_MAGIC)
+        det_file = tmp_path / "dets.txt"
+        det_file.write_text("".join(f"{f} vis s80 0 0 10 10 0.5\n" for f in frames), "utf-8")
+        ann = tmp_path / "a.txt"
+        write_annotation(ann, ["person 0 0 10 10 0"])
+        args = ["kl-loss", "--features", str(features), "--detections", str(det_file)]
+        assert main(args + ["--annotations", str(ann)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: detections cover {listed}; pass --frame-id to pick one\n"
+        assert len(err) < 120
+
     @pytest.mark.parametrize("name", ["vis", "ir"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("pixel", [(0, 0, 7, 7), (0, 0, 2, 2)], ids=["outside", "inside"])

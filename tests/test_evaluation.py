@@ -392,20 +392,25 @@ class TestEvaluateMatrix:
             else:
                 assert mr == pytest.approx(want_mr, abs=1e-9)
 
-    def test_each_frame_matched_once_per_setting(self, monkeypatch):
-        # The day and night cells reuse the matches of the "all" pass.
+    def test_one_iou_pairs_call_per_setting_scores_each_frame_once(self, monkeypatch):
+        # The day and night cells reuse the matches of the "all" pass, and
+        # every strategy's frames share the call: each setting scores each
+        # same-frame (detection, ground truth) pair of each strategy once.
         calls = []
-        original = evaluation.match_frame
+        original = evaluation.iou_pairs
 
-        def counting(*args, **kwargs):
-            calls.append(args[0])
-            return original(*args, **kwargs)
+        def counting(a, b):
+            calls.append(len(a))
+            return original(a, b)
 
-        monkeypatch.setattr(evaluation, "match_frame", counting)
+        monkeypatch.setattr(evaluation, "iou_pairs", counting)
         records = _hand_corpus()
+        for r in records:
+            r.detections["other"] = r.detections["det"][:1]
         settings = {k: STANDARD_SETTINGS[k] for k in ("all", "reasonable")}
-        evaluate_matrix(records, ["det"], settings)
-        assert len(calls) == len(records) * len(settings)
+        evaluate_matrix(records, ["det", "other"], settings)
+        pairs = sum((len(r.detections["det"]) + 1) * len(r.gts) for r in records)
+        assert calls == [pairs] * len(settings)
 
     def test_failing_cell_raises_instead_of_na(self):
         # Only a cell without evaluated ground truth is n/a; an ambiguous

@@ -531,6 +531,16 @@ class TestTemporalAdaptiveConv:
         )
         assert calls == [(3, 4, 5, 5)]
 
+    @pytest.mark.parametrize("spec", TADA_SCHEMA, ids=lambda spec: spec.name)
+    def test_non_finite_weight_names_its_tensor(self, spec):
+        # One NaN used to come back silently: in tada_conv1_weight it made
+        # every output NaN.
+        w = FusionWeights.seeded(FusionConfig(frames=2, channels=8, height=8, width=8), seed=5)
+        tensors = [w.tensor(s.name).copy() for s in TADA_SCHEMA]
+        tensors[TADA_SCHEMA.index(spec)].flat[0] = np.nan
+        with pytest.raises(ValueError, match=f"tensor '{spec.name}' has non-finite values"):
+            temporal_adaptive_conv(rand_features((2, 8, 8, 8), 80), *tensors)
+
 
 class TestFusionWeights:
     def test_seeded_is_deterministic(self):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from msfusion import ingest
+from msfusion import evaluation, ingest
 from msfusion.balance import ReliabilityReport, corpus_reliability, reliability
 from msfusion.containers import TENSORS_MAGIC, load_tensors, save_tensors
 from msfusion.evaluation import FrameRecord, GroundTruthBox
@@ -32,7 +32,7 @@ from msfusion.ingest import (
     parse_detection_line,
     run_config_from_mapping,
 )
-from oracles import nms_ref
+from oracles import match_frame_ref, match_outcomes_ref, nms_ref
 
 FILE_FIXTURE = settings(
     max_examples=75, suppress_health_check=[HealthCheck.function_scoped_fixture]
@@ -66,34 +66,77 @@ def test_parse_detection_line(line):
 
 # Detection dump lines: mostly valid, with every way a line can fail. Frame
 # ids that differ only by trailing NULs are distinct frames (numpy string
-# arrays would merge them).
+# arrays would merge them); non-ASCII ids and an inline "#" stay in a token.
+# Number tokens include the spellings Python float accepts beyond the plain
+# decimal form. OTHER_SPACE is the whitespace that str.split and splitlines
+# break on besides space, tab and "\n": a file holding any takes the line
+# parser. Reading turns "\r\n" and a lone "\r" into "\n".
 number_tokens = st.one_of(
     st.floats(-5.0, 50.0).map(repr),
-    st.sampled_from(["0", "1", "0.5", "-0.0", "1e400", "nan", "inf", "-inf", "1_0", "x", ""]),
+    st.sampled_from(["0", "1", "0.5", "-0.0", "-0", "+1", "1e400", "1e5000", "nan", "inf",
+                     "-inf", "infinity", "1_0", "1__0", "0x10", "\u0661", "\u0663.\u0665",
+                     "\uff11", "0.5#", "x", ""]),
 )
+OTHER_SPACE = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0", "\u2028",
+               "\u2029", "\u3000"]
 detection_lines = st.one_of(
     st.tuples(
-        st.sampled_from(["f", "f\x00", "f\x00\x00", "a", "000001", "\x00"]),
+        st.sampled_from(["f", "f\x00", "f\x00\x00", "a", "000001", "\x00", "\u00e9", "\u5e27",
+                         "a#b"]),
         st.sampled_from(["vis", "ir", "VIS", "Thermal", "rgb", "t", "fused", "x"]),
         st.sampled_from(["s80", "s40", "s20", "s77", "S80"]),
         st.tuples(*[number_tokens] * 4),
         st.one_of(st.floats(0.0, 1.0).map(repr), number_tokens),
-        st.sampled_from([" ", "  ", "\t", " \x0b "]),
+        st.one_of(st.sampled_from([" ", "  ", "\t", " \t "]),
+                  st.sampled_from(OTHER_SPACE).map(" {} ".format)),
     ).map(lambda t: t[5].join([*t[:3], *t[3], t[4]])),
-    st.sampled_from(["", "   ", "# comment", "  # indented comment", "f vis s80 0 0 1", "#"]),
+    st.sampled_from(["", "   ", "# comment", "  # indented comment", "#x y z", "f vis s80 0 0 1",
+                     "#"]),
     lines,
 )
+# Valid lines in the fast form, with corners in order and scores in [0, 1].
+valid_lines = st.tuples(
+    st.sampled_from(["f", "f\x00", "a", "000001", "\u00e9", "\u5e27", "a#b"]),
+    st.sampled_from(["vis", "ir", "Thermal", "rgb", "fused"]),
+    st.sampled_from(["s80", "s40", "s20"]),
+    st.one_of(
+        st.tuples(*[st.floats(0.0, 20.0)] * 4).map(
+            lambda t: [repr(v) for v in (*map(min, t[:2], t[2:]), *map(max, t[:2], t[2:]))]
+        ),
+        st.sampled_from([["-0", "+0", "1_0", "\u0661\u0662"], ["0.5", "-0.0", "1e1", "\uff11"]]),
+    ),
+    st.one_of(st.floats(0.0, 1.0).map(repr), st.sampled_from(["1", "+0.5", "-0", "1e-320"])),
+    st.sampled_from([" ", "  ", "\t", " \t "]),
+).map(lambda t: t[5].join([*t[:3], *t[3], t[4]]))
+clean_lines = st.one_of(valid_lines, st.sampled_from(["", "  ", "# c", "\t#x y z", "#"]))
+dump_bodies = st.one_of(
+    st.lists(st.tuples(clean_lines, st.sampled_from(["\n", "\r\n"])), max_size=12),
+    st.lists(
+        st.tuples(detection_lines, st.sampled_from(["\n", "\r\n", "\r", *OTHER_SPACE])),
+        max_size=12,
+    ),
+)
+TABLE_COLUMNS = ("corners", "scores", "frame_codes", "modality_codes", "scale_codes",
+                 "strategy_codes")
 
 
-@given(st.lists(detection_lines, max_size=12))
+@given(dump_bodies, st.booleans())
+# Rows the fast form would misread if it split lines or tokens as the line
+# parser does not: a row broken over two lines, and other whitespace inside
+# a token whose extra token the chunk's comment line then drops.
+@example(body=[("f vis s80 0", "\n"), ("0 1 1 0.5", "\n")], last_break=True)
+@example(body=[("#", "\n"), ("f\x0bvis s80 0 0 1 1 0.5 1", "\n")], last_break=True)
+@example(body=[("#", "\n"), ("f\u2028vis s80 0 0 1 1 0.5 1", "\n")], last_break=True)
 @FILE_FIXTURE
-def test_ingest_detections_matches_line_parser(tmp_path, monkeypatch, body):
+def test_ingest_detections_matches_line_parser(tmp_path, monkeypatch, body, last_break):
     # The columnar reader returns exactly what parse_detection_line gives on
-    # each data line, in order, or fails with the first failing line's error.
-    # Three-line chunks make frames and errors cross chunk boundaries.
-    monkeypatch.setattr(ingest, "_INGEST_CHUNK", 3)
+    # each data line, in order and bit for bit, or fails with the first
+    # failing line's error. Sixteen-character chunks make frames and errors
+    # cross chunk boundaries.
+    monkeypatch.setattr(ingest, "_CHUNK_CHARS", 16)
     path = tmp_path / "dets.txt"
-    path.write_text("\n".join(body), encoding="utf-8")
+    text = "".join(line + end for line, end in body)
+    path.write_bytes((text if last_break or not body else text[: -len(body[-1][1])]).encode())
     expected, error = [], None
     for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
         line = raw.strip()
@@ -112,6 +155,12 @@ def test_ingest_detections_matches_line_parser(tmp_path, monkeypatch, body):
     table = ingest_detections(path)
     assert list(table) == expected
     assert [frame for frame, _ in table.by_frame()] == sorted({d.frame_id for d in expected})
+    # Bit for bit, so that -0.0 and 0.0 differ.
+    want = DetectionTable.from_detections(expected)
+    assert table.frame_ids == want.frame_ids and table.strategies == want.strategies
+    for column in TABLE_COLUMNS:
+        got, ref = getattr(table, column), getattr(want, column)
+        assert (got.dtype, got.shape, got.tobytes()) == (ref.dtype, ref.shape, ref.tobytes())
 
 
 @given(
@@ -356,3 +405,47 @@ def test_segment_pairs_match_the_double_loop(seg_a, seg_b):
     ]
     rows_a, rows_b = segment_pairs(seg_a, seg_b)
     assert list(zip(rows_a.tolist(), rows_b.tolist())) == expected
+
+
+_SQUARE, _HALF, _THIRD = (0, 0, 10, 10), (0, 0, 10, 5), (5, 0, 15, 10)  # IoU 1/2 and 1/3
+matcher_frames = st.lists(
+    st.tuples(
+        st.lists(st.tuples(corpus_boxes, st.sampled_from([0.5, 0.7, 0.9, 1.0])), max_size=7),
+        st.lists(st.tuples(corpus_boxes, st.booleans()), max_size=4),  # (box, ignored)
+        st.booleans(),  # detections as a table
+    ),
+    max_size=6,
+)
+
+
+@given(matcher_frames, st.sampled_from([0.0, 1.0 / 3.0, 0.5, 1.0]))
+@example([([], [(_SQUARE, False)], False), ([(_SQUARE, 0.5)], [], True)], 0.5)  # no dets, no gts
+@example([([(_SQUARE, 0.9), (_SQUARE, 0.9)], [(_SQUARE, True)], False)], 0.5)  # ignored only
+@example([([(_HALF, 0.7), (_THIRD, 0.7), (_HALF, 0.7)],
+           [(_SQUARE, False), (_SQUARE, False), (_THIRD, True)], True)], 1.0 / 3.0)
+@example([([(_THIRD, 0.9), (_HALF, 0.8)], [(_SQUARE, False), ((10, 0, 20, 10), False)], False),
+          ([(_HALF, 0.5)], [(_SQUARE, False)], False)], 1.0 / 3.0)
+@settings(max_examples=300, deadline=None)
+def test_corpus_matcher_matches_the_per_frame_reference(frames, match_iou):
+    # The wavefront over all frames gives each frame the outcomes of the
+    # greedy per-frame reference, in that frame's descending score order.
+    # Boxes come from shapes with IoUs of exactly 1/2 and 1/3, scores from
+    # a few values, so ties and exact thresholds are common.
+    inputs = []
+    for k, (dets, gts, as_table) in enumerate(frames):
+        dets = [Detection(BBox(*box), score, "vis", "s80", f"{k}") for box, score in dets]
+        evaluated = [GroundTruthBox(BBox(*box)) for box, ignored in gts if not ignored]
+        ignored = [GroundTruthBox(BBox(*box), ignore=True) for box, ignored in gts if ignored]
+        dets = DetectionTable.from_detections(dets) if as_table else dets
+        inputs.append((dets, evaluated, ignored))
+    frame, scores, outcome = evaluation._match_frames(inputs, match_iou)
+    for k, (dets, evaluated, ignored) in enumerate(inputs):
+        want = match_outcomes_ref(list(dets), evaluated, ignored, match_iou)
+        rows = frame == k
+        got = list(zip(scores[rows].tolist(), [evaluation._FLAGS[o] for o in outcome[rows]]))
+        assert got == want
+        result = evaluation.match_frame(dets, evaluated, ignored, match_iou)
+        assert result.outcomes == tuple(want)
+        assert (result.tp, result.fp, result.misses) == match_frame_ref(
+            list(dets), evaluated, ignored, match_iou
+        )

@@ -1,11 +1,13 @@
 """File format parsing, serialization round trips, and run configuration."""
 
 import json
+import re
 
 import pytest
 
+from msfusion import ingest
 from msfusion.evaluation import STANDARD_SETTINGS, apply_setting
-from msfusion.geometry import BBox, Detection, DetectionTable
+from msfusion.geometry import SCALES, BBox, Detection, DetectionTable
 from msfusion.ingest import (
     Manifest,
     ManifestFrame,
@@ -163,6 +165,39 @@ class TestDetections:
         table = ingest_detections(path)
         assert isinstance(table, DetectionTable) and table == dets
         assert serialize_detections(table, {"k": "v"}) == text
+
+    @pytest.mark.parametrize("frame_id", ["#x", "", "a b", "a\tb", "a\x0bb", "a\u2028b", "a\n"])
+    def test_serialize_rejects_a_frame_id_the_line_format_cannot_carry(self, frame_id):
+        # "#x" used to be written as a comment line, so its row was lost on
+        # reading; "" and "a b" failed later, naming a line the writer made.
+        dets = [
+            Detection(BBox(0, 0, 1, 1), 0.5, "vis", "s80", "a"),
+            Detection(BBox(0, 0, 1, 1), 0.5, "vis", "s80", frame_id),
+        ]
+        for rows in (dets, DetectionTable.from_detections(dets)):
+            with pytest.raises(ValueError, match=f"frame id {re.escape(repr(frame_id))}"):
+                serialize_detections(rows)
+
+    def test_serialize_checks_only_the_frame_ids_of_its_rows(self):
+        table = DetectionTable.from_detections(
+            [Detection(BBox(0, 0, 1, 1), 0.5, "vis", "s80", f) for f in ("#x", "a#b")]
+        )
+        assert serialize_detections(table.subset(frame_id="a#b")).startswith("a#b vis s80 ")
+
+    def test_a_valid_dump_never_reaches_the_line_parser(self, tmp_path, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("parse_detection_line called")
+
+        monkeypatch.setattr(ingest, "parse_detection_line", refuse)
+        lines = ["# header = 1", ""] + [
+            f"{k // 7:06d}\t{('vis', 'ir')[k % 2]} {SCALES[k % 3]}  {k % 50}.5 0 {k % 50 + 10}.25 "
+            f"20 0.{k:03d}"
+            for k in range(1000)
+        ]
+        path = tmp_path / "d.txt"
+        path.write_text("\r\n".join(lines) + "\r\n", encoding="utf-8")
+        table = ingest_detections(path)
+        assert len(table) == 1000 and len(table.frame_ids) == 143
 
     def test_group_by_frame_of_a_table_and_a_list_agree(self):
         dets = [
