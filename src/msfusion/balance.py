@@ -221,18 +221,21 @@ def corpus_reliability(
 # samples, F * C) corner block holds about this many float64 values.
 _ROI_CHUNK_VALUES = 1 << 16
 
+# The RoIAlign grid of the paper: 3x3 bins of 2x2 bilinear samples each.
+_ROI_BINS = 3
+_ROI_SAMPLES = 2
+# Sample positions along one axis in bin widths, bin-major: the quarter points.
+_ROI_STEPS = np.array(
+    [b + (i + 0.5) / _ROI_SAMPLES for b in range(_ROI_BINS) for i in range(_ROI_SAMPLES)]
+)
 
-def _sample_axis(
-    lo: np.ndarray, extent: np.ndarray, size: int, output_size: int, sampling_ratio: int
-) -> tuple[np.ndarray, ...]:
+
+def _sample_axis(lo: np.ndarray, extent: np.ndarray, size: int) -> tuple[np.ndarray, ...]:
     # Bilinear taps along one axis for every box: sample coordinates on the
     # half-pixel aligned lattice (the value of pixel i sits at i + 0.5),
     # ordered bin-major, then the low/high indices, their weights and which
     # samples fall inside [-1, size]; samples outside read as zero.
-    steps = np.array(
-        [b + (i + 0.5) / sampling_ratio for b in range(output_size) for i in range(sampling_ratio)]
-    )
-    coord = (lo - 0.5)[:, None] + steps[None, :] * (extent / output_size)[:, None]
+    coord = (lo - 0.5)[:, None] + _ROI_STEPS[None, :] * (extent / _ROI_BINS)[:, None]
     inside = (coord >= -1.0) & (coord <= size)
     # Clamping to the last pixel gives it full weight, as at the map edge.
     coord = np.clip(coord, 0.0, size - 1.0)
@@ -245,20 +248,17 @@ def roi_align(
     feature_map: np.ndarray,
     box: BBox | Sequence[BBox] | np.ndarray,
     box_id: int = 0,
-    output_size: int = 3,
-    sampling_ratio: int = 2,
 ) -> RoiFeature | np.ndarray:
     """Quantization-free RoI pooling of a (F, C, H, W) map to a 3x3 grid.
 
     Each box, given in feature-map coordinates with positive area, is
-    divided into output_size^2 bins; each bin averages sampling_ratio^2
-    bilinear samples placed at the bin's interior fractions (quarter points
-    for the default 2x2), using half-pixel-aligned coordinates. The grid is
-    flattened row-major to a vector of length output_size^2 * F * C.
+    divided into 3x3 bins; each bin averages 2x2 bilinear samples placed
+    at the bin's quarter points, using half-pixel-aligned coordinates. The
+    grid is flattened row-major to a vector of length 9 * F * C.
 
     One ``BBox`` gives a :class:`RoiFeature` tagged ``box_id``. A sequence
-    of boxes, or an (N, 4) array of their corners, gives an
-    (N, output_size^2 * F * C) array whose row i is the vector of box i;
+    of boxes, or an (N, 4) array of their corners, gives an (N, 9 * F * C)
+    array whose row i is the vector of box i;
     the boxes are pooled together, gathering the four bilinear corners of
     all their samples in chunks of boxes.
     """
@@ -280,15 +280,13 @@ def roi_align(
         raise ValueError(f"RoI box must have positive area, got {shown!r}")
     f, c, height, width = feature_map.shape
     n = len(corners)
-    ys = _sample_axis(corners[:, 1], corners[:, 3] - corners[:, 1], height,
-                      output_size, sampling_ratio)
-    xs = _sample_axis(corners[:, 0], corners[:, 2] - corners[:, 0], width,
-                      output_size, sampling_ratio)
+    ys = _sample_axis(corners[:, 1], corners[:, 3] - corners[:, 1], height)
+    xs = _sample_axis(corners[:, 0], corners[:, 2] - corners[:, 0], width)
     # Channels last, so each gathered corner is one contiguous F * C row.
     pixels = np.ascontiguousarray(feature_map.transpose(2, 3, 0, 1))
     pixels = pixels.reshape(height, width, f * c)
-    samples = output_size * sampling_ratio
-    out = np.empty((n, output_size, output_size, f * c))
+    samples = _ROI_BINS * _ROI_SAMPLES
+    out = np.empty((n, _ROI_BINS, _ROI_BINS, f * c))
     chunk = max(1, _ROI_CHUNK_VALUES // (samples * samples * f * c))
     for start in range(0, n, chunk):
         part = slice(start, start + chunk)
@@ -299,14 +297,14 @@ def roi_align(
         value += (ly * hx)[..., None] * pixels[y_hi, x_lo]
         value += (ly * lx)[..., None] * pixels[y_hi, x_hi]
         value[~(y_in & x_in)] = 0.0
-        value = value.reshape(-1, output_size, sampling_ratio, output_size, sampling_ratio, f * c)
-        acc = np.zeros((len(value), output_size, output_size, f * c))
-        for iy in range(sampling_ratio):
-            for ix in range(sampling_ratio):
+        value = value.reshape(-1, _ROI_BINS, _ROI_SAMPLES, _ROI_BINS, _ROI_SAMPLES, f * c)
+        acc = np.zeros((len(value), _ROI_BINS, _ROI_BINS, f * c))
+        for iy in range(_ROI_SAMPLES):
+            for ix in range(_ROI_SAMPLES):
                 acc += value[:, :, iy, :, ix]
-        out[part] = acc / (sampling_ratio * sampling_ratio)
+        out[part] = acc / (_ROI_SAMPLES * _ROI_SAMPLES)
     # (N, by, bx, F * C) -> rows flattened as (F, C, by, bx).
-    flat = out.reshape(n, output_size * output_size, f * c).transpose(0, 2, 1)
+    flat = out.reshape(n, _ROI_BINS * _ROI_BINS, f * c).transpose(0, 2, 1)
     flat = flat.reshape(n, -1)
     if isinstance(box, BBox):
         return RoiFeature(values=flat[0], box_id=box_id)

@@ -12,6 +12,12 @@ through every subcommand: per-modality, per-scale and per-frame subsets are
 row selections, and ``fuse`` writes its output rows straight from the
 columns, so no ``Detection`` object is built for an input line.
 
+Each subcommand takes only the flags it acts on; ``--config`` names a
+``key = value`` file of ``RunConfig`` defaults. A flag's dest is its config
+key, so the given flags are written over the file's mapping and both reach
+``RunConfig`` through ``run_config_from_mapping``. ``fuse`` and ``eval``
+echo the whole ``RunConfig`` in their output header.
+
 Exit codes: 0 on success, 1 on runtime/I-O failure (with a one-line
 diagnostic on stderr), 2 on usage errors.
 """
@@ -20,7 +26,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +46,7 @@ from .ingest import (
     run_config_from_mapping,
     serialize_detections,
 )
-from .postprocess import run_strategy
+from .postprocess import STRATEGIES, run_strategy
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -49,38 +54,19 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", help="output file path")
 
 
-def _add_threshold_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--strategy", choices=("vis", "ir", "both", "algo1"))
-    parser.add_argument("--iou-thres", type=float, dest="iou_thres")
-    parser.add_argument("--conf-thres-v", type=float, dest="conf_thres_v")
-    parser.add_argument("--conf-thres-t", type=float, dest="conf_thres_t")
-    parser.add_argument("--nms-thres", type=float, dest="nms_thres")
-    parser.add_argument("--n-top", type=int, dest="n_top")
-
-
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    mapping = load_config(args.config) if getattr(args, "config", None) else {}
+    # The config file's mapping with the given flags written over it: a
+    # flag's dest is its config key, and str() of a float round-trips.
+    mapping = load_config(args.config) if args.config else {}
     try:
-        cfg = run_config_from_mapping(mapping)
-    except ValueError as err:  # only a config file's values can fail here
+        run_config_from_mapping(mapping)
+    except ValueError as err:  # a bad file value names the file
         raise ValueError(f"{args.config}: {err}") from None
-    post = cfg.postprocess
-    if getattr(args, "strategy", None):
-        post = replace(post, strategy=args.strategy)
-    if getattr(args, "iou_thres", None) is not None:
-        post = replace(post, iou_thres=args.iou_thres)
-    if getattr(args, "conf_thres_v", None) is not None:
-        post = replace(post, conf_threshold_v=args.conf_thres_v)
-    if getattr(args, "conf_thres_t", None) is not None:
-        post = replace(post, conf_threshold_t=args.conf_thres_t)
-    if getattr(args, "nms_thres", None) is not None:
-        post = replace(post, nms_threshold=args.nms_thres)
-    overrides: dict = {"postprocess": post}
-    if getattr(args, "n_top", None) is not None:
-        overrides["n_top"] = args.n_top
-    if getattr(args, "setting", None):
-        overrides["settings"] = tuple(args.setting)
-    return replace(cfg, **overrides)
+    keys = RunConfig().echo()
+    for key, value in vars(args).items():
+        if key in keys and value is not None:
+            mapping[key] = ",".join(value) if key == "settings" else str(value)
+    return run_config_from_mapping(mapping)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -235,17 +221,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fuse", help="run an output strategy over a detection dump")
     p.add_argument("--detections", required=True)
-    _add_threshold_flags(p)
+    p.add_argument("--strategy", choices=STRATEGIES)
+    p.add_argument("--iou-thres", type=float, dest="iou_thres")
+    p.add_argument("--conf-thres-v", type=float, dest="conf_thres_v")
+    p.add_argument("--conf-thres-t", type=float, dest="conf_thres_t")
+    p.add_argument("--nms-thres", type=float, dest="nms_thres")
     _add_common(p)
     p.set_defaults(func=_cmd_fuse)
 
     p = sub.add_parser("eval", help="log-average miss-rate table")
     p.add_argument("--detections", required=True)
     p.add_argument("--manifest", required=True)
-    p.add_argument("--setting", action="append", choices=sorted(STANDARD_SETTINGS))
+    p.add_argument(
+        "--setting", action="append", dest="settings", choices=sorted(STANDARD_SETTINGS)
+    )
     p.add_argument("--split", choices=SPLITS)
     p.add_argument("--label", default="default", help="strategy label for the rows")
-    _add_threshold_flags(p)
     _add_common(p)
     p.set_defaults(func=_cmd_eval)
 

@@ -143,8 +143,10 @@ def apply_setting(
     gts: Sequence[GroundTruthBox], setting: EvalSetting
 ) -> tuple[list[GroundTruthBox], list[GroundTruthBox]]:
     """Partition ground truths into (evaluated, ignored) under a setting."""
-    evaluated = [g for g in gts if setting.admits(g)]
-    ignored = [g for g in gts if not setting.admits(g)]
+    evaluated: list[GroundTruthBox] = []
+    ignored: list[GroundTruthBox] = []
+    for g in gts:
+        (evaluated if setting.admits(g) else ignored).append(g)
     return evaluated, ignored
 
 

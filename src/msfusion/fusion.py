@@ -42,13 +42,11 @@ def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     return e / e.sum(axis=axis, keepdims=True)
 
 
-def layer_norm(
-    x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float = LAYER_NORM_EPS
-) -> np.ndarray:
+def layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> np.ndarray:
     """Layer normalization over the last axis."""
     mean = x.mean(axis=-1, keepdims=True)
     var = x.var(axis=-1, keepdims=True)
-    return (x - mean) / np.sqrt(var + eps) * gamma + beta
+    return (x - mean) / np.sqrt(var + LAYER_NORM_EPS) * gamma + beta
 
 
 def _as_features(x: np.ndarray, name: str = "input") -> np.ndarray:
@@ -502,6 +500,10 @@ class FusionConfig:
     cascade_groups: int = 4
 
     def __post_init__(self) -> None:
+        for name in ("frames", "channels", "height", "width"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
         dims = _input_dims(
             self.frames, self.channels, self.height, self.width, self.patch_size
         )
@@ -579,9 +581,6 @@ class FusionWeights:
 
     def __init__(self, tensors: dict[str, np.ndarray]):
         self.tensors = {k: np.asarray(v, dtype=np.float64) for k, v in tensors.items()}
-
-    def __contains__(self, name: str) -> bool:
-        return name in self.tensors
 
     def tensor(self, name: str) -> np.ndarray:
         try:

@@ -30,7 +30,7 @@ always does.
 
 ``DetectionTable`` holds many detections as columns: the corners as an
 (N, 4) float64 array, the scores as a float64 array, and integer codes for
-frame, modality, scale and strategy tag. Frame codes index ``frame_ids``,
+frame, modality and scale. Frame codes index ``frame_ids``,
 which is kept in Python ``str`` sort order, so sorting rows by frame code
 sorts them by frame id (numpy string arrays are never used: they drop
 trailing NUL characters). The table is itself a ``Sequence[Detection]``:
@@ -119,18 +119,13 @@ class BBox:
 
 @dataclass(frozen=True)
 class Detection:
-    """One detector output: box, confidence, and provenance tags.
-
-    ``strategy`` is set by post-processing to record which output strategy
-    produced the detection; raw detector outputs leave it None.
-    """
+    """One detector output: box, confidence, and provenance tags."""
 
     box: BBox
     score: float
     modality: str
     scale_id: str
     frame_id: str
-    strategy: str | None = None
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.score <= 1.0:
@@ -388,11 +383,10 @@ class DetectionTable(Sequence):
 
     ``corners`` is (N, 4) float64 in corner form and ``scores`` is (N,)
     float64. ``frame_codes`` index ``frame_ids`` (unique, in Python ``str``
-    sort order), ``modality_codes`` index ``MODALITIES``, ``scale_codes``
-    index ``SCALES``, and ``strategy_codes`` index ``strategies`` (tags,
-    each a string or None). Every row is a valid detection; the constructor
-    checks it and raises the error ``Detection`` would raise for the first
-    invalid row.
+    sort order), ``modality_codes`` index ``MODALITIES`` and
+    ``scale_codes`` index ``SCALES``. Every row is a valid detection; the
+    constructor checks it and raises the error ``Detection`` would raise
+    for the first invalid row.
 
     A table is a ``Sequence[Detection]``: indexing and iteration build
     ``Detection`` rows, a slice is a table sharing the columns, and a table
@@ -401,8 +395,7 @@ class DetectionTable(Sequence):
     """
 
     __slots__ = (
-        "corners", "scores", "frame_codes", "frame_ids",
-        "modality_codes", "scale_codes", "strategy_codes", "strategies",
+        "corners", "scores", "frame_codes", "frame_ids", "modality_codes", "scale_codes",
     )
 
     def __init__(
@@ -413,8 +406,6 @@ class DetectionTable(Sequence):
         frame_ids: Sequence[str],
         modality_codes,
         scale_codes,
-        strategy_codes=None,
-        strategies: Sequence[str | None] = (None,),
     ) -> None:
         corners = np.asarray(corners, dtype=np.float64)
         n = len(corners)
@@ -428,11 +419,6 @@ class DetectionTable(Sequence):
             a >= b for a, b in zip(frame_ids, frame_ids[1:])
         ):
             raise ValueError("frame_ids must be unique strings in sorted order")
-        strategies = tuple(strategies)
-        if not all(s is None or isinstance(s, str) for s in strategies):
-            raise ValueError("strategies must be strings or None")
-        if strategy_codes is None:
-            strategy_codes = np.zeros(n, dtype=np.intp)
         self._set(
             corners,
             scores,
@@ -440,8 +426,6 @@ class DetectionTable(Sequence):
             frame_ids,
             _codes(modality_codes, n, len(MODALITIES), "modality_codes"),
             _codes(scale_codes, n, len(SCALES), "scale_codes"),
-            _codes(strategy_codes, n, len(strategies), "strategy_codes"),
-            strategies,
         )
         bad = np.flatnonzero(_invalid_rows(corners, scores))
         if bad.size:
@@ -466,8 +450,6 @@ class DetectionTable(Sequence):
         dets = list(dets)
         frame_ids = tuple(sorted({d.frame_id for d in dets}))
         frame_lookup = {f: i for i, f in enumerate(frame_ids)}
-        strategies = tuple(dict.fromkeys(d.strategy for d in dets)) or (None,)
-        strategy_lookup = {s: i for i, s in enumerate(strategies)}
         corners = [(d.box.x_min, d.box.y_min, d.box.x_max, d.box.y_max) for d in dets]
         return cls._make(
             np.array(corners, dtype=np.float64).reshape(len(dets), 4),
@@ -476,26 +458,18 @@ class DetectionTable(Sequence):
             frame_ids,
             np.array([_MODALITY_CODES[d.modality] for d in dets], dtype=np.intp),
             np.array([_SCALE_CODES[d.scale_id] for d in dets], dtype=np.intp),
-            np.array([strategy_lookup[d.strategy] for d in dets], dtype=np.intp),
-            strategies,
         )
 
     @classmethod
     def concat(cls, tables: Sequence["DetectionTable"]) -> "DetectionTable":
-        """Rows of every table in order, over the union of their frame ids
-        and strategy tags. Needs at least one table."""
-        first = tables[0]
-        frame_ids, strategies = first.frame_ids, first.strategies
+        """Rows of every table in order, over the union of their frame ids.
+        Needs at least one table."""
+        frame_ids = tables[0].frame_ids
         frames = [t.frame_codes for t in tables]
-        tags = [t.strategy_codes for t in tables]
         if any(t.frame_ids != frame_ids for t in tables):
             frame_ids = tuple(sorted(set().union(*(t.frame_ids for t in tables))))
             lookup = {f: i for i, f in enumerate(frame_ids)}
             frames = [_recode(t.frame_ids, t.frame_codes, lookup) for t in tables]
-        if any(t.strategies != strategies for t in tables):
-            strategies = tuple(dict.fromkeys(s for t in tables for s in t.strategies))
-            lookup = {s: i for i, s in enumerate(strategies)}
-            tags = [_recode(t.strategies, t.strategy_codes, lookup) for t in tables]
         return cls._make(
             np.concatenate([t.corners for t in tables]),
             np.concatenate([t.scores for t in tables]),
@@ -503,8 +477,6 @@ class DetectionTable(Sequence):
             frame_ids,
             np.concatenate([t.modality_codes for t in tables]),
             np.concatenate([t.scale_codes for t in tables]),
-            np.concatenate(tags),
-            strategies,
         )
 
     def take(self, index) -> "DetectionTable":
@@ -517,8 +489,6 @@ class DetectionTable(Sequence):
             self.frame_ids,
             self.modality_codes[index],
             self.scale_codes[index],
-            self.strategy_codes[index],
-            self.strategies,
         )
 
     def subset(
@@ -542,19 +512,6 @@ class DetectionTable(Sequence):
             keep &= self.scale_codes == _SCALE_CODES[scale_id]
         return self.take(np.flatnonzero(keep))
 
-    def with_strategy(self, strategy: str | None) -> "DetectionTable":
-        """The same rows, all tagged ``strategy``."""
-        return self._make(
-            self.corners,
-            self.scores,
-            self.frame_codes,
-            self.frame_ids,
-            self.modality_codes,
-            self.scale_codes,
-            np.zeros(len(self), dtype=np.intp),
-            (strategy,),
-        )
-
     def by_frame(self) -> list[tuple[str, np.ndarray]]:
         """(frame id, row indices) for every frame with rows, in sorted
         frame-id order; each frame's indices ascend."""
@@ -575,22 +532,16 @@ class DetectionTable(Sequence):
         return next(iter(self.take(slice(i, i + 1))))
 
     def __iter__(self):
-        frame_ids, strategies = self.frame_ids, self.strategies
-        for corners, score, frame, modality, scale, tag in zip(
+        frame_ids = self.frame_ids
+        for corners, score, frame, modality, scale in zip(
             self.corners.tolist(),
             self.scores.tolist(),
             self.frame_codes.tolist(),
             self.modality_codes.tolist(),
             self.scale_codes.tolist(),
-            self.strategy_codes.tolist(),
         ):
             yield Detection(
-                BBox(*corners),
-                score,
-                MODALITIES[modality],
-                SCALES[scale],
-                frame_ids[frame],
-                strategies[tag],
+                BBox(*corners), score, MODALITIES[modality], SCALES[scale], frame_ids[frame]
             )
 
     def __eq__(self, other) -> bool:

@@ -33,9 +33,11 @@ Formats handled here:
   so no ``Detection`` object is built on the way. ``parse_detection_line``
   builds one per call, and a table builds one per row it is indexed or
   iterated for. Rows keep file order; the table's frame ids are sorted.
-* manifest: JSON listing frames (id, time of day, file paths) and optional
-  sequence grouping (frames per group and stride).
-* run config: UTF-8 ``key = value`` lines.
+* manifest: JSON listing frames (id, time of day, annotation path) and
+  optional sequence grouping (frames per group and stride, positive
+  integers, and a list of frame id lists).
+* run config: UTF-8 ``key = value`` lines, one key per ``RunConfig.echo``
+  entry; the CLI writes its flags into the same mapping.
 * results: UTF-8 header block of ``# key = value`` lines followed by
   tab-separated rows.
 """
@@ -83,7 +85,8 @@ DEFAULT_SCALE_STRIDES = {"s80": 8.0, "s40": 16.0, "s20": 32.0}
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Every tunable knob of the pipeline, with overridable defaults."""
+    """Every tunable knob of the pipeline, with defaults that a config
+    file (and, where a subcommand reads the knob, a flag) overrides."""
 
     n_top: int = DEFAULT_TOP_N
     postprocess: PostprocessConfig = field(default_factory=PostprocessConfig)
@@ -95,6 +98,8 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.n_top < 1:
             raise ValueError(f"n_top must be >= 1, got {self.n_top}")
+        if not self.settings:
+            raise ValueError("settings: expected at least one eval setting")
         for name in self.settings:
             if name not in STANDARD_SETTINGS:
                 raise ValueError(f"unknown eval setting {name!r}")
@@ -103,7 +108,8 @@ class RunConfig:
                 raise ValueError(f"stride_{scale} must be positive and finite, got {stride}")
 
     def echo(self) -> dict[str, str]:
-        """Flat key/value view for provenance headers."""
+        """Flat key/value view for provenance headers; its keys are the
+        config keys, and ``run_config_from_mapping`` reads it back."""
         out = {
             "n_top": str(self.n_top),
             "conf_thres_v": repr(self.postprocess.conf_threshold_v),
@@ -135,19 +141,7 @@ def load_config(path: str | Path) -> dict[str, str]:
 def run_config_from_mapping(mapping: Mapping[str, str]) -> RunConfig:
     """Build a RunConfig from string key/value pairs, applying defaults."""
     base = RunConfig()
-    known = {
-        "n_top",
-        "conf_thres_v",
-        "conf_thres_t",
-        "iou_thres",
-        "nms_thres",
-        "strategy",
-        "settings",
-        "stride_s80",
-        "stride_s40",
-        "stride_s20",
-    }
-    unknown = set(mapping) - known
+    unknown = set(mapping) - set(base.echo())
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
 
@@ -242,7 +236,6 @@ def serialize_annotations(gts: Iterable[GroundTruthBox]) -> str:
 
 def ingest_annotations(
     path: str | Path,
-    fmt: str = "kaist_txt",
     time_of_day: str = "day",
     scale_x: float = 1.0,
     scale_y: float = 1.0,
@@ -253,8 +246,6 @@ def ingest_annotations(
     come from file stems. Time-of-day tags normally come from a manifest;
     the default here applies when files are ingested directly.
     """
-    if fmt != "kaist_txt":
-        raise ValueError(f"unknown annotation format {fmt!r}")
     path = Path(path)
     files = sorted(path.glob("*.txt")) if path.is_dir() else [path]
     if not files:
@@ -462,7 +453,6 @@ class ManifestFrame:
     frame_id: str
     time_of_day: str
     annotations: str | None = None
-    detections: str | None = None
 
     def __post_init__(self) -> None:
         if self.time_of_day not in TIMES_OF_DAY:
@@ -565,23 +555,30 @@ def _manifest_from_payload(payload, root: Path) -> Manifest:
         if not isinstance(entry, dict) or "frame_id" not in entry:
             raise ValueError(f"frames[{k}]: expected an object with a 'frame_id'")
         frame_id = str(entry["frame_id"])
-        for key in ("annotations", "detections"):
-            value = entry.get(key)
-            if value is not None and not isinstance(value, str):
-                raise ValueError(
-                    f"frame {frame_id!r}: {key} must be a file path string, got {value!r}"
-                )
+        annotations = entry.get("annotations")
+        if annotations is not None and not isinstance(annotations, str):
+            raise ValueError(
+                f"frame {frame_id!r}: annotations must be a file path string, "
+                f"got {annotations!r}"
+            )
         frames.append(
             ManifestFrame(
                 frame_id=frame_id,
                 time_of_day=str(entry.get("time_of_day", "day")),
-                annotations=entry.get("annotations"),
-                detections=entry.get("detections"),
+                annotations=annotations,
             )
         )
     sequence = payload.get("sequence", {})
     if not isinstance(sequence, dict):
         raise ValueError(f"sequence: expected an object, got {sequence!r}")
+    for key in ("frames_per_group", "stride"):
+        value = sequence.get(key)
+        # bool is an int subclass; JSON true is not a size.
+        if value is not None and (type(value) is not int or value < 1):
+            raise ValueError(f"sequence.{key}: expected a positive integer, got {value!r}")
+    groups = sequence.get("groups", [])
+    if not isinstance(groups, list) or not all(isinstance(g, list) for g in groups):
+        raise ValueError(f"sequence.groups: expected a list of frame id lists, got {groups!r}")
     scale = payload.get("annotation_scale", [1.0, 1.0])
     if not isinstance(scale, list) or len(scale) != 2:
         raise ValueError(f"annotation_scale: expected [scale_x, scale_y], got {scale!r}")
@@ -589,7 +586,7 @@ def _manifest_from_payload(payload, root: Path) -> Manifest:
         frames=tuple(frames),
         frames_per_group=sequence.get("frames_per_group"),
         stride=sequence.get("stride"),
-        groups=tuple(tuple(str(f) for f in g) for g in sequence.get("groups", [])),
+        groups=tuple(tuple(str(f) for f in g) for g in groups),
         annotation_scale=(float(scale[0]), float(scale[1])),
         root=root,
     )
@@ -602,7 +599,6 @@ def save_manifest(manifest: Manifest, path: str | Path) -> None:
                 "frame_id": f.frame_id,
                 "time_of_day": f.time_of_day,
                 **({"annotations": f.annotations} if f.annotations else {}),
-                **({"detections": f.detections} if f.detections else {}),
             }
             for f in manifest.frames
         ],

@@ -152,8 +152,9 @@ def run_strategy(
     vis / ir run NMS on a single modality; both runs joint NMS over the
     pooled modalities; algo1 fuses cross-modal pairs per scale first and
     then runs joint NMS over the pooled fused boxes only. NMS is applied
-    per frame at cfg.nms_threshold; outputs are tagged with the strategy.
-    Two tables give a table; other sequences give a list.
+    per frame at cfg.nms_threshold. The rows carry no record of the
+    strategy: the caller holds ``cfg``. Two tables give a table; other
+    sequences give a list.
     """
     table_v, table_t = as_table(vis), as_table(ir)
     if cfg.strategy == "vis":
@@ -169,7 +170,6 @@ def run_strategy(
             for scale in sorted(SCALES[c] for c in codes)
         ]
         kept = nms(DetectionTable.concat(pooled) if pooled else table_v[:0], cfg.nms_threshold)
-    kept = kept.with_strategy(cfg.strategy)
     if isinstance(vis, DetectionTable) and isinstance(ir, DetectionTable):
         return kept
     return list(kept)

@@ -89,6 +89,8 @@ class TestEval:
         assert len(rows) == 1 and rows[0].startswith("all\tnight")
 
     def test_header_echoes_config(self, corpus, capsys):
+        cfg = corpus / "run.cfg"
+        cfg.write_text("nms_thres = 0.37\n", "utf-8")
         code = main(
             [
                 "eval",
@@ -96,14 +98,34 @@ class TestEval:
                 str(corpus / "dets.txt"),
                 "--manifest",
                 str(corpus / "manifest.json"),
-                "--nms-thres",
-                "0.37",
+                "--config",
+                str(cfg),
             ]
         )
         assert code == 0
         out = capsys.readouterr().out
         assert "# nms_thres = 0.37" in out
         assert "# n_top = 300" in out
+
+    @pytest.mark.parametrize("line", ["settings =", "settings = ,"])
+    def test_empty_settings_fail_naming_the_file(self, corpus, capsys, line):
+        cfg = corpus / "run.cfg"
+        cfg.write_text(line + "\n", "utf-8")
+        code = main(
+            [
+                "eval",
+                "--detections",
+                str(corpus / "dets.txt"),
+                "--manifest",
+                str(corpus / "manifest.json"),
+                "--config",
+                str(cfg),
+            ]
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {cfg}: settings: expected at least one eval setting\n"
 
 
 class TestFuse:
@@ -252,6 +274,17 @@ class TestForwardPipeline:
         fused = load_tensors(tmp_path / "out_a.sftn", TENSORS_MAGIC)
         assert fused["vis"].shape == (3, 8, 16, 16)
         assert fused["ir"].shape == (3, 8, 16, 16)
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--channels", "0"), ("--frames", "-1"), ("--height", "-4")]
+    )
+    def test_gen_weights_rejects_sizes_below_one(self, tmp_path, capsys, flag, value):
+        # --channels 0 used to write 41 tensors, some of them empty.
+        weights = tmp_path / "w.sfwt"
+        assert main(["gen-weights", flag, value, "--out", str(weights)]) == 1
+        field = flag.removeprefix("--")
+        assert capsys.readouterr().err == f"error: {field} must be >= 1, got {value}\n"
+        assert not weights.exists()
 
     def test_forward_rejects_missing_tensor(self, tmp_path, capsys):
         weights = tmp_path / "w.sfwt"
@@ -641,9 +674,25 @@ class TestExitCodes:
             main(["fuse", "--detections", "x", "--frobnicate"])
         assert exc.value.code == 2
 
-    def test_removed_beta_flag_is_usage_error(self, capsys):
+    # eval runs no post-processing and no reliability scoring, and fuse no
+    # reliability scoring: these flags only reached the results header.
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fuse", "--detections", "x", "--beta", "2.0"],
+            ["eval", "--detections", "x", "--manifest", "m", "--nms-thres", "0.3"],
+            ["fuse", "--detections", "x", "--n-top", "5"],
+            ["eval", "--detections", "x", "--manifest", "m", "--strategy", "vis"],
+            ["eval", "--detections", "x", "--manifest", "m", "--iou-thres", "0.5"],
+            ["eval", "--detections", "x", "--manifest", "m", "--conf-thres-v", "0.2"],
+            ["eval", "--detections", "x", "--manifest", "m", "--conf-thres-t", "0.2"],
+            ["eval", "--detections", "x", "--manifest", "m", "--n-top", "5"],
+        ],
+        ids=lambda argv: f"{argv[0]}{argv[-2]}",
+    )
+    def test_removed_beta_flag_is_usage_error(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
-            main(["fuse", "--detections", "x", "--beta", "2.0"])
+            main(argv)
         assert exc.value.code == 2
 
     @pytest.mark.parametrize(

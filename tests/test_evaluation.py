@@ -78,6 +78,20 @@ class TestApplySetting:
             assert len(evaluated) + len(ignored) == len(gts)
             assert not (set(map(id, evaluated)) & set(map(id, ignored)))
 
+    def test_admits_runs_once_per_ground_truth(self, monkeypatch):
+        gts = [gt(0, 0, 30, h, occ) for h in (40, 60, 90) for occ in ("none", "heavy")]
+        calls = []
+        admits = evaluation.EvalSetting.admits
+
+        def counting(self, g):
+            calls.append(g)
+            return admits(self, g)
+
+        monkeypatch.setattr(evaluation.EvalSetting, "admits", counting)
+        evaluated, ignored = apply_setting(gts, STANDARD_SETTINGS["reasonable"])
+        assert len(calls) == len(gts)
+        assert [len(evaluated), len(ignored)] == [2, 4]
+
 
 class TestMatchFrame:
     def test_table_matches_like_a_list(self):

@@ -676,6 +676,14 @@ class TestWeightSchema:
         with pytest.raises(ValueError, match=message):
             FusionConfig(**kwargs)
 
+    @pytest.mark.parametrize("value", [0, -4])
+    @pytest.mark.parametrize("field", ["frames", "channels", "height", "width"])
+    def test_config_rejects_sizes_below_one(self, field, value):
+        # channels=0 used to seed a weights file with empty tensors, and a
+        # negative size failed in numpy naming no field.
+        with pytest.raises(ValueError, match=rf"^{field} must be >= 1, got {value}$"):
+            FusionConfig(**{field: value})
+
     def test_config_has_only_the_caller_set_fields(self):
         assert list(FusionConfig.__dataclass_fields__) == [
             "frames", "channels", "height", "width", "patch_size", "cascade_groups"

@@ -116,8 +116,7 @@ dump_bodies = st.one_of(
         max_size=12,
     ),
 )
-TABLE_COLUMNS = ("corners", "scores", "frame_codes", "modality_codes", "scale_codes",
-                 "strategy_codes")
+TABLE_COLUMNS = ("corners", "scores", "frame_codes", "modality_codes", "scale_codes")
 
 
 @given(dump_bodies, st.booleans())
@@ -157,7 +156,7 @@ def test_ingest_detections_matches_line_parser(tmp_path, monkeypatch, body, last
     assert [frame for frame, _ in table.by_frame()] == sorted({d.frame_id for d in expected})
     # Bit for bit, so that -0.0 and 0.0 differ.
     want = DetectionTable.from_detections(expected)
-    assert table.frame_ids == want.frame_ids and table.strategies == want.strategies
+    assert table.frame_ids == want.frame_ids
     for column in TABLE_COLUMNS:
         got, ref = getattr(table, column), getattr(want, column)
         assert (got.dtype, got.shape, got.tobytes()) == (ref.dtype, ref.shape, ref.tobytes())

@@ -339,14 +339,13 @@ class TestNMS:
 
 
 def _mixed_dets():
-    # Frames out of order, a frame id with a trailing NUL, every modality,
-    # scale and a few strategy tags.
+    # Frames out of order, a frame id with a trailing NUL, every modality
+    # and scale.
     frames = ["b", "a\x00", "a", "b", "a"]
-    tags = [None, "vis", None, "algo1", None]
     return [
         Detection(BBox(k, 2 * k, k + 3.5, 2 * k + 1.25), 0.1 * (k + 1),
-                  geometry.MODALITIES[k % 3], geometry.SCALES[k % 3], frame, tag)
-        for k, (frame, tag) in enumerate(zip(frames, tags))
+                  geometry.MODALITIES[k % 3], geometry.SCALES[k % 3], frame)
+        for k, frame in enumerate(frames)
     ]
 
 
@@ -398,7 +397,6 @@ class TestDetectionTable:
         assert table.subset(modality="ir", scale_id="s40") == [
             d for d in dets if d.modality == "ir" and d.scale_id == "s40"
         ]
-        assert all(d.strategy == "both" for d in table.with_strategy("both"))
 
     def test_nms_on_a_table_returns_the_same_rows_as_a_table(self):
         rng = np.random.default_rng(17)

@@ -261,17 +261,18 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="eval setting"):
             run_config_from_mapping({"settings": "unreasonable"})
 
+    @pytest.mark.parametrize("value", ["", ",", " , "])
+    def test_empty_settings_rejected(self, value):
+        # ``settings =`` used to make eval print a header and no rows.
+        with pytest.raises(ValueError, match="^settings: expected at least one eval setting$"):
+            run_config_from_mapping({"settings": value})
+
     def test_echo_roundtrips_through_the_parser(self):
         cfg = run_config_from_mapping(
             {"strategy": "ir", "iou_thres": "0.41", "n_top": "12", "stride_s40": "12.5"}
         )
         again = run_config_from_mapping(cfg.echo())
         assert again == cfg
-
-    def test_unknown_annotation_format_rejected(self, tmp_path):
-        (tmp_path / "f.txt").write_text("% bbGt version=3\n", encoding="utf-8")
-        with pytest.raises(ValueError, match="format"):
-            ingest_annotations(tmp_path, fmt="coco_json")
 
     def test_echo_covers_every_numeric_default(self):
         echo = RunConfig().echo()
@@ -363,7 +364,6 @@ class TestManifest:
             {"frames": [], "annotation_scale": ["x", 1]},
             {"frames": [{"frame_id": "a", "time_of_day": "dusk"}]},  # failed in load_records
             {"frames": [{"frame_id": "a", "annotations": 5}]},  # TypeError in load_records
-            {"frames": [{"frame_id": "a", "detections": 5}]},
             {"frames": [{"frame_id": "a", "annotations": ["a.txt"]}]},
             {"frames": [], "annotation_scale": [0, 1]},  # zero-width gts: eval exited 0
             {"frames": [], "annotation_scale": [-1, 1]},
@@ -376,6 +376,48 @@ class TestManifest:
         with pytest.raises(ValueError) as err:
             load_manifest(path)
         assert str(err.value).startswith(f"{path}: ")
+
+    @staticmethod
+    def _sequence_manifest(path, **sequence):
+        # Frames 1, 3 and 5 as one group of three spaced by stride 2, with
+        # ``sequence`` written over the valid block.
+        block = {"frames_per_group": 3, "stride": 2, "groups": [["1", "3", "5"]], **sequence}
+        frames = [{"frame_id": fid} for fid in ("1", "3", "5")]
+        path.write_text(json.dumps({"frames": frames, "sequence": block}), encoding="utf-8")
+        return path
+
+    def test_sequence_block_loads(self, tmp_path):
+        manifest = load_manifest(self._sequence_manifest(tmp_path / "m.json"))
+        assert (manifest.frames_per_group, manifest.stride) == (3, 2)
+        assert manifest.groups == (("1", "3", "5"),)
+        unset = load_manifest(
+            self._sequence_manifest(tmp_path / "n.json", frames_per_group=None, stride=None)
+        )
+        assert (unset.frames_per_group, unset.stride) == (None, None)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("frames_per_group", "3"),  # was "does not have 3 members"
+            ("frames_per_group", 0),
+            ("frames_per_group", -2),
+            ("frames_per_group", 2.5),
+            ("frames_per_group", True),
+            ("stride", "2"),  # was "is not spaced by stride 2"
+            ("stride", 0),
+            ("stride", -2),
+            ("stride", 2.5),
+            ("groups", "abc"),  # was read as groups of single characters
+            ("groups", ["135"]),
+            ("groups", 5),
+            ("groups", {"a": ["1"]}),
+        ],
+    )
+    def test_malformed_sequence_names_file_and_key(self, tmp_path, key, value):
+        path = self._sequence_manifest(tmp_path / "manifest.json", **{key: value})
+        with pytest.raises(ValueError) as err:
+            load_manifest(path)
+        assert str(err.value).startswith(f"{path}: sequence.{key}: ")
 
     def test_current_frames_are_group_tails(self, tmp_path):
         manifest = self._manifest(tmp_path)
