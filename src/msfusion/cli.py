@@ -76,20 +76,14 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _check_finite(path: str, tensors: dict[str, np.ndarray], names) -> dict[str, np.ndarray]:
-    # ``tensors`` (read from ``path``) when each of ``names`` is there with
-    # finite values; otherwise raises, naming the file and the tensor.
-    for name in names:
+def _load_pair(path: str) -> dict[str, np.ndarray]:
+    # The "vis" and "ir" maps of a tensor file (load_tensors rejects
+    # non-finite values); a missing one raises, naming the file.
+    tensors = load_tensors(path, TENSORS_MAGIC)
+    for name in ("vis", "ir"):
         if name not in tensors:
             raise ValueError(f"{path}: missing tensor {name!r}")
-        if not np.isfinite(tensors[name]).all():
-            raise ValueError(f"{path}: tensor {name!r} has non-finite values")
     return tensors
-
-
-def _load_pair(path: str) -> dict[str, np.ndarray]:
-    # The "vis" and "ir" maps of a tensor file.
-    return _check_finite(path, load_tensors(path, TENSORS_MAGIC), ("vis", "ir"))
 
 
 def _cmd_fuse(args: argparse.Namespace) -> int:
@@ -188,7 +182,6 @@ def _cmd_reliability(args: argparse.Namespace) -> int:
 
 def _cmd_forward(args: argparse.Namespace) -> int:
     weights = FusionWeights.load(args.weights)
-    _check_finite(args.weights, weights.tensors, weights.tensors)
     tensors = _load_pair(args.input)
     fused_vis, fused_ir = fusion_forward(tensors["vis"], tensors["ir"], weights)
     save_tensors(args.out, {"vis": fused_vis, "ir": fused_ir}, TENSORS_MAGIC)

@@ -47,8 +47,8 @@ def load_tensors(path: str | Path, magic: bytes | None = None) -> dict[str, np.n
     Returns float64 arrays keyed by name. ``magic`` restricts the accepted
     container kind; None accepts both known kinds. A malformed container
     (bad magic, truncated, trailing bytes, a tensor name that is not UTF-8
-    or that repeats an earlier one) raises a ``ValueError`` naming the file
-    and, where one is at fault, the tensor's index.
+    or that repeats an earlier one, a NaN or infinite value) raises a
+    ``ValueError`` naming the file and, where one is at fault, the tensor.
     """
     raw = Path(path).read_bytes()
     if len(raw) < 12:
@@ -96,6 +96,8 @@ def load_tensors(path: str | Path, magic: bytes | None = None) -> dict[str, np.n
         if end > len(raw):
             raise ValueError(f"{path}: truncated payload for tensor {name!r}")
         flat = np.frombuffer(raw, dtype="<f4", count=size, offset=offset)
+        if not np.isfinite(flat).all():
+            raise ValueError(f"{path}: tensor {name!r} has non-finite values")
         tensors[name] = flat.astype(np.float64).reshape(shape)
         offset = end
     if offset != len(raw):

@@ -532,8 +532,8 @@ class Manifest:
 
 
 def load_manifest(path: str | Path) -> Manifest:
-    """Read a manifest JSON file; any malformed content raises a
-    ``ValueError`` that names the file."""
+    """Read a manifest JSON file; any malformed content, an unknown key
+    included, raises a ``ValueError`` that names the file."""
     path = Path(path)
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
@@ -545,16 +545,27 @@ def load_manifest(path: str | Path) -> Manifest:
         raise ValueError(f"{path}: {err}") from None
 
 
+def _reject_unknown_keys(block: dict, known: tuple[str, ...], where: str) -> None:
+    # A misspelt key would otherwise drop its data without an error.
+    for key in block:
+        if key not in known:
+            raise ValueError(f"{where}unknown key {key!r}")
+
+
 def _manifest_from_payload(payload, root: Path) -> Manifest:
     # Structural errors raise ValueError; a wrongly typed leaf (a number
     # where a list belongs, say) surfaces as TypeError from the conversion.
     if not isinstance(payload, dict):
         raise ValueError(f"expected a JSON object, got {type(payload).__name__}")
+    _reject_unknown_keys(payload, ("frames", "sequence", "annotation_scale"), "")
     frames = []
     for k, entry in enumerate(payload.get("frames", [])):
         if not isinstance(entry, dict) or "frame_id" not in entry:
             raise ValueError(f"frames[{k}]: expected an object with a 'frame_id'")
         frame_id = str(entry["frame_id"])
+        _reject_unknown_keys(
+            entry, ("frame_id", "time_of_day", "annotations"), f"frame {frame_id!r}: "
+        )
         annotations = entry.get("annotations")
         if annotations is not None and not isinstance(annotations, str):
             raise ValueError(
@@ -571,6 +582,7 @@ def _manifest_from_payload(payload, root: Path) -> Manifest:
     sequence = payload.get("sequence", {})
     if not isinstance(sequence, dict):
         raise ValueError(f"sequence: expected an object, got {sequence!r}")
+    _reject_unknown_keys(sequence, ("frames_per_group", "stride", "groups"), "sequence: ")
     for key in ("frames_per_group", "stride"):
         value = sequence.get(key)
         # bool is an int subclass; JSON true is not a size.

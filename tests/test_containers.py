@@ -88,3 +88,13 @@ def test_duplicate_name_rejected_naming_file_and_tensor(tmp_path):
     path.write_bytes(_scalar_container([b"w", b"v", b"w"]))
     with pytest.raises(ValueError, match=r"t\.bin: tensor 2: duplicate tensor name 'w'"):
         load_tensors(path)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_payload_rejected_naming_file_and_tensor(tmp_path, bad):
+    # Loading used to succeed; each caller had to check the values itself.
+    path = tmp_path / "t.bin"
+    save_tensors(path, {"ok": np.ones(3), "w": np.array([[0.0, bad]])}, TENSORS_MAGIC)
+    with pytest.raises(ValueError) as err:
+        load_tensors(path)
+    assert str(err.value) == f"{path}: tensor 'w' has non-finite values"

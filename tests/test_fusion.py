@@ -89,6 +89,44 @@ class TestStripConv:
         )
 
 
+class TestLargeKernelPath:
+    # Kernels of 25 taps or more correlate on the FFT; the edge cases pad
+    # the map past the kernel, or to a prime full-correlation size.
+    CASES = pytest.mark.parametrize(
+        "x_shape, ksize",
+        [
+            ((2, 3, 8, 9), (5, 7)),
+            ((2, 3, 8, 9), (7, 5)),
+            ((2, 3, 12, 10), (11, 11)),
+            ((1, 2, 3, 4), (11, 11)),  # map smaller than the kernel
+            ((2, 3, 1, 1), (11, 11)),  # 1x1 map
+            ((1, 2, 31, 7), (11, 11)),  # 31 + 11 - 1 and 7 + 11 - 1 are prime
+        ],
+    )
+
+    @CASES
+    @pytest.mark.parametrize("per_channel", [False, True], ids=["shared", "per_channel"])
+    def test_strip_conv_matches_naive_loop(self, x_shape, ksize, per_channel):
+        x = rand_features(x_shape, 90)
+        kernel = RNG(91).standard_normal((x_shape[1],) * per_channel + ksize)
+        np.testing.assert_allclose(
+            strip_conv(x, kernel), loop_strip_conv(x, kernel), rtol=0, atol=1e-10
+        )
+
+    @CASES
+    def test_depthwise_conv2d_matches_naive_loop(self, x_shape, ksize):
+        x = rand_features(x_shape, 92)
+        channels = x_shape[1]
+        weight = RNG(93).standard_normal((channels, 1) + ksize)
+        bias = RNG(94).standard_normal(channels)
+        np.testing.assert_allclose(
+            conv2d_same(x, weight, bias, groups=channels),
+            loop_conv2d(x, weight, bias, groups=channels),
+            rtol=0,
+            atol=1e-10,
+        )
+
+
 class TestDwsConv:
     def test_identity_kernels(self):
         x = rand_features((2, 3, 4, 4), 6)
@@ -749,8 +787,8 @@ class TestFusionForward:
         ir = rand_features((3, 8, 16, 16), 65)
         a = fusion_forward(vis, ir, w)
         b = fusion_forward(vis.copy(), ir.copy(), w)
-        np.testing.assert_array_equal(a[0], b[0])
-        np.testing.assert_array_equal(a[1], b[1])
+        assert a[0].tobytes() == b[0].tobytes()
+        assert a[1].tobytes() == b[1].tobytes()
 
     def test_matches_straight_line_reference(self):
         w = FusionWeights.seeded(seed=5)
@@ -786,7 +824,8 @@ class TestActivations:
         assert gelu(x).tobytes() == expected.tobytes()
 
     def test_package_import_leaves_scipy_unloaded(self):
-        # scipy.special is most of the import time and only gelu needs it.
+        # scipy.special (gelu's erf) is most of the import time, and
+        # scipy.fft only serves large depthwise kernels: both load on use.
         src = Path(fusion_module.__file__).resolve().parents[1]
         code = "import sys, msfusion, msfusion.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
         env = dict(os.environ, PYTHONPATH=str(src))

@@ -1,7 +1,8 @@
 """Boundary parsers under fuzzed input: each call either parses or raises a
 ValueError. Any other exception (KeyError, TypeError, IndexError, ...) is a
 missing check at the boundary. Also differential tests of the columnar and
-corpus kernels against the per-line and per-segment code they batch."""
+corpus kernels against the per-line and per-segment code they batch, and of
+the depthwise correlation against its loop."""
 
 import json
 
@@ -14,6 +15,7 @@ from msfusion import evaluation, ingest
 from msfusion.balance import ReliabilityReport, corpus_reliability, reliability
 from msfusion.containers import TENSORS_MAGIC, load_tensors, save_tensors
 from msfusion.evaluation import FrameRecord, GroundTruthBox
+from msfusion.fusion import strip_conv
 from msfusion.geometry import (
     BBox,
     Detection,
@@ -32,7 +34,7 @@ from msfusion.ingest import (
     parse_detection_line,
     run_config_from_mapping,
 )
-from oracles import match_frame_ref, match_outcomes_ref, nms_ref
+from oracles import loop_strip_conv, match_frame_ref, match_outcomes_ref, nms_ref
 
 FILE_FIXTURE = settings(
     max_examples=75, suppress_health_check=[HealthCheck.function_scoped_fixture]
@@ -448,3 +450,30 @@ def test_corpus_matcher_matches_the_per_frame_reference(frames, match_iou):
         assert (result.tp, result.fp, result.misses) == match_frame_ref(
             list(dets), evaluated, ignored, match_iou
         )
+
+
+odd_sides = st.integers(0, 5).map(lambda k: 2 * k + 1)
+
+
+@given(
+    st.tuples(st.integers(1, 2), st.integers(1, 2), st.integers(1, 9), st.integers(1, 9)),
+    odd_sides,
+    odd_sides,
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+@example((1, 2, 3, 4), 11, 11, True, 0)  # map smaller than the kernel
+@example((2, 1, 6, 5), 5, 5, False, 1)  # 25 taps: the smallest FFT kernel
+@example((2, 1, 6, 5), 3, 7, True, 2)  # 21 taps: the largest einsum kernel
+@settings(max_examples=60, deadline=None)
+def test_strip_conv_matches_the_loop_on_both_sides_of_the_fft_threshold(
+    shape, kh, kw, per_channel, seed
+):
+    # Kernels from 1x1 to 11x11, so below and above the 25 taps at which
+    # _depthwise switches from the sliding-window einsum to the FFT.
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(shape)
+    kernel = rng.standard_normal((shape[1],) * per_channel + (kh, kw))
+    np.testing.assert_allclose(
+        strip_conv(x, kernel), loop_strip_conv(x, kernel), rtol=0, atol=1e-10
+    )

@@ -377,6 +377,29 @@ class TestManifest:
             load_manifest(path)
         assert str(err.value).startswith(f"{path}: ")
 
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            # A misspelt key used to be ignored: eval exited 0 with n/a rows.
+            ({"frames": [], "sequnce": {"stride": 1}}, "unknown key 'sequnce'"),
+            ({"frames": [], "sequence": {"strides": 2}}, "sequence: unknown key 'strides'"),
+            (
+                {"frames": [{"frame_id": "a", "anotations": "a.txt"}]},
+                "frame 'a': unknown key 'anotations'",
+            ),
+            (
+                {"frames": [{"frame_id": "a", "detections": "a.txt"}]},
+                "frame 'a': unknown key 'detections'",
+            ),
+        ],
+    )
+    def test_unknown_key_names_file_and_key(self, tmp_path, payload, message):
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(ValueError) as err:
+            load_manifest(path)
+        assert str(err.value) == f"{path}: {message}"
+
     @staticmethod
     def _sequence_manifest(path, **sequence):
         # Frames 1, 3 and 5 as one group of three spaced by stride 2, with
