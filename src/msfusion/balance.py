@@ -34,6 +34,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .evaluation import FrameRecord
+from .fusion import softmax
 from .geometry import (
     MODALITIES,
     SCALES,
@@ -333,7 +334,7 @@ def cosine_matrix(features: Sequence[RoiFeature | np.ndarray]) -> np.ndarray:
 
 
 def relation_matrix(cos: np.ndarray) -> np.ndarray:
-    """Row-wise softmax of a similarity matrix, max-subtracted for stability.
+    """Row-wise softmax of a similarity matrix (``fusion.softmax``).
 
     Every row of the result sums to 1 and every entry lies in (0, 1).
     """
@@ -342,9 +343,7 @@ def relation_matrix(cos: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected a 2-D matrix, got shape {cos.shape}")
     if not np.all(np.isfinite(cos)):
         raise ValueError("similarity matrix has non-finite entries")
-    shifted = cos - cos.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    return softmax(cos, axis=1)
 
 
 def kl_rowwise(p: np.ndarray, q: np.ndarray) -> float:

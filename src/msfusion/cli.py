@@ -16,7 +16,8 @@ Each subcommand takes only the flags it acts on; ``--config`` names a
 ``key = value`` file of ``RunConfig`` defaults. A flag's dest is its config
 key, so the given flags are written over the file's mapping and both reach
 ``RunConfig`` through ``run_config_from_mapping``. ``fuse`` and ``eval``
-echo the whole ``RunConfig`` in their output header.
+echo in their output header only the keys that their own flags set, so a
+key a shared config file sets for another subcommand is checked, not echoed.
 
 Exit codes: 0 on success, 1 on runtime/I-O failure (with a one-line
 diagnostic on stderr), 2 on usage errors.
@@ -69,6 +70,11 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     return run_config_from_mapping(mapping)
 
 
+def _header(cfg: RunConfig, args: argparse.Namespace) -> dict[str, str]:
+    # The subcommand and the config keys that are dests of its own flags.
+    return {"command": args.command, **{k: v for k, v in cfg.echo().items() if k in vars(args)}}
+
+
 def _emit(text: str, out: str | None) -> None:
     if out:
         Path(out).write_text(text, encoding="utf-8")
@@ -90,8 +96,7 @@ def _cmd_fuse(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     dets = ingest_detections(args.detections)
     kept = run_strategy(dets.subset(modality="vis"), dets.subset(modality="ir"), cfg.postprocess)
-    header = {"command": "fuse", **cfg.echo()}
-    _emit(serialize_detections(kept, header), args.out)
+    _emit(serialize_detections(kept, _header(cfg, args)), args.out)
     if args.out:
         print(f"wrote {len(kept)} detections to {args.out}")
     return 0
@@ -107,8 +112,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     settings = {name: STANDARD_SETTINGS[name] for name in cfg.settings}
     table = evaluate_matrix(records, [args.label], settings, splits)
     rows = [(*key, mr, num_gt) for key, (mr, num_gt) in table.items()]
-    header = {"command": "eval", **cfg.echo()}
-    text = format_results(rows, header)
+    text = format_results(rows, _header(cfg, args))
     _emit(text, args.out)
     if args.out:
         sys.stdout.write(text)

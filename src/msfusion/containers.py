@@ -24,13 +24,19 @@ def save_tensors(
     tensors: dict[str, np.ndarray],
     magic: bytes = TENSORS_MAGIC,
 ) -> None:
-    """Write named tensors to ``path``; values are cast to float32."""
+    """Write named tensors to ``path``; values are cast to float32, and a
+    finite one beyond float32 range raises before anything is written."""
     if len(magic) != 8:
         raise ValueError("container magic must be 8 bytes")
     parts: list[bytes] = [magic, _U32.pack(len(tensors))]
     payloads: list[bytes] = []
     for name, tensor in tensors.items():
-        arr = np.asarray(tensor, dtype="<f4")
+        with np.errstate(over="ignore"):
+            arr = np.asarray(tensor, dtype="<f4")
+        # NaN and inf are written as they are (load_tensors rejects them).
+        cast_bad = ~np.isfinite(arr)
+        if cast_bad.any() and np.isfinite(np.asarray(tensor)[cast_bad]).any():
+            raise ValueError(f"{path}: tensor {name!r} has values beyond float32 range")
         encoded = name.encode("utf-8")
         parts.append(_U32.pack(len(encoded)))
         parts.append(encoded)

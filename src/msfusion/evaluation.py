@@ -23,7 +23,7 @@ is the one-frame case. A frame's detections may be a list or a
 sorts the outcomes once and reads true- and false-positive counts off
 cumulative sums, so a curve costs O(N log N) in the number of outcomes.
 ``evaluate_matrix`` matches every frame of every strategy in one pass per
-setting, and its day and night cells reuse the matches of the whole set.
+setting, and each (split, strategy) cell reads its frames off that pass.
 """
 
 from __future__ import annotations
@@ -353,12 +353,13 @@ def evaluate_matrix(
 
     Each cell is (MR percent, evaluated ground truths). Day and night rows
     evaluate only matching frames. A cell with no evaluated ground truth
-    has MR None (rendered n/a); any other failure raises.
+    has MR None (rendered n/a); any other failure, an ambiguous detection
+    source included, raises.
 
-    Each setting runs the corpus matcher once, over every frame of every
-    strategy that a cell with evaluated ground truth needs: the cells of
-    every split read the same matches (the curve counts do not depend on
-    the order of the outcomes, so every cell equals its own
+    Each setting runs the corpus matcher once, over every record under
+    every strategy, and each cell reads its split's records of its
+    strategy off those matches (the curve counts do not depend on the
+    order of the outcomes, so every cell equals its own
     ``log_average_miss_rate``).
     """
     settings = dict(settings) if settings is not None else dict(STANDARD_SETTINGS)
@@ -366,33 +367,21 @@ def evaluate_matrix(
     for setting_name, setting in settings.items():
         split_gts = [apply_setting(r.gts, setting) for r in records]
         n_gt = np.array([len(evaluated) for evaluated, _ in split_gts], dtype=np.intp)
-        members = {
-            split: np.array([split == "all" or r.time_of_day == split for r in records], dtype=bool)
-            for split in splits
-        }
-        num_gt = {split: int(n_gt[members[split]].sum()) for split in splits}
-        # The records some cell with evaluated ground truth reads, matched
-        # once under each strategy.
-        needed = np.zeros(len(records), dtype=bool)
-        for split in splits:
-            if num_gt[split]:
-                needed |= members[split]
-        needed = np.flatnonzero(needed)
+        # Frame k * len(records) + i is record i under strategy k.
         frames = [
-            (_select_detections(records[i], strategy), *split_gts[i])
+            (_select_detections(record, strategy), *gts)
             for strategy in strategies
-            for i in needed.tolist()
+            for record, gts in zip(records, split_gts)
         ]
         frame, scores, outcome = _match_frames(frames, setting.match_iou)
-        record = np.tile(needed, len(strategies))[frame]
-        strategy_index = np.repeat(np.arange(len(strategies)), len(needed))[frame]
+        strategy_index, record = np.divmod(frame, len(records))
         for split in splits:
-            n_frames = int(np.count_nonzero(members[split]))
+            member = np.array([split in ("all", r.time_of_day) for r in records], dtype=bool)
+            n_frames, num_gt = int(np.count_nonzero(member)), int(n_gt[member].sum())
             for k, strategy in enumerate(strategies):
                 mr = None
-                if num_gt[split]:
-                    cell = (strategy_index == k) & members[split][record]
-                    points = _curve(scores[cell], outcome[cell], n_frames, num_gt[split], None)
-                    mr = _log_average(points)
-                table[(setting_name, split, strategy)] = (mr, num_gt[split])
+                if num_gt:
+                    cell = (strategy_index == k) & member[record]
+                    mr = _log_average(_curve(scores[cell], outcome[cell], n_frames, num_gt, None))
+                table[(setting_name, split, strategy)] = (mr, num_gt)
     return table

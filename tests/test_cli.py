@@ -21,6 +21,11 @@ def write_manifest(path, frames):
     path.write_text(json.dumps(payload), "utf-8")
 
 
+def header_keys(text):
+    # The keys of a results or detections header, in order.
+    return [line[2:].split(" = ")[0] for line in text.splitlines() if line.startswith("# ")]
+
+
 @pytest.fixture
 def corpus(tmp_path):
     """Perfect two-frame corpus: every gt matched by one exact detection."""
@@ -104,8 +109,24 @@ class TestEval:
         )
         assert code == 0
         out = capsys.readouterr().out
-        assert "# nms_thres = 0.37" in out
-        assert "# n_top = 300" in out
+        # eval reads only ``settings``; the file's other keys are checked
+        # but not echoed.
+        assert "# nms_thres" not in out
+        assert "# n_top" not in out
+        assert "# settings = reasonable" in out
+
+    def test_header_is_command_and_settings(self, corpus, capsys):
+        code = main(
+            [
+                "eval",
+                "--detections",
+                str(corpus / "dets.txt"),
+                "--manifest",
+                str(corpus / "manifest.json"),
+            ]
+        )
+        assert code == 0
+        assert header_keys(capsys.readouterr().out) == ["command", "settings"]
 
     @pytest.mark.parametrize("line", ["settings =", "settings = ,"])
     def test_empty_settings_fail_naming_the_file(self, corpus, capsys, line):
@@ -203,6 +224,50 @@ class TestFuse:
         )
         assert code == 0
         assert len(ingest_detections(out)) == 1  # flag 0.4 wins over file 0.5
+
+    def test_header_echoes_the_postprocessing_keys(self, tmp_path, capsys):
+        out = tmp_path / "fused.txt"
+        code = main(["fuse", "--detections", str(self._dets_file(tmp_path)), "--out", str(out)])
+        assert code == 0
+        assert header_keys(out.read_text("utf-8")) == [
+            "command",
+            "conf_thres_v",
+            "conf_thres_t",
+            "iou_thres",
+            "nms_thres",
+            "strategy",
+        ]
+
+    def test_config_keys_of_other_subcommands_are_accepted_not_echoed(self, tmp_path, capsys):
+        # One config file may serve every subcommand: fuse checks n_top and
+        # stride_s80 but neither acts on nor echoes them.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n_top = 5\nstride_s80 = 4.0\nnms_thres = 0.3\n", "utf-8")
+        out = tmp_path / "fused.txt"
+        code = main(
+            [
+                "fuse",
+                "--detections",
+                str(self._dets_file(tmp_path)),
+                "--config",
+                str(cfg),
+                "--out",
+                str(out),
+            ]
+        )
+        assert code == 0
+        text = out.read_text("utf-8")
+        assert "# nms_thres = 0.3\n" in text
+        assert "n_top" not in text and "stride_s80" not in text
+
+    def test_unknown_config_key_fails_naming_the_file(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("nms_thresh = 0.3\n", "utf-8")
+        code = main(["fuse", "--detections", str(self._dets_file(tmp_path)), "--config", str(cfg)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {cfg}: unknown config keys: ['nms_thresh']\n"
 
     def test_stdout_when_no_out(self, tmp_path, capsys):
         code = main(

@@ -98,3 +98,21 @@ def test_non_finite_payload_rejected_naming_file_and_tensor(tmp_path, bad):
     with pytest.raises(ValueError) as err:
         load_tensors(path)
     assert str(err.value) == f"{path}: tensor 'w' has non-finite values"
+
+
+@pytest.mark.parametrize("big", [1e39, -1e39])
+def test_finite_value_beyond_float32_range_fails_in_the_writer(tmp_path, big):
+    # The cast used to write inf with only a warning, and the reader then
+    # rejected the file that the writer had just written.
+    path = tmp_path / "t.bin"
+    with pytest.raises(ValueError) as err:
+        save_tensors(path, {"ok": np.ones(2), "vis": np.array([0.5, big])}, TENSORS_MAGIC)
+    assert str(err.value) == f"{path}: tensor 'vis' has values beyond float32 range"
+    assert not path.exists()
+
+
+def test_float32_max_is_written(tmp_path):
+    path = tmp_path / "t.bin"
+    top = float(np.finfo(np.float32).max)
+    save_tensors(path, {"vis": np.array([top, -top])}, TENSORS_MAGIC)
+    assert load_tensors(path)["vis"].tolist() == [top, -top]

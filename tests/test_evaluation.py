@@ -435,6 +435,25 @@ class TestEvaluateMatrix:
         with pytest.raises(ValueError, match="ambiguous detection source"):
             evaluate_matrix(records, [None], {"all": STANDARD_SETTINGS["all"]})
 
+    def test_ambiguous_source_raises_without_evaluated_ground_truth(self):
+        # Every record is matched, so an ambiguous source raises even when
+        # no cell would read its frames.
+        records = [r for r in _hand_corpus() if r.time_of_day == "day"]
+        for r in records:
+            r.detections["other"] = []
+        with pytest.raises(ValueError, match="ambiguous detection source"):
+            evaluate_matrix(records, [None], {"heavy": STANDARD_SETTINGS["heavy"]}, ["night"])
+
+    def test_split_rows_equal_those_of_the_full_grid(self):
+        records = _hand_corpus()
+        for r in records:
+            r.detections["other"] = r.detections["det"][1:]
+        settings = {k: STANDARD_SETTINGS[k] for k in ("all", "reasonable", "heavy")}
+        full = evaluate_matrix(records, ["det", "other"], settings)
+        for split in ("day", "night"):
+            rows = evaluate_matrix(records, ["det", "other"], settings, [split])
+            assert rows == {key: cell for key, cell in full.items() if key[1] == split}
+
     def test_strategy_independence(self):
         records = _hand_corpus()
         for r in records:

@@ -128,6 +128,10 @@ TABLE_COLUMNS = ("corners", "scores", "frame_codes", "modality_codes", "scale_co
 @example(body=[("f vis s80 0", "\n"), ("0 1 1 0.5", "\n")], last_break=True)
 @example(body=[("#", "\n"), ("f\x0bvis s80 0 0 1 1 0.5 1", "\n")], last_break=True)
 @example(body=[("#", "\n"), ("f\u2028vis s80 0 0 1 1 0.5 1", "\n")], last_break=True)
+# A non-ASCII frame id: the fast form reads ASCII only, so the line parser
+# reads this dump.
+@example(body=[("\u5e27 vis s80 0 0 1 1 0.5", "\n"), ("f ir s40 0 0 1 1 0.25", "\n")],
+         last_break=True)
 @FILE_FIXTURE
 def test_ingest_detections_matches_line_parser(tmp_path, monkeypatch, body, last_break):
     # The columnar reader returns exactly what parse_detection_line gives on

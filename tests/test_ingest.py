@@ -441,7 +441,3 @@ class TestManifest:
         with pytest.raises(ValueError) as err:
             load_manifest(path)
         assert str(err.value).startswith(f"{path}: sequence.{key}: ")
-
-    def test_current_frames_are_group_tails(self, tmp_path):
-        manifest = self._manifest(tmp_path)
-        assert manifest.current_frames() == ["000004"]
