@@ -22,8 +22,9 @@ is the one-frame case. A frame's detections may be a list or a
 ``DetectionTable``, whose columns are read directly. The threshold sweep
 sorts the outcomes once and reads true- and false-positive counts off
 cumulative sums, so a curve costs O(N log N) in the number of outcomes.
-``evaluate_matrix`` matches every frame of every strategy in one pass per
-setting, and each (split, strategy) cell reads its frames off that pass.
+``evaluate_matrix`` matches every frame that a requested split covers, under
+every strategy, in one pass per setting, and each (split, strategy) cell
+reads its frames off that pass.
 """
 
 from __future__ import annotations
@@ -356,13 +357,19 @@ def evaluate_matrix(
     has MR None (rendered n/a); any other failure, an ambiguous detection
     source included, raises.
 
-    Each setting runs the corpus matcher once, over every record under
-    every strategy, and each cell reads its split's records of its
-    strategy off those matches (the curve counts do not depend on the
-    order of the outcomes, so every cell equals its own
-    ``log_average_miss_rate``).
+    Each setting runs the corpus matcher once, over every record that a
+    requested split covers under every strategy, and each cell reads its
+    split's records of its strategy off those matches (the curve counts do
+    not depend on the order of the outcomes, so every cell equals its own
+    ``log_average_miss_rate``). Every record's detection source is resolved,
+    so an ambiguous one raises whichever splits are asked for.
     """
     settings = dict(settings) if settings is not None else dict(STANDARD_SETTINGS)
+    for strategy in strategies:  # raises on an ambiguous source in any record
+        for record in records:
+            _select_detections(record, strategy)
+    if "all" not in splits:
+        records = [r for r in records if r.time_of_day in splits]
     table: dict[tuple[str, str, str], tuple[float | None, int]] = {}
     for setting_name, setting in settings.items():
         split_gts = [apply_setting(r.gts, setting) for r in records]

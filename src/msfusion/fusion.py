@@ -31,8 +31,13 @@ def gelu(x: np.ndarray) -> np.ndarray:
     """
     from scipy.special import erf
 
+    # 0.5 * x * (1 + erf(x / sqrt(2))) in that order, in one buffer.
     x = np.asarray(x, dtype=np.float64)
-    return 0.5 * x * (1.0 + erf(x / np.sqrt(2.0)))
+    out = np.divide(x, np.sqrt(2.0), out=np.empty_like(x))
+    erf(out, out=out)
+    out += 1.0
+    out *= 0.5 * x
+    return out
 
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -44,9 +49,21 @@ def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
 
 def layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> np.ndarray:
     """Layer normalization over the last axis."""
-    mean = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    return (x - mean) / np.sqrt(var + LAYER_NORM_EPS) * gamma + beta
+    x = np.asarray(x, dtype=np.float64)
+    return _layer_norm_into(x, np.empty(x.shape), gamma, beta)
+
+
+def _layer_norm_into(
+    x: np.ndarray, out: np.ndarray, gamma: np.ndarray, beta: np.ndarray
+) -> np.ndarray:
+    # (x - mean) / sqrt(var + eps) * gamma + beta, written into ``out`` (which
+    # may be ``x``) in that order; var is taken the way np.var takes it.
+    np.subtract(x, x.mean(axis=-1, keepdims=True), out=out)
+    var = (out * out).sum(axis=-1, keepdims=True) / out.shape[-1]
+    out /= np.sqrt(var + LAYER_NORM_EPS)
+    out *= gamma
+    out += beta
+    return out
 
 
 def _as_features(x: np.ndarray, name: str = "input") -> np.ndarray:
@@ -69,17 +86,20 @@ def strip_conv(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     mix along a single spatial axis.
     """
     x = _as_features(x)
+    return _depthwise(x, _as_strip_kernel(kernel, x.shape[1]))[0]
+
+
+def _as_strip_kernel(kernel: np.ndarray, channels: int) -> np.ndarray:
     kernel = np.asarray(kernel, dtype=np.float64)
     if kernel.ndim not in (2, 3):
         raise ValueError(f"strip kernel: expected rank 2 or 3, got shape {kernel.shape}")
-    kh, kw = kernel.shape[-2:]
-    _check_odd(kh, kw, "strip kernel")
-    if kernel.ndim == 3 and kernel.shape[0] != x.shape[1]:
+    _check_odd(*kernel.shape[-2:], "strip kernel")
+    if kernel.ndim == 3 and kernel.shape[0] != channels:
         raise ValueError(
             f"strip kernel: {kernel.shape[0]} channel kernels for "
-            f"{x.shape[1]} input channels"
+            f"{channels} input channels"
         )
-    return _depthwise(x, kernel)
+    return kernel
 
 
 def _pad_same(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
@@ -89,51 +109,76 @@ def _pad_same(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
 _FFT_MIN_TAPS = 25
 
 
-def _depthwise(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """Depthwise "same" correlation; ``kernel`` is (kh, kw) or (C, kh, kw).
+def _depthwise(x: np.ndarray, *kernels: np.ndarray) -> list[np.ndarray]:
+    """Depthwise "same" correlations of ``x`` with each kernel, (kh, kw) or
+    (C, kh, kw).
 
-    The path follows the kernel's tap count. Kernels of at least
-    ``_FFT_MIN_TAPS`` taps multiply spectra: the input and the flipped kernel
-    are zero-padded to fast FFT sizes of at least the full correlation
-    (H + kh - 1, W + kw - 1), so no output wraps around, and the "same"
-    window is cropped out. Smaller kernels run one einsum over the sliding
-    windows, which is faster there. Best of 5 per call over several runs,
-    2 BLAS threads on a shared 2-core VM:
+    The path follows each kernel's tap count. Kernels of at least
+    ``_FFT_MIN_TAPS`` taps multiply spectra in ``_spectral_depthwise``: one
+    rfft2 of ``x`` serves all of them, zero-padded to fast sizes of at least
+    H + rh and W + rw, where rh and rw are the largest half-sides
+    (kh // 2, kw // 2) among them. The wrapped tail of a circular
+    correlation that long never reaches the "same" crop, so the full
+    correlation (H + kh - 1) is not needed. Smaller kernels run one
+    einsum over the sliding windows, which is faster there. Best of 5 per
+    call over five runs, 2 BLAS threads on a shared 2-core VM (numpy 2.4,
+    scipy 1.17); a row of two kernels is one call for both:
 
     ====================  ===================  ========  ========
     kernel                input                einsum    FFT
     ====================  ===================  ========  ========
-    3x3 per channel       (3, 64, 80, 80)      37 ms     44 ms
-    1x5, 5x1 shared       (3, 8, 160, 80)      1-3 ms    8-9 ms
-    5x7 shared            (3, 32, 160, 80)     55 ms     40 ms
-    7x5 shared            (3, 32, 160, 80)     73 ms     38 ms
-    11x11 per channel     (3, 64, 80, 80)      128 ms    45 ms
-    11x11 per channel     (3, 64, 40, 40)      34 ms     14 ms
-    11x11 per channel     (3, 64, 20, 20)      10 ms     4 ms
+    3x3 per channel       (3, 64, 80, 80)      37 ms     45 ms
+    1x5 and 5x1 shared    (3, 8, 160, 80)      5 ms      14 ms
+    5x7 shared            (3, 32, 160, 80)     95 ms     44 ms
+    7x5 shared            (3, 32, 160, 80)     78 ms     48 ms
+    5x7 and 7x5 shared    (3, 32, 160, 80)     169 ms    79 ms
+    11x11 per channel     (3, 64, 80, 80)      148 ms    55 ms
+    11x11 per channel     (3, 64, 40, 40)      39 ms     13 ms
+    11x11 per channel     (3, 64, 20, 20)      13 ms     3 ms
     ====================  ===================  ========  ========
 
-    The two paths differ by rounding only: at most 3.1e-15 in absolute terms
-    over the forward and TAda outputs of the benchmark's (3, 64, S, S)
-    pyramid, seeds 1 and 2. Both are deterministic run to run.
-    ``scipy.fft`` is imported on the first large kernel, as ``gelu`` imports
-    ``erf``.
+    The two paths differ by rounding only; both are deterministic run to
+    run. ``scipy.fft`` is imported on the first large kernel, as ``gelu``
+    imports ``erf``.
     """
-    kh, kw = kernel.shape[-2:]
-    if kh * kw >= _FFT_MIN_TAPS:
-        from scipy.fft import irfft2, next_fast_len, rfft2
+    large = [k for k in kernels if k.shape[-2] * k.shape[-1] >= _FFT_MIN_TAPS]
+    spectral = iter(_spectral_depthwise(x, large) if large else ())
+    out = []
+    for kernel in kernels:
+        kh, kw = kernel.shape[-2:]
+        if kh * kw >= _FFT_MIN_TAPS:
+            out.append(next(spectral))
+            continue
+        windows = sliding_window_view(_pad_same(x, kh, kw), (kh, kw), axis=(2, 3))
+        subscripts = "fchwuv,uv->fchw" if kernel.ndim == 2 else "fchwuv,cuv->fchw"
+        out.append(np.einsum(subscripts, windows, kernel))
+    return out
 
-        height, width = x.shape[2:]
-        size = (next_fast_len(height + kh - 1, True), next_fast_len(width + kw - 1, True))
-        spectrum = rfft2(x, size)
-        spectrum *= rfft2(kernel[..., ::-1, ::-1], size)
-        full = irfft2(spectrum, size)
-        return np.ascontiguousarray(
-            full[:, :, kh // 2 : kh // 2 + height, kw // 2 : kw // 2 + width]
-        )
-    windows = sliding_window_view(_pad_same(x, kh, kw), (kh, kw), axis=(2, 3))
-    if kernel.ndim == 2:
-        return np.einsum("fchwuv,uv->fchw", windows, kernel)
-    return np.einsum("fchwuv,cuv->fchw", windows, kernel)
+
+def _spectral_depthwise(x: np.ndarray, kernels: list[np.ndarray]) -> list[np.ndarray]:
+    # Depthwise "same" correlations on the FFT, one rfft2 of x for all the
+    # kernels. Each flipped kernel is zero-padded on both sides to the
+    # largest half-sides (rh, rw), so every product is cropped at the same
+    # window [rh, rh + H) x [rw, rw + W). Where the FFT size is below the
+    # padded kernel (maps smaller than it), rfft2 drops kernel rows or
+    # columns that no output in the crop reads.
+    from scipy.fft import irfft2, next_fast_len, rfft2
+
+    height, width = x.shape[2:]
+    rh = max(k.shape[-2] for k in kernels) // 2
+    rw = max(k.shape[-1] for k in kernels) // 2
+    size = (next_fast_len(height + rh, True), next_fast_len(width + rw, True))
+    spectrum = rfft2(x, size)
+    out = []
+    for i, kernel in enumerate(kernels):
+        dh, dw = rh - kernel.shape[-2] // 2, rw - kernel.shape[-1] // 2
+        pad = [(0, 0)] * (kernel.ndim - 2) + [(dh, dh), (dw, dw)]
+        kernel_spectrum = rfft2(np.pad(kernel[..., ::-1, ::-1], pad), size)
+        last = i == len(kernels) - 1  # the last product may take the spectrum's buffer
+        product = np.multiply(spectrum, kernel_spectrum, out=spectrum if last else None)
+        full = irfft2(product, size)
+        out.append(np.ascontiguousarray(full[:, :, rh : rh + height, rw : rw + width]))
+    return out
 
 
 def _as_bias(bias: np.ndarray, size: int, name: str) -> np.ndarray:
@@ -174,10 +219,14 @@ def conv2d_same(
     Depthwise (unit fan-in, C_out == C_in) runs as one strip correlation,
     which multiplies FFT spectra for kernels of 25 taps or more (such as the
     11x11 channel mix) and takes a sliding-window einsum below that. Every
-    other case sums kh * kw shifted matrix products, one per kernel
-    tap: the (G, C_out/G, C_in/G) tap weights times the shifted input viewed
-    as (F, G, C_in/G, H*W). No im2col matrix is built; one shifted input
-    slice is live at a time.
+    other case sums kh * kw matrix products, one per kernel tap. The input
+    is padded once, with one spare zero row at the bottom, and each plane
+    is flattened to (H + kh) * Wp values, Wp = W + kw - 1. Tap (u, v) is then
+    the (G, C_out/G, C_in/G) tap weights times the flat window
+    [u * Wp + v, u * Wp + v + H * Wp), a strided view that BLAS reads in
+    place. The sums cover H rows of Wp columns; the last kw - 1 columns of
+    each row read across a row break and are cropped once at the end. No
+    im2col matrix is built.
     """
     x = _as_features(x)
     weight = np.asarray(weight, dtype=np.float64)
@@ -194,18 +243,21 @@ def conv2d_same(
             f"{groups} groups"
         )
     if fan_in == 1 and c_out == c_in:
-        out = _depthwise(x, weight[:, 0])
+        out = _depthwise(x, weight[:, 0])[0]
     else:
-        padded = _pad_same(x, kh, kw)
+        row = width + kw - 1
+        span = height * row
+        flat = np.pad(x, ((0, 0), (0, 0), (kh // 2, kh // 2 + 1), (kw // 2, kw // 2)))
+        flat = flat.reshape(frames, groups, fan_in, (height + kh) * row)
         taps = weight.reshape(groups, c_out // groups, fan_in, kh, kw)
-        out = np.zeros((frames, groups, c_out // groups, height * width))
+        acc = np.zeros((frames, groups, c_out // groups, span))
+        product = np.empty_like(acc)
         for u in range(kh):
             for v in range(kw):
-                shifted = padded[:, :, u : u + height, v : v + width]
-                out += taps[..., u, v] @ shifted.reshape(
-                    frames, groups, fan_in, height * width
-                )
-        out = out.reshape(frames, c_out, height, width)
+                start = u * row + v
+                np.matmul(taps[..., u, v], flat[..., start : start + span], out=product)
+                acc += product
+        out = np.ascontiguousarray(acc.reshape(frames, c_out, height, row)[..., :width])
     if bias is not None:
         out += _as_bias(bias, c_out, "conv bias")[:, None, None]
     return out
@@ -327,8 +379,11 @@ def gated_strip_mix(
     logits per channel, gates the convex combination g1*r + g2*c + g3*x.
     """
     x = _as_features(x)
-    r = strip_conv(x, height_kernel)
-    c = strip_conv(x, width_kernel)
+    r, c = _depthwise(
+        x,
+        _as_strip_kernel(height_kernel, x.shape[1]),
+        _as_strip_kernel(width_kernel, x.shape[1]),
+    )
     hidden = gelu(pointwise_affine(r + c, gate_w1, gate_b1))
     mixed = pointwise_affine(hidden, gate_w2, gate_b2)
     pooled = mixed.mean(axis=(2, 3))  # (F, C)
@@ -341,7 +396,12 @@ def gated_strip_mix(
     g1 = gates[:, :, 0][:, :, None, None]
     g2 = gates[:, :, 1][:, :, None, None]
     g3 = gates[:, :, 2][:, :, None, None]
-    return g1 * r + g2 * c + g3 * x
+    # g1*r + g2*c + g3*x in that order, in the buffers of r and c.
+    r *= g1
+    c *= g2
+    r += c
+    r += np.multiply(g3, x, out=c)
+    return r
 
 
 def global_response_norm(
@@ -358,7 +418,12 @@ def global_response_norm(
     beta = np.asarray(beta, dtype=np.float64)
     norms = np.sqrt((x * x).sum(axis=(2, 3), keepdims=True))  # (F, C, 1, 1)
     scaled = norms / (norms.mean(axis=1, keepdims=True) + GRN_EPS)
-    return gamma[:, None, None] * (x * scaled) + beta[:, None, None] + x
+    # gamma * (x * n) + beta + x in that order, in one buffer.
+    out = x * scaled
+    out *= gamma[:, None, None]
+    out += beta[:, None, None]
+    out += x
+    return out
 
 
 def channel_mix(
@@ -386,7 +451,8 @@ def channel_mix(
     y = conv2d_same(x, conv_weight, conv_bias, groups=groups)
     y = global_response_norm(y, grn_gamma, grn_beta)
     y = pointwise_affine(gelu(pointwise_affine(y, mlp_w1, mlp_b1)), mlp_w2, mlp_b2)
-    return x + y
+    y += x
+    return y
 
 
 def split_patches(x: np.ndarray, patch_size: int) -> np.ndarray:
@@ -394,11 +460,7 @@ def split_patches(x: np.ndarray, patch_size: int) -> np.ndarray:
     x = _as_features(x)
     f, c, h, w = x.shape
     s = int(patch_size)
-    if s < 1 or h % s or w % s:
-        raise ValueError(f"patch size {s} does not divide spatial dims {(h, w)}")
-    tiles = x.reshape(f, c, h // s, s, w // s, s)
-    tiles = tiles.transpose(0, 2, 4, 1, 3, 5)  # (F, H/s, W/s, C, s, s)
-    return tiles.reshape(f, (h // s) * (w // s), c, s * s)
+    return _tiles(x, s).reshape(f, (h // s) * (w // s), c, s * s)
 
 
 def merge_patches(x: np.ndarray, patch_size: int, height: int, width: int) -> np.ndarray:
@@ -407,9 +469,18 @@ def merge_patches(x: np.ndarray, patch_size: int, height: int, width: int) -> np
     s = int(patch_size)
     if ss != s * s or p != (height // s) * (width // s):
         raise ValueError(f"patch grid mismatch: {x.shape} for {(height, width)} at s={s}")
-    tiles = x.reshape(f, height // s, width // s, c, s, s)
-    tiles = tiles.transpose(0, 3, 1, 4, 2, 5)
-    return tiles.reshape(f, c, height, width)
+    out = np.empty((f, c, height, width))
+    _tiles(out, s)[...] = x.reshape(f, height // s, width // s, c, s, s)
+    return out
+
+
+def _tiles(x: np.ndarray, s: int) -> np.ndarray:
+    # The (F, H/s, W/s, C, s, s) tile view of an (F, C, H, W) tensor: a
+    # view of contiguous x, so it can also be written through.
+    f, c, h, w = x.shape
+    if s < 1 or h % s or w % s:
+        raise ValueError(f"patch size {s} does not divide spatial dims {(h, w)}")
+    return x.reshape(f, c, h // s, s, w // s, s).transpose(0, 2, 4, 1, 3, 5)
 
 
 def temporal_fuse(
@@ -424,10 +495,10 @@ def temporal_fuse(
     """Cross-time mixing of patched features with residual connections.
 
     Both modalities are cut into patches, concatenated along the patch
-    feature axis (visible first), layer normalized over that axis,
-    rearranged to (C, 2S, F*P), mixed by a single affine map over the merged
-    frame/patch axis, inverted back, split per modality and added to the
-    inputs.
+    feature axis (visible first) and layer normalized over that axis, as
+    one contiguous (F*P, C*2S) matrix. One affine map over its rows mixes
+    the merged frame/patch axis, and the mixed patches are added to the
+    inputs through the inverse of the patch view.
     """
     vis = _as_features(vis, "vis")
     ir = _as_features(ir, "ir")
@@ -435,25 +506,30 @@ def temporal_fuse(
         raise ValueError(f"shape mismatch: vis {vis.shape} vs ir {ir.shape}")
     f, c, h, w = vis.shape
     s = int(patch_size)
-    pv = split_patches(vis, s)
-    pi = split_patches(ir, s)
-    z = np.concatenate([pv, pi], axis=-1)  # (F, P, C, 2S)
-    z = layer_norm(z, np.asarray(ln_gamma, dtype=np.float64), np.asarray(ln_beta, dtype=np.float64))
-    p = z.shape[1]
-    two_s = z.shape[3]
+    vis_tiles, ir_tiles = _tiles(vis, s), _tiles(ir, s)
+    p = (h // s) * (w // s)
+    ln_gamma = _as_bias(ln_gamma, 2 * s * s, "temporal_ln_gamma")
+    ln_beta = _as_bias(ln_beta, 2 * s * s, "temporal_ln_beta")
     mlp2_weight = np.asarray(mlp2_weight, dtype=np.float64)
-    mlp2_bias = np.asarray(mlp2_bias, dtype=np.float64)
     if mlp2_weight.shape != (f * p, f * p):
         raise ValueError(
             f"mlp2_weight: expected ({f * p}, {f * p}) for F={f}, P={p}, "
             f"got {mlp2_weight.shape}"
         )
-    merged = z.transpose(2, 3, 0, 1).reshape(c, two_s, f * p)  # (C, 2S, FP)
-    merged = merged @ mlp2_weight.T + mlp2_bias
-    z = merged.reshape(c, two_s, f, p).transpose(2, 3, 0, 1)
-    dv = merge_patches(z[..., : s * s], s, h, w)
-    di = merge_patches(z[..., s * s :], s, h, w)
-    return vis + dv, ir + di
+    mlp2_bias = _as_bias(mlp2_bias, f * p, "mlp2_bias")
+    # (F, P, C, 2S) patches; each (F, H/s, W/s, C, 2, s, s) pair is (vis, ir).
+    z = np.empty((f, p, c, 2 * s * s))
+    pairs = z.reshape(f, h // s, w // s, c, 2, s, s)
+    pairs[..., 0, :, :] = vis_tiles
+    pairs[..., 1, :, :] = ir_tiles
+    _layer_norm_into(z, z, ln_gamma, ln_beta)
+    mixed = mlp2_weight @ z.reshape(f * p, c * 2 * s * s)
+    mixed += mlp2_bias[:, None]
+    mixed = mixed.reshape(pairs.shape)
+    vis_out, ir_out = np.empty(vis.shape), np.empty(ir.shape)
+    np.add(vis_tiles, mixed[..., 0, :, :], out=_tiles(vis_out, s))
+    np.add(ir_tiles, mixed[..., 1, :, :], out=_tiles(ir_out, s))
+    return vis_out, ir_out
 
 
 def temporal_adaptive_conv(
@@ -776,9 +852,8 @@ def fusion_forward(
             t("merge_weight"),
             t("merge_bias"),
         )
-    vis_mid, ir_mid = deinterleave_rows(merged)
-    vis_mid = vis_mid + vis1
-    ir_mid = ir_mid + ir1
+    vis_mid = merged[:, :, 0::2] + vis1  # deinterleaved, plus the first taps
+    ir_mid = merged[:, :, 1::2] + ir1
 
     groups = weights.mix_groups()
     mix = [t(n) for n in ("mix_conv_weight", "mix_conv_bias", "grn_gamma", "grn_beta")]

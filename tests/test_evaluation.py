@@ -436,8 +436,8 @@ class TestEvaluateMatrix:
             evaluate_matrix(records, [None], {"all": STANDARD_SETTINGS["all"]})
 
     def test_ambiguous_source_raises_without_evaluated_ground_truth(self):
-        # Every record is matched, so an ambiguous source raises even when
-        # no cell would read its frames.
+        # Every record's detection source is resolved, so an ambiguous
+        # source raises even when no cell would read its frames.
         records = [r for r in _hand_corpus() if r.time_of_day == "day"]
         for r in records:
             r.detections["other"] = []
@@ -453,6 +453,26 @@ class TestEvaluateMatrix:
         for split in ("day", "night"):
             rows = evaluate_matrix(records, ["det", "other"], settings, [split])
             assert rows == {key: cell for key, cell in full.items() if key[1] == split}
+
+    def test_one_split_matches_only_the_records_it_covers(self, monkeypatch):
+        # A night-only grid matches the night frames alone, under every
+        # strategy, and its cells equal those of the full grid.
+        matched = []
+        original = evaluation._match_frames
+
+        def counting(frames, match_iou):
+            matched.append(sorted(d.frame_id for dets, _, _ in frames for d in dets))
+            return original(frames, match_iou)
+
+        records = _hand_corpus()
+        for r in records:
+            r.detections["other"] = r.detections["det"][1:]
+        settings = {k: STANDARD_SETTINGS[k] for k in ("all", "reasonable")}
+        full = evaluate_matrix(records, ["det", "other"], settings)
+        monkeypatch.setattr(evaluation, "_match_frames", counting)
+        night = evaluate_matrix(records, ["det", "other"], settings, ["night"])
+        assert night == {key: cell for key, cell in full.items() if key[1] == "night"}
+        assert matched == [["f3", "f3", "f3"]] * len(settings)
 
     def test_strategy_independence(self):
         records = _hand_corpus()

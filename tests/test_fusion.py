@@ -24,6 +24,7 @@ from msfusion.fusion import (
     gelu,
     global_response_norm,
     interleave_rows,
+    layer_norm,
     merge_patches,
     pointwise_affine,
     softmax,
@@ -91,7 +92,7 @@ class TestStripConv:
 
 class TestLargeKernelPath:
     # Kernels of 25 taps or more correlate on the FFT; the edge cases pad
-    # the map past the kernel, or to a prime full-correlation size.
+    # the map past the kernel, or from a prime size.
     CASES = pytest.mark.parametrize(
         "x_shape, ksize",
         [
@@ -101,6 +102,7 @@ class TestLargeKernelPath:
             ((1, 2, 3, 4), (11, 11)),  # map smaller than the kernel
             ((2, 3, 1, 1), (11, 11)),  # 1x1 map
             ((1, 2, 31, 7), (11, 11)),  # 31 + 11 - 1 and 7 + 11 - 1 are prime
+            ((1, 2, 8, 6), (11, 11)),  # 8 + 11 // 2 and 6 + 11 // 2 are prime
         ],
     )
 
@@ -216,11 +218,11 @@ class TestCascadeStripMix:
 
 
 class TestGatedStripMix:
-    def _weights(self, c, seed=23):
+    def _weights(self, c, seed=23, kernels=((5, 7), (7, 5))):
         rng = RNG(seed)
         return dict(
-            height_kernel=rng.standard_normal((5, 7)),
-            width_kernel=rng.standard_normal((7, 5)),
+            height_kernel=rng.standard_normal(kernels[0]),
+            width_kernel=rng.standard_normal(kernels[1]),
             gate_w1=rng.standard_normal((c, c)),
             gate_b1=rng.standard_normal(c),
             gate_w2=rng.standard_normal((c, c)),
@@ -259,9 +261,8 @@ class TestGatedStripMix:
         assert np.all(gates > 0)
         np.testing.assert_allclose(gates.sum(axis=-1), 1.0, atol=1e-6)
 
-    def test_matches_hand_wiring_oracle(self):
-        x = rand_features((2, 3, 6, 6), 27)
-        w = self._weights(3, seed=28)
+    @staticmethod
+    def _oracle(x, w):
         r = shift_depthwise(x, w["height_kernel"])
         c = shift_depthwise(x, w["width_kernel"])
         hidden = gelu_ref(
@@ -273,12 +274,31 @@ class TestGatedStripMix:
         logits = pooled[:, :, None] * w["gate_proj_w"] + w["gate_proj_b"]
         e = np.exp(logits - logits.max(axis=-1, keepdims=True))
         gates = e / e.sum(axis=-1, keepdims=True)
-        expected = (
+        return (
             gates[:, :, 0][:, :, None, None] * r
             + gates[:, :, 1][:, :, None, None] * c
             + gates[:, :, 2][:, :, None, None] * x
         )
-        np.testing.assert_allclose(gated_strip_mix(x, **w), expected, atol=1e-10)
+
+    def test_matches_hand_wiring_oracle(self):
+        x = rand_features((2, 3, 6, 6), 27)
+        w = self._weights(3, seed=28)
+        np.testing.assert_allclose(gated_strip_mix(x, **w), self._oracle(x, w), atol=1e-10)
+
+    @pytest.mark.parametrize(
+        "x_shape, kernels",
+        [
+            ((2, 3, 6, 6), ((1, 5), (7, 3))),  # both on the einsum
+            ((2, 3, 6, 6), ((5, 5), (3, 3))),  # one FFT kernel, one einsum
+            ((2, 3, 9, 7), ((3, 9), (11, 5))),  # one spectrum, unequal half-sides
+            ((2, 3, 7, 8), ((3, 9, 3), (3, 5, 7))),  # per-channel kernels
+            ((1, 3, 2, 3), ((11, 11), (5, 9))),  # map smaller than the kernels
+        ],
+    )
+    def test_unequal_kernel_shapes_match_the_oracle(self, x_shape, kernels):
+        x = rand_features(x_shape, 29)
+        w = self._weights(3, seed=30, kernels=kernels)
+        np.testing.assert_allclose(gated_strip_mix(x, **w), self._oracle(x, w), atol=1e-10)
 
 
 class TestChannelMix:
@@ -450,6 +470,18 @@ class TestTemporalFuse:
                 np.zeros(1),
                 2,
             )
+
+    @pytest.mark.parametrize(
+        "name, index",
+        [("temporal_ln_gamma", 2), ("temporal_ln_beta", 3), ("mlp2_bias", 5)],
+    )
+    def test_bad_tensor_length_names_the_tensor(self, name, index):
+        # F=2, P=4, S=4: the layer norm takes 2S = 8 values, mlp2 F*P = 8.
+        vis = rand_features((2, 3, 4, 4), 45)
+        args = [vis, vis, np.ones(8), np.zeros(8), np.eye(8), np.zeros(8), 2]
+        args[index] = np.zeros(9)
+        with pytest.raises(ValueError, match=rf"{name}: expected \(8,\), got \(9,\)"):
+            temporal_fuse(*args)
 
 
 class TestTemporalAdaptiveConv:
@@ -839,3 +871,79 @@ class TestActivations:
         out = softmax(x, axis=-1)
         np.testing.assert_allclose(out.sum(axis=-1), 1.0, atol=1e-12)
         assert np.all(out > 0)
+
+
+class TestEpilogues:
+    # The blocks write their results into buffers of their own, in the
+    # order of the textbook formulas: the bytes match those formulas, and
+    # read-only inputs are accepted and left unchanged.
+    def test_layer_norm_is_the_textbook_formula(self):
+        z = 3.0 * rand_features((3, 5, 7, 32), 71) + 1.0
+        gamma, beta = RNG(72).standard_normal((2, 32))
+        mean = z.mean(axis=-1, keepdims=True)
+        var = z.var(axis=-1, keepdims=True)
+        expected = (z - mean) / np.sqrt(var + 1e-5) * gamma + beta
+        assert layer_norm(z, gamma, beta).tobytes() == expected.tobytes()
+
+    def test_global_response_norm_is_the_textbook_formula(self):
+        x = rand_features((3, 6, 5, 7), 73)
+        gamma, beta = RNG(74).standard_normal((2, 6))
+        norms = np.sqrt((x * x).sum(axis=(2, 3), keepdims=True))
+        scaled = norms / (norms.mean(axis=1, keepdims=True) + 1e-6)
+        expected = gamma[:, None, None] * (x * scaled) + beta[:, None, None] + x
+        assert global_response_norm(x, gamma, beta).tobytes() == expected.tobytes()
+
+    @staticmethod
+    def _read_only_calls():
+        rng = RNG(75)
+        x, y = rng.standard_normal((2, 2, 4, 8, 8))
+        cfg = FusionConfig(frames=2, channels=4, height=8, width=8, cascade_groups=2)
+        weights = FusionWeights.seeded(cfg, 76)
+        t = weights.tensor
+        tada = [t(spec.name) for spec in TADA_SCHEMA]
+        mix = [t(n) for n in ("mix_conv_weight", "mix_conv_bias", "grn_gamma", "grn_beta")]
+        mix += [t(n) for n in ("mix_mlp_w1", "mix_mlp_b1", "mix_mlp_w2", "mix_mlp_b2")]
+        gate = TestGatedStripMix()._weights(4, seed=77)
+        temporal = [t(n) for n in ("temporal_ln_gamma", "temporal_ln_beta")]
+        temporal += [t("mlp2_weight"), t("mlp2_bias")]
+        return {
+            "layer_norm": (layer_norm, *rng.standard_normal((3, 3, 5, 8))),
+            "gelu": (gelu, x),
+            "global_response_norm": (global_response_norm, x, t("grn_gamma"), t("grn_beta")),
+            "gated_strip_mix": (gated_strip_mix, x, *gate.values()),
+            "channel_mix": (channel_mix, x, *mix),
+            "temporal_fuse": (temporal_fuse, x, y, *temporal, 4),
+            "conv2d_same": (conv2d_same, x, t("tada_base_weight"), t("tada_base_bias")),
+            "conv2d_same_depthwise": (conv2d_same, x, t("mix_conv_weight"), None, 4),
+            "temporal_adaptive_conv": (temporal_adaptive_conv, x, *tada),
+            "fusion_forward": (fusion_forward, x, y, weights),
+        }
+
+    @pytest.mark.parametrize(
+        "block",
+        [
+            "layer_norm",
+            "gelu",
+            "global_response_norm",
+            "gated_strip_mix",
+            "channel_mix",
+            "temporal_fuse",
+            "conv2d_same",
+            "conv2d_same_depthwise",
+            "temporal_adaptive_conv",
+            "fusion_forward",
+        ],
+    )
+    def test_read_only_inputs_are_left_unchanged(self, block):
+        fn, *args = self._read_only_calls()[block]
+        arrays = [a for a in args if isinstance(a, np.ndarray)]
+        if isinstance(args[-1], FusionWeights):
+            arrays += list(args[-1].tensors.values())
+        before = [a.tobytes() for a in arrays]
+        expected = fn(*args)
+        assert [a.tobytes() for a in arrays] == before
+        for a in arrays:
+            a.setflags(write=False)
+        got = fn(*args)
+        assert [a.tobytes() for a in arrays] == before
+        assert np.array(got).tobytes() == np.array(expected).tobytes()

@@ -2,7 +2,7 @@
 ValueError. Any other exception (KeyError, TypeError, IndexError, ...) is a
 missing check at the boundary. Also differential tests of the columnar and
 corpus kernels against the per-line and per-segment code they batch, and of
-the depthwise correlation against its loop."""
+the depthwise and grouped correlations against their loops."""
 
 import json
 
@@ -15,7 +15,7 @@ from msfusion import evaluation, ingest
 from msfusion.balance import ReliabilityReport, corpus_reliability, reliability
 from msfusion.containers import TENSORS_MAGIC, load_tensors, save_tensors
 from msfusion.evaluation import FrameRecord, GroundTruthBox
-from msfusion.fusion import strip_conv
+from msfusion.fusion import conv2d_same, strip_conv
 from msfusion.geometry import (
     BBox,
     Detection,
@@ -34,7 +34,7 @@ from msfusion.ingest import (
     parse_detection_line,
     run_config_from_mapping,
 )
-from oracles import loop_strip_conv, match_frame_ref, match_outcomes_ref, nms_ref
+from oracles import loop_conv2d, loop_strip_conv, match_frame_ref, match_outcomes_ref, nms_ref
 
 FILE_FIXTURE = settings(
     max_examples=75, suppress_health_check=[HealthCheck.function_scoped_fixture]
@@ -469,6 +469,8 @@ odd_sides = st.integers(0, 5).map(lambda k: 2 * k + 1)
 @example((1, 2, 3, 4), 11, 11, True, 0)  # map smaller than the kernel
 @example((2, 1, 6, 5), 5, 5, False, 1)  # 25 taps: the smallest FFT kernel
 @example((2, 1, 6, 5), 3, 7, True, 2)  # 21 taps: the largest einsum kernel
+@example((1, 2, 8, 4), 11, 7, True, 3)  # H + kh // 2 = 13 and W + kw // 2 = 7 are prime
+@example((2, 1, 2, 1), 11, 9, False, 4)  # 7 FFT rows, fewer than the kernel's 11
 @settings(max_examples=60, deadline=None)
 def test_strip_conv_matches_the_loop_on_both_sides_of_the_fft_threshold(
     shape, kh, kw, per_channel, seed
@@ -480,4 +482,41 @@ def test_strip_conv_matches_the_loop_on_both_sides_of_the_fft_threshold(
     kernel = rng.standard_normal((shape[1],) * per_channel + (kh, kw))
     np.testing.assert_allclose(
         strip_conv(x, kernel), loop_strip_conv(x, kernel), rtol=0, atol=1e-10
+    )
+
+
+conv_kernels = st.sampled_from([(1, 1), (1, 5), (5, 1), (3, 5), (3, 3)])
+
+
+@given(
+    st.integers(1, 2),
+    st.sampled_from([1, 2, "C"]),
+    st.integers(2, 3),
+    st.integers(1, 4),
+    st.integers(1, 3),
+    st.tuples(st.integers(1, 7), st.integers(1, 7)),
+    conv_kernels,
+    st.integers(0, 2**32 - 1),
+)
+@example(1, 1, 2, 1, 1, (1, 6), (3, 5), 0)  # H = 1
+@example(2, 2, 3, 1, 2, (5, 1), (1, 5), 1)  # W = 1
+@example(1, "C", 2, 3, 2, (2, 3), (3, 5), 2)  # map smaller than the kernel
+@settings(max_examples=60, deadline=None)
+def test_conv2d_same_matches_the_loop(
+    frames, groups, fan_in, channels, multiplier, side, ksize, seed
+):
+    # groups 1 and 2 with fan-in 2 or 3 take the flat per-tap products;
+    # groups == C (fan-in 1) is depthwise at multiplier 1 and takes the
+    # per-tap products above it.
+    if groups == "C":
+        groups, fan_in = channels, 1
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((frames, groups * fan_in) + side)
+    weight = rng.standard_normal((groups * multiplier, fan_in) + ksize)
+    bias = rng.standard_normal(groups * multiplier)
+    np.testing.assert_allclose(
+        conv2d_same(x, weight, bias, groups=groups),
+        loop_conv2d(x, weight, bias, groups=groups),
+        rtol=0,
+        atol=1e-10,
     )
