@@ -29,8 +29,10 @@ from .evaluation import (
     EvalSetting,
     FrameRecord,
     GroundTruthBox,
+    GroundTruthTable,
     MatchResult,
     apply_setting,
+    as_truths,
     evaluate_matrix,
     log_average_miss_rate,
     match_frame,

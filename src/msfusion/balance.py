@@ -33,7 +33,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .evaluation import FrameRecord
+from .evaluation import FrameRecord, GroundTruthTable, as_truths
 from .fusion import softmax
 from .geometry import (
     MODALITIES,
@@ -156,7 +156,7 @@ def _score_modalities(
 
 def corpus_reliability(
     dets: Sequence[Detection],
-    records: Sequence[FrameRecord],
+    records: Sequence[FrameRecord] | GroundTruthTable,
     n_top: int = DEFAULT_TOP_N,
 ) -> list[tuple[str, str, Optional[ReliabilityReport]]]:
     """Reliability of every (record, scale) instance of a corpus.
@@ -169,26 +169,29 @@ def corpus_reliability(
     frames without a record, and fused ones, are ignored. A box without an
     aspect ratio raises only in an instance that is scored.
 
-    The whole corpus runs as one pass. One stable sort groups the rows by
-    frame, scale and modality; ``segment_pairs`` gives each record its
-    frame's rows and each of those rows the record's ground truths; one
-    ``ciou_pairs`` call scores the pairs; ``reduceat`` takes each
-    detection's best score and overlap test; and the (instance, modality)
-    slices of each length are sorted and averaged as the rows of one
-    matrix. Each report equals the one ``reliability`` gives for its
-    instance, bit for bit.
+    The whole corpus runs as one pass over the ground-truth columns of
+    ``as_truths(records)``, so a ``GroundTruthTable`` is read as it is. One
+    stable sort groups the rows by frame, scale and modality;
+    ``segment_pairs`` gives each record its frame's rows and each of those
+    rows the record's ground truths; one ``ciou_pairs`` call scores the
+    pairs; ``reduceat`` takes each detection's best score and overlap test;
+    and the (instance, modality) slices of each length are sorted and
+    averaged as the rows of one matrix. Each report equals the one
+    ``reliability`` gives for its instance, bit for bit.
     """
     if n_top < 1:
         raise ValueError(f"n_top must be >= 1, got {n_top}")
     table = as_table(dets)
-    truths = [(r.frame_id, [g.box for g in r.gts if not g.ignore]) for r in records]
-    truths = [(frame_id, boxes) for frame_id, boxes in truths if boxes]
-    gt_corners = boxes_array([b for _, boxes in truths for b in boxes])
-    gt_record = np.repeat(np.arange(len(truths)), [len(boxes) for _, boxes in truths])
+    truths = as_truths(records)
+    # The non-ignored ground truths, and the records holding any, in order.
+    kept = ~truths.ignore
+    gt_corners = truths.corners[kept]
+    scored_records, gt_record = np.unique(truths.frame[kept], return_inverse=True)
+    frame_ids = [truths.frame_ids[i] for i in scored_records.tolist()]
     # Each record's vis and ir rows, by scale, then modality, then row; a
     # frame without detections gets a code no row has.
     lookup = {frame_id: i for i, frame_id in enumerate(table.frame_ids)}
-    code = [lookup.get(frame_id, len(lookup)) for frame_id, _ in truths]
+    code = [lookup.get(frame_id, len(lookup)) for frame_id in frame_ids]
     key = (table.frame_codes * len(SCALES) + table.scale_codes) * len(MODALITIES)
     key += table.modality_codes
     rows = np.flatnonzero(table.modality_codes != MODALITIES.index("fused"))
@@ -204,14 +207,14 @@ def corpus_reliability(
     scores = np.maximum.reduceat(score, first)
     hits = np.logical_or.reduceat(overlap > 0.0, first)
     instance = record * len(SCALES) + table.scale_codes[rows]
-    scored = np.zeros(len(truths) * len(SCALES), dtype=bool)
+    scored = np.zeros(len(frame_ids) * len(SCALES), dtype=bool)
     scored[instance[hits]] = True
     keep = scored[instance]
     if degenerate_rows(corners[keep]).any() or degenerate_rows(gt_corners)[gt[keep[det]]].any():
         raise ValueError("degenerate aspect ratio")
     thermal = table.modality_codes[rows[keep]] == MODALITIES.index("ir")
     reports = _instance_reports(scores[keep], 2 * instance[keep] + thermal, len(scored), n_top)
-    instances = [(frame_id, scale) for frame_id, _ in truths for scale in SCALES]
+    instances = [(frame_id, scale) for frame_id in frame_ids for scale in SCALES]
     return [
         (frame_id, scale, report if hit else None)
         for (frame_id, scale), report, hit in zip(instances, reports, scored.tolist())

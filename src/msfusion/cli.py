@@ -44,6 +44,7 @@ from .ingest import (
     load_config,
     load_manifest,
     parse_annotation_text,
+    read_text,
     run_config_from_mapping,
     serialize_detections,
 )
@@ -104,13 +105,11 @@ def _cmd_fuse(args: argparse.Namespace) -> int:
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
-    manifest = load_manifest(args.manifest)
-    records = manifest.load_records()
-    dets = ingest_detections(args.detections)
-    records = attach_detections(records, dets, args.label)
+    truths = load_manifest(args.manifest).load_ground_truths()
+    truths = attach_detections(truths, ingest_detections(args.detections), args.label)
     splits = [args.split] if args.split else list(SPLITS)
     settings = {name: STANDARD_SETTINGS[name] for name in cfg.settings}
-    table = evaluate_matrix(records, [args.label], settings, splits)
+    table = evaluate_matrix(truths, [args.label], settings, splits)
     rows = [(*key, mr, num_gt) for key, (mr, num_gt) in table.items()]
     text = format_results(rows, _header(cfg, args))
     _emit(text, args.out)
@@ -139,9 +138,7 @@ def _cmd_kl_loss(args: argparse.Namespace) -> int:
     ir = dets.subset(frame_id=frame_id, modality="ir", scale_id=scale)
     gts = [
         g.box
-        for g in parse_annotation_text(
-            Path(args.annotations).read_text(encoding="utf-8"), args.annotations
-        )
+        for g in parse_annotation_text(read_text(args.annotations), args.annotations)
         if not g.ignore
     ]
     report, loss = modality_alignment_loss(
@@ -166,10 +163,8 @@ def _cmd_kl_loss(args: argparse.Namespace) -> int:
 
 def _cmd_reliability(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
-    manifest = load_manifest(args.manifest)
-    records = manifest.load_records()
-    dets = ingest_detections(args.detections)
-    reports = corpus_reliability(dets, records, cfg.n_top)
+    truths = load_manifest(args.manifest).load_ground_truths()
+    reports = corpus_reliability(ingest_detections(args.detections), truths, cfg.n_top)
     lines = [
         f"{frame_id}\t{scale}\t{report.r_v!r}\t{report.r_t!r}\t{report.reference_modality}"
         for frame_id, scale, report in reports

@@ -6,25 +6,34 @@ greedily in score order, the confidence threshold is swept to trace the
 (FPPI, miss rate) curve, and the metric is the geometric mean of the miss
 rates sampled at nine FPPI reference points log-spaced in [1e-2, 1].
 
-Matching runs a whole corpus at once. The detections are sorted stably by
-(frame, -score); ``geometry.segment_pairs`` lists each frame's (detection,
-ground truth) pairs, the evaluated ground truths before the ignored ones,
-each in record order; one ``iou_pairs`` call (bitwise equal to the scalar
-``iou``) scores them all. Then the matching runs as a wavefront: round r
-takes the r-th detection of every frame that has an evaluated pair at or
-above the match IoU, all at once, and each takes the untaken evaluated
-ground truth of highest IoU, equal IoUs going to the first in record
-order. A detection left without one is ignored when it reaches an
-ignored ground truth at the match IoU, and a false positive otherwise.
-So the rounds number the most candidates any one frame holds, and a
-frame's outcome is that of the greedy score-ordered loop. ``match_frame``
-is the one-frame case. A frame's detections may be a list or a
-``DetectionTable``, whose columns are read directly. The threshold sweep
-sorts the outcomes once and reads true- and false-positive counts off
-cumulative sums, so a curve costs O(N log N) in the number of outcomes.
-``evaluate_matrix`` matches every frame that a requested split covers, under
-every strategy, in one pass per setting, and each (split, strategy) cell
-reads its frames off that pass.
+A corpus travels as one ``GroundTruthTable``: its frames, and its ground
+truths as columns (frame index, corners, occlusion code, ignore flag),
+plus the ``DetectionTable`` of each detection source. ``ingest`` reads
+a corpus's bbGt files straight into one: files in the fast form in one
+vectorized pass, any other file through ``parse_annotation_text``, which
+raises its own ``file:line`` errors. The list API (``FrameRecord`` and
+``GroundTruthBox`` lists) is converted once on entry by ``as_truths``, as
+``as_table`` converts detection lists, so there is one matcher. A
+setting's evaluated ground truths are ``EvalSetting.mask``, array
+comparisons that decide as ``admits`` does for each box.
+
+Matching runs a whole corpus at once, on flat columns. The detections are
+sorted stably by (frame, -score); ``geometry.segment_pairs`` lists each
+frame's (detection, ground truth) pairs, ground truths in record order;
+one ``iou_pairs`` call (bitwise equal to the scalar ``iou``) scores them
+all. Then the matching runs as a wavefront: round r takes the r-th
+detection of every frame that has an evaluated pair at or above the match
+IoU, all at once, and each takes the untaken evaluated ground truth of
+highest IoU, equal IoUs going to the first in record order. A detection
+left without one is ignored when it reaches an ignored ground truth at the
+match IoU, and a false positive otherwise. So the rounds number the most
+candidates any one frame holds, and a frame's outcome is that of the
+greedy score-ordered loop. ``match_frame`` is the one-frame case. The
+threshold sweep sorts the outcomes once and reads true- and false-positive
+counts off cumulative sums, so a curve costs O(N log N) in the number of
+outcomes. ``evaluate_matrix`` matches every frame that a requested split
+covers, under every strategy, in one pass per setting, and each (split,
+strategy) cell reads its frames off that pass.
 """
 
 from __future__ import annotations
@@ -34,7 +43,15 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .geometry import BBox, Detection, as_table, boxes_array, iou_pairs, segment_pairs
+from .geometry import (
+    BBox,
+    Detection,
+    DetectionTable,
+    as_table,
+    boxes_array,
+    iou_pairs,
+    segment_pairs,
+)
 
 OCCLUSION_LEVELS = ("none", "partial", "heavy")
 TIMES_OF_DAY = ("day", "night")
@@ -97,6 +114,18 @@ class EvalSetting:
                 return False
         return True
 
+    def mask(self, truths: "GroundTruthTable") -> np.ndarray:
+        """Which rows of ``truths`` the setting admits, as ``admits`` decides
+        for each ground truth, with heights ``y_max - y_min``."""
+        allowed = np.array([level in self.allowed_occlusion for level in OCCLUSION_LEVELS])
+        keep = allowed[truths.occlusion] & ~truths.ignore
+        h = truths.corners[:, 3] - truths.corners[:, 1]
+        if self.min_height is not None:
+            keep &= h >= self.min_height if self.min_inclusive else h > self.min_height
+        if self.max_height is not None:
+            keep &= h <= self.max_height if self.max_inclusive else h < self.max_height
+        return keep
+
 
 _UNOCCLUDED = frozenset({"none"})
 
@@ -140,15 +169,73 @@ class FrameRecord:
             raise ValueError(f"unknown time_of_day {self.time_of_day!r}")
 
 
+@dataclass(frozen=True, eq=False)
+class GroundTruthTable:
+    """A corpus as columns: its frames, their ground truths and detections.
+
+    ``frame_ids`` and ``times_of_day`` list the frames. Row i of the
+    ground-truth columns is a box of frame ``frame[i]`` (non-decreasing;
+    rows of a frame in record order) with corners ``corners[i]`` ((N, 4)
+    float64, valid ``BBox`` corners), occlusion ``OCCLUSION_LEVELS[
+    occlusion[i]]`` and ignore flag ``ignore[i]``. ``detections`` maps each
+    source to a ``DetectionTable`` whose rows join the frames by frame id;
+    rows of frames not listed are left out. The columns are read, never
+    written.
+    """
+
+    frame_ids: tuple[str, ...]
+    times_of_day: tuple[str, ...]
+    frame: np.ndarray
+    corners: np.ndarray
+    occlusion: np.ndarray
+    ignore: np.ndarray
+    detections: Mapping[str, DetectionTable] = field(default_factory=dict)
+
+    @classmethod
+    def from_records(cls, records: Sequence[FrameRecord]) -> "GroundTruthTable":
+        """The ground truths of ``records`` (their detections stay behind)."""
+        gts = [g for r in records for g in r.gts]
+        return cls(
+            tuple(r.frame_id for r in records),
+            tuple(r.time_of_day for r in records),
+            np.repeat(np.arange(len(records)), [len(r.gts) for r in records]),
+            boxes_array(g.box for g in gts),
+            np.array([OCCLUSION_LEVELS.index(g.occlusion) for g in gts], dtype=np.intp),
+            np.array([g.ignore for g in gts], dtype=bool),
+        )
+
+    def records(self) -> list[FrameRecord]:
+        """One ``FrameRecord`` per frame, holding its ground truths."""
+        gts = [
+            GroundTruthBox(BBox(*corners), OCCLUSION_LEVELS[occlusion], ignore)
+            for corners, occlusion, ignore in zip(
+                self.corners.tolist(), self.occlusion.tolist(), self.ignore.tolist()
+            )
+        ]
+        bounds = np.searchsorted(self.frame, np.arange(len(self.frame_ids) + 1)).tolist()
+        return [
+            FrameRecord(frame_id, time_of_day, gts[lo:hi])
+            for frame_id, time_of_day, lo, hi in zip(
+                self.frame_ids, self.times_of_day, bounds, bounds[1:]
+            )
+        ]
+
+
+def as_truths(records: Sequence[FrameRecord] | GroundTruthTable) -> GroundTruthTable:
+    """``records`` itself when it is a table, else the table of its ground
+    truths."""
+    if isinstance(records, GroundTruthTable):
+        return records
+    return GroundTruthTable.from_records(records)
+
+
 def apply_setting(
     gts: Sequence[GroundTruthBox], setting: EvalSetting
 ) -> tuple[list[GroundTruthBox], list[GroundTruthBox]]:
     """Partition ground truths into (evaluated, ignored) under a setting."""
-    evaluated: list[GroundTruthBox] = []
-    ignored: list[GroundTruthBox] = []
-    for g in gts:
-        (evaluated if setting.admits(g) else ignored).append(g)
-    return evaluated, ignored
+    gts = list(gts)
+    admitted = setting.mask(as_truths([FrameRecord("", gts=gts)])).tolist()
+    return [g for g, a in zip(gts, admitted) if a], [g for g, a in zip(gts, admitted) if not a]
 
 
 @dataclass(frozen=True)
@@ -172,29 +259,24 @@ _FLAGS = ("tp", "fp", "ignored")
 
 
 def _match_frames(
-    frames: Sequence[
-        tuple[Sequence[Detection], Sequence[GroundTruthBox], Sequence[GroundTruthBox]]
-    ],
+    det_frame: np.ndarray,
+    det_corners: np.ndarray,
+    det_scores: np.ndarray,
+    gt_frame: np.ndarray,
+    gt_corners: np.ndarray,
+    gt_evaluated: np.ndarray,
     match_iou: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # The greedy matching of every (detections, evaluated, ignored) frame,
-    # as (frame index, score, outcome code) per detection, in (frame,
-    # -score) order. See the module docstring for the wavefront.
-    tables = [as_table(dets) for dets, _, _ in frames]
-    det_frame = np.repeat(np.arange(len(frames)), [len(t) for t in tables])
-    corners = np.concatenate([t.corners for t in tables] + [np.empty((0, 4))])
-    scores = np.concatenate([t.scores for t in tables] + [np.empty(0)])
-    order = np.lexsort((-scores, det_frame))  # stable: ties keep row order
-    det_frame, corners, scores = det_frame[order], corners[order], scores[order]
-    boxes, evaluated = [], []
-    for _, ev, ig in frames:
-        boxes += [g.box for g in (*ev, *ig)]
-        evaluated += [True] * len(ev) + [False] * len(ig)
-    gt_frame = np.repeat(np.arange(len(frames)), [len(ev) + len(ig) for _, ev, ig in frames])
+    # The greedy matching of every frame's detections against its ground
+    # truths (evaluated or ignored), as (frame index, score, outcome code)
+    # per detection, in (frame, -score) order. Ground truths keep their
+    # row order. See the module docstring for the wavefront.
+    order = np.lexsort((-det_scores, det_frame))  # stable: ties keep row order
+    det_frame, corners, scores = det_frame[order], det_corners[order], det_scores[order]
     det, gt = segment_pairs(det_frame, gt_frame)
-    overlap = iou_pairs(corners[det], boxes_array(boxes)[gt])
+    overlap = iou_pairs(corners[det], gt_corners[gt])
     hit = overlap >= match_iou
-    is_evaluated = np.array(evaluated, dtype=bool)[gt]
+    is_evaluated = gt_evaluated[gt]
     outcome = np.full(len(scores), _FP, dtype=np.intp)
     outcome[det[hit & ~is_evaluated]] = _IGNORED
     # A candidate is a detection with an evaluated pair over the threshold;
@@ -210,7 +292,7 @@ def _match_frames(
     by_round = np.lexsort((-overlap, det, pair_round))
     det, gt, pair_round = det[by_round], gt[by_round], pair_round[by_round]
     bounds = np.searchsorted(pair_round, np.arange(rank.max(initial=-1) + 2))
-    taken = np.zeros(len(boxes), dtype=bool)
+    taken = np.zeros(len(gt_corners), dtype=bool)
     for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
         free = ~taken[gt[lo:hi]]
         d, g = det[lo:hi][free], gt[lo:hi][free]
@@ -238,7 +320,17 @@ def match_frame(
     otherwise it is a false positive. Unmatched evaluated ground truths are
     misses. This is the corpus matcher run on one frame.
     """
-    _, scores, outcome = _match_frames([(dets, evaluated_gts, ignored_gts)], match_iou)
+    table = as_table(dets)
+    gts = [*evaluated_gts, *ignored_gts]
+    _, scores, outcome = _match_frames(
+        np.zeros(len(table), dtype=np.intp),
+        table.corners,
+        table.scores,
+        np.zeros(len(gts), dtype=np.intp),
+        boxes_array(g.box for g in gts),
+        np.arange(len(gts)) < len(evaluated_gts),
+        match_iou,
+    )
     tp = int(np.count_nonzero(outcome == _TP))
     return MatchResult(
         tp=tp,
@@ -248,15 +340,39 @@ def match_frame(
     )
 
 
-def _select_detections(record: FrameRecord, source: str | None) -> Sequence[Detection]:
+def _select_detections(detections: Mapping, source: str | None, where: str):
+    # The detections of ``source``; with None, of the one source there is.
     if source is None:
-        if len(record.detections) != 1:
+        if len(detections) != 1:
             raise ValueError(
-                f"frame {record.frame_id}: ambiguous detection source, "
-                f"have {sorted(record.detections)}"
+                f"{where}ambiguous detection source, have {sorted(detections)}"
             )
-        return next(iter(record.detections.values()))
-    return record.detections.get(source, [])
+        return next(iter(detections.values()))
+    return detections.get(source, [])
+
+
+def _detection_columns(
+    records: Sequence[FrameRecord] | GroundTruthTable, source: str | None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # (frame index, corners, scores) of every detection of ``source`` in
+    # the corpus, rows of a frame in their order. A table joins its source
+    # table's rows to its frames by id; records each hold their own.
+    if isinstance(records, GroundTruthTable):
+        table = as_table(_select_detections(records.detections, source, ""))
+        lookup = {frame_id: i for i, frame_id in enumerate(records.frame_ids)}
+        code_frame = np.array([lookup.get(f, -1) for f in table.frame_ids], dtype=np.intp)
+        frame = code_frame[table.frame_codes]
+        listed = frame >= 0
+        return frame[listed], table.corners[listed], table.scores[listed]
+    tables = [
+        as_table(_select_detections(r.detections, source, f"frame {r.frame_id}: "))
+        for r in records
+    ]
+    return (
+        np.repeat(np.arange(len(tables)), [len(t) for t in tables]),
+        np.concatenate([t.corners for t in tables] + [np.empty((0, 4))]),
+        np.concatenate([t.scores for t in tables] + [np.empty(0)]),
+    )
 
 
 def _curve(
@@ -265,9 +381,9 @@ def _curve(
     n_frames: int,
     total_gt: int,
     score_sweep: Sequence[float] | None,
-) -> list[tuple[float, float]]:
+) -> tuple[np.ndarray, np.ndarray]:
     # The (FPPI, miss rate) points of matched frames' outcomes over a
-    # threshold sweep.
+    # threshold sweep, as two columns.
     if total_gt == 0:
         raise ValueError("empty setting")
     if score_sweep is None:
@@ -280,13 +396,13 @@ def _curve(
     below = np.searchsorted(scores[order], thresholds, side="left")
     tp_below = np.concatenate(([0], np.cumsum(outcome[order] == _TP)))
     fp_below = np.concatenate(([0], np.cumsum(outcome[order] == _FP)))
-    tps = (tp_below[-1] - tp_below[below]).tolist()
-    fps = (fp_below[-1] - fp_below[below]).tolist()
-    return [(fp / n_frames, 1.0 - tp / total_gt) for tp, fp in zip(tps, fps)]
+    tps = tp_below[-1] - tp_below[below]
+    fps = fp_below[-1] - fp_below[below]
+    return fps / n_frames, 1.0 - tps / total_gt
 
 
 def miss_rate_curve(
-    records: Sequence[FrameRecord],
+    records: Sequence[FrameRecord] | GroundTruthTable,
     setting: EvalSetting,
     source: str | None = None,
     score_sweep: Sequence[float] | None = None,
@@ -297,38 +413,45 @@ def miss_rate_curve(
     ``score_sweep``); a point keeps detections scoring at least the
     threshold. Returns the points in sweep order.
     """
-    if not records:
+    truths = as_truths(records)
+    if not truths.frame_ids:
         raise ValueError("empty setting")
-    frames = [(_select_detections(r, source), *apply_setting(r.gts, setting)) for r in records]
-    _, scores, outcome = _match_frames(frames, setting.match_iou)
-    total_gt = sum(len(evaluated) for _, evaluated, _ in frames)
-    return _curve(scores, outcome, len(records), total_gt, score_sweep)
+    evaluated = setting.mask(truths)
+    _, scores, outcome = _match_frames(
+        *_detection_columns(records, source),
+        truths.frame,
+        truths.corners,
+        evaluated,
+        setting.match_iou,
+    )
+    total_gt = int(np.count_nonzero(evaluated))
+    fppi, miss = _curve(scores, outcome, len(truths.frame_ids), total_gt, score_sweep)
+    return list(zip(fppi.tolist(), miss.tolist()))
 
 
-def _log_average(points: Sequence[tuple[float, float]]) -> float:
-    # Log-average miss rate in percent of a curve (see log_average_miss_rate).
-    if not points:
-        sampled = [1.0] * len(FPPI_REFERENCE_POINTS)
+def _log_average(fppi: np.ndarray, miss: np.ndarray) -> float:
+    # Log-average miss rate in percent of a curve given as its FPPI and
+    # miss-rate columns (see log_average_miss_rate).
+    if not len(fppi):
+        sampled = np.ones(len(FPPI_REFERENCE_POINTS))
     else:
         # Monotone staircase: best (lowest) miss rate per achieved FPPI.
-        best_at: dict[float, float] = {}
-        for fppi, miss in points:
-            if fppi not in best_at or miss < best_at[fppi]:
-                best_at[fppi] = miss
-        staircase = sorted(best_at.items())
-        highest_miss = max(miss for _, miss in points)
-        sampled = []
-        for ref in FPPI_REFERENCE_POINTS:
-            feasible = [miss for fppi, miss in staircase if fppi <= ref]
-            sampled.append(feasible[-1] if feasible else highest_miss)
-    if all(m == 0.0 for m in sampled):
+        order = np.lexsort((miss, fppi))
+        fppi, best = fppi[order], miss[order]
+        first = np.ones(len(fppi), dtype=bool)
+        np.not_equal(fppi[1:], fppi[:-1], out=first[1:])
+        fppi, best = fppi[first], best[first]
+        # Each reference takes the largest achieved FPPI not above it.
+        at = np.searchsorted(fppi, FPPI_REFERENCE_POINTS, side="right") - 1
+        sampled = np.where(at >= 0, best[at], miss.max())
+    if not sampled.any():
         return 0.0
-    floored = np.maximum(np.asarray(sampled, dtype=np.float64), MISS_RATE_FLOOR)
+    floored = np.maximum(sampled, MISS_RATE_FLOOR)
     return float(np.exp(np.mean(np.log(floored))) * 100.0)
 
 
 def log_average_miss_rate(
-    records: Sequence[FrameRecord],
+    records: Sequence[FrameRecord] | GroundTruthTable,
     setting: EvalSetting,
     source: str | None = None,
     score_sweep: Sequence[float] | None = None,
@@ -341,11 +464,12 @@ def log_average_miss_rate(
     result is exp(mean(ln(miss rates))) * 100 with rates floored at 1e-10;
     an all-zero sample (perfect detector) reports exactly 0.
     """
-    return _log_average(miss_rate_curve(records, setting, source, score_sweep))
+    points = miss_rate_curve(records, setting, source, score_sweep)
+    return _log_average(*np.array(points, dtype=np.float64).reshape(-1, 2).T)
 
 
 def evaluate_matrix(
-    records: Sequence[FrameRecord],
+    records: Sequence[FrameRecord] | GroundTruthTable,
     strategies: Sequence[str],
     settings: Mapping[str, EvalSetting] | None = None,
     splits: Sequence[str] = SPLITS,
@@ -357,38 +481,56 @@ def evaluate_matrix(
     has MR None (rendered n/a); any other failure, an ambiguous detection
     source included, raises.
 
-    Each setting runs the corpus matcher once, over every record that a
+    Each setting runs the corpus matcher once, over every frame that a
     requested split covers under every strategy, and each cell reads its
-    split's records of its strategy off those matches (the curve counts do
+    split's frames of its strategy off those matches (the curve counts do
     not depend on the order of the outcomes, so every cell equals its own
-    ``log_average_miss_rate``). Every record's detection source is resolved,
-    so an ambiguous one raises whichever splits are asked for.
+    ``log_average_miss_rate``). Every strategy's detection source is
+    resolved, so an ambiguous one raises whichever splits are asked for.
     """
     settings = dict(settings) if settings is not None else dict(STANDARD_SETTINGS)
-    for strategy in strategies:  # raises on an ambiguous source in any record
-        for record in records:
-            _select_detections(record, strategy)
-    if "all" not in splits:
-        records = [r for r in records if r.time_of_day in splits]
+    truths = as_truths(records)
+    detections = [_detection_columns(records, strategy) for strategy in strategies]
+    if not detections:
+        return {}
+    n = len(truths.frame_ids)
+    member = {
+        split: np.array([split in ("all", t) for t in truths.times_of_day], dtype=bool)
+        for split in splits
+    }
+    covered = np.zeros(n, dtype=bool)
+    for frames in member.values():
+        covered |= frames
+    # Frame k * n + i is frame i under strategy k: each strategy's
+    # detections of the covered frames, and those frames' ground truths
+    # once per strategy.
+    det_frame = np.concatenate([k * n + f[covered[f]] for k, (f, _, _) in enumerate(detections)])
+    det_corners = np.concatenate([c[covered[f]] for f, c, _ in detections])
+    det_scores = np.concatenate([s[covered[f]] for f, _, s in detections])
+    rows = covered[truths.frame]
+    gt_frame = np.concatenate([k * n + truths.frame[rows] for k in range(len(detections))])
+    gt_corners = np.tile(truths.corners[rows], (len(detections), 1))
     table: dict[tuple[str, str, str], tuple[float | None, int]] = {}
     for setting_name, setting in settings.items():
-        split_gts = [apply_setting(r.gts, setting) for r in records]
-        n_gt = np.array([len(evaluated) for evaluated, _ in split_gts], dtype=np.intp)
-        # Frame k * len(records) + i is record i under strategy k.
-        frames = [
-            (_select_detections(record, strategy), *gts)
-            for strategy in strategies
-            for record, gts in zip(records, split_gts)
-        ]
-        frame, scores, outcome = _match_frames(frames, setting.match_iou)
-        strategy_index, record = np.divmod(frame, len(records))
+        evaluated = setting.mask(truths)
+        n_gt = np.bincount(truths.frame[evaluated], minlength=n)
+        frame, scores, outcome = _match_frames(
+            det_frame,
+            det_corners,
+            det_scores,
+            gt_frame,
+            gt_corners,
+            np.tile(evaluated[rows], len(detections)),
+            setting.match_iou,
+        )
+        strategy_index, frame = np.divmod(frame, n)
         for split in splits:
-            member = np.array([split in ("all", r.time_of_day) for r in records], dtype=bool)
-            n_frames, num_gt = int(np.count_nonzero(member)), int(n_gt[member].sum())
+            n_frames = int(np.count_nonzero(member[split]))
+            num_gt = int(n_gt[member[split]].sum())
             for k, strategy in enumerate(strategies):
                 mr = None
                 if num_gt:
-                    cell = (strategy_index == k) & member[record]
-                    mr = _log_average(_curve(scores[cell], outcome[cell], n_frames, num_gt, None))
+                    cell = (strategy_index == k) & member[split][frame]
+                    mr = _log_average(*_curve(scores[cell], outcome[cell], n_frames, num_gt, None))
                 table[(setting_name, split, strategy)] = (mr, num_gt)
     return table

@@ -2,10 +2,38 @@
 
 Formats handled here:
 
-* annotations: bbGt text, one file per frame; header ``% bbGt version=3``,
-  body lines ``label x y w h occlusion ...`` with pixel units and occlusion
-  codes 0/1/2 for none/partial/heavy. Labels other than ``person`` become
-  ignore regions.
+* text: every text input (annotations, detection dumps, manifests, config
+  files) is read as UTF-8 with universal newlines; a byte that is not
+  UTF-8 raises a ``ValueError`` naming the file and line.
+* annotations: bbGt text, one file per frame; a header line starting
+  ``% bbGt version`` (``% bbGt version=3``), then body lines ``label x y w
+  h occlusion ...`` with pixel units and occlusion codes 0/1/2 for
+  none/partial/heavy; tokens after the sixth are ignored and blank lines
+  skipped. Labels other than ``person`` become ignore regions. A row's box
+  is ``(x * sx, y * sy, (x + w) * sx, (y + h) * sy)`` for the scale
+  factors. ``parse_annotation_text`` parses one body and is the arbiter.
+  ``Manifest.load_ground_truths`` and ``ingest_annotations`` read all of a
+  corpus's files into the columns of one ``GroundTruthTable``, on two
+  paths:
+
+  - the fast form, in one vectorized pass over every file: each file,
+    read as bytes in one ``read`` sized by ``fstat``, is ASCII, starts
+    with the header, separates tokens by spaces and tabs only, ends lines
+    in ``\n`` or ``\r\n``, and each of its data lines has at least six
+    tokens and an occlusion token ``0``, ``1`` or ``2``. The files are
+    joined and tokenized once; numpy finds each line's file and tokens,
+    one ``np.array(..., dtype=float64)`` call converts the four number
+    columns (parsing each token as Python ``float`` does), and array
+    operations validate the rows.
+  - ``parse_annotation_text``, file by file, for every other file and
+    every file with a failing row: a non-ASCII label, a BOM or a missing
+    header, other whitespace or line breaks, an occlusion token such as
+    ``01``, a bad number, a negative size or a non-finite corner. It gives
+    the file's boxes, or raises its first bad line's own error, naming the
+    file and line; files go in order, so the first failing file raises.
+
+  Both paths give the same columns bit for bit. ``load_records`` and
+  ``ingest_annotations`` build their ``FrameRecord`` lists from them.
 * detections: one per line, ``frame_id modality scale_id x_min y_min x_max
   y_max score``; ``#`` lines are comments. A line's tokens are split on
   any whitespace (``str.split``), and a line is a comment when its first
@@ -49,6 +77,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, field, replace
 from itertools import compress
 from pathlib import Path
@@ -57,7 +86,13 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .balance import DEFAULT_TOP_N
-from .evaluation import STANDARD_SETTINGS, TIMES_OF_DAY, FrameRecord, GroundTruthBox
+from .evaluation import (
+    STANDARD_SETTINGS,
+    TIMES_OF_DAY,
+    FrameRecord,
+    GroundTruthBox,
+    GroundTruthTable,
+)
 from .geometry import (
     _SCALE_CODES,
     MODALITIES,
@@ -65,6 +100,7 @@ from .geometry import (
     BBox,
     Detection,
     DetectionTable,
+    _invalid_corners,
     as_table,
 )
 from .postprocess import PostprocessConfig
@@ -127,10 +163,47 @@ class RunConfig:
         return out
 
 
+def _read_bytes(path: str | Path) -> bytes:
+    # A file's bytes in one read sized by fstat; a file that reports no
+    # size (a pipe, say) is read to its end.
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        size = os.fstat(fd).st_size
+        if size:
+            return os.read(fd, size)
+        return b"".join(iter(lambda: os.read(fd, 1 << 16), b""))
+    except OSError as err:  # reading a directory, say: name the file
+        err.filename = str(path)
+        raise
+    finally:
+        os.close(fd)
+
+
+def _newlines(text: str) -> str:
+    # Universal newlines, as text-mode reading gives them.
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
+
+
+def _decode(data: bytes, path: str | Path) -> str:
+    # UTF-8 text with universal newlines; bytes that are not UTF-8 raise a
+    # ValueError naming the file and the line of the first bad byte.
+    try:
+        return _newlines(data.decode("utf-8"))
+    except UnicodeDecodeError as err:
+        lineno = _newlines(data[: err.start].decode("utf-8")).count("\n") + 1
+        raise ValueError(f"{path}:{lineno}: invalid UTF-8 ({err.reason})") from None
+
+
+def read_text(path: str | Path) -> str:
+    """A UTF-8 text file's content with universal newlines; a byte that is
+    not UTF-8 raises a ``ValueError`` naming the file and line."""
+    return _decode(_read_bytes(path), path)
+
+
 def load_config(path: str | Path) -> dict[str, str]:
     """Parse a ``key = value`` config file into a string mapping."""
     mapping: dict[str, str] = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(read_text(path).splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -253,15 +326,11 @@ def ingest_annotations(
     files = sorted(path.glob("*.txt")) if path.is_dir() else [path]
     if not files:
         raise ValueError(f"{path}: no annotation files found")
-    records = []
-    for file in files:
-        gts = parse_annotation_text(
-            file.read_text(encoding="utf-8"), str(file), scale_x, scale_y
-        )
-        records.append(
-            FrameRecord(frame_id=file.stem, time_of_day=time_of_day, gts=gts)
-        )
-    return records
+    file, corners, occlusion, ignore = _annotation_columns(files, scale_x, scale_y)
+    truths = GroundTruthTable(
+        tuple(f.stem for f in files), (time_of_day,) * len(files), file, corners, occlusion, ignore
+    )
+    return truths.records()
 
 
 def normalize_modality(token: str) -> str:
@@ -302,14 +371,30 @@ def parse_detection_line(line: str, source: str = "<string>", lineno: int = 0) -
 # they fill.
 _CHUNK_CHARS = 1 << 18
 
-# Character classes of the fast form, by ASCII byte (a table for
+# Character classes of the fast forms, by byte (a table for
 # bytes.translate): 0 part of a token, 1 a separator (space or tab), 2 a
-# line break (\n; reading translates \r\n and \r), 3 any other whitespace,
-# which sends the file to the line parser.
+# line break (\n; detection reading translates \r\n and \r), 3 any other
+# whitespace or a non-ASCII byte, which sends the file to the line parser.
 _CLASS_TABLE = bytes(
-    1 if c in " \t" else 2 if c == "\n" else 3 if c in "\v\f\r\x1c\x1d\x1e\x1f" else 0
+    1 if c in " \t" else 2 if c == "\n" else 3 if c in "\v\f\r\x1c\x1d\x1e\x1f" or c > "\x7f" else 0
     for c in map(chr, range(256))
 )
+
+
+def _line_tokens(classes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # (token starts, first token, token count) of text by its character
+    # classes: the byte offset of each token, and for each line the index
+    # of its first token and its number of tokens. The text is read as if
+    # a line break preceded it.
+    token = classes == 0
+    starts = np.flatnonzero(token[1:] > token[:-1]) + 1
+    if token.size and token[0]:
+        starts = np.concatenate(([0], starts))
+    # Line k holds the starts before its line break and after line k - 1's.
+    line_ends = np.append(np.flatnonzero(classes == 2), len(classes))
+    first = np.searchsorted(starts, line_ends)
+    count = np.diff(first, prepend=0)
+    return starts, first - count, count
 
 
 def _chunk_tokens(chunk: str) -> list[str]:
@@ -320,23 +405,12 @@ def _chunk_tokens(chunk: str) -> list[str]:
     if not chunk.isascii():
         raise ValueError("non-ASCII text outside the fast form")
     raw = chunk.encode("ascii")
-    codes = np.frombuffer(raw, dtype=np.uint8)
     classes = np.frombuffer(raw.translate(_CLASS_TABLE), dtype=np.uint8)
     if (classes == 3).any():
         raise ValueError("whitespace outside the fast form")
-    # A token starts where a token character follows a separator or line
-    # break; the chunk is read as if a line break preceded it.
-    token = classes == 0
-    starts = np.flatnonzero(token[1:] > token[:-1]) + 1
-    if token.size and token[0]:
-        starts = np.concatenate(([0], starts))
-    # Line k holds the starts before its line break and after line k - 1's.
-    line_ends = np.append(np.flatnonzero(classes == 2), len(codes))
-    first = np.searchsorted(starts, line_ends)
-    count = np.diff(first, prepend=0)
-    first = first - count
+    starts, first, count = _line_tokens(classes)
     comment = np.zeros(len(count), dtype=bool)
-    comment[count > 0] = codes[starts[first[count > 0]]] == ord("#")
+    comment[count > 0] = np.frombuffer(raw, dtype=np.uint8)[starts[first[count > 0]]] == ord("#")
     if ((count != 0) & (count != 8) & ~comment).any():
         raise ValueError("wrong token count")
     tokens = chunk.split()
@@ -395,7 +469,7 @@ def ingest_detections(path: str | Path) -> DetectionTable:
     ``parse_detection_line`` line by line, which builds the table or
     raises the first bad line's own error.
     """
-    text = Path(path).read_text(encoding="utf-8")
+    text = read_text(path)
     try:
         return _table_from_text(text)
     except ValueError:
@@ -405,6 +479,92 @@ def ingest_detections(path: str | Path) -> DetectionTable:
             if line and not line.startswith("#")
         ]
         return DetectionTable.from_detections(dets)
+
+
+_BBGT_PREFIX = b"% bbGt version"
+_OCCLUSION_TOKENS = {str(code): code for code in _OCCLUSION_CODES}
+
+
+def _annotation_columns(
+    paths: Sequence[Path], scale_x: float, scale_y: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    # (file index, corners, occlusion code, ignore flag) of every box of
+    # the bbGt files, in file order, then line order. Files in the fast
+    # form are read in one vectorized pass (see the module docstring);
+    # every other file, and every file with a failing row, goes to
+    # parse_annotation_text, which raises the first bad file's own error.
+    datas: list[bytes] = []
+    for path in paths:
+        try:
+            datas.append(_read_bytes(path))
+        except OSError:  # an error in an earlier file comes first
+            _annotation_files(paths[: len(datas)], datas, scale_x, scale_y)
+            raise
+    return _annotation_files(paths, datas, scale_x, scale_y)
+
+
+def _annotation_files(paths, datas, scale_x, scale_y):
+    # _annotation_columns over files already read.
+    fast = np.array(
+        [k for k, data in enumerate(datas) if data.startswith(_BBGT_PREFIX) and data.isascii()],
+        dtype=np.intp,
+    )
+    file, corners, occlusion, ignore, good = _fast_annotations(
+        [datas[k] for k in fast.tolist()], scale_x, scale_y
+    )
+    parsed = np.ones(len(datas), dtype=bool)
+    parsed[fast[good]] = False
+    slow = np.flatnonzero(parsed)
+    if not slow.size:
+        return fast[file], corners, occlusion, ignore
+    truths = GroundTruthTable.from_records([
+        FrameRecord("", gts=parse_annotation_text(
+            _decode(datas[k], paths[k]), str(paths[k]), scale_x, scale_y
+        ))
+        for k in slow.tolist()
+    ])
+    file = np.concatenate([fast[file], slow[truths.frame]])
+    order = np.argsort(file, kind="stable")
+    return (
+        file[order],
+        np.concatenate([corners, truths.corners])[order],
+        np.concatenate([occlusion, truths.occlusion])[order],
+        np.concatenate([ignore, truths.ignore])[order],
+    )
+
+
+def _fast_annotations(datas, scale_x, scale_y):
+    # (file index, corners, occlusion code, ignore flag) of the boxes of
+    # the files in the fast form, and which of the files are in it. Every
+    # file given starts with the header and is ASCII.
+    bodies = [data.replace(b"\r\n", b"\n") for data in datas]
+    joined = b"\n".join(bodies)
+    classes = np.frombuffer(joined.translate(_CLASS_TABLE), dtype=np.uint8)
+    _, first, count = _line_tokens(classes)
+    # Each line's file, by the offset of its first byte; the first line of
+    # a file is its header.
+    offsets = np.cumsum([0] + [len(body) + 1 for body in bodies])
+    line_start = np.concatenate(([0], np.flatnonzero(classes == 2) + 1))
+    line_file = np.searchsorted(offsets, line_start, side="right") - 1
+    rows = (count > 0) & (line_start != offsets[line_file])
+    good = np.ones(len(datas) + 1, dtype=bool)  # a spare entry for the line of no files
+    good[line_file[rows & (count < 6)]] = False
+    good[np.searchsorted(offsets, np.flatnonzero(classes == 3), side="right") - 1] = False
+    rows &= good[line_file]
+    file, at = line_file[rows], first[rows].tolist()
+    tokens = joined.decode("ascii").split()
+    try:
+        x, y, w, h = np.array([[tokens[i + k] for i in at] for k in range(1, 5)], dtype=np.float64)
+    except ValueError:  # a token float cannot read fails its row in the parser
+        none = np.zeros(0, dtype=np.intp)
+        return none, np.empty((0, 4)), none, np.zeros(0, dtype=bool), np.zeros(len(datas), dtype=bool)
+    with np.errstate(all="ignore"):  # an inf or nan corner fails its row below
+        corners = np.stack([x * scale_x, y * scale_y, (x + w) * scale_x, (y + h) * scale_y], 1)
+    occlusion = _encode([tokens[i + 5] for i in at], lambda t: _OCCLUSION_TOKENS.get(t, -1))
+    ignore = np.array([tokens[i] != "person" for i in at], dtype=bool)
+    good[file[(occlusion < 0) | (w < 0) | (h < 0) | _invalid_corners(corners)]] = False
+    rows = good[file]
+    return file[rows], corners[rows], occlusion[rows], ignore[rows], good[:-1]
 
 
 def serialize_detections(
@@ -504,23 +664,25 @@ class Manifest:
                         f"sequence group {group} is not spaced by stride {self.stride}"
                     )
 
+    def load_ground_truths(self) -> GroundTruthTable:
+        """Read the referenced annotation files into one table of columns,
+        frames in manifest order."""
+        annotated = [k for k, frame in enumerate(self.frames) if frame.annotations is not None]
+        file, corners, occlusion, ignore = _annotation_columns(
+            [self.root / self.frames[k].annotations for k in annotated], *self.annotation_scale
+        )
+        return GroundTruthTable(
+            tuple(f.frame_id for f in self.frames),
+            tuple(f.time_of_day for f in self.frames),
+            np.array(annotated, dtype=np.intp)[file],
+            corners,
+            occlusion,
+            ignore,
+        )
+
     def load_records(self) -> list[FrameRecord]:
         """Ingest the referenced annotation files into frame records."""
-        sx, sy = self.annotation_scale
-        records = []
-        for frame in self.frames:
-            gts: list[GroundTruthBox] = []
-            if frame.annotations is not None:
-                file = self.root / frame.annotations
-                gts = parse_annotation_text(
-                    file.read_text(encoding="utf-8"), str(file), sx, sy
-                )
-            records.append(
-                FrameRecord(
-                    frame_id=frame.frame_id, time_of_day=frame.time_of_day, gts=gts
-                )
-            )
-        return records
+        return self.load_ground_truths().records()
 
 
 def load_manifest(path: str | Path) -> Manifest:
@@ -528,7 +690,7 @@ def load_manifest(path: str | Path) -> Manifest:
     included, raises a ``ValueError`` that names the file."""
     path = Path(path)
     try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload = json.loads(read_text(path))
     except json.JSONDecodeError as err:
         raise ValueError(f"{path}: invalid manifest JSON ({err})") from None
     try:
@@ -618,11 +780,14 @@ def save_manifest(manifest: Manifest, path: str | Path) -> None:
 
 
 def attach_detections(
-    records: Sequence[FrameRecord],
+    records: Sequence[FrameRecord] | GroundTruthTable,
     dets: Sequence[Detection],
     source: str,
-) -> list[FrameRecord]:
-    """Return records with ``dets`` grouped by frame under key ``source``."""
+) -> list[FrameRecord] | GroundTruthTable:
+    """Return records with ``dets`` grouped by frame under key ``source``;
+    a ``GroundTruthTable`` gets the table of ``dets`` as that source."""
+    if isinstance(records, GroundTruthTable):
+        return replace(records, detections={**records.detections, source: as_table(dets)})
     by_frame = group_by_frame(dets)
     out = []
     for record in records:

@@ -577,3 +577,27 @@ def miss_rate_curve_ref(records, setting, source, score_sweep=None):
         fp = sum(1 for s, flag in outcomes if s >= threshold and flag == "fp")
         points.append((fp / len(records), 1.0 - tp / total_gt))
     return points
+
+
+def log_average_ref(points, reference_points, floor=1e-10):
+    """Log-average miss rate in percent of an (FPPI, miss rate) curve, by
+    the dict-and-loop staircase: the lowest miss rate per achieved FPPI,
+    and at each reference point the miss rate at the largest FPPI not
+    above it (the curve's highest miss rate when none is)."""
+    if not points:
+        sampled = [1.0] * len(reference_points)
+    else:
+        best_at: dict[float, float] = {}
+        for fppi, miss in points:
+            if fppi not in best_at or miss < best_at[fppi]:
+                best_at[fppi] = miss
+        staircase = sorted(best_at.items())
+        highest_miss = max(miss for _, miss in points)
+        sampled = []
+        for ref in reference_points:
+            feasible = [miss for fppi, miss in staircase if fppi <= ref]
+            sampled.append(feasible[-1] if feasible else highest_miss)
+    if all(m == 0.0 for m in sampled):
+        return 0.0
+    floored = np.maximum(np.asarray(sampled, dtype=np.float64), floor)
+    return float(np.exp(np.mean(np.log(floored))) * 100.0)

@@ -5,11 +5,22 @@ import json
 import numpy as np
 import pytest
 
-from msfusion.balance import modality_alignment_loss
+from msfusion.balance import (
+    corpus_reliability,
+    modality_alignment_loss,
+    thermal_reliability_percentage,
+)
 from msfusion.cli import main
 from msfusion.containers import TENSORS_MAGIC, WEIGHTS_MAGIC, load_tensors, save_tensors
 from msfusion.geometry import SCALES, BBox, Detection
-from msfusion.ingest import ingest_detections, serialize_detections
+from msfusion.evaluation import SPLITS, STANDARD_SETTINGS, evaluate_matrix
+from msfusion.ingest import (
+    attach_detections,
+    format_results,
+    ingest_detections,
+    load_manifest,
+    serialize_detections,
+)
 
 
 def write_annotation(path, lines):
@@ -774,3 +785,104 @@ class TestExitCodes:
         code = main(["fuse", "--detections", str(tmp_path / "absent.txt")])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    # One byte that is not UTF-8 in each kind of text input: the error names
+    # the file and the line holding it.
+    @pytest.mark.parametrize("target", ["annotation", "detections", "manifest", "config"])
+    def test_invalid_utf8_names_the_file_and_line(self, corpus, capsys, target):
+        files = {
+            "annotation": corpus / "ann" / "000002.txt",
+            "detections": corpus / "dets.txt",
+            "manifest": corpus / "manifest.json",
+            "config": corpus / "run.cfg",
+        }
+        files["config"].write_text("# eval settings\nsettings = all\n", "utf-8")
+        manifest = json.loads(files["manifest"].read_text("utf-8"))
+        files["manifest"].write_text(json.dumps(manifest, indent=1), "utf-8")
+        path = files[target]
+        lines = path.read_bytes().split(b"\n")
+        lines[1] = lines[1][:3] + b"\xff" + lines[1][3:]
+        path.write_bytes(b"\n".join(lines))
+        code = main(["eval", "--detections", str(files["detections"]),
+                     "--manifest", str(files["manifest"]), "--config", str(files["config"])])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}:2: invalid UTF-8"), err
+
+
+def _generated_corpus(root, frames=18, seed=5):
+    # bbGt files with every occlusion code, ignore labels and heights around
+    # the setting bounds, and a dump of vis and ir detections near them plus
+    # false positives, some on a frame the manifest does not list.
+    rng = np.random.default_rng(seed)
+    (root / "ann").mkdir()
+    entries, lines = [], []
+    for k in range(frames):
+        frame_id = f"{2 * k:06d}"
+        rows, boxes = [], []
+        for _ in range(int(rng.integers(0, 6))):
+            x, y = rng.uniform(0, 500, 2).round(2).tolist()
+            h = float(rng.choice([45.0, 55.0, 115.0, round(rng.uniform(20, 200), 2)]))
+            w = round(h * 0.41, 2)
+            label = "people" if rng.random() < 0.15 else "person"
+            rows.append(f"{label} {x} {y} {w} {h} {int(rng.integers(0, 3))} 0 0 0 0 0 0")
+            boxes.append((x, y, x + w, y + h))
+        write_annotation(root / "ann" / f"{frame_id}.txt", rows)
+        entries.append({"frame_id": frame_id, "time_of_day": ("day", "night")[k % 3 == 2],
+                        "annotations": f"ann/{frame_id}.txt"})
+        for modality in ("vis", "ir"):
+            for scale in SCALES:
+                for x0, y0, x1, y1 in boxes + [(600, 10, 630, 80)]:
+                    dx, dy = rng.normal(0, 3, 2)
+                    lines.append(f"{frame_id} {modality} {scale} {x0 + dx:.2f} {y0 + dy:.2f} "
+                                 f"{x1 + dx:.2f} {y1 + dy:.2f} {rng.uniform(0, 1):.4f}")
+    lines.append("999999 ir s80 0 0 10 20 0.5")
+    write_manifest(root / "manifest.json", entries)
+    (root / "dets.txt").write_text("\n".join(lines) + "\n", "utf-8")
+    return root / "dets.txt", root / "manifest.json"
+
+
+class TestCommandsMatchTheListApi:
+    # eval and reliability read the corpus as columns; the list API reads
+    # it as FrameRecord lists. Both must give the same bytes.
+
+    @pytest.mark.parametrize(
+        "flags",
+        [[], ["--setting", "reasonable", "--setting", "all"],
+         ["--setting", "heavy", "--split", "night"],
+         ["--setting", "near", "--setting", "medium", "--setting", "far", "--split", "day"]],
+    )
+    def test_eval(self, tmp_path, capsys, flags):
+        dets, manifest = _generated_corpus(tmp_path)
+        out = tmp_path / "eval.tsv"
+        assert main(["eval", "--detections", str(dets), "--manifest", str(manifest),
+                     *flags, "--out", str(out)]) == 0
+        records = attach_detections(
+            load_manifest(manifest).load_records(), ingest_detections(dets), "default"
+        )
+        names = flags[1::2] if "--split" not in flags else flags[1:-2:2]
+        settings = {name: STANDARD_SETTINGS[name] for name in names or ["reasonable"]}
+        splits = [flags[-1]] if "--split" in flags else list(SPLITS)
+        table = evaluate_matrix(records, ["default"], settings, splits)
+        body = format_results([(*key, *cell) for key, cell in table.items()], {})
+        lines = out.read_text("utf-8").splitlines(keepends=True)
+        assert "".join(line for line in lines if not line.startswith("# ")) == body
+
+    @pytest.mark.parametrize("n_top", [300, 5])
+    def test_reliability(self, tmp_path, capsys, n_top):
+        dets, manifest = _generated_corpus(tmp_path)
+        out = tmp_path / "reliability.tsv"
+        assert main(["reliability", "--detections", str(dets), "--manifest", str(manifest),
+                     "--n-top", str(n_top), "--out", str(out)]) == 0
+        reports = corpus_reliability(
+            ingest_detections(dets), load_manifest(manifest).load_records(), n_top
+        )
+        lines = [
+            f"{frame_id}\t{scale}\t{r.r_v!r}\t{r.r_t!r}\t{r.reference_modality}"
+            for frame_id, scale, r in reports
+            if r is not None
+        ]
+        thermal = thermal_reliability_percentage(r for _, _, r in reports)
+        lines += [f"# thermal_percent = {thermal!r}", f"# visible_percent = {100.0 - thermal!r}"]
+        assert len(lines) > 20
+        assert out.read_text("utf-8") == "\n".join(lines) + "\n"

@@ -78,7 +78,9 @@ class TestApplySetting:
             assert len(evaluated) + len(ignored) == len(gts)
             assert not (set(map(id, evaluated)) & set(map(id, ignored)))
 
-    def test_admits_runs_once_per_ground_truth(self, monkeypatch):
+    def test_partition_reads_the_setting_mask_not_admits(self, monkeypatch):
+        # One vectorized mask per call partitions the list; the scalar
+        # admits stays as the reference the mask is tested against.
         gts = [gt(0, 0, 30, h, occ) for h in (40, 60, 90) for occ in ("none", "heavy")]
         calls = []
         admits = evaluation.EvalSetting.admits
@@ -89,7 +91,7 @@ class TestApplySetting:
 
         monkeypatch.setattr(evaluation.EvalSetting, "admits", counting)
         evaluated, ignored = apply_setting(gts, STANDARD_SETTINGS["reasonable"])
-        assert len(calls) == len(gts)
+        assert calls == []
         assert [len(evaluated), len(ignored)] == [2, 4]
 
 
@@ -460,9 +462,10 @@ class TestEvaluateMatrix:
         matched = []
         original = evaluation._match_frames
 
-        def counting(frames, match_iou):
-            matched.append(sorted(d.frame_id for dets, _, _ in frames for d in dets))
-            return original(frames, match_iou)
+        def counting(det_frame, det_corners, det_scores, gt_frame, *rest):
+            # Frame k * 3 + i is record i under strategy k; f3 is record 2.
+            matched.append((sorted(det_frame % 3), sorted(gt_frame % 3)))
+            return original(det_frame, det_corners, det_scores, gt_frame, *rest)
 
         records = _hand_corpus()
         for r in records:
@@ -472,7 +475,7 @@ class TestEvaluateMatrix:
         monkeypatch.setattr(evaluation, "_match_frames", counting)
         night = evaluate_matrix(records, ["det", "other"], settings, ["night"])
         assert night == {key: cell for key, cell in full.items() if key[1] == "night"}
-        assert matched == [["f3", "f3", "f3"]] * len(settings)
+        assert matched == [([2, 2, 2], [2, 2, 2, 2])] * len(settings)
 
     def test_strategy_independence(self):
         records = _hand_corpus()

@@ -14,7 +14,15 @@ from hypothesis import strategies as st
 from msfusion import evaluation, ingest
 from msfusion.balance import ReliabilityReport, corpus_reliability, reliability
 from msfusion.containers import TENSORS_MAGIC, load_tensors, save_tensors
-from msfusion.evaluation import FrameRecord, GroundTruthBox
+from msfusion.evaluation import (
+    FPPI_REFERENCE_POINTS,
+    OCCLUSION_LEVELS,
+    STANDARD_SETTINGS,
+    EvalSetting,
+    FrameRecord,
+    GroundTruthBox,
+    GroundTruthTable,
+)
 from msfusion.fusion import conv2d_same, strip_conv
 from msfusion.geometry import (
     BBox,
@@ -27,6 +35,7 @@ from msfusion.geometry import (
     segment_pairs,
 )
 from msfusion.ingest import (
+    ingest_annotations,
     ingest_detections,
     load_config,
     load_manifest,
@@ -34,7 +43,14 @@ from msfusion.ingest import (
     parse_detection_line,
     run_config_from_mapping,
 )
-from oracles import loop_conv2d, loop_strip_conv, match_frame_ref, match_outcomes_ref, nms_ref
+from oracles import (
+    log_average_ref,
+    loop_conv2d,
+    loop_strip_conv,
+    match_frame_ref,
+    match_outcomes_ref,
+    nms_ref,
+)
 
 FILE_FIXTURE = settings(
     max_examples=75, suppress_health_check=[HealthCheck.function_scoped_fixture]
@@ -175,6 +191,110 @@ def test_ingest_detections_matches_line_parser(tmp_path, monkeypatch, body, last
 @settings(max_examples=150)
 def test_parse_annotation_text(header, body):
     parses_or_raises_value_error(parse_annotation_text, "\n".join([header, *body]), "a.txt")
+
+
+# bbGt files for the columnar reader: rows mostly in the fast form, with
+# every way a row or file can leave it. Number tokens include the spellings
+# Python float accepts beyond the plain decimal form and sums that overflow;
+# occlusion tokens include ones int() reads ("01", "+1") and ones it does
+# not ("1.0"). A file holding other whitespace or a lone "\r" takes the
+# parser, and so does one with a BOM, no header or a non-ASCII label.
+ann_numbers = st.one_of(
+    st.floats(-5.0, 60.0).map(repr),
+    st.sampled_from(["0", "-0.0", "+1", "1_0", "1e3", "nan", "inf", "-inf", "-1", "1e308",
+                     "1.5e308", "x", "\u0661"]),
+)
+ann_labels = st.sampled_from(["person", "people", "ignore", "person?", "p\u00e9rson", "%"])
+ann_separators = st.sampled_from([" ", "  ", "\t", " \t "])
+ann_rows = st.tuples(
+    ann_labels,
+    st.tuples(*[ann_numbers] * 4),
+    st.sampled_from(["0", "1", "2", "01", "+1", "1.0", "3", "-1"]),
+    st.lists(st.sampled_from(["0", "1", "x", "\u00e9"]), max_size=6),  # trailing tokens
+    ann_separators,
+).map(lambda t: t[4].join([t[0], *t[1], t[2], *t[3]]))
+fast_ann_rows = st.tuples(
+    st.sampled_from(["person", "people", "ignore"]),
+    st.tuples(*[st.floats(0.0, 600.0)] * 4).map(lambda t: [repr(v) for v in t]),
+    st.sampled_from(["0", "1", "2"]),
+    st.lists(st.sampled_from(["0", "1", "-5.5"]), max_size=6),
+    ann_separators,
+).map(lambda t: t[4].join([t[0], *t[1], t[2], *t[3]]))
+ann_short_rows = st.lists(st.sampled_from(["person", "1", "0", "x"]), min_size=1, max_size=5)
+ann_files = st.one_of(
+    st.tuples(
+        st.sampled_from(["% bbGt version=3", "% bbGt version"]),
+        st.lists(
+            st.tuples(
+                st.one_of(fast_ann_rows, st.sampled_from(["", "   ", "\t"])),
+                st.sampled_from(["\n", "\r\n"]),
+            ),
+            max_size=6,
+        ),
+        st.booleans(),
+    ),
+    st.tuples(
+        st.sampled_from(["% bbGt version=3", "% bbGt version=3 \u00e9", "\ufeff% bbGt version=3",
+                         "person 0 0 1 1 0", ""]),
+        st.lists(
+            st.tuples(
+                st.one_of(fast_ann_rows, ann_rows, ann_short_rows.map(" ".join),
+                          st.sampled_from(["", " "])),
+                st.sampled_from(["\n", "\r\n", "\r", "\x0b", "\x1c", "\x85"]),
+            ),
+            max_size=6,
+        ),
+        st.booleans(),
+    ),
+)
+ANN_SCALES = [(1.0, 1.0), (2.0, 0.5), (0.1, 3.0), (1e300, 1.0)]
+
+
+@given(st.lists(ann_files, min_size=1, max_size=4), st.sampled_from(ANN_SCALES))
+@example([("% bbGt version=3", [("person 1 2 3 4 0", "\r\n"), ("\t", "\n")], True),
+          ("% bbGt version=3", [("person\t+1 1_0 1e3 5 01 x y", "\n")], False)], (2.0, 0.5))
+@example([("% bbGt version=3", [("person 1e308 0 1e308 5 0", "\n")], True)], (1.0, 1.0))
+@example([("% bbGt version=3", [("person 1e20 0 -1 5 0", "\n")], True)], (1.0, 1.0))  # x + w == x
+@example([("% bbGt version=3", [("person 10.7 0 33.1 5 0", "\n")], True)], (0.1, 3.0))  # (x + w) * sx
+@example([("% bbGt version=3", [("person 1 2 3 4 0", "\x0b"), ("person 5 6 7 8 1", "\n")], True)],
+         (1.0, 1.0))  # a line break other than "\n" and "\r\n"
+@example([("% bbGt version=3", [], False), ("\ufeff% bbGt version=3", [], True)], (1.0, 1.0))
+@example([("% bbGt version=3", [("p\u00e9rson 1 2 3 4 2", "\n")], True),
+          ("% bbGt version=3", [("person 1 2 3 4 1.0", "\n")], True)], (1.0, 1.0))
+@example([("% bbGt version=3", [("person 1 2 3 4 3", "\n")], True),
+          ("% bbGt version=3", [("person 1 2 nan 4 0", "\n")], True)], (1.0, 1.0))
+@example([("% bbGt version=3", [("person 1 2 3", "\n"), ("x", "\r")], True)], (1.0, 1.0))
+@FILE_FIXTURE
+def test_annotation_columns_match_parse_annotation_text(tmp_path, files, scale):
+    # The columnar reader gives each file's records exactly as
+    # parse_annotation_text gives them, bit for bit, or fails with the
+    # first failing file's own error.
+    folder = tmp_path / "ann"
+    folder.mkdir(exist_ok=True)
+    for old in folder.glob("*.txt"):
+        old.unlink()
+    expected, error = [], None
+    for k, (header, body, last_break) in enumerate(files):
+        path = folder / f"{k}.txt"
+        text = "".join(line + end for line, end in [(header, "\n"), *body])
+        path.write_bytes((text if last_break else text[:-1]).encode())
+        if error is None:
+            try:
+                gts = parse_annotation_text(path.read_text(encoding="utf-8"), str(path), *scale)
+                expected.append(FrameRecord(str(k), "day", gts))
+            except ValueError as err:
+                error = str(err)
+    if error is not None:
+        with pytest.raises(ValueError) as err:
+            ingest_annotations(folder, "day", *scale)
+        assert str(err.value) == error
+        return
+    records = ingest_annotations(folder, "day", *scale)
+    assert records == expected
+    got, want = GroundTruthTable.from_records(records), GroundTruthTable.from_records(expected)
+    for column in ("frame", "corners", "occlusion", "ignore"):
+        a, b = getattr(got, column), getattr(want, column)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
 
 
 json_values = st.recursive(
@@ -436,14 +556,27 @@ def test_corpus_matcher_matches_the_per_frame_reference(frames, match_iou):
     # greedy per-frame reference, in that frame's descending score order.
     # Boxes come from shapes with IoUs of exactly 1/2 and 1/3, scores from
     # a few values, so ties and exact thresholds are common.
-    inputs = []
+    inputs, columns = [], []
     for k, (dets, gts, as_table) in enumerate(frames):
         dets = [Detection(BBox(*box), score, "vis", "s80", f"{k}") for box, score in dets]
         evaluated = [GroundTruthBox(BBox(*box)) for box, ignored in gts if not ignored]
         ignored = [GroundTruthBox(BBox(*box), ignore=True) for box, ignored in gts if ignored]
         dets = DetectionTable.from_detections(dets) if as_table else dets
         inputs.append((dets, evaluated, ignored))
-    frame, scores, outcome = evaluation._match_frames(inputs, match_iou)
+        # The matcher's columns hold each frame's ground truths as drawn,
+        # evaluated and ignored ones interleaved.
+        columns.append((
+            [k] * len(dets), [d.box for d in dets], [d.score for d in dets],
+            [k] * len(gts), [BBox(*box) for box, _ in gts], [not ignored for _, ignored in gts],
+        ))
+    det_frame, det_boxes, det_scores, gt_frame, gt_boxes, gt_evaluated = (
+        [value for frame in columns for value in frame[i]] for i in range(6)
+    )
+    frame, scores, outcome = evaluation._match_frames(
+        np.array(det_frame, dtype=np.intp), boxes_array(det_boxes), np.array(det_scores),
+        np.array(gt_frame, dtype=np.intp), boxes_array(gt_boxes),
+        np.array(gt_evaluated, dtype=bool), match_iou,
+    )
     for k, (dets, evaluated, ignored) in enumerate(inputs):
         want = match_outcomes_ref(list(dets), evaluated, ignored, match_iou)
         rows = frame == k
@@ -454,6 +587,67 @@ def test_corpus_matcher_matches_the_per_frame_reference(frames, match_iou):
         assert (result.tp, result.fp, result.misses) == match_frame_ref(
             list(dets), evaluated, ignored, match_iou
         )
+
+
+# Curves for the log-average: FPPIs from the reference points themselves
+# and values around them, so ties and exact hits are common, and misses
+# including exact zeros.
+curve_points = st.lists(
+    st.tuples(
+        st.one_of(st.sampled_from([0.0, 0.005, 0.02, 0.5, 1.0, 2.0, *FPPI_REFERENCE_POINTS]),
+                  st.floats(0.0, 5.0)),
+        st.one_of(st.sampled_from([0.0, 0.5, 1.0, 1e-12]), st.floats(0.0, 1.0)),
+    ),
+    max_size=12,
+)
+
+
+@given(curve_points)
+@example([])  # an empty curve samples 1.0 everywhere
+@example([(0.0, 0.0), (3.0, 0.0)])  # an all-zero sample reports 0
+@example([(0.5, 0.3), (2.0, 0.1), (0.5, 0.2)])  # references below the first FPPI
+@example([(0.01, 0.4), (0.01, 0.3), (0.01, 0.5), (1.0, 0.3)])  # tied FPPIs
+@settings(max_examples=300)
+def test_log_average_matches_the_loop(points):
+    got = evaluation._log_average(*np.array(points, dtype=np.float64).reshape(-1, 2).T)
+    want = log_average_ref(points, FPPI_REFERENCE_POINTS)
+    assert repr(got) == repr(want)
+
+
+# Settings at the standard bounds (55 exclusive below, 45 and 115 inclusive)
+# and random ones; heights exactly at a bound, and near one after the
+# subtraction y_max - y_min.
+bounds = st.one_of(st.none(), st.sampled_from([45.0, 55.0, 115.0]), st.floats(0.0, 300.0))
+random_settings = st.builds(
+    lambda lo, hi, lo_in, hi_in, occlusion: EvalSetting(
+        "random", lo, hi if lo is None or hi is None or lo < hi else None, lo_in, hi_in,
+        frozenset(occlusion),
+    ),
+    bounds, bounds, st.booleans(), st.booleans(),
+    st.sets(st.sampled_from(OCCLUSION_LEVELS)),
+)
+height_boxes = st.tuples(
+    st.sampled_from([0.0, 0.1, 7.3, 100.0]),
+    st.one_of(st.sampled_from([0.0, 45.0, 55.0, 115.0]), st.floats(0.0, 300.0)),
+).map(lambda t: BBox(0.0, t[0], 10.0, t[0] + t[1]))
+
+
+@given(
+    st.one_of(st.sampled_from(list(STANDARD_SETTINGS.values())), random_settings),
+    st.lists(
+        st.tuples(height_boxes, st.sampled_from(OCCLUSION_LEVELS), st.booleans()), max_size=12
+    ),
+)
+@example(STANDARD_SETTINGS["reasonable"], [(BBox(0, 0, 10, 55.0), "none", False)])
+@example(STANDARD_SETTINGS["medium"], [(BBox(0, 0, 10, 45.0), "none", False),
+                                       (BBox(0, 0, 10, 115.0), "none", False)])
+@example(STANDARD_SETTINGS["near"], [(BBox(0, 0, 10, 115.0), "none", False)])
+@example(STANDARD_SETTINGS["far"], [(BBox(0, 0, 10, 45.0), "none", False)])
+@settings(max_examples=300)
+def test_setting_mask_matches_admits(setting, gts):
+    gts = [GroundTruthBox(box, occlusion, ignore) for box, occlusion, ignore in gts]
+    truths = GroundTruthTable.from_records([FrameRecord("f", gts=gts)])
+    assert setting.mask(truths).tolist() == [setting.admits(g) for g in gts]
 
 
 odd_sides = st.integers(0, 5).map(lambda k: 2 * k + 1)

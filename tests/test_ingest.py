@@ -95,6 +95,28 @@ class TestAnnotations:
         assert all(len(r.gts) == 1 for r in records)
 
 
+    def test_a_valid_corpus_never_reaches_the_line_parser(self, tmp_path, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("parse_annotation_text called")
+
+        monkeypatch.setattr(ingest, "parse_annotation_text", refuse)
+        frames = []
+        for k in range(40):
+            rows = [
+                f"{('person', 'people')[j % 2]}\t{j}.5 {k} {j + 10}.25  {40 + j}  {j % 3}"
+                + " 0 0 0 0 0 0" * (k % 2)
+                for j in range(k % 5)
+            ]
+            text = "\r\n".join(["% bbGt version=3", "", *rows, "  "]) + "\r\n" * (k % 3 > 0)
+            (tmp_path / f"{k:06d}.txt").write_bytes(text.encode())
+            frames.append(
+                ManifestFrame(f"{k:06d}", ("day", "night")[k % 2], annotations=f"{k:06d}.txt")
+            )
+        truths = Manifest(frames=tuple(frames), root=tmp_path).load_ground_truths()
+        assert len(truths.frame) == sum(k % 5 for k in range(40))
+        assert truths.ignore.tolist() == [j % 2 == 1 for k in range(40) for j in range(k % 5)]
+        assert len(ingest_annotations(tmp_path)) == 40
+
 class TestDetections:
     def test_example_line(self):
         d = parse_detection_line("000123 vis s80 10 10 50 110 0.93")
