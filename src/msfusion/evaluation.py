@@ -9,11 +9,11 @@ rates sampled at nine FPPI reference points log-spaced in [1e-2, 1].
 A corpus travels as one ``GroundTruthTable``: its frames, and its ground
 truths as columns (frame index, corners, occlusion code, ignore flag),
 plus the ``DetectionTable`` of each detection source. ``ingest`` reads
-a corpus's bbGt files straight into one: files in the fast form in one
-vectorized pass, any other file through ``parse_annotation_text``, which
-raises its own ``file:line`` errors. The list API (``FrameRecord`` and
-``GroundTruthBox`` lists) is converted once on entry by ``as_truths``, as
-``as_table`` converts detection lists, so there is one matcher. A
+a corpus's bbGt files straight into one, line by line with the parser
+``parse_annotation_text`` uses, which raises its own ``file:line``
+errors. The list API (``FrameRecord`` and ``GroundTruthBox`` lists) is
+converted once on entry by ``as_truths``, as ``as_table`` converts
+detection lists, so there is one matcher. A
 setting's evaluated ground truths are ``EvalSetting.mask``, array
 comparisons that decide as ``admits`` does for each box.
 

@@ -710,9 +710,10 @@ class FusionWeights:
     @property
     def patch_size(self) -> int:
         value = self.tensor("patch_size")
-        if value.size != 1 or not np.isfinite(value).all():
-            raise ValueError(f"patch_size: expected one finite value, got {value}")
-        return int(round(value.item()))
+        # A fraction such as 4.4 would otherwise run silently as 4.
+        if value.size != 1 or not (value.item() >= 1 and float(value.item()).is_integer()):
+            raise ValueError(f"patch_size: expected one positive integer, got {value}")
+        return int(value.item())
 
     @classmethod
     def seeded(cls, config: FusionConfig | None = None, seed: int = 0) -> "FusionWeights":

@@ -11,29 +11,14 @@ Formats handled here:
   none/partial/heavy; tokens after the sixth are ignored and blank lines
   skipped. Labels other than ``person`` become ignore regions. A row's box
   is ``(x * sx, y * sy, (x + w) * sx, (y + h) * sy)`` for the scale
-  factors. ``parse_annotation_text`` parses one body and is the arbiter.
-  ``Manifest.load_ground_truths`` and ``ingest_annotations`` read all of a
-  corpus's files into the columns of one ``GroundTruthTable``, on two
-  paths:
-
-  - the fast form, in one vectorized pass over every file: each file,
-    read as bytes in one ``read`` sized by ``fstat``, is ASCII, starts
-    with the header, separates tokens by spaces and tabs only, ends lines
-    in ``\n`` or ``\r\n``, and each of its data lines has at least six
-    tokens and an occlusion token ``0``, ``1`` or ``2``. The files are
-    joined and tokenized once; numpy finds each line's file and tokens,
-    one ``np.array(..., dtype=float64)`` call converts the four number
-    columns (parsing each token as Python ``float`` does), and array
-    operations validate the rows.
-  - ``parse_annotation_text``, file by file, for every other file and
-    every file with a failing row: a non-ASCII label, a BOM or a missing
-    header, other whitespace or line breaks, an occlusion token such as
-    ``01``, a bad number, a negative size or a non-finite corner. It gives
-    the file's boxes, or raises its first bad line's own error, naming the
-    file and line; files go in order, so the first failing file raises.
-
-  Both paths give the same columns bit for bit. ``load_records`` and
-  ``ingest_annotations`` build their ``FrameRecord`` lists from them.
+  factors. One per-line parser reads every body: ``parse_annotation_text``
+  gives one body's boxes, and ``Manifest.load_ground_truths`` and
+  ``ingest_annotations`` read a corpus's files in order, one at a time,
+  into the columns of one ``GroundTruthTable``. A bad line raises a
+  ``ValueError`` naming the file and line, so the first bad file raises
+  before a later file is opened. The files are few rows each, so reading
+  them costs more than parsing them; ``load_records`` and
+  ``ingest_annotations`` build their ``FrameRecord`` lists from the table.
 * detections: one per line, ``frame_id modality scale_id x_min y_min x_max
   y_max score``; ``#`` lines are comments. A line's tokens are split on
   any whitespace (``str.split``), and a line is a comment when its first
@@ -65,12 +50,14 @@ Formats handled here:
   iterated for. Rows keep file order; the table's frame ids are sorted.
 * manifest: JSON listing frames (id, time of day, annotation path) and
   optional sequence grouping (frames per group and stride, positive
-  integers, and a list of frame id lists). ``eval`` and ``reliability``
-  score every listed frame; the sequence block is only checked.
+  integers, and a list of frame id lists); frame ids are JSON strings.
+  ``eval`` and ``reliability`` score every listed frame; the sequence
+  block is only checked.
 * run config: UTF-8 ``key = value`` lines, one key per ``RunConfig.echo``
   entry; the CLI writes its flags into the same mapping.
 * results: UTF-8 header block of ``# key = value`` lines followed by
-  tab-separated rows.
+  tab-separated rows; a strategy label holding a tab or a line break
+  raises.
 """
 
 from __future__ import annotations
@@ -100,7 +87,6 @@ from .geometry import (
     BBox,
     Detection,
     DetectionTable,
-    _invalid_corners,
     as_table,
 )
 from .postprocess import PostprocessConfig
@@ -184,20 +170,15 @@ def _newlines(text: str) -> str:
     return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
-def _decode(data: bytes, path: str | Path) -> str:
-    # UTF-8 text with universal newlines; bytes that are not UTF-8 raise a
-    # ValueError naming the file and the line of the first bad byte.
+def read_text(path: str | Path) -> str:
+    """A UTF-8 text file's content with universal newlines; a byte that is
+    not UTF-8 raises a ``ValueError`` naming the file and line."""
+    data = _read_bytes(path)
     try:
         return _newlines(data.decode("utf-8"))
     except UnicodeDecodeError as err:
         lineno = _newlines(data[: err.start].decode("utf-8")).count("\n") + 1
         raise ValueError(f"{path}:{lineno}: invalid UTF-8 ({err.reason})") from None
-
-
-def read_text(path: str | Path) -> str:
-    """A UTF-8 text file's content with universal newlines; a byte that is
-    not UTF-8 raises a ``ValueError`` naming the file and line."""
-    return _decode(_read_bytes(path), path)
 
 
 def load_config(path: str | Path) -> dict[str, str]:
@@ -250,6 +231,39 @@ def run_config_from_mapping(mapping: Mapping[str, str]) -> RunConfig:
     )
 
 
+def _annotation_rows(
+    text: str, source: str, scale_x: float, scale_y: float
+) -> Iterable[tuple[float, float, float, float, int, bool]]:
+    # (x_min, y_min, x_max, y_max, occlusion code, ignore) of each box of
+    # one bbGt body, in line order; a bad line raises, naming source and line.
+    lines = text.splitlines()
+    if not lines or not lines[0].startswith("% bbGt version"):
+        raise ValueError(f"{source}: missing bbGt header")
+    for lineno, raw in enumerate(lines[1:], 2):
+        tokens = raw.split()
+        if not tokens:
+            continue
+        if len(tokens) < 6:
+            raise ValueError(f"{source}:{lineno}: expected 'label x y w h occ ...'")
+        try:
+            x, y, w, h = float(tokens[1]), float(tokens[2]), float(tokens[3]), float(tokens[4])
+            occ_code = int(tokens[5])
+        except ValueError:
+            raise ValueError(f"{source}:{lineno}: malformed numeric fields") from None
+        if w < 0 or h < 0:
+            raise ValueError(f"{source}:{lineno}: negative box size")
+        if occ_code not in _OCCLUSION_CODES:
+            raise ValueError(f"{source}:{lineno}: occlusion code must be 0, 1, or 2")
+        x0, y0, x1, y1 = x * scale_x, y * scale_y, (x + w) * scale_x, (y + h) * scale_y
+        # The check BBox makes, as chained comparisons; BBox words the error.
+        if not (-math.inf < x0 <= x1 < math.inf and -math.inf < y0 <= y1 < math.inf):
+            try:
+                BBox(x0, y0, x1, y1)
+            except ValueError as err:
+                raise ValueError(f"{source}:{lineno}: {err}") from None
+        yield x0, y0, x1, y1, occ_code, tokens[0] != "person"
+
+
 def parse_annotation_text(
     text: str,
     source: str = "<string>",
@@ -258,39 +272,10 @@ def parse_annotation_text(
 ) -> list[GroundTruthBox]:
     """Parse one bbGt annotation body; coordinates are multiplied by the
     scale factors (used to undo dataset-level resizing)."""
-    lines = text.splitlines()
-    if not lines or not lines[0].startswith("% bbGt version"):
-        raise ValueError(f"{source}: missing bbGt header")
-    gts: list[GroundTruthBox] = []
-    for lineno, raw in enumerate(lines[1:], 2):
-        line = raw.strip()
-        if not line:
-            continue
-        tokens = line.split()
-        if len(tokens) < 6:
-            raise ValueError(f"{source}:{lineno}: expected 'label x y w h occ ...'")
-        label = tokens[0]
-        try:
-            x, y, w, h = (float(v) for v in tokens[1:5])
-            occ_code = int(tokens[5])
-        except ValueError:
-            raise ValueError(f"{source}:{lineno}: malformed numeric fields") from None
-        if w < 0 or h < 0:
-            raise ValueError(f"{source}:{lineno}: negative box size")
-        if occ_code not in _OCCLUSION_CODES:
-            raise ValueError(f"{source}:{lineno}: occlusion code must be 0, 1, or 2")
-        try:
-            box = BBox(x * scale_x, y * scale_y, (x + w) * scale_x, (y + h) * scale_y)
-        except ValueError as err:
-            raise ValueError(f"{source}:{lineno}: {err}") from None
-        gts.append(
-            GroundTruthBox(
-                box=box,
-                occlusion=_OCCLUSION_CODES[occ_code],
-                ignore=label != "person",
-            )
-        )
-    return gts
+    return [
+        GroundTruthBox(BBox(x0, y0, x1, y1), _OCCLUSION_CODES[occ_code], ignore)
+        for x0, y0, x1, y1, occ_code, ignore in _annotation_rows(text, source, scale_x, scale_y)
+    ]
 
 
 def _fmt(value: float) -> str:
@@ -371,30 +356,14 @@ def parse_detection_line(line: str, source: str = "<string>", lineno: int = 0) -
 # they fill.
 _CHUNK_CHARS = 1 << 18
 
-# Character classes of the fast forms, by byte (a table for
+# Character classes of the fast form, by ASCII byte (a table for
 # bytes.translate): 0 part of a token, 1 a separator (space or tab), 2 a
-# line break (\n; detection reading translates \r\n and \r), 3 any other
-# whitespace or a non-ASCII byte, which sends the file to the line parser.
+# line break (\n; reading translates \r\n and \r), 3 any other whitespace,
+# which sends the file to the line parser.
 _CLASS_TABLE = bytes(
-    1 if c in " \t" else 2 if c == "\n" else 3 if c in "\v\f\r\x1c\x1d\x1e\x1f" or c > "\x7f" else 0
+    1 if c in " \t" else 2 if c == "\n" else 3 if c in "\v\f\r\x1c\x1d\x1e\x1f" else 0
     for c in map(chr, range(256))
 )
-
-
-def _line_tokens(classes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # (token starts, first token, token count) of text by its character
-    # classes: the byte offset of each token, and for each line the index
-    # of its first token and its number of tokens. The text is read as if
-    # a line break preceded it.
-    token = classes == 0
-    starts = np.flatnonzero(token[1:] > token[:-1]) + 1
-    if token.size and token[0]:
-        starts = np.concatenate(([0], starts))
-    # Line k holds the starts before its line break and after line k - 1's.
-    line_ends = np.append(np.flatnonzero(classes == 2), len(classes))
-    first = np.searchsorted(starts, line_ends)
-    count = np.diff(first, prepend=0)
-    return starts, first - count, count
 
 
 def _chunk_tokens(chunk: str) -> list[str]:
@@ -408,7 +377,17 @@ def _chunk_tokens(chunk: str) -> list[str]:
     classes = np.frombuffer(raw.translate(_CLASS_TABLE), dtype=np.uint8)
     if (classes == 3).any():
         raise ValueError("whitespace outside the fast form")
-    starts, first, count = _line_tokens(classes)
+    # A token starts where a token character follows a separator or line
+    # break; the chunk is read as if a line break preceded it.
+    token = classes == 0
+    starts = np.flatnonzero(token[1:] > token[:-1]) + 1
+    if token.size and token[0]:
+        starts = np.concatenate(([0], starts))
+    # Line k holds the starts before its line break and after line k - 1's.
+    line_ends = np.append(np.flatnonzero(classes == 2), len(classes))
+    first = np.searchsorted(starts, line_ends)
+    count = np.diff(first, prepend=0)
+    first = first - count
     comment = np.zeros(len(count), dtype=bool)
     comment[count > 0] = np.frombuffer(raw, dtype=np.uint8)[starts[first[count > 0]]] == ord("#")
     if ((count != 0) & (count != 8) & ~comment).any():
@@ -481,90 +460,25 @@ def ingest_detections(path: str | Path) -> DetectionTable:
         return DetectionTable.from_detections(dets)
 
 
-_BBGT_PREFIX = b"% bbGt version"
-_OCCLUSION_TOKENS = {str(code): code for code in _OCCLUSION_CODES}
-
-
 def _annotation_columns(
-    paths: Sequence[Path], scale_x: float, scale_y: float
+    paths: Sequence[str | Path], scale_x: float, scale_y: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     # (file index, corners, occlusion code, ignore flag) of every box of
-    # the bbGt files, in file order, then line order. Files in the fast
-    # form are read in one vectorized pass (see the module docstring);
-    # every other file, and every file with a failing row, goes to
-    # parse_annotation_text, which raises the first bad file's own error.
-    datas: list[bytes] = []
+    # the bbGt files, in file order, then line order. Files are read one
+    # at a time, so the first bad file raises before a later one is opened.
+    rows: list[tuple[float, float, float, float, int, bool]] = []
+    counts = []
     for path in paths:
-        try:
-            datas.append(_read_bytes(path))
-        except OSError:  # an error in an earlier file comes first
-            _annotation_files(paths[: len(datas)], datas, scale_x, scale_y)
-            raise
-    return _annotation_files(paths, datas, scale_x, scale_y)
-
-
-def _annotation_files(paths, datas, scale_x, scale_y):
-    # _annotation_columns over files already read.
-    fast = np.array(
-        [k for k, data in enumerate(datas) if data.startswith(_BBGT_PREFIX) and data.isascii()],
-        dtype=np.intp,
-    )
-    file, corners, occlusion, ignore, good = _fast_annotations(
-        [datas[k] for k in fast.tolist()], scale_x, scale_y
-    )
-    parsed = np.ones(len(datas), dtype=bool)
-    parsed[fast[good]] = False
-    slow = np.flatnonzero(parsed)
-    if not slow.size:
-        return fast[file], corners, occlusion, ignore
-    truths = GroundTruthTable.from_records([
-        FrameRecord("", gts=parse_annotation_text(
-            _decode(datas[k], paths[k]), str(paths[k]), scale_x, scale_y
-        ))
-        for k in slow.tolist()
-    ])
-    file = np.concatenate([fast[file], slow[truths.frame]])
-    order = np.argsort(file, kind="stable")
+        before = len(rows)
+        rows.extend(_annotation_rows(read_text(path), str(path), scale_x, scale_y))
+        counts.append(len(rows) - before)
+    table = np.array(rows, dtype=np.float64).reshape(-1, 6)
     return (
-        file[order],
-        np.concatenate([corners, truths.corners])[order],
-        np.concatenate([occlusion, truths.occlusion])[order],
-        np.concatenate([ignore, truths.ignore])[order],
+        np.repeat(np.arange(len(paths)), counts),
+        np.ascontiguousarray(table[:, :4]),
+        table[:, 4].astype(np.intp),
+        table[:, 5].astype(bool),
     )
-
-
-def _fast_annotations(datas, scale_x, scale_y):
-    # (file index, corners, occlusion code, ignore flag) of the boxes of
-    # the files in the fast form, and which of the files are in it. Every
-    # file given starts with the header and is ASCII.
-    bodies = [data.replace(b"\r\n", b"\n") for data in datas]
-    joined = b"\n".join(bodies)
-    classes = np.frombuffer(joined.translate(_CLASS_TABLE), dtype=np.uint8)
-    _, first, count = _line_tokens(classes)
-    # Each line's file, by the offset of its first byte; the first line of
-    # a file is its header.
-    offsets = np.cumsum([0] + [len(body) + 1 for body in bodies])
-    line_start = np.concatenate(([0], np.flatnonzero(classes == 2) + 1))
-    line_file = np.searchsorted(offsets, line_start, side="right") - 1
-    rows = (count > 0) & (line_start != offsets[line_file])
-    good = np.ones(len(datas) + 1, dtype=bool)  # a spare entry for the line of no files
-    good[line_file[rows & (count < 6)]] = False
-    good[np.searchsorted(offsets, np.flatnonzero(classes == 3), side="right") - 1] = False
-    rows &= good[line_file]
-    file, at = line_file[rows], first[rows].tolist()
-    tokens = joined.decode("ascii").split()
-    try:
-        x, y, w, h = np.array([[tokens[i + k] for i in at] for k in range(1, 5)], dtype=np.float64)
-    except ValueError:  # a token float cannot read fails its row in the parser
-        none = np.zeros(0, dtype=np.intp)
-        return none, np.empty((0, 4)), none, np.zeros(0, dtype=bool), np.zeros(len(datas), dtype=bool)
-    with np.errstate(all="ignore"):  # an inf or nan corner fails its row below
-        corners = np.stack([x * scale_x, y * scale_y, (x + w) * scale_x, (y + h) * scale_y], 1)
-    occlusion = _encode([tokens[i + 5] for i in at], lambda t: _OCCLUSION_TOKENS.get(t, -1))
-    ignore = np.array([tokens[i] != "person" for i in at], dtype=bool)
-    good[file[(occlusion < 0) | (w < 0) | (h < 0) | _invalid_corners(corners)]] = False
-    rows = good[file]
-    return file[rows], corners[rows], occlusion[rows], ignore[rows], good[:-1]
 
 
 def serialize_detections(
@@ -668,9 +582,13 @@ class Manifest:
         """Read the referenced annotation files into one table of columns,
         frames in manifest order."""
         annotated = [k for k, frame in enumerate(self.frames) if frame.annotations is not None]
-        file, corners, occlusion, ignore = _annotation_columns(
-            [self.root / self.frames[k].annotations for k in annotated], *self.annotation_scale
-        )
+        paths = [self.frames[k].annotations for k in annotated]
+        # os.path.join is several times cheaper than a Path join per frame;
+        # the root "." adds no prefix, as in a Path join.
+        root = os.fspath(self.root)
+        if root != ".":
+            paths = [os.path.join(root, name) for name in paths]
+        file, corners, occlusion, ignore = _annotation_columns(paths, *self.annotation_scale)
         return GroundTruthTable(
             tuple(f.frame_id for f in self.frames),
             tuple(f.time_of_day for f in self.frames),
@@ -716,7 +634,9 @@ def _manifest_from_payload(payload, root: Path) -> Manifest:
     for k, entry in enumerate(payload.get("frames", [])):
         if not isinstance(entry, dict) or "frame_id" not in entry:
             raise ValueError(f"frames[{k}]: expected an object with a 'frame_id'")
-        frame_id = str(entry["frame_id"])
+        frame_id = entry["frame_id"]
+        if not isinstance(frame_id, str):
+            raise ValueError(f"frames[{k}]: frame_id must be a string, got {frame_id!r}")
         _reject_unknown_keys(
             entry, ("frame_id", "time_of_day", "annotations"), f"frame {frame_id!r}: "
         )
@@ -745,14 +665,19 @@ def _manifest_from_payload(payload, root: Path) -> Manifest:
     groups = sequence.get("groups", [])
     if not isinstance(groups, list) or not all(isinstance(g, list) for g in groups):
         raise ValueError(f"sequence.groups: expected a list of frame id lists, got {groups!r}")
+    for k, group in enumerate(groups):
+        for member in group:
+            if not isinstance(member, str):
+                raise ValueError(f"sequence.groups[{k}]: frame id {member!r} must be a string")
     scale = payload.get("annotation_scale", [1.0, 1.0])
-    if not isinstance(scale, list) or len(scale) != 2:
+    # bool is an int subclass; JSON true is not a scale.
+    if not isinstance(scale, list) or len(scale) != 2 or any(type(s) is bool for s in scale):
         raise ValueError(f"annotation_scale: expected [scale_x, scale_y], got {scale!r}")
     return Manifest(
         frames=tuple(frames),
         frames_per_group=sequence.get("frames_per_group"),
         stride=sequence.get("stride"),
-        groups=tuple(tuple(str(f) for f in g) for g in groups),
+        groups=tuple(tuple(g) for g in groups),
         annotation_scale=(float(scale[0]), float(scale[1])),
         root=root,
     )
@@ -806,6 +731,12 @@ def format_results(
     lines = [f"# {key} = {value}" for key, value in header.items()]
     lines.append("setting\tsplit\tstrategy\tmr_percent\tnum_gt")
     for setting, split, strategy, mr, num_gt in rows:
+        # No tab, and no line boundary that str.splitlines would split at.
+        if "\t" in strategy or strategy.splitlines() not in ([], [strategy]):
+            raise ValueError(
+                f"strategy label {strategy!r} cannot be written in a results row: "
+                f"it holds a tab or a line break"
+            )
         mr_text = "n/a" if mr is None else f"{mr:.6f}"
         lines.append(f"{setting}\t{split}\t{strategy}\t{mr_text}\t{num_gt}")
     return "\n".join(lines) + "\n"

@@ -2,7 +2,8 @@
 
 Everything here is written from the definitions with plain loops or
 shift-and-add numpy, deliberately avoiding the code paths under test.
-Only the data types (boxes, detections) are shared with the package.
+Only the data types (boxes, detections, ground truths) are shared with the
+package.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import math
 
 import numpy as np
 
+from msfusion.evaluation import GroundTruthBox
 from msfusion.geometry import BBox, Detection
 
 
@@ -601,3 +603,53 @@ def log_average_ref(points, reference_points, floor=1e-10):
         return 0.0
     floored = np.maximum(np.asarray(sampled, dtype=np.float64), floor)
     return float(np.exp(np.mean(np.log(floored))) * 100.0)
+
+
+# ---------------------------------------------------------------------------
+# ingest
+
+_OCCLUSION_REF = {0: "none", 1: "partial", 2: "heavy"}
+
+
+def parse_annotation_ref(
+    text: str,
+    source: str = "<string>",
+    scale_x: float = 1.0,
+    scale_y: float = 1.0,
+) -> list[GroundTruthBox]:
+    """One bbGt body parsed line by line into ground-truth boxes, with the
+    library's error messages; coordinates are multiplied by the scale
+    factors."""
+    lines = text.splitlines()
+    if not lines or not lines[0].startswith("% bbGt version"):
+        raise ValueError(f"{source}: missing bbGt header")
+    gts: list[GroundTruthBox] = []
+    for lineno, raw in enumerate(lines[1:], 2):
+        line = raw.strip()
+        if not line:
+            continue
+        tokens = line.split()
+        if len(tokens) < 6:
+            raise ValueError(f"{source}:{lineno}: expected 'label x y w h occ ...'")
+        label = tokens[0]
+        try:
+            x, y, w, h = (float(v) for v in tokens[1:5])
+            occ_code = int(tokens[5])
+        except ValueError:
+            raise ValueError(f"{source}:{lineno}: malformed numeric fields") from None
+        if w < 0 or h < 0:
+            raise ValueError(f"{source}:{lineno}: negative box size")
+        if occ_code not in _OCCLUSION_REF:
+            raise ValueError(f"{source}:{lineno}: occlusion code must be 0, 1, or 2")
+        try:
+            box = BBox(x * scale_x, y * scale_y, (x + w) * scale_x, (y + h) * scale_y)
+        except ValueError as err:
+            raise ValueError(f"{source}:{lineno}: {err}") from None
+        gts.append(
+            GroundTruthBox(
+                box=box,
+                occlusion=_OCCLUSION_REF[occ_code],
+                ignore=label != "person",
+            )
+        )
+    return gts

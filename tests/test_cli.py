@@ -159,6 +159,25 @@ class TestEval:
         assert captured.out == ""
         assert captured.err == f"error: {cfg}: settings: expected at least one eval setting\n"
 
+    @pytest.mark.parametrize("label", ["x\ty", "x\ny", "x\r\ny", "x\n"])
+    def test_label_with_a_tab_or_line_break_fails_naming_it(self, corpus, capsys, label):
+        # A tab in the label used to write rows of six fields.
+        code = main(
+            [
+                "eval",
+                "--detections",
+                str(corpus / "dets.txt"),
+                "--manifest",
+                str(corpus / "manifest.json"),
+                "--label",
+                label,
+            ]
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert repr(label) in captured.err
+
 
 class TestFuse:
     def _dets_file(self, tmp_path):

@@ -723,9 +723,10 @@ class TestWeightSchema:
         with pytest.raises(ValueError, match="tensor 'mlp1_weight' has non-finite values"):
             fusion_forward(vis, vis, w)
 
-    @pytest.mark.parametrize("value", [np.inf, np.nan, np.array([4.0, 4.0])])
+    @pytest.mark.parametrize("value", [np.inf, np.nan, np.array([4.0, 4.0]), 4.4, 3.6])
     def test_patch_size_must_be_one_finite_value(self, value):
-        # inf raised OverflowError and a two-element tensor TypeError.
+        # inf raised OverflowError and a two-element tensor TypeError; 4.4
+        # and 3.6 ran silently as 4.
         w = FusionWeights.seeded()
         w.tensors["patch_size"] = np.asarray(value, dtype=np.float64)
         with pytest.raises(ValueError, match="patch_size"):

@@ -50,6 +50,7 @@ from oracles import (
     match_frame_ref,
     match_outcomes_ref,
     nms_ref,
+    parse_annotation_ref,
 )
 
 FILE_FIXTURE = settings(
@@ -193,12 +194,13 @@ def test_parse_annotation_text(header, body):
     parses_or_raises_value_error(parse_annotation_text, "\n".join([header, *body]), "a.txt")
 
 
-# bbGt files for the columnar reader: rows mostly in the fast form, with
-# every way a row or file can leave it. Number tokens include the spellings
-# Python float accepts beyond the plain decimal form and sums that overflow;
-# occlusion tokens include ones int() reads ("01", "+1") and ones it does
-# not ("1.0"). A file holding other whitespace or a lone "\r" takes the
-# parser, and so does one with a BOM, no header or a non-ASCII label.
+# bbGt files for the columnar reader: mostly well-formed rows (ASCII,
+# space and tab separators, "\n" or "\r\n" breaks, occlusion 0, 1 or 2),
+# with every way a row or file can differ. Number tokens include the
+# spellings Python float accepts beyond the plain decimal form and sums that
+# overflow; occlusion tokens include ones int() reads ("01", "+1") and ones
+# it does not ("1.0"). Files may hold other whitespace or line breaks (a
+# lone "\r", "\v", "\x85"), a BOM, no header or a non-ASCII label.
 ann_numbers = st.one_of(
     st.floats(-5.0, 60.0).map(repr),
     st.sampled_from(["0", "-0.0", "+1", "1_0", "1e3", "nan", "inf", "-inf", "-1", "1e308",
@@ -213,7 +215,7 @@ ann_rows = st.tuples(
     st.lists(st.sampled_from(["0", "1", "x", "\u00e9"]), max_size=6),  # trailing tokens
     ann_separators,
 ).map(lambda t: t[4].join([t[0], *t[1], t[2], *t[3]]))
-fast_ann_rows = st.tuples(
+plain_ann_rows = st.tuples(
     st.sampled_from(["person", "people", "ignore"]),
     st.tuples(*[st.floats(0.0, 600.0)] * 4).map(lambda t: [repr(v) for v in t]),
     st.sampled_from(["0", "1", "2"]),
@@ -226,7 +228,7 @@ ann_files = st.one_of(
         st.sampled_from(["% bbGt version=3", "% bbGt version"]),
         st.lists(
             st.tuples(
-                st.one_of(fast_ann_rows, st.sampled_from(["", "   ", "\t"])),
+                st.one_of(plain_ann_rows, st.sampled_from(["", "   ", "\t"])),
                 st.sampled_from(["\n", "\r\n"]),
             ),
             max_size=6,
@@ -238,7 +240,7 @@ ann_files = st.one_of(
                          "person 0 0 1 1 0", ""]),
         st.lists(
             st.tuples(
-                st.one_of(fast_ann_rows, ann_rows, ann_short_rows.map(" ".join),
+                st.one_of(plain_ann_rows, ann_rows, ann_short_rows.map(" ".join),
                           st.sampled_from(["", " "])),
                 st.sampled_from(["\n", "\r\n", "\r", "\x0b", "\x1c", "\x85"]),
             ),
@@ -264,11 +266,14 @@ ANN_SCALES = [(1.0, 1.0), (2.0, 0.5), (0.1, 3.0), (1e300, 1.0)]
 @example([("% bbGt version=3", [("person 1 2 3 4 3", "\n")], True),
           ("% bbGt version=3", [("person 1 2 nan 4 0", "\n")], True)], (1.0, 1.0))
 @example([("% bbGt version=3", [("person 1 2 3", "\n"), ("x", "\r")], True)], (1.0, 1.0))
+@example([("% bbGt version=3", [("person? 1 2 3 4 0", "\n"), ("people 1 2 3 4 1", "\n")], True),
+          ("% bbGt version=3", [("person 1 2 3 -4 0", "\n")], True)], (1.0, 1.0))
 @FILE_FIXTURE
 def test_annotation_columns_match_parse_annotation_text(tmp_path, files, scale):
-    # The columnar reader gives each file's records exactly as
-    # parse_annotation_text gives them, bit for bit, or fails with the
-    # first failing file's own error.
+    # The columnar reader gives each file's records exactly as the
+    # independent parse_annotation_ref gives them, bit for bit, or fails
+    # with the first failing file's own error; parse_annotation_text agrees
+    # with the reference file by file.
     folder = tmp_path / "ann"
     folder.mkdir(exist_ok=True)
     for old in folder.glob("*.txt"):
@@ -279,11 +284,17 @@ def test_annotation_columns_match_parse_annotation_text(tmp_path, files, scale):
         text = "".join(line + end for line, end in [(header, "\n"), *body])
         path.write_bytes((text if last_break else text[:-1]).encode())
         if error is None:
+            body = path.read_text(encoding="utf-8")
             try:
-                gts = parse_annotation_text(path.read_text(encoding="utf-8"), str(path), *scale)
+                gts = parse_annotation_ref(body, str(path), *scale)
                 expected.append(FrameRecord(str(k), "day", gts))
             except ValueError as err:
                 error = str(err)
+                with pytest.raises(ValueError) as again:
+                    parse_annotation_text(body, str(path), *scale)
+                assert str(again.value) == error
+            else:
+                assert parse_annotation_text(body, str(path), *scale) == gts
     if error is not None:
         with pytest.raises(ValueError) as err:
             ingest_annotations(folder, "day", *scale)

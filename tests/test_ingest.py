@@ -390,6 +390,12 @@ class TestManifest:
             {"frames": [], "annotation_scale": [0, 1]},  # zero-width gts: eval exited 0
             {"frames": [], "annotation_scale": [-1, 1]},
             {"frames": [], "annotation_scale": [float("nan"), 1]},
+            {"frames": [], "annotation_scale": [True, 1]},  # loaded as (1.0, 1.0)
+            {"frames": [{"frame_id": None}]},  # loaded as frame 'None'
+            {"frames": [{"frame_id": 1.5}]},  # loaded as frame '1.5'
+            {"frames": [{"frame_id": 7}]},
+            {"frames": [{"frame_id": "None"}], "sequence": {"groups": [[None]]}},
+            {"frames": [{"frame_id": "1"}], "sequence": {"groups": [[1]]}},
         ],
     )
     def test_malformed_manifest_raises_value_error_naming_file(self, tmp_path, payload):
