@@ -32,7 +32,7 @@ always does.
 (N, 4) float64 array, the scores as a float64 array, and integer codes for
 frame, modality and scale. Frame codes index ``frame_ids``,
 which is kept in Python ``str`` sort order, so sorting rows by frame code
-sorts them by frame id (numpy string arrays are never used: they drop
+sorts them by frame id (no numpy string array holds them: it would drop
 trailing NUL characters). The table is itself a ``Sequence[Detection]``:
 ``len``, indexing and iteration build ``Detection`` rows on demand, and a
 slice is a table. ``Detection`` objects are built only there: the library's

@@ -24,23 +24,31 @@ Formats handled here:
   any whitespace (``str.split``), and a line is a comment when its first
   token starts with ``#``. ``ingest_detections`` has two paths:
 
-  - the fast form, read in one vectorized pass per chunk of about 256 KB
-    (ending at a line break): the text is ASCII, tokens are separated by
-    spaces and tabs only, lines end in ``\n`` or ``\r\n`` (reading turns
-    ``\r\n`` and a lone ``\r`` into ``\n``), and every data line has
-    exactly eight tokens. numpy finds each line's token count and its
-    comment lines over the chunk's bytes; ``chunk.split()`` gives the
-    tokens, and ``np.array(column, dtype=float64)`` converts each numeric
-    column, parsing each token as Python ``float`` does (``1_0``, ``+1``,
-    ``infinity``). The table then validates the rows with array
-    operations.
-  - ``parse_detection_line``, line by line, for any other file: one
-    holding a non-ASCII character (a frame id, a comment, a digit) or
-    other whitespace or line breaks (``\v``, ``\f``, ``\x1c``-``\x1f``,
-    ...) or any token or row the fast form cannot read. It builds the
-    table, or raises the first bad line's own error, naming the file and
-    line. It is slower: a 36,855-line dump reads in about 0.3 s against
-    about 0.085 s in the fast form (best of 5 on a shared 2-core VM).
+  - ``np.loadtxt``, one call per chunk of about 256 KB (ending at a line
+    break), into a structured array: three byte-string fields (frame id,
+    modality, scale) and five float64 fields. The chunk's comment lines
+    are cut out first, and ``loadtxt`` splits the rest on whitespace and
+    parses each number with ``PyOS_string_to_double``, the routine
+    ``float`` uses. Each string field becomes integer codes through its
+    run heads (the rows where its value changes), so the byte strings live
+    only as long as their chunk's array; the table then validates the
+    rows with array operations. The frame field starts one byte wider
+    than the previous chunk's longest frame id, and a chunk holding an id
+    that fills it is read again as wide as its longest line; the modality
+    and scale fields are one byte wider than the longest valid token, so
+    a longer token stays invalid when cut to the field.
+  - ``parse_detection_line``, line by line, for any dump that ``loadtxt``
+    would not read exactly as it does: one holding a non-ASCII character,
+    a NUL (a numpy string field drops it from a token's end, so ``f\x00``
+    would read as ``f``), whitespace other than space, tab and ``\n``
+    (``\v``, ``\f``, ``\x1c``-``\x1f``: mostly line breaks to
+    ``str.splitlines`` but separators to ``loadtxt``), a token ``loadtxt`` rejects but
+    ``float`` reads (``1_0``), a chunk whose fixed-width rows would take
+    more than 8 bytes per character of the chunk (one very long frame
+    id), or any row that fails. It builds the table, or raises the first
+    bad line's own error, naming the file and line. It is slower: a
+    36,855-line dump reads in about 0.27 s against about 0.034 s through
+    ``loadtxt`` (best of 5 on a shared 2-core VM, reading included).
 
   Both paths give the same table bit for bit. ``serialize_detections``
   writes rows straight from the columns and rejects a frame id the format
@@ -50,7 +58,8 @@ Formats handled here:
   iterated for. Rows keep file order; the table's frame ids are sorted.
 * manifest: JSON listing frames (id, time of day, annotation path) and
   optional sequence grouping (frames per group and stride, positive
-  integers, and a list of frame id lists); frame ids are JSON strings.
+  integers, and a list of frame id lists); frame ids are JSON strings and
+  ``annotation_scale`` is two JSON numbers.
   ``eval`` and ``reliability`` score every listed frame; the sequence
   block is only checked.
 * run config: UTF-8 ``key = value`` lines, one key per ``RunConfig.echo``
@@ -62,11 +71,11 @@ Formats handled here:
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import os
 from dataclasses import dataclass, field, replace
-from itertools import compress
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -351,86 +360,107 @@ def parse_detection_line(line: str, source: str = "<string>", lineno: int = 0) -
         raise ValueError(f"{source}:{lineno}: {err}") from None
 
 
-# Characters read per vectorized pass, ending at a line break: bounds the
-# live token strings, which take several times the memory of the columns
-# they fill.
+# Characters read per loadtxt call, ending at a line break: bounds the
+# fixed-width rows that the call fills.
 _CHUNK_CHARS = 1 << 18
 
-# Character classes of the fast form, by ASCII byte (a table for
-# bytes.translate): 0 part of a token, 1 a separator (space or tab), 2 a
-# line break (\n; reading translates \r\n and \r), 3 any other whitespace,
-# which sends the file to the line parser.
-_CLASS_TABLE = bytes(
-    1 if c in " \t" else 2 if c == "\n" else 3 if c in "\v\f\r\x1c\x1d\x1e\x1f" else 0
-    for c in map(chr, range(256))
-)
+# Characters that send a chunk to the line parser: NUL, which numpy string
+# fields drop from a token's end ("f\x00" would read as "f"), and ASCII
+# whitespace other than space, tab and "\n": most of it breaks lines for
+# str.splitlines but separates tokens for loadtxt. Reading has already
+# turned "\r\n" and "\r" into "\n".
+_LINE_PARSER_CHARS = "\x00\v\f\x1c\x1d\x1e\x1f"
+
+# Bytes of the modality and scale fields: one past the longest valid token,
+# so a longer token, cut to this width, is still no valid token.
+_MODALITY_WIDTH = 1 + max(map(len, _MODALITY_ALIASES))
+_SCALE_WIDTH = 1 + max(map(len, SCALES))
+
+# A chunk whose rows would take more than this many bytes per character of
+# the chunk goes to the line parser: one very long frame id would otherwise
+# widen every row of its chunk.
+_ROW_BYTES_PER_CHAR = 8
 
 
-def _chunk_tokens(chunk: str) -> list[str]:
-    # The tokens of a chunk's data lines, in order. Raises ValueError,
-    # naming no line, when the chunk is not in the fast form: a non-ASCII
-    # character, whitespace other than space, tab and line breaks, or a
-    # data line without exactly eight tokens.
-    if not chunk.isascii():
-        raise ValueError("non-ASCII text outside the fast form")
-    raw = chunk.encode("ascii")
-    classes = np.frombuffer(raw.translate(_CLASS_TABLE), dtype=np.uint8)
-    if (classes == 3).any():
-        raise ValueError("whitespace outside the fast form")
-    # A token starts where a token character follows a separator or line
-    # break; the chunk is read as if a line break preceded it.
-    token = classes == 0
-    starts = np.flatnonzero(token[1:] > token[:-1]) + 1
-    if token.size and token[0]:
-        starts = np.concatenate(([0], starts))
-    # Line k holds the starts before its line break and after line k - 1's.
-    line_ends = np.append(np.flatnonzero(classes == 2), len(classes))
-    first = np.searchsorted(starts, line_ends)
-    count = np.diff(first, prepend=0)
-    first = first - count
-    comment = np.zeros(len(count), dtype=bool)
-    comment[count > 0] = np.frombuffer(raw, dtype=np.uint8)[starts[first[count > 0]]] == ord("#")
-    if ((count != 0) & (count != 8) & ~comment).any():
-        raise ValueError("wrong token count")
-    tokens = chunk.split()
-    if comment.any():
-        tokens = list(compress(tokens, np.repeat(~comment, count).tolist()))
-    return tokens
+def _chunk_rows(chunk: str, frame_width: int) -> np.ndarray:
+    # The data lines of a chunk as one structured array, frame ids cut to
+    # ``frame_width`` bytes. Raises ValueError, naming no line, when a line
+    # is not eight tokens that loadtxt reads, or the rows would be too wide.
+    dtype = np.dtype([
+        ("frame", f"S{frame_width}"),
+        ("modality", f"S{_MODALITY_WIDTH}"),
+        ("scale", f"S{_SCALE_WIDTH}"),
+        ("corners", np.float64, 4),
+        ("score", np.float64),
+    ])
+    if dtype.itemsize * (chunk.count("\n") + 1) > _ROW_BYTES_PER_CHAR * len(chunk):
+        raise ValueError("rows too wide for the chunk")
+    # loadtxt parses each number with the routine float() uses, but without
+    # float()'s underscore handling: "1_0" fails here and falls back.
+    return np.loadtxt(io.StringIO(chunk), dtype=dtype, comments=None, ndmin=1)
 
 
-def _encode(tokens: list[str], code_of) -> np.ndarray:
-    # Integer codes of string tokens; ``code_of`` runs once per distinct token.
-    lookup = {token: code_of(token) for token in set(tokens)}
-    return np.fromiter(map(lookup.__getitem__, tokens), dtype=np.intp, count=len(tokens))
+def _runs(column: np.ndarray) -> tuple[np.ndarray, list]:
+    # The length and the value of each run of equal values in a column.
+    heads = np.concatenate(([0], np.flatnonzero(column[1:] != column[:-1]) + 1))
+    return np.diff(heads, append=len(column)), column[heads].tolist()
+
+
+def _run_codes(lengths: np.ndarray, values: list, code_of) -> np.ndarray:
+    # Integer codes of a column from its runs; ``code_of`` runs once per run.
+    return np.repeat(np.array([code_of(value) for value in values], dtype=np.intp), lengths)
 
 
 def _table_from_text(text: str) -> DetectionTable:
-    # The fast form read one chunk at a time. Raises ValueError, naming no
-    # line, when the text is not in the fast form or any row fails.
+    # Detection text read by loadtxt one chunk at a time. Raises ValueError,
+    # naming no line, when a chunk is outside what loadtxt reads exactly as
+    # the line parser would, or any row fails.
     frame_code: dict[str, int] = {}  # provisional; ranked in sorted order below
-    numbers, frames, modalities, scales = [], [], [], []
+    frame_width = 8  # then one past the previous chunk's longest frame id
+    corners, scores, frames, modalities, scales = [], [], [], [], []
     start = 0
     while start < len(text):
         end = text.find("\n", start + _CHUNK_CHARS) + 1 or len(text)
-        tokens = _chunk_tokens(text[start:end])
+        chunk = text[start:end]
         start = end
-        if not tokens:
+        if not chunk.isascii() or any(c in chunk for c in _LINE_PARSER_CHARS):
+            raise ValueError("text outside what loadtxt reads")
+        if "#" in chunk:  # drop comment lines; a "#" inside a data line stays
+            chunk = "\n".join(
+                line for line in chunk.split("\n") if not line.lstrip().startswith("#")
+            )
+        if not chunk or chunk.isspace():
             continue
-        numbers.append(np.array([tokens[k::8] for k in range(3, 8)], dtype=np.float64))
-        frames.append(_encode(tokens[0::8], lambda f: frame_code.setdefault(f, len(frame_code))))
-        modalities.append(
-            _encode(tokens[1::8], lambda m: _MODALITY_ALIAS_CODES.get(m.lower(), -1))
+        rows = _chunk_rows(chunk, frame_width)
+        lengths, ids = _runs(rows["frame"])
+        if max(map(len, ids)) == frame_width:
+            # A frame id may have been cut: read again, as wide as the
+            # longest line, which no token can outgrow.
+            rows = _chunk_rows(chunk, max(map(len, chunk.split("\n"))))
+            lengths, ids = _runs(rows["frame"])
+        frame_width = 1 + max(map(len, ids))
+        frames.append(
+            _run_codes(lengths, ids, lambda f: frame_code.setdefault(f.decode(), len(frame_code)))
         )
-        scales.append(_encode(tokens[2::8], lambda s: _SCALE_CODES.get(s, -1)))
-    if not numbers:
+        modalities.append(
+            _run_codes(
+                *_runs(rows["modality"]),
+                lambda m: _MODALITY_ALIAS_CODES.get(m.decode().lower(), -1),
+            )
+        )
+        scales.append(
+            _run_codes(*_runs(rows["scale"]), lambda s: _SCALE_CODES.get(s.decode(), -1))
+        )
+        corners.append(rows["corners"])
+        scores.append(rows["score"])
+    if not corners:
         return DetectionTable(np.empty((0, 4)), np.empty(0), [], [], [], [])
-    values = np.concatenate(numbers, axis=1)
     frame_ids = sorted(frame_code)
     rank = np.empty(len(frame_ids), dtype=np.intp)
     rank[[frame_code[f] for f in frame_ids]] = np.arange(len(frame_ids))
     return DetectionTable(
-        np.ascontiguousarray(values[:4].T),
-        values[4],
+        np.concatenate(corners),
+        np.concatenate(scores),
         rank[np.concatenate(frames)],
         frame_ids,
         np.concatenate(modalities),
@@ -670,15 +700,23 @@ def _manifest_from_payload(payload, root: Path) -> Manifest:
             if not isinstance(member, str):
                 raise ValueError(f"sequence.groups[{k}]: frame id {member!r} must be a string")
     scale = payload.get("annotation_scale", [1.0, 1.0])
-    # bool is an int subclass; JSON true is not a scale.
-    if not isinstance(scale, list) or len(scale) != 2 or any(type(s) is bool for s in scale):
+    if not isinstance(scale, list) or len(scale) != 2:
         raise ValueError(f"annotation_scale: expected [scale_x, scale_y], got {scale!r}")
+    for s in scale:
+        # JSON numbers only: float() would read the string "2", and bool is
+        # an int subclass.
+        if type(s) not in (int, float):
+            raise ValueError(f"annotation_scale: {s!r} is not a JSON number")
+    try:
+        scale_x, scale_y = float(scale[0]), float(scale[1])
+    except OverflowError:  # an integer beyond the float range
+        raise ValueError("annotation_scale: expected two positive finite numbers") from None
     return Manifest(
         frames=tuple(frames),
         frames_per_group=sequence.get("frames_per_group"),
         stride=sequence.get("stride"),
         groups=tuple(tuple(g) for g in groups),
-        annotation_scale=(float(scale[0]), float(scale[1])),
+        annotation_scale=(scale_x, scale_y),
         root=root,
     )
 

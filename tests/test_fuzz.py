@@ -85,7 +85,8 @@ def test_parse_detection_line(line):
 
 # Detection dump lines: mostly valid, with every way a line can fail. Frame
 # ids that differ only by trailing NULs are distinct frames (numpy string
-# arrays would merge them); non-ASCII ids and an inline "#" stay in a token.
+# arrays would merge them); non-ASCII ids and an inline "#" stay in a token;
+# ids run from 1 to 17 characters, wider than the reader's first guess.
 # Number tokens include the spellings Python float accepts beyond the plain
 # decimal form. OTHER_SPACE is the whitespace that str.split and splitlines
 # break on besides space, tab and "\n": a file holding any takes the line
@@ -101,9 +102,9 @@ OTHER_SPACE = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0", "
 detection_lines = st.one_of(
     st.tuples(
         st.sampled_from(["f", "f\x00", "f\x00\x00", "a", "000001", "\x00", "\u00e9", "\u5e27",
-                         "a#b"]),
-        st.sampled_from(["vis", "ir", "VIS", "Thermal", "rgb", "t", "fused", "x"]),
-        st.sampled_from(["s80", "s40", "s20", "s77", "S80"]),
+                         "a#b", "set00_V000_I01225"]),
+        st.sampled_from(["vis", "ir", "VIS", "Thermal", "rgb", "t", "fused", "x", "visibles"]),
+        st.sampled_from(["s80", "s40", "s20", "s77", "S80", "s800"]),
         st.tuples(*[number_tokens] * 4),
         st.one_of(st.floats(0.0, 1.0).map(repr), number_tokens),
         st.one_of(st.sampled_from([" ", "  ", "\t", " \t "]),
@@ -115,7 +116,9 @@ detection_lines = st.one_of(
 )
 # Valid lines in the fast form, with corners in order and scores in [0, 1].
 valid_lines = st.tuples(
-    st.sampled_from(["f", "f\x00", "a", "000001", "\u00e9", "\u5e27", "a#b"]),
+    st.sampled_from(
+        ["f", "f\x00", "a", "000001", "\u00e9", "\u5e27", "a#b", "set00_V000_I01225"]
+    ),
     st.sampled_from(["vis", "ir", "Thermal", "rgb", "fused"]),
     st.sampled_from(["s80", "s40", "s20"]),
     st.one_of(
@@ -138,24 +141,57 @@ dump_bodies = st.one_of(
 TABLE_COLUMNS = ("corners", "scores", "frame_codes", "modality_codes", "scale_codes")
 
 
-@given(dump_bodies, st.booleans())
+@given(dump_bodies, st.booleans(), st.sampled_from([16, 256]))
 # Rows the fast form would misread if it split lines or tokens as the line
 # parser does not: a row broken over two lines, and other whitespace inside
 # a token whose extra token the chunk's comment line then drops.
-@example(body=[("f vis s80 0", "\n"), ("0 1 1 0.5", "\n")], last_break=True)
-@example(body=[("#", "\n"), ("f\x0bvis s80 0 0 1 1 0.5 1", "\n")], last_break=True)
-@example(body=[("#", "\n"), ("f\u2028vis s80 0 0 1 1 0.5 1", "\n")], last_break=True)
+@example(body=[("f vis s80 0", "\n"), ("0 1 1 0.5", "\n")], last_break=True, chunk_chars=16)
+@example(body=[("#", "\n"), ("f\x0bvis s80 0 0 1 1 0.5 1", "\n")], last_break=True,
+         chunk_chars=16)
+@example(body=[("#", "\n"), ("f\u2028vis s80 0 0 1 1 0.5 1", "\n")], last_break=True,
+         chunk_chars=16)
 # A non-ASCII frame id: the fast form reads ASCII only, so the line parser
 # reads this dump.
 @example(body=[("\u5e27 vis s80 0 0 1 1 0.5", "\n"), ("f ir s40 0 0 1 1 0.25", "\n")],
-         last_break=True)
+         last_break=True, chunk_chars=16)
+# loadtxt's traps. A "#" inside a data line next to a comment line: read
+# with comments, loadtxt would cut "0.5#x" to 0.5.
+@example(body=[("# c", "\n"), ("f vis s80 0 0 1 1 0.5#x", "\n")], last_break=True,
+         chunk_chars=16)
+# Frame ids that differ by a trailing NUL, which a numpy string field drops.
+@example(body=[("f vis s80 0 0 1 1 0.5", "\n"), ("f\x00 ir s40 0 0 1 1 0.25", "\n")],
+         last_break=True, chunk_chars=256)
+# "1_0" is 10.0 to float() but fails loadtxt, so the line parser reads it.
+@example(body=[("f vis s80 0 0 1 1 0.5", "\n"), ("g ir s40 0 0 1_0 1 0.25", "\n")],
+         last_break=True, chunk_chars=256)
+# One very long frame id among short rows: wider than any guess, and too
+# wide for a chunk of short rows.
+@example(body=[*[("f vis s80 0 0 1 1 0.5", "\n")] * 10,
+               ("x" * 3000 + " ir s40 0 0 1 1 0.25", "\n"), ("g vis s20 0 0 1 1 0.5", "\n")],
+         last_break=False, chunk_chars=256)
+@example(body=[("f vis s80 0 0 1 1 0.5", "\n"), ("x" * 300 + " ir s40 0 0 1 1 0.25", "\n"),
+               ("g vis s20 0 0 1 1 0.5", "\n")], last_break=True, chunk_chars=16)
+# Tokens one character longer than a valid modality or scale, which a
+# string field one character narrower would cut to a valid one.
+@example(body=[("f visibles s80 0 0 1 1 0.5", "\n")], last_break=True, chunk_chars=16)
+@example(body=[("f vis s800 0 0 1 1 0.5", "\n")], last_break=True, chunk_chars=16)
+# A vertical tab and a line separator, token separators to loadtxt but
+# line breaks to the line parser; and a chunk of blanks only, which loadtxt
+# warns about.
+@example(body=[("f vis s80 0 0\x0b1 1 0.5", "\n")], last_break=True, chunk_chars=16)
+@example(body=[("f vis s80 0 0\u20281 1 0.5", "\n")], last_break=True, chunk_chars=16)
+@example(body=[(" " * 30, "\n"), ("f vis s80 0 0 1 1 0.5", "\n")], last_break=True,
+         chunk_chars=16)
 @FILE_FIXTURE
-def test_ingest_detections_matches_line_parser(tmp_path, monkeypatch, body, last_break):
+def test_ingest_detections_matches_line_parser(
+    tmp_path, monkeypatch, body, last_break, chunk_chars
+):
     # The columnar reader returns exactly what parse_detection_line gives on
     # each data line, in order and bit for bit, or fails with the first
-    # failing line's error. Sixteen-character chunks make frames and errors
-    # cross chunk boundaries.
-    monkeypatch.setattr(ingest, "_CHUNK_CHARS", 16)
+    # failing line's error. Sixteen-character chunks hold one data line
+    # each, so frames and errors cross chunk boundaries; 256-character
+    # chunks hold several.
+    monkeypatch.setattr(ingest, "_CHUNK_CHARS", chunk_chars)
     path = tmp_path / "dets.txt"
     text = "".join(line + end for line, end in body)
     path.write_bytes((text if last_break or not body else text[: -len(body[-1][1])]).encode())

@@ -221,6 +221,57 @@ class TestDetections:
         table = ingest_detections(path)
         assert len(table) == 1000 and len(table.frame_ids) == 143
 
+    def test_raw_and_written_dumps_never_reach_the_line_parser(self, tmp_path, monkeypatch):
+        # A raw dump laid out as a benchmark corpus writes it (six-digit
+        # frame ids, %.2f corners, %.6f scores; more than one chunk), and
+        # serialize_detections' output of it with a "# key = value" header.
+        def refuse(*args):
+            raise AssertionError("parse_detection_line called")
+
+        monkeypatch.setattr(ingest, "parse_detection_line", refuse)
+        lines = [
+            f"{k // 60 * 10:06d} {('vis', 'ir', 'fused')[k // 20 % 3]} {SCALES[k // 5 % 3]} "
+            f"{k % 97:.2f} {k % 89 + 0.5:.2f} {k % 97 + 20.25:.2f} {k % 89 + 60:.2f} "
+            f"{(k % 1000) / 1000:.6f}"
+            for k in range(6000)
+        ]
+        raw = tmp_path / "raw.txt"
+        raw.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert raw.stat().st_size > ingest._CHUNK_CHARS
+        table = ingest_detections(raw)
+        assert len(table) == 6000 and len(table.frame_ids) == 100
+        written = tmp_path / "written.txt"
+        written.write_text(
+            serialize_detections(table, {"strategy": "algo1", "nms_thres": "0.5"}),
+            encoding="utf-8",
+        )
+        again = ingest_detections(written)
+        assert again.frame_ids == table.frame_ids
+        for column in ("corners", "scores", "frame_codes", "modality_codes", "scale_codes"):
+            assert getattr(again, column).tobytes() == getattr(table, column).tobytes()
+
+    def test_a_frame_id_too_wide_for_its_chunk_goes_to_the_line_parser(
+        self, tmp_path, monkeypatch
+    ):
+        # Rows are as wide as the chunk's widest frame id: one id of 20,000
+        # characters among short rows would widen a chunk's 1,000 rows to
+        # 20 MB, so the line parser reads the dump.
+        calls = []
+
+        def count(*args):
+            calls.append(args)
+            return parse_detection_line(*args)
+
+        monkeypatch.setattr(ingest, "parse_detection_line", count)
+        long_id = "x" * 20_000
+        lines = ["f vis s80 0 0 1 1 0.5"] * 500 + [f"{long_id} ir s40 0 0 2 2 0.25"]
+        path = tmp_path / "d.txt"
+        path.write_text("\n".join(lines + ["g vis s20 0 0 1 1 0.5"] * 500) + "\n", "utf-8")
+        table = ingest_detections(path)
+        assert len(calls) == 1001
+        assert table.frame_ids == ("f", "g", long_id)
+        assert table.frame_codes.tolist() == [0] * 500 + [2] + [1] * 500
+
     def test_group_by_frame_of_a_table_and_a_list_agree(self):
         dets = [
             Detection(BBox(0, 0, 1, 1), 0.5, "vis", "s80", frame)
@@ -391,6 +442,7 @@ class TestManifest:
             {"frames": [], "annotation_scale": [-1, 1]},
             {"frames": [], "annotation_scale": [float("nan"), 1]},
             {"frames": [], "annotation_scale": [True, 1]},  # loaded as (1.0, 1.0)
+            {"frames": [], "annotation_scale": [10**400, 1]},  # was OverflowError
             {"frames": [{"frame_id": None}]},  # loaded as frame 'None'
             {"frames": [{"frame_id": 1.5}]},  # loaded as frame '1.5'
             {"frames": [{"frame_id": 7}]},
@@ -404,6 +456,29 @@ class TestManifest:
         with pytest.raises(ValueError) as err:
             load_manifest(path)
         assert str(err.value).startswith(f"{path}: ")
+
+    @pytest.mark.parametrize(
+        "scale, shown",
+        [
+            (["2", "1e0"], "'2'"),  # loaded as (2.0, 1.0)
+            ([1, None], "None"),  # leaked float()'s own message
+            ([1.5, "x"], "'x'"),
+            ([True, 1], "True"),
+            ([1, [2]], "[2]"),
+        ],
+    )
+    def test_annotation_scale_takes_json_numbers_only(self, tmp_path, scale, shown):
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({"frames": [], "annotation_scale": scale}), encoding="utf-8")
+        with pytest.raises(ValueError) as err:
+            load_manifest(path)
+        assert str(err.value) == f"{path}: annotation_scale: {shown} is not a JSON number"
+
+    def test_annotation_scale_reads_integers_and_floats(self, tmp_path):
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({"frames": [], "annotation_scale": [2, 0.5]}), encoding="utf-8")
+        scale = load_manifest(path).annotation_scale
+        assert scale == (2.0, 0.5) and all(type(s) is float for s in scale)
 
     @pytest.mark.parametrize(
         "payload, message",
