@@ -25,9 +25,10 @@ print("CIoU(side-by-side) =", ciou(BBox(0, 0, 2, 2), BBox(2, 0, 4, 2)))
 wide, tall = BBox(0, 0, 4, 2), BBox(0, 0, 2, 4)
 print("CIoU(wide, tall)   =", ciou(wide, tall), "<= IoU =", iou(wide, tall))
 
-# Center-form views round-trip through corner form.
+# Boxes are stored in corner form; the center form is a derived view.
 x_c, y_c, w, h = a.to_center()
-print("center form        =", (x_c, y_c, w, h), "->", BBox.from_center(x_c, y_c, w, h))
+corners = (x_c - w / 2, y_c - h / 2, x_c + w / 2, y_c + h / 2)
+print("center form        =", (x_c, y_c, w, h), "->", BBox(*corners))
 
 # Greedy NMS keeps the best-scoring box of each overlapping cluster. Ties
 # are broken by input order, and survivors come out sorted by score.

@@ -14,6 +14,7 @@ import numpy as np
 from msfusion import (
     BBox,
     Detection,
+    boxes_array,
     cosine_matrix,
     kl_rowwise,
     modality_alignment_loss,
@@ -59,24 +60,19 @@ print(f"reference modality      = {report.reference_modality}")
 # RoI features come from a 3x3 RoIAlign over each modality's feature map.
 vis_map = rng.uniform(0.1, 1.0, (3, 8, 16, 16))
 ir_map = rng.uniform(0.1, 1.0, (3, 8, 16, 16))
-feature = roi_align(vis_map, BBox(2.5, 2.0, 6.5, 12.0))
-print("\nRoI feature length:", feature.values.shape[0], "(= 9 * frames * channels)")
+features = roi_align(vis_map, [BBox(2.5, 2.0, 6.5, 12.0)])
+print("\nRoI feature shape:", features.shape, "(= boxes x 9 * frames * channels)")
 
 # Relation matrices are row-stochastic summaries of feature similarity.
-# Detection boxes live in image coordinates; dividing by the stride (8 for
-# an image 8x the feature-map size) moves them onto the feature grid.
-def on_grid(box, stride=8.0):
-    return BBox(box.x_min / stride, box.y_min / stride, box.x_max / stride, box.y_max / stride)
-
-
-feats = [roi_align(vis_map, on_grid(d.box), box_id=i) for i, d in enumerate(ir_dets[:5])]
-rel = relation_matrix(cosine_matrix(feats))
+# Detection boxes live in image coordinates; dividing their (N, 4) corners
+# by the stride (8 for an image 8x the feature-map size) moves them onto
+# the feature grid.
+on_grid = boxes_array(d.box for d in ir_dets[:5]) / 8.0
+rel = relation_matrix(cosine_matrix(roi_align(vis_map, on_grid)))
 print("relation matrix row sums:", np.round(rel.sum(axis=1), 12))
 
 # KL between two relation matrices is directional.
-other = relation_matrix(cosine_matrix(
-    [roi_align(ir_map, on_grid(d.box), box_id=i) for i, d in enumerate(ir_dets[:5])]
-))
+other = relation_matrix(cosine_matrix(roi_align(ir_map, on_grid)))
 print("KL(rel || other) =", kl_rowwise(rel, other))
 print("KL(other || rel) =", kl_rowwise(other, rel))
 

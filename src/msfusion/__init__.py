@@ -10,7 +10,6 @@ plus log-average miss-rate evaluation.
 from .balance import (
     DEFAULT_TOP_N,
     ReliabilityReport,
-    RoiFeature,
     best_ciou_scores,
     corpus_reliability,
     cosine_matrix,
@@ -81,13 +80,10 @@ from .ingest import (
     RunConfig,
     attach_detections,
     format_results,
-    ingest_annotations,
     ingest_detections,
     load_config,
     load_manifest,
     run_config_from_mapping,
-    save_manifest,
-    serialize_annotations,
     serialize_detections,
 )
 from .postprocess import FusedDetection, PostprocessConfig, fuse_scale, run_strategy

@@ -20,9 +20,10 @@ Instances come in record order, then ``SCALES`` order; ties ``r_t == r_v``
 go to visible.
 
 ``roi_align`` pools any number of boxes, given as ``BBox`` objects or as an
-(N, 4) corner array, in one call, gathering the bilinear corners of every
-sample point at once; the alignment loss calls it once per feature map with
-the scaled corners of the reference modality's top detections.
+(N, 4) corner array, into the rows of one (N, 9 * F * C) array, gathering
+the bilinear corners of every sample point at once; the alignment loss
+calls it once per feature map with the scaled corners of the reference
+modality's top detections.
 """
 
 from __future__ import annotations
@@ -65,14 +66,6 @@ class ReliabilityReport:
     r_t: float
     reference_modality: str
     n_used: int
-
-
-@dataclass(frozen=True)
-class RoiFeature:
-    """Flattened RoI feature vector of length 9 * F * C for one box."""
-
-    values: np.ndarray
-    box_id: int = 0
 
 
 def best_ciou_scores(dets: Sequence[Detection], gts: Sequence[BBox]) -> np.ndarray:
@@ -248,11 +241,7 @@ def _sample_axis(lo: np.ndarray, extent: np.ndarray, size: int) -> tuple[np.ndar
     return low, np.minimum(low + 1, size - 1), 1.0 - frac, frac, inside
 
 
-def roi_align(
-    feature_map: np.ndarray,
-    box: BBox | Sequence[BBox] | np.ndarray,
-    box_id: int = 0,
-) -> RoiFeature | np.ndarray:
+def roi_align(feature_map: np.ndarray, boxes: Sequence[BBox] | np.ndarray) -> np.ndarray:
     """Quantization-free RoI pooling of a (F, C, H, W) map to a 3x3 grid.
 
     Each box, given in feature-map coordinates with positive area, is
@@ -260,27 +249,21 @@ def roi_align(
     at the bin's quarter points, using half-pixel-aligned coordinates. The
     grid is flattened row-major to a vector of length 9 * F * C.
 
-    One ``BBox`` gives a :class:`RoiFeature` tagged ``box_id``. A sequence
-    of boxes, or an (N, 4) array of their corners, gives an (N, 9 * F * C)
-    array whose row i is the vector of box i;
-    the boxes are pooled together, gathering the four bilinear corners of
-    all their samples in chunks of boxes.
+    ``boxes`` is a sequence of boxes or an (N, 4) array of their corners;
+    row i of the (N, 9 * F * C) result is the vector of box i. The boxes
+    are pooled together, gathering the four bilinear corners of all their
+    samples in chunks of boxes.
     """
     feature_map = np.asarray(feature_map, dtype=np.float64)
     if feature_map.ndim != 4:
         raise ValueError(
             f"feature map: expected (F, C, H, W), got shape {feature_map.shape}"
         )
-    if isinstance(box, np.ndarray):
-        corners = check_corners(box)
-    else:
-        boxes = [box] if isinstance(box, BBox) else list(box)
-        corners = boxes_array(boxes)
+    corners = check_corners(boxes) if isinstance(boxes, np.ndarray) else boxes_array(boxes)
     area = (corners[:, 2] - corners[:, 0]) * (corners[:, 3] - corners[:, 1])
     degenerate = np.flatnonzero(area <= 0.0)
     if degenerate.size:
-        k = int(degenerate[0])
-        shown = BBox(*corners[k].tolist()) if isinstance(box, np.ndarray) else boxes[k]
+        shown = BBox(*corners[degenerate[0]].tolist())
         raise ValueError(f"RoI box must have positive area, got {shown!r}")
     f, c, height, width = feature_map.shape
     n = len(corners)
@@ -309,26 +292,23 @@ def roi_align(
         out[part] = acc / (_ROI_SAMPLES * _ROI_SAMPLES)
     # (N, by, bx, F * C) -> rows flattened as (F, C, by, bx).
     flat = out.reshape(n, _ROI_BINS * _ROI_BINS, f * c).transpose(0, 2, 1)
-    flat = flat.reshape(n, -1)
-    if isinstance(box, BBox):
-        return RoiFeature(values=flat[0], box_id=box_id)
-    return flat
+    return flat.reshape(n, -1)
 
 
-def cosine_matrix(features: Sequence[RoiFeature | np.ndarray]) -> np.ndarray:
-    """Pairwise cosine similarities of the feature vectors.
+def cosine_matrix(features: Sequence[np.ndarray] | np.ndarray) -> np.ndarray:
+    """Pairwise cosine similarities of the feature vectors: the rows of an
+    (N, D) array, such as ``roi_align`` returns, or a sequence of vectors.
 
     The result is symmetric with a unit diagonal (both enforced exactly
-    against round-off). A zero-norm vector is an error.
+    against round-off). A zero-norm vector is an error naming its index.
     """
     if len(features) < 1:
         raise ValueError("need at least one RoI feature")
-    vectors = np.stack(
-        [np.asarray(getattr(f, "values", f), dtype=np.float64).ravel() for f in features]
-    )
+    vectors = np.asarray(features, dtype=np.float64).reshape(len(features), -1)
     norms = np.linalg.norm(vectors, axis=1)
-    if np.any(norms == 0.0):
-        raise ValueError("zero-norm RoI feature")
+    zero = np.flatnonzero(norms == 0.0)
+    if zero.size:
+        raise ValueError(f"zero-norm RoI feature at index {zero[0]}")
     gram = vectors @ vectors.T
     cos = gram / np.outer(norms, norms)
     cos = (cos + cos.T) / 2.0
@@ -412,18 +392,31 @@ def modality_alignment_loss(
     Scores reliability, takes the reference modality's top boxes, scales
     them by ``stride`` into feature-map coordinates, extracts RoI features
     from both maps, builds the relation matrices and returns the directed
-    KL loss together with the reliability report.
+    KL loss together with the reliability report. The two maps must have
+    one shape; an error in pooling or comparing the features of one map
+    names that map and the reference modality, whose boxes are indexed
+    best first.
     """
     if not (math.isfinite(stride) and stride > 0.0):
         raise ValueError(f"stride must be positive and finite, got {stride}")
+    if np.shape(vis_features) != np.shape(thermal_features):
+        raise ValueError(
+            f"feature map shape mismatch: vis {np.shape(vis_features)} "
+            f"vs ir {np.shape(thermal_features)}"
+        )
     report, top = _score_modalities(vis_dets, thermal_dets, gt_boxes, n_top)
-    reference = as_table(thermal_dets if report.reference_modality == "ir" else vis_dets)
+    ref = report.reference_modality
+    reference = as_table(thermal_dets if ref == "ir" else vis_dets)
     if not reference:
-        raise ValueError("no reference detections")
+        raise ValueError(f"no reference detections: no {ref} detection to pool")
     scaled = reference.corners[top] / stride
-    m_v = relation_matrix(cosine_matrix(roi_align(vis_features, scaled)))
-    m_t = relation_matrix(cosine_matrix(roi_align(thermal_features, scaled)))
-    return report, kl_loss(report, m_v, m_t)
+    relations = []
+    for name, feature_map in (("vis", vis_features), ("ir", thermal_features)):
+        try:
+            relations.append(relation_matrix(cosine_matrix(roi_align(feature_map, scaled))))
+        except ValueError as err:
+            raise ValueError(f"{name} feature map, {ref} reference boxes: {err}") from None
+    return report, kl_loss(report, *relations)
 
 
 def thermal_reliability_percentage(

@@ -85,11 +85,16 @@ def _emit(text: str, out: str | None) -> None:
 
 def _load_pair(path: str) -> dict[str, np.ndarray]:
     # The "vis" and "ir" maps of a tensor file (load_tensors rejects
-    # non-finite values); a missing one raises, naming the file.
+    # non-finite values); a missing one, or maps of two shapes, raises,
+    # naming the file.
     tensors = load_tensors(path, TENSORS_MAGIC)
     for name in ("vis", "ir"):
         if name not in tensors:
             raise ValueError(f"{path}: missing tensor {name!r}")
+    if tensors["vis"].shape != tensors["ir"].shape:
+        raise ValueError(
+            f"{path}: shape mismatch: vis {tensors['vis'].shape} vs ir {tensors['ir'].shape}"
+        )
     return tensors
 
 
@@ -136,6 +141,11 @@ def _cmd_kl_loss(args: argparse.Namespace) -> int:
     stride = args.stride if args.stride is not None else cfg.scale_strides[scale]
     vis = dets.subset(frame_id=frame_id, modality="vis", scale_id=scale)
     ir = dets.subset(frame_id=frame_id, modality="ir", scale_id=scale)
+    if not (vis or ir):
+        raise ValueError(
+            f"{args.detections}: no reference detections: no vis or ir detection of frame "
+            f"{frame_id!r} at scale {scale}"
+        )
     gts = [
         g.box
         for g in parse_annotation_text(read_text(args.annotations), args.annotations)
@@ -165,6 +175,11 @@ def _cmd_reliability(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     truths = load_manifest(args.manifest).load_ground_truths()
     reports = corpus_reliability(ingest_detections(args.detections), truths, cfg.n_top)
+    if all(report is None for _, _, report in reports):
+        raise ValueError(
+            f"no valid instances: no vis or ir detection of {args.detections} "
+            f"overlaps a ground truth of {args.manifest}"
+        )
     lines = [
         f"{frame_id}\t{scale}\t{report.r_v!r}\t{report.r_t!r}\t{report.reference_modality}"
         for frame_id, scale, report in reports

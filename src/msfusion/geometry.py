@@ -103,19 +103,6 @@ class BBox:
             self.height,
         )
 
-    @classmethod
-    def from_center(cls, x_c: float, y_c: float, w: float, h: float) -> "BBox":
-        """Build a box from center form."""
-        return cls(x_c - w / 2.0, y_c - h / 2.0, x_c + w / 2.0, y_c + h / 2.0)
-
-    def contains(self, other: "BBox") -> bool:
-        return (
-            self.x_min <= other.x_min
-            and self.y_min <= other.y_min
-            and self.x_max >= other.x_max
-            and self.y_max >= other.y_max
-        )
-
 
 @dataclass(frozen=True)
 class Detection:

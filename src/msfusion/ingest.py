@@ -11,14 +11,14 @@ Formats handled here:
   none/partial/heavy; tokens after the sixth are ignored and blank lines
   skipped. Labels other than ``person`` become ignore regions. A row's box
   is ``(x * sx, y * sy, (x + w) * sx, (y + h) * sy)`` for the scale
-  factors. One per-line parser reads every body: ``parse_annotation_text``
-  gives one body's boxes, and ``Manifest.load_ground_truths`` and
-  ``ingest_annotations`` read a corpus's files in order, one at a time,
-  into the columns of one ``GroundTruthTable``. A bad line raises a
-  ``ValueError`` naming the file and line, so the first bad file raises
-  before a later file is opened. The files are few rows each, so reading
-  them costs more than parsing them; ``load_records`` and
-  ``ingest_annotations`` build their ``FrameRecord`` lists from the table.
+  factors (the manifest's ``annotation_scale``). One per-line parser
+  reads every body: ``parse_annotation_text`` gives one body's boxes, and
+  ``Manifest.load_ground_truths`` reads a corpus's files in manifest
+  order, one at a time, into the columns of one ``GroundTruthTable``. A
+  bad line raises a ``ValueError`` naming the file and line, so the first
+  bad file raises before a later file is opened. The files are few rows
+  each, so reading them costs more than parsing them; ``load_records``
+  builds its ``FrameRecord`` list from the table.
 * detections: one per line, ``frame_id modality scale_id x_min y_min x_max
   y_max score``; ``#`` lines are comments. A line's tokens are split on
   any whitespace (``str.split``), and a line is a comment when its first
@@ -100,9 +100,7 @@ from .geometry import (
 )
 from .postprocess import PostprocessConfig
 
-ANNOTATION_HEADER = "% bbGt version=3"
 _OCCLUSION_CODES = {0: "none", 1: "partial", 2: "heavy"}
-_OCCLUSION_NAMES = {v: k for k, v in _OCCLUSION_CODES.items()}
 _MODALITY_ALIASES = {
     "vis": "vis",
     "visible": "vis",
@@ -285,46 +283,6 @@ def parse_annotation_text(
         GroundTruthBox(BBox(x0, y0, x1, y1), _OCCLUSION_CODES[occ_code], ignore)
         for x0, y0, x1, y1, occ_code, ignore in _annotation_rows(text, source, scale_x, scale_y)
     ]
-
-
-def _fmt(value: float) -> str:
-    # repr of a builtin float round-trips exactly and avoids numpy scalar reprs
-    return repr(float(value))
-
-
-def serialize_annotations(gts: Iterable[GroundTruthBox]) -> str:
-    """Inverse of :func:`parse_annotation_text` (unit scale factors)."""
-    lines = [ANNOTATION_HEADER]
-    for gt in gts:
-        label = "person" if not gt.ignore else "ignore"
-        lines.append(
-            f"{label} {_fmt(gt.box.x_min)} {_fmt(gt.box.y_min)} "
-            f"{_fmt(gt.box.width)} {_fmt(gt.box.height)} {_OCCLUSION_NAMES[gt.occlusion]}"
-        )
-    return "\n".join(lines) + "\n"
-
-
-def ingest_annotations(
-    path: str | Path,
-    time_of_day: str = "day",
-    scale_x: float = 1.0,
-    scale_y: float = 1.0,
-) -> list[FrameRecord]:
-    """Read bbGt annotation files into frame records.
-
-    ``path`` is a single file or a directory of ``.txt`` files; frame ids
-    come from file stems. Time-of-day tags normally come from a manifest;
-    the default here applies when files are ingested directly.
-    """
-    path = Path(path)
-    files = sorted(path.glob("*.txt")) if path.is_dir() else [path]
-    if not files:
-        raise ValueError(f"{path}: no annotation files found")
-    file, corners, occlusion, ignore = _annotation_columns(files, scale_x, scale_y)
-    truths = GroundTruthTable(
-        tuple(f.stem for f in files), (time_of_day,) * len(files), file, corners, occlusion, ignore
-    )
-    return truths.records()
 
 
 def normalize_modality(token: str) -> str:
@@ -525,7 +483,7 @@ def serialize_detections(
     for frame_id in (frame_ids[code] for code in np.unique(table.frame_codes).tolist()):
         if frame_id.split() != [frame_id] or frame_id.startswith("#"):
             raise ValueError(f"frame id {frame_id!r} cannot be written as a detection line")
-    # repr of a builtin float round-trips exactly (see _fmt).
+    # repr of a builtin float round-trips exactly and avoids numpy scalar reprs.
     lines.extend(
         f"{frame_ids[f]} {MODALITIES[m]} {SCALES[s]} {x0!r} {y0!r} {x1!r} {y1!r} {score!r}"
         for f, m, s, (x0, y0, x1, y1), score in zip(
@@ -719,27 +677,6 @@ def _manifest_from_payload(payload, root: Path) -> Manifest:
         annotation_scale=(scale_x, scale_y),
         root=root,
     )
-
-
-def save_manifest(manifest: Manifest, path: str | Path) -> None:
-    payload: dict = {
-        "frames": [
-            {
-                "frame_id": f.frame_id,
-                "time_of_day": f.time_of_day,
-                **({"annotations": f.annotations} if f.annotations else {}),
-            }
-            for f in manifest.frames
-        ],
-        "annotation_scale": list(manifest.annotation_scale),
-    }
-    if manifest.groups:
-        payload["sequence"] = {
-            "frames_per_group": manifest.frames_per_group,
-            "stride": manifest.stride,
-            "groups": [list(g) for g in manifest.groups],
-        }
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
 
 def attach_detections(

@@ -1,6 +1,7 @@
 """Reliability scoring, RoIAlign, relation matrices, and KL losses."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from hypothesis import strategies as st
 from msfusion import balance as balance_module
 from msfusion.balance import (
     ReliabilityReport,
-    RoiFeature,
     best_ciou_scores,
     corpus_reliability,
     cosine_matrix,
@@ -157,9 +157,9 @@ class TestCorpusReliability:
 class TestRoiAlign:
     def test_constant_field(self):
         fmap = np.full((2, 3, 8, 8), 4.25)
-        feature = roi_align(fmap, BBox(1.0, 1.5, 6.0, 7.0))
-        np.testing.assert_allclose(feature.values, 4.25, atol=1e-12)
-        assert feature.values.shape == (2 * 3 * 9,)
+        features = roi_align(fmap, [BBox(1.0, 1.5, 6.0, 7.0)])
+        np.testing.assert_allclose(features, 4.25, atol=1e-12)
+        assert features.shape == (1, 2 * 3 * 9)
 
     def test_single_pixel_box_with_flat_neighborhood(self):
         # A unit box over one pixel samples inside that pixel's bilinear
@@ -167,12 +167,12 @@ class TestRoiAlign:
         # pixel's value and distinct values elsewhere check locality.
         fmap = RNG(3).uniform(10, 20, (1, 1, 8, 8))
         fmap[0, 0, 2:5, 3:6] = 7.5  # 3x3 flat neighborhood around pixel (3, 4)
-        feature = roi_align(fmap, BBox(4.0, 3.0, 5.0, 4.0))
-        np.testing.assert_allclose(feature.values, 7.5, atol=1e-12)
+        features = roi_align(fmap, [BBox(4.0, 3.0, 5.0, 4.0)])
+        np.testing.assert_allclose(features, 7.5, atol=1e-12)
 
     def test_degenerate_box_rejected(self):
         with pytest.raises(ValueError, match="positive area"):
-            roi_align(np.zeros((1, 1, 8, 8)), BBox(2, 2, 2, 4))
+            roi_align(np.zeros((1, 1, 8, 8)), [BBox(2, 2, 2, 4)])
 
     def test_matches_supersampling_oracle(self):
         # Boxes at half-integer corners with whole-pixel bins keep every
@@ -185,7 +185,7 @@ class TestRoiAlign:
             x0 = float(rng.integers(0, 8 - 3 * bins)) + 0.5
             y0 = float(rng.integers(0, 8 - 3 * bins)) + 0.5
             box = BBox(x0, y0, x0 + 3 * bins, y0 + 3 * bins)
-            got = roi_align(fmap, box).values
+            (got,) = roi_align(fmap, [box])
             want = supersampled_roi(fmap, box)
             assert np.max(np.abs(got - want)) <= 1e-2
 
@@ -198,7 +198,7 @@ class TestRoiAlign:
             x0, y0 = rng.uniform(0.5, 2.0, 2)
             w, h = rng.uniform(2.0, 5.0, 2)
             box = BBox(x0, y0, x0 + w, y0 + h)
-            got = roi_align(fmap, box).values
+            (got,) = roi_align(fmap, [box])
             want = supersampled_roi(fmap, box)
             assert np.max(np.abs(got - want)) <= 0.15
 
@@ -207,8 +207,8 @@ class TestRoiAlign:
         x = rng.standard_normal((2, 3, 8, 8))
         y = rng.standard_normal((2, 3, 8, 8))
         box = BBox(1.2, 0.8, 6.3, 6.9)
-        lhs = roi_align(2.0 * x + 3.0 * y, box).values
-        rhs = 2.0 * roi_align(x, box).values + 3.0 * roi_align(y, box).values
+        lhs = roi_align(2.0 * x + 3.0 * y, [box])
+        rhs = 2.0 * roi_align(x, [box]) + 3.0 * roi_align(y, [box])
         np.testing.assert_allclose(lhs, rhs, atol=1e-6)
 
 
@@ -237,9 +237,7 @@ class TestBatchedRoiAlign:
         boxes = self._boxes(rng, 5, 8)
         batch = roi_align(fmap, boxes)
         for k, box in enumerate(boxes):
-            single = roi_align(fmap, box, box_id=k)
-            assert single.box_id == k
-            np.testing.assert_array_equal(single.values, batch[k])
+            np.testing.assert_array_equal(roi_align(fmap, [box]), batch[k : k + 1])
 
     def test_chunking_does_not_change_the_result(self, monkeypatch):
         rng = RNG(62)
@@ -278,13 +276,13 @@ class TestCosineMatrix:
         assert out[0, 1] == pytest.approx(0.0, abs=1e-12)
 
     def test_zero_vector_rejected(self):
-        with pytest.raises(ValueError, match="zero-norm"):
-            cosine_matrix([np.zeros(3), np.ones(3)])
+        with pytest.raises(ValueError, match="zero-norm RoI feature at index 1"):
+            cosine_matrix([np.ones(3), np.zeros(3)])
 
     def test_matches_dot_product_oracle(self):
         rng = RNG(6)
         vecs = [rng.standard_normal(12) for _ in range(5)]
-        out = cosine_matrix([RoiFeature(values=v, box_id=i) for i, v in enumerate(vecs)])
+        out = cosine_matrix(np.stack(vecs))
         for i in range(5):
             for j in range(5):
                 want = float(
@@ -514,6 +512,28 @@ class TestAlignmentPipeline:
         gts = [BBox(0, 0, 10, 10)]
         with pytest.raises(ValueError, match="no reference detections"):
             modality_alignment_loss([], [], gts, np.ones((1, 1, 8, 8)), np.ones((1, 1, 8, 8)))
+
+    @pytest.mark.parametrize("ir_shape", [(1, 4, 16, 16), (3, 2, 16, 16), (3, 4, 8, 8)])
+    def test_feature_maps_of_two_shapes_rejected(self, ir_shape):
+        # Both used to give a loss: RoIAlign pooled each map on its own.
+        gts = [BBox(0, 0, 10, 10)]
+        dets = [det(BBox(0, 0, 10, 10), 0.9)]
+        vis_map, ir_map = np.ones((3, 4, 16, 16)), np.ones(ir_shape)
+        message = re.escape(f"shape mismatch: vis (3, 4, 16, 16) vs ir {ir_shape}")
+        with pytest.raises(ValueError, match=message):
+            modality_alignment_loss(dets, dets, gts, vis_map, ir_map)
+
+    def test_zero_norm_feature_names_the_map_and_the_box(self):
+        # The vis boxes match the ground truths exactly, so they are the
+        # reference; the ir map is zero under the second of them.
+        gts = [BBox(0, 0, 2, 2), BBox(5, 5, 7, 7)]
+        vis = [det(gts[0], 0.9, "vis"), det(gts[1], 0.8, "vis")]
+        ir = [det(BBox(0.5, 0.5, 2.5, 2.5), 0.9, "ir")]
+        vis_map, ir_map = np.ones((1, 1, 8, 8)), np.ones((1, 1, 8, 8))
+        ir_map[..., 4:, 4:] = 0.0
+        message = "ir feature map, vis reference boxes: zero-norm RoI feature at index 1"
+        with pytest.raises(ValueError, match=message):
+            modality_alignment_loss(vis, ir, gts, vis_map, ir_map)
 
     @pytest.mark.parametrize("stride", [0.0, -8.0, math.nan, math.inf])
     def test_non_positive_or_non_finite_stride_rejected(self, stride):

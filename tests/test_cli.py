@@ -574,6 +574,42 @@ class TestKlLoss:
         err = capsys.readouterr().err
         assert str(features) in err and repr(name) in err and "non-finite" in err
 
+    @pytest.mark.parametrize("ir_shape", [(1, 4, 16, 16), (3, 2, 16, 16)])
+    def test_feature_maps_of_two_shapes_fail_naming_file(self, tmp_path, capsys, ir_shape):
+        # Both used to exit 0 with a loss.
+        features = tmp_path / "feat.sftn"
+        maps = {"vis": np.ones((3, 4, 16, 16)), "ir": np.ones(ir_shape)}
+        save_tensors(features, maps, TENSORS_MAGIC)
+        det_file = tmp_path / "dets.txt"
+        det_file.write_text("f1 vis s80 8 8 24 40 0.9\nf1 ir s80 8 8 24 40 0.8\n", "utf-8")
+        ann = tmp_path / "f1.txt"
+        write_annotation(ann, ["person 8 8 16 32 0"])
+        args = ["kl-loss", "--features", str(features), "--detections", str(det_file)]
+        assert main(args + ["--annotations", str(ann)]) == 1
+        err = capsys.readouterr().err
+        assert f"{features}: shape mismatch: vis (3, 4, 16, 16) vs ir {ir_shape}" in err
+
+    @pytest.mark.parametrize(
+        "flags, frame, scale",
+        [(["--frame-id", "nope"], "nope", "s80"), (["--scale", "s40"], "f1", "s40")],
+        ids=["frame", "scale"],
+    )
+    def test_no_rows_for_frame_and_scale_names_them_and_the_dump(
+        self, tmp_path, capsys, flags, frame, scale
+    ):
+        features = tmp_path / "feat.sftn"
+        save_tensors(features, {"vis": np.ones((1, 1, 8, 8)), "ir": np.ones((1, 1, 8, 8))},
+                     TENSORS_MAGIC)
+        det_file = tmp_path / "dets.txt"
+        det_file.write_text("f1 vis s80 8 8 24 40 0.9\nf1 ir s80 8 8 24 40 0.8\n", "utf-8")
+        ann = tmp_path / "f1.txt"
+        write_annotation(ann, ["person 8 8 16 32 0"])
+        args = ["kl-loss", "--features", str(features), "--detections", str(det_file)]
+        assert main(args + ["--annotations", str(ann), *flags]) == 1
+        err = capsys.readouterr().err
+        assert "no reference detections" in err
+        assert str(det_file) in err and repr(frame) in err and f"scale {scale}" in err
+
     def test_missing_feature_tensor_names_file_and_tensor(self, tmp_path, capsys):
         features = tmp_path / "feat.sftn"
         save_tensors(features, {"vis": np.ones((1, 1, 8, 8))}, TENSORS_MAGIC)
@@ -619,7 +655,9 @@ class TestReliabilityCommand:
             ]
         )
         assert code == 1
-        assert "no valid instances" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "no valid instances" in err
+        assert str(dets) in err and str(corpus / "manifest.json") in err
 
     # Edge cases of the corpus scan: instances are (manifest frame, scale)
     # pairs in manifest order, and only instances whose detections overlap a

@@ -35,7 +35,8 @@ from msfusion.geometry import (
     segment_pairs,
 )
 from msfusion.ingest import (
-    ingest_annotations,
+    Manifest,
+    ManifestFrame,
     ingest_detections,
     load_config,
     load_manifest,
@@ -331,12 +332,14 @@ def test_annotation_columns_match_parse_annotation_text(tmp_path, files, scale):
                 assert str(again.value) == error
             else:
                 assert parse_annotation_text(body, str(path), *scale) == gts
+    frames = tuple(ManifestFrame(str(k), "day", f"{k}.txt") for k in range(len(files)))
+    manifest = Manifest(frames, annotation_scale=scale, root=folder)
     if error is not None:
         with pytest.raises(ValueError) as err:
-            ingest_annotations(folder, "day", *scale)
+            manifest.load_ground_truths()
         assert str(err.value) == error
         return
-    records = ingest_annotations(folder, "day", *scale)
+    records = manifest.load_records()
     assert records == expected
     got, want = GroundTruthTable.from_records(records), GroundTruthTable.from_records(expected)
     for column in ("frame", "corners", "occlusion", "ignore"):

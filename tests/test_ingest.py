@@ -13,15 +13,12 @@ from msfusion.ingest import (
     ManifestFrame,
     RunConfig,
     group_by_frame,
-    ingest_annotations,
     ingest_detections,
     load_config,
     load_manifest,
     parse_annotation_text,
     parse_detection_line,
     run_config_from_mapping,
-    save_manifest,
-    serialize_annotations,
     serialize_detections,
 )
 
@@ -73,26 +70,24 @@ class TestAnnotations:
         )
         assert gts[0].box == BBox(20, 10, 80, 40)
 
-    def test_roundtrip_lossless(self):
-        text = (
-            "% bbGt version=3\n"
-            "person 10.0 20.0 30.0 60.0 0\n"
-            "person 5.5 2.25 10.75 40.5 1\n"
-            "ignore 0.0 0.0 12.0 12.0 2\n"
-        )
-        gts = parse_annotation_text(text)
-        again = parse_annotation_text(serialize_annotations(gts))
-        assert again == gts
-
     def test_directory_ingestion(self, tmp_path):
-        for stem in ("000001", "000002"):
+        # A manifest's annotation paths are read relative to its root, with
+        # its annotation_scale, and records keep manifest order.
+        for stem, row in (("000002", "person 0 0 30 80 0"), ("000001", "person 2 4 6 8 1")):
             (tmp_path / f"{stem}.txt").write_text(
-                "% bbGt version=3\nperson 0 0 30 80 0\n", encoding="utf-8"
+                f"% bbGt version=3\n{row}\n", encoding="utf-8"
             )
-        records = ingest_annotations(tmp_path, time_of_day="night")
-        assert [r.frame_id for r in records] == ["000001", "000002"]
+        frames = tuple(
+            ManifestFrame(stem, "night", annotations=f"{stem}.txt") for stem in ("000002", "000001")
+        )
+        manifest = Manifest(frames=frames, annotation_scale=(2.0, 0.5), root=tmp_path)
+        records = manifest.load_records()
+        assert [r.frame_id for r in records] == ["000002", "000001"]
         assert all(r.time_of_day == "night" for r in records)
-        assert all(len(r.gts) == 1 for r in records)
+        assert [[g.box for g in r.gts] for r in records] == [
+            [BBox(0, 0, 60, 40)],
+            [BBox(4, 2, 16, 6)],
+        ]
 
 
     def test_a_valid_corpus_never_reaches_the_line_parser(self, tmp_path, monkeypatch):
@@ -115,7 +110,7 @@ class TestAnnotations:
         truths = Manifest(frames=tuple(frames), root=tmp_path).load_ground_truths()
         assert len(truths.frame) == sum(k % 5 for k in range(40))
         assert truths.ignore.tolist() == [j % 2 == 1 for k in range(40) for j in range(k % 5)]
-        assert len(ingest_annotations(tmp_path)) == 40
+        assert len(truths.records()) == 40
 
 class TestDetections:
     def test_example_line(self):
@@ -381,15 +376,20 @@ class TestManifest:
             root=tmp_path,
         )
 
-    def test_roundtrip(self, tmp_path):
-        manifest = self._manifest(tmp_path)
+    def test_load_reads_the_sequence_block(self, tmp_path):
         path = tmp_path / "manifest.json"
-        save_manifest(manifest, path)
-        back = load_manifest(path)
-        assert back.frames == manifest.frames
-        assert back.groups == manifest.groups
-        assert back.stride == 3
-        assert back.frames_per_group == 2
+        path.write_text(
+            """{
+              "frames": [
+                {"frame_id": "000001", "time_of_day": "day", "annotations": "000001.txt"},
+                {"frame_id": "000004", "time_of_day": "night", "annotations": "000004.txt"}
+              ],
+              "sequence": {"frames_per_group": 2, "stride": 3, "groups": [["000001", "000004"]]},
+              "annotation_scale": [1.0, 1.0]
+            }""",
+            encoding="utf-8",
+        )
+        assert load_manifest(path) == self._manifest(tmp_path)
 
     def test_load_records_reads_annotations(self, tmp_path):
         manifest = self._manifest(tmp_path)

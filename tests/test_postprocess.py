@@ -122,7 +122,9 @@ class TestFuseScale:
             assert tight_pairs <= loose_pairs  # raising the threshold shrinks
             for f in loose:
                 pv, pt = vis[f.parent_v], ir[f.parent_t]
-                assert f.box.contains(pv.box) and f.box.contains(pt.box)
+                for parent in (pv.box, pt.box):
+                    assert f.box.x_min <= parent.x_min and f.box.y_min <= parent.y_min
+                    assert f.box.x_max >= parent.x_max and f.box.y_max >= parent.y_max
                 lo, hi = sorted((pv.score, pt.score))
                 assert lo <= f.f_conf <= hi
 
