@@ -1,7 +1,7 @@
 """Deterministic numpy core for multispectral pedestrian detection.
 
 The package covers four areas: bounding-box geometry (IoU, CIoU, hulls,
-NMS, their (N, M) matrix kernels, and the columnar ``DetectionTable``),
+NMS, their pair kernels, and the columnar ``DetectionTable``),
 the strip-convolution fusion block forward pass, cross-modal reliability
 scoring with a KL-divergence alignment loss, and detection post-processing
 plus log-average miss-rate evaluation.
@@ -50,11 +50,8 @@ from .fusion import (
     gelu,
     global_response_norm,
     interleave_rows,
-    layer_norm,
-    merge_patches,
     pointwise_affine,
     softmax,
-    split_patches,
     strip_conv,
     temporal_adaptive_conv,
     temporal_fuse,
@@ -66,11 +63,9 @@ from .geometry import (
     as_table,
     boxes_array,
     ciou,
-    ciou_matrix,
     ciou_pairs,
     convex_hull,
     iou,
-    iou_matrix,
     iou_pairs,
     nms,
 )

@@ -5,17 +5,17 @@ ground truth; the more reliable modality anchors RoI feature extraction,
 and a directed row-wise KL divergence between the two relation matrices
 pushes the weaker feature distribution toward the stronger one.
 
-Scoring runs as one numpy pass per corpus. ``corpus_reliability`` takes
-every (detection, ground truth) pair of the same frame from
-``geometry.segment_pairs``, in the pair order stated there, scores them
-with one ``geometry.ciou_pairs`` call, takes each detection's best score
-and overlap test with ``reduceat``, and averages the top scores of all
-(instance, modality) slices of one length as the rows of one sorted
-matrix. ``reliability`` scores one instance with ``best_ciou_scores``
-(the row maxima of one ``ciou_matrix``, which runs the elementwise core of
-``ciou_pairs`` and equals it bit for bit) and averages through the same
-top-n step, so every report is bit for bit the one the per-instance
-arithmetic (a sorted slice's ``.mean()``) gives.
+One kernel scores a list of (detection, ground truth) pairs: one
+``geometry.ciou_pairs`` call, then each detection's best score and overlap
+test by ``reduceat``; a box without an aspect ratio raises, named with its
+side, frame and scale. ``corpus_reliability`` gives it every pair of the
+same frame from ``geometry.segment_pairs``, in the pair order stated
+there, and averages the top scores of all (instance, modality) slices of
+one length as the rows of one sorted matrix. ``best_ciou_scores`` gives it
+one instance's detections, each paired with every ground truth, and
+``reliability`` averages those through the same top-n step, so every
+report is bit for bit what the per-instance arithmetic (a sorted slice's
+``.mean()``) gives.
 Instances come in record order, then ``SCALES`` order; ties ``r_t == r_v``
 go to visible.
 
@@ -41,10 +41,10 @@ from .geometry import (
     SCALES,
     BBox,
     Detection,
+    DetectionTable,
     as_table,
     boxes_array,
     check_corners,
-    ciou_matrix,
     ciou_pairs,
     degenerate_rows,
     segment_pairs,
@@ -68,14 +68,56 @@ class ReliabilityReport:
     n_used: int
 
 
+class _DegenerateBox(ValueError):
+    # A box without an aspect ratio; ``frame_id`` and ``truth`` (a ground
+    # truth, not a detection) let a caller name the file it came from.
+    def __init__(self, message: str, frame_id: str, truth: bool) -> None:
+        super().__init__(message)
+        self.frame_id, self.truth = frame_id, truth
+
+
+def _best_ciou(
+    table: DetectionTable, rows, gt_corners, det, gt, instance=None
+) -> tuple[np.ndarray, np.ndarray]:
+    # The best CIoU of each detection rows[i] of ``table`` over its pairs
+    # (rows[det[k]], gt_corners[gt[k]]), where det ascends and holds every
+    # i, and which detections count: all of them, or, given their instance
+    # codes, those of the instances where some detection overlaps a ground
+    # truth (IoU > 0). The first counted pair that holds a box without an
+    # aspect ratio raises, naming the detection before the ground truth.
+    corners = table.corners[rows]
+    overlap, score = ciou_pairs(corners, gt_corners, det, gt)
+    first = np.flatnonzero(np.diff(det, prepend=-1))
+    counted = np.ones(len(rows), dtype=bool)
+    if instance is not None:
+        counted = np.isin(instance, instance[np.logical_or.reduceat(overlap > 0.0, first)])
+    flat, flat_gt = degenerate_rows(corners), degenerate_rows(gt_corners)
+    bad = np.flatnonzero(counted[det] & (flat[det] | flat_gt[gt]))
+    if bad.size:
+        i, row = det[bad[0]], rows[det[bad[0]]]
+        if flat[i]:
+            side, box = f"{MODALITIES[table.modality_codes[row]]} detection", corners[i]
+        else:
+            side, box = "ground truth", gt_corners[gt[bad[0]]]
+        frame_id = table.frame_ids[table.frame_codes[row]]
+        scale = SCALES[table.scale_codes[row]]
+        message = f"{side} {tuple(box.tolist())} of frame {frame_id!r} at scale {scale}"
+        raise _DegenerateBox(f"degenerate aspect ratio: {message}", frame_id, not flat[i])
+    return np.maximum.reduceat(score, first), counted
+
+
 def best_ciou_scores(dets: Sequence[Detection], gts: Sequence[BBox]) -> np.ndarray:
-    """Best CIoU of each detection against any ground-truth box: the row
-    maxima of one ``ciou_matrix``."""
+    """Best CIoU of each detection against any ground-truth box: every
+    detection is paired with every ground truth and scored by the kernel
+    ``corpus_reliability`` runs. A box without an aspect ratio raises,
+    naming it, its frame and scale."""
     if not dets:
         return np.empty(0, dtype=np.float64)
     if not gts:
         raise ValueError("no reference objects")
-    return ciou_matrix(as_table(dets).corners, boxes_array(gts)).max(axis=1)
+    n, m = len(dets), len(gts)
+    det, gt = np.repeat(np.arange(n), m), np.tile(np.arange(m), n)
+    return _best_ciou(as_table(dets), np.arange(n), boxes_array(gts), det, gt)[0]
 
 
 def _instance_reports(
@@ -89,6 +131,8 @@ def _instance_reports(
     # matrix, and .mean(axis=1) of contiguous descending rows is the same
     # pairwise sum and division, bit for bit, as .mean() of each slice's
     # descending top scores.
+    if n_top < 1:
+        raise ValueError(f"n_top must be >= 1, got {n_top}")
     count = np.bincount(slices, minlength=2 * n_instances)
     start = np.cumsum(count) - count
     means = np.zeros(2 * n_instances)
@@ -135,8 +179,6 @@ def _score_modalities(
 ) -> tuple[ReliabilityReport, np.ndarray]:
     # The reliability report of one instance, plus the rows of the reference
     # modality's top n_used detections in descending score order.
-    if n_top < 1:
-        raise ValueError(f"n_top must be >= 1, got {n_top}")
     if not gt_boxes:
         raise ValueError("no reference objects")
     scores_v = best_ciou_scores(vis_dets, gt_boxes)
@@ -160,20 +202,19 @@ def corpus_reliability(
     ir detections of that frame and scale against those ground truths, or
     None when none of them overlaps a ground truth (IoU > 0). Detections of
     frames without a record, and fused ones, are ignored. A box without an
-    aspect ratio raises only in an instance that is scored.
+    aspect ratio raises only in an instance that is scored, with the error
+    ``reliability`` gives for that instance.
 
     The whole corpus runs as one pass over the ground-truth columns of
     ``as_truths(records)``, so a ``GroundTruthTable`` is read as it is. One
     stable sort groups the rows by frame, scale and modality;
     ``segment_pairs`` gives each record its frame's rows and each of those
-    rows the record's ground truths; one ``ciou_pairs`` call scores the
-    pairs; ``reduceat`` takes each detection's best score and overlap test;
-    and the (instance, modality) slices of each length are sorted and
-    averaged as the rows of one matrix. Each report equals the one
-    ``reliability`` gives for its instance, bit for bit.
+    rows the record's ground truths; ``_best_ciou`` scores the pairs and
+    takes each detection's best score; and the (instance, modality) slices
+    of each length are sorted and averaged as the rows of one matrix. Each
+    report equals the one ``reliability`` gives for its instance, bit for
+    bit.
     """
-    if n_top < 1:
-        raise ValueError(f"n_top must be >= 1, got {n_top}")
     table = as_table(dets)
     truths = as_truths(records)
     # The non-ignored ground truths, and the records holding any, in order.
@@ -191,20 +232,13 @@ def corpus_reliability(
     rows = rows[np.argsort(key[rows], kind="stable")]
     record, at = segment_pairs(code, table.frame_codes[rows])
     rows = rows[at]
-    corners = table.corners[rows]
     # Each detection meets the ground truths of its record in one run of
-    # pairs, which reduceat takes.
+    # pairs.
     det, gt = segment_pairs(record, gt_record)
-    overlap, score = ciou_pairs(corners, gt_corners, det, gt)
-    first = np.flatnonzero(np.diff(det, prepend=-1))
-    scores = np.maximum.reduceat(score, first)
-    hits = np.logical_or.reduceat(overlap > 0.0, first)
     instance = record * len(SCALES) + table.scale_codes[rows]
+    scores, keep = _best_ciou(table, rows, gt_corners, det, gt, instance)
     scored = np.zeros(len(frame_ids) * len(SCALES), dtype=bool)
-    scored[instance[hits]] = True
-    keep = scored[instance]
-    if degenerate_rows(corners[keep]).any() or degenerate_rows(gt_corners)[gt[keep[det]]].any():
-        raise ValueError("degenerate aspect ratio")
+    scored[instance[keep]] = True
     thermal = table.modality_codes[rows[keep]] == MODALITIES.index("ir")
     reports = _instance_reports(scores[keep], 2 * instance[keep] + thermal, len(scored), n_top)
     instances = [(frame_id, scale) for frame_id in frame_ids for scale in SCALES]
@@ -255,10 +289,9 @@ def roi_align(feature_map: np.ndarray, boxes: Sequence[BBox] | np.ndarray) -> np
     samples in chunks of boxes.
     """
     feature_map = np.asarray(feature_map, dtype=np.float64)
-    if feature_map.ndim != 4:
-        raise ValueError(
-            f"feature map: expected (F, C, H, W), got shape {feature_map.shape}"
-        )
+    if feature_map.ndim != 4 or 0 in feature_map.shape:
+        shape = feature_map.shape
+        raise ValueError(f"feature map: expected (F, C, H, W), no axis empty, got shape {shape}")
     corners = check_corners(boxes) if isinstance(boxes, np.ndarray) else boxes_array(boxes)
     area = (corners[:, 2] - corners[:, 0]) * (corners[:, 3] - corners[:, 1])
     degenerate = np.flatnonzero(area <= 0.0)

@@ -31,7 +31,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .balance import corpus_reliability, modality_alignment_loss, thermal_reliability_percentage
+from .balance import (
+    _DegenerateBox,
+    corpus_reliability,
+    modality_alignment_loss,
+    thermal_reliability_percentage,
+)
 from .containers import TENSORS_MAGIC, load_tensors, save_tensors
 from .evaluation import STANDARD_SETTINGS, SPLITS, evaluate_matrix
 from .fusion import FusionConfig, FusionWeights, fusion_forward
@@ -85,16 +90,17 @@ def _emit(text: str, out: str | None) -> None:
 
 def _load_pair(path: str) -> dict[str, np.ndarray]:
     # The "vis" and "ir" maps of a tensor file (load_tensors rejects
-    # non-finite values); a missing one, or maps of two shapes, raises,
-    # naming the file.
+    # non-finite values); a missing one, maps of two shapes, or maps that
+    # are not (F, C, H, W) with every axis non-empty raise, naming the file.
     tensors = load_tensors(path, TENSORS_MAGIC)
     for name in ("vis", "ir"):
         if name not in tensors:
             raise ValueError(f"{path}: missing tensor {name!r}")
-    if tensors["vis"].shape != tensors["ir"].shape:
-        raise ValueError(
-            f"{path}: shape mismatch: vis {tensors['vis'].shape} vs ir {tensors['ir'].shape}"
-        )
+    shape = tensors["vis"].shape
+    if shape != tensors["ir"].shape:
+        raise ValueError(f"{path}: shape mismatch: vis {shape} vs ir {tensors['ir'].shape}")
+    if len(shape) != 4 or 0 in shape:
+        raise ValueError(f"{path}: expected (F, C, H, W) maps, no axis empty, got shape {shape}")
     return tensors
 
 
@@ -151,9 +157,15 @@ def _cmd_kl_loss(args: argparse.Namespace) -> int:
         for g in parse_annotation_text(read_text(args.annotations), args.annotations)
         if not g.ignore
     ]
-    report, loss = modality_alignment_loss(
-        vis, ir, gts, features["vis"], features["ir"], n_top=cfg.n_top, stride=stride
-    )
+    if not gts:
+        where = f"frame {frame_id!r} at scale {scale}"
+        raise ValueError(f"{args.annotations}: no reference objects: all ignored, for {where}")
+    try:
+        report, loss = modality_alignment_loss(
+            vis, ir, gts, features["vis"], features["ir"], n_top=cfg.n_top, stride=stride
+        )
+    except _DegenerateBox as err:
+        raise ValueError(f"{args.annotations if err.truth else args.detections}: {err}") from None
     lines = [
         f"frame_id = {frame_id}",
         f"scale = {scale}",
@@ -173,8 +185,15 @@ def _cmd_kl_loss(args: argparse.Namespace) -> int:
 
 def _cmd_reliability(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
-    truths = load_manifest(args.manifest).load_ground_truths()
-    reports = corpus_reliability(ingest_detections(args.detections), truths, cfg.n_top)
+    manifest = load_manifest(args.manifest)
+    truths = manifest.load_ground_truths()
+    dets = ingest_detections(args.detections)
+    try:
+        reports = corpus_reliability(dets, truths, cfg.n_top)
+    except _DegenerateBox as err:  # name the dump, or the annotations of the box's frame
+        frame = next(f for f in manifest.frames if f.frame_id == err.frame_id)
+        source = manifest.root / frame.annotations if err.truth else args.detections
+        raise ValueError(f"{source}: {err}") from None
     if all(report is None for _, _, report in reports):
         raise ValueError(
             f"no valid instances: no vis or ir detection of {args.detections} "

@@ -380,16 +380,12 @@ def _curve(
     outcome: np.ndarray,
     n_frames: int,
     total_gt: int,
-    score_sweep: Sequence[float] | None,
 ) -> tuple[np.ndarray, np.ndarray]:
     # The (FPPI, miss rate) points of matched frames' outcomes over a
     # threshold sweep, as two columns.
     if total_gt == 0:
         raise ValueError("empty setting")
-    if score_sweep is None:
-        thresholds = np.unique(scores)[::-1]
-    else:
-        thresholds = sorted(set(score_sweep), reverse=True)
+    thresholds = np.unique(scores)[::-1]
     # One stable sort plus cumulative counts: the outcomes scoring at least
     # a threshold are those after its left insertion point.
     order = np.argsort(scores, kind="stable")
@@ -405,13 +401,11 @@ def miss_rate_curve(
     records: Sequence[FrameRecord] | GroundTruthTable,
     setting: EvalSetting,
     source: str | None = None,
-    score_sweep: Sequence[float] | None = None,
 ) -> list[tuple[float, float]]:
     """Trace (FPPI, miss rate) pairs over a descending threshold sweep.
 
-    The sweep visits each distinct detection score (or the given
-    ``score_sweep``); a point keeps detections scoring at least the
-    threshold. Returns the points in sweep order.
+    The sweep visits each distinct detection score; a point keeps
+    detections scoring at least the threshold. Returns the points in sweep order.
     """
     truths = as_truths(records)
     if not truths.frame_ids:
@@ -425,7 +419,7 @@ def miss_rate_curve(
         setting.match_iou,
     )
     total_gt = int(np.count_nonzero(evaluated))
-    fppi, miss = _curve(scores, outcome, len(truths.frame_ids), total_gt, score_sweep)
+    fppi, miss = _curve(scores, outcome, len(truths.frame_ids), total_gt)
     return list(zip(fppi.tolist(), miss.tolist()))
 
 
@@ -454,7 +448,6 @@ def log_average_miss_rate(
     records: Sequence[FrameRecord] | GroundTruthTable,
     setting: EvalSetting,
     source: str | None = None,
-    score_sweep: Sequence[float] | None = None,
 ) -> float:
     """Log-average miss rate in percent.
 
@@ -464,7 +457,7 @@ def log_average_miss_rate(
     result is exp(mean(ln(miss rates))) * 100 with rates floored at 1e-10;
     an all-zero sample (perfect detector) reports exactly 0.
     """
-    points = miss_rate_curve(records, setting, source, score_sweep)
+    points = miss_rate_curve(records, setting, source)
     return _log_average(*np.array(points, dtype=np.float64).reshape(-1, 2).T)
 
 
@@ -531,6 +524,6 @@ def evaluate_matrix(
                 mr = None
                 if num_gt:
                     cell = (strategy_index == k) & member[split][frame]
-                    mr = _log_average(*_curve(scores[cell], outcome[cell], n_frames, num_gt, None))
+                    mr = _log_average(*_curve(scores[cell], outcome[cell], n_frames, num_gt))
                 table[(setting_name, split, strategy)] = (mr, num_gt)
     return table

@@ -47,12 +47,6 @@ def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     return e / e.sum(axis=axis, keepdims=True)
 
 
-def layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """Layer normalization over the last axis."""
-    x = np.asarray(x, dtype=np.float64)
-    return _layer_norm_into(x, np.empty(x.shape), gamma, beta)
-
-
 def _layer_norm_into(
     x: np.ndarray, out: np.ndarray, gamma: np.ndarray, beta: np.ndarray
 ) -> np.ndarray:
@@ -453,25 +447,6 @@ def channel_mix(
     y = pointwise_affine(gelu(pointwise_affine(y, mlp_w1, mlp_b1)), mlp_w2, mlp_b2)
     y += x
     return y
-
-
-def split_patches(x: np.ndarray, patch_size: int) -> np.ndarray:
-    """Cut (F, C, H, W) into (F, P, C, S) patches, row-major, S = patch_size**2."""
-    x = _as_features(x)
-    f, c, h, w = x.shape
-    s = int(patch_size)
-    return _tiles(x, s).reshape(f, (h // s) * (w // s), c, s * s)
-
-
-def merge_patches(x: np.ndarray, patch_size: int, height: int, width: int) -> np.ndarray:
-    """Exact inverse of :func:`split_patches`."""
-    f, p, c, ss = x.shape
-    s = int(patch_size)
-    if ss != s * s or p != (height // s) * (width // s):
-        raise ValueError(f"patch grid mismatch: {x.shape} for {(height, width)} at s={s}")
-    out = np.empty((f, c, height, width))
-    _tiles(out, s)[...] = x.reshape(f, height // s, width // s, c, s, s)
-    return out
 
 
 def _tiles(x: np.ndarray, s: int) -> np.ndarray:

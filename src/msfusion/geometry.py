@@ -6,27 +6,25 @@ form (x_c, y_c, w, h) is a derived view. All operations are pure functions
 over immutable inputs and are safe to call concurrently.
 
 Two forms of the pairwise measures exist. ``iou`` and ``ciou`` score one
-pair of ``BBox`` in pure Python. ``iou_matrix`` and ``ciou_matrix`` score
-every pair of two (N, 4) corner arrays in one numpy pass; ``iou_pairs``
-scores matching rows of two (P, 4) arrays and ``ciou_pairs`` a list of
-(row, row) pairs of two corner arrays, so that the pairs of a whole corpus
-(each detection with the ground truths of its own frame) take one call.
-``segment_pairs`` builds every such list: the rows of two arrays carry
-segment codes (a frame, a record), and it pairs each row of one with the
-rows of the other that share its code. The pairwise callers (NMS, pair
-fusion, matching, reliability) use them.
-``iou_matrix`` and ``iou_pairs`` repeat the operations of ``iou`` in the
-same order, so their entries equal ``iou`` bit for bit; ``ciou_matrix`` and
-``ciou_pairs`` run one elementwise core, take the arctangent once per box,
-equal each other bit for bit, and differ from ``ciou`` only by the
-last-place rounding of numpy's arctangent.
+pair of ``BBox`` in pure Python. ``iou_pairs`` scores matching rows of two
+corner arrays, with numpy broadcasting over their leading axes (so one row
+against many, or every pair of two arrays on a grid), and ``ciou_pairs`` a
+list of (row, row) pairs of two corner arrays, so that the pairs of a
+whole corpus (each detection with the ground truths of its own frame) take
+one call. ``segment_pairs`` builds every such list: the rows of two arrays
+carry segment codes (a frame, a record), and it pairs each row of one with
+the rows of the other that share its code. The pairwise callers (NMS, pair
+fusion, matching, reliability) use them. ``iou_pairs`` repeats the
+operations of ``iou`` in the same order, so its entries equal ``iou`` bit
+for bit; ``ciou_pairs`` takes the arctangent once per box and differs from
+``ciou`` only by the last-place rounding of numpy's arctangent.
 
 NMS suppresses each frame on its own and runs all frames at once as a
 wavefront: each round keeps the best live row of every frame and scores the frame's
 other live rows against it in one ``iou_pairs`` call, so the rounds number
 the most rows any one frame keeps, not the sum over frames. Once one frame
-is left, each round scores one ``iou_matrix`` row, as single-frame NMS
-always does.
+is left, each round scores the kept row against the live rows after it,
+as single-frame NMS always does.
 
 ``DetectionTable`` holds many detections as columns: the corners as an
 (N, 4) float64 array, the scores as a float64 array, and integer codes for
@@ -166,15 +164,6 @@ def iou_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     )
 
 
-def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """IoU of every pair of rows of two (N, 4) and (M, 4) corner arrays.
-
-    Entry (i, j) equals ``iou`` of box i of ``a`` and box j of ``b`` bit
-    for bit (see ``iou_pairs``).
-    """
-    return iou_pairs(a[:, None, :], b[None, :, :])
-
-
 def convex_hull(a: BBox, b: BBox) -> BBox:
     """Smallest axis-aligned box containing both inputs."""
     return BBox(
@@ -234,7 +223,7 @@ def _ciou_columns(corners: np.ndarray) -> np.ndarray:
 
 def _ciou_terms(p: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # IoU and CIoU of predicted and reference boxes given as ``_ciou_columns``
-    # rows of any two broadcastable shapes; the operations and their order
+    # columns gathered per pair; the operations and their order
     # are those of ``ciou``. Degenerate pairs give meaningless CIoU silently.
     px0, py0, px1, py1, p_area, p_sx, p_sy, p_atan = p
     gx0, gy0, gx1, gy1, g_area, _, _, g_atan = g
@@ -269,9 +258,9 @@ def ciou_pairs(
     of two (N, 4) and (M, 4) corner arrays.
 
     The per-box terms, arctangent included, are computed once per box and
-    gathered per pair as 1-D columns; the pair arithmetic is that of
-    ``ciou_matrix``, so entry k equals its entry for the same two boxes bit
-    for bit, and the IoU equals ``iou_pairs``. Boxes are not checked: a
+    gathered per pair as 1-D columns; the formula and operation order are
+    those of ``ciou``, so entries agree with it to within the rounding of
+    the arctangent (1e-15), and the IoU equals ``iou_pairs``. Boxes are not checked: a
     pair with a zero-width or zero-height box gets a meaningless CIoU (its
     IoU stays exact), so callers reject such boxes first (``degenerate_rows``).
     """
@@ -285,20 +274,6 @@ def ciou_pairs(
             np.take(g_columns, gt_rows[part], axis=1),
         )
     return overlap, score
-
-
-def ciou_matrix(pred: np.ndarray, gt: np.ndarray) -> np.ndarray:
-    """CIoU of every predicted box (rows of ``pred``, (N, 4)) against every
-    reference box (rows of ``gt``, (M, 4)), as an (N, M) matrix.
-
-    The formula and operation order are those of ``ciou``; entries agree
-    with it to within the rounding of the arctangent (1e-15), and equal
-    ``ciou_pairs`` bit for bit. Any box with non-positive width or height
-    raises, as ``ciou`` would for its pairs.
-    """
-    if len(pred) and len(gt) and (degenerate_rows(pred).any() or degenerate_rows(gt).any()):
-        raise ValueError("degenerate aspect ratio")
-    return _ciou_terms(_ciou_columns(pred)[:, :, None], _ciou_columns(gt)[:, None, :])[1]
 
 
 def segment_pairs(seg_a, seg_b) -> tuple[np.ndarray, np.ndarray]:
@@ -558,7 +533,7 @@ def _segmented_nms(
     # live row of each segment and scores the segment's other live rows
     # against it in one ``iou_pairs`` call, so there are as many rounds as
     # the largest segment keeps rows. Once one segment is left, each round
-    # scores one ``iou_matrix`` row, the single-segment walk.
+    # scores its kept row against the rows after it, the single-segment walk.
     alive = np.lexsort((-scores, segments))  # stable: ties keep row order
     kept = []
     while alive.size and segments[alive[0]] != segments[alive[-1]]:
@@ -578,8 +553,7 @@ def _segmented_nms(
         walk.append(first)
         if not rest.size:
             break
-        overlap = iou_matrix(corners[first : first + 1], corners[rest])[0]
-        alive = rest[~(overlap > iou_threshold)]
+        alive = rest[~(iou_pairs(corners[first], corners[rest]) > iou_threshold)]
     kept = np.concatenate([*kept, np.array(walk, dtype=np.intp)])
     return kept[np.argsort(segments[kept], kind="stable")]
 

@@ -561,7 +561,7 @@ def match_frame_ref(dets, evaluated, ignored, match_iou):
     return tp, flags.count("fp"), len(evaluated) - tp
 
 
-def miss_rate_curve_ref(records, setting, source, score_sweep=None):
+def miss_rate_curve_ref(records, setting, source):
     """(FPPI, miss rate) per threshold, recounting every outcome at every
     threshold of the descending sweep."""
     total_gt = 0
@@ -572,9 +572,8 @@ def miss_rate_curve_ref(records, setting, source, score_sweep=None):
         total_gt += len(evaluated)
         dets = record.detections.get(source, [])
         outcomes += match_outcomes_ref(dets, evaluated, ignored, setting.match_iou)
-    sweep = {s for s, _ in outcomes} if score_sweep is None else set(score_sweep)
     points = []
-    for threshold in sorted(sweep, reverse=True):
+    for threshold in sorted({s for s, _ in outcomes}, reverse=True):
         tp = sum(1 for s, flag in outcomes if s >= threshold and flag == "tp")
         fp = sum(1 for s, flag in outcomes if s >= threshold and flag == "fp")
         points.append((fp / len(records), 1.0 - tp / total_gt))

@@ -24,7 +24,7 @@ from msfusion.balance import (
     total_loss,
 )
 from msfusion.evaluation import FrameRecord, GroundTruthBox
-from msfusion.geometry import SCALES, BBox, Detection, DetectionTable, boxes_array, ciou, ciou_matrix
+from msfusion.geometry import SCALES, BBox, Detection, DetectionTable, boxes_array, ciou
 from oracles import alignment_loss_ref, kl_ref, relation_ref, roi_ref, supersampled_roi
 
 RNG = np.random.default_rng
@@ -72,6 +72,21 @@ class TestReliability:
         assert report.r_v == report.r_t == pytest.approx(1.0)
         assert report.reference_modality == "vis"
 
+    @pytest.mark.parametrize("side", ["detection", "ground truth"])
+    def test_best_ciou_scores_rejects_degenerate_boxes(self, side):
+        # The error names the box, its side, frame and scale; a degenerate
+        # box raises whether or not it overlaps anything.
+        good = [BBox(0, 0, 2, 2), BBox(1, 1, 4, 5)]
+        flat = [BBox(0, 0, 2, 2), BBox(0, 0, 5, 0)]
+        dets, gts = (flat, good) if side == "detection" else (good, flat)
+        dets = [det(b, 0.5, "ir", "f7", "s40") for b in dets]
+        message = re.escape(
+            f"degenerate aspect ratio: {'ir detection' if side == 'detection' else side} "
+            "(0.0, 0.0, 5.0, 0.0) of frame 'f7' at scale s40"
+        )
+        with pytest.raises(ValueError, match=message):
+            best_ciou_scores(dets, gts)
+
     def test_empty_ground_truth_raises(self):
         with pytest.raises(ValueError, match="no reference objects"):
             reliability([], [], [], n_top=1)
@@ -114,11 +129,11 @@ class TestReliability:
 class TestCorpusReliability:
     @staticmethod
     def _sorted_slice_mean(dets, gts, n_top):
-        # Each modality as the per-instance code scored it: ciou_matrix row
-        # maxima, then the mean of the descending top slice.
+        # Each modality as the per-instance code scores it: each detection's
+        # best CIoU, then the mean of the descending top slice.
         if not dets:
             return 0.0
-        scores = ciou_matrix(boxes_array([d.box for d in dets]), boxes_array(gts)).max(axis=1)
+        scores = best_ciou_scores(dets, gts)
         return float(np.sort(scores)[::-1][: min(n_top, scores.size)].mean())
 
     @pytest.mark.parametrize("n_top", [1, 7, 128, 300])
@@ -153,6 +168,30 @@ class TestCorpusReliability:
         with pytest.raises(ValueError, match="n_top must be >= 1"):
             corpus_reliability([], [], 0)
 
+    @pytest.mark.parametrize("side", ["detection", "ground truth"])
+    def test_degenerate_box_names_itself_as_reliability_does(self, side):
+        # A zero-width box used to raise a bare "degenerate aspect ratio".
+        # The vis detection overlaps the first ground truth, so the instance
+        # is scored; the first pair holding a flat box names it.
+        gts = [BBox(10, 10, 30, 90), BBox(50, 10, 50, 50)]
+        vis = [det(BBox(12, 12, 40, 95), 0.9, "vis", "000001", "s40")]
+        ir = [det(BBox(200, 200, 200, 240), 0.8, "ir", "000001", "s40")]
+        if side == "detection":
+            gts = gts[:1]
+            message = "ir detection (200.0, 200.0, 200.0, 240.0)"
+        else:
+            ir = []
+            message = "ground truth (50.0, 10.0, 50.0, 50.0)"
+        message = re.escape(f"degenerate aspect ratio: {message} of frame '000001' at scale s40")
+        record = FrameRecord("000001", "day", [GroundTruthBox(b) for b in gts])
+        with pytest.raises(ValueError, match=message):
+            corpus_reliability(vis + ir, [record])
+        with pytest.raises(ValueError, match=message):
+            reliability(vis, ir, gts)
+        maps = np.ones((1, 1, 8, 8))
+        with pytest.raises(ValueError, match=message):
+            modality_alignment_loss(vis, ir, gts, maps, maps, stride=16.0)
+
 
 class TestRoiAlign:
     def test_constant_field(self):
@@ -169,6 +208,14 @@ class TestRoiAlign:
         fmap[0, 0, 2:5, 3:6] = 7.5  # 3x3 flat neighborhood around pixel (3, 4)
         features = roi_align(fmap, [BBox(4.0, 3.0, 5.0, 4.0)])
         np.testing.assert_allclose(features, 7.5, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "shape", [(1, 2, 0, 16), (1, 2, 16, 0), (0, 2, 16, 16), (1, 0, 16, 16)]
+    )
+    def test_empty_axis_rejected_naming_the_shape(self, shape):
+        # These used to leak IndexError or ZeroDivisionError.
+        with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+            roi_align(np.ones(shape), [BBox(1, 1, 5, 5)])
 
     def test_degenerate_box_rejected(self):
         with pytest.raises(ValueError, match="positive area"):
@@ -522,6 +569,16 @@ class TestAlignmentPipeline:
         message = re.escape(f"shape mismatch: vis (3, 4, 16, 16) vs ir {ir_shape}")
         with pytest.raises(ValueError, match=message):
             modality_alignment_loss(dets, dets, gts, vis_map, ir_map)
+
+    @pytest.mark.parametrize("shape", [(1, 2, 0, 16), (0, 2, 16, 16)])
+    def test_feature_maps_with_an_empty_axis_rejected_naming_the_shape(self, shape):
+        gts = [BBox(0, 0, 10, 10)]
+        dets = [det(BBox(0, 0, 10, 10), 0.9)]
+        message = re.escape(f"vis feature map, vis reference boxes: feature map: ") + ".*" + (
+            re.escape(f"got shape {shape}")
+        )
+        with pytest.raises(ValueError, match=message):
+            modality_alignment_loss(dets, dets, gts, np.ones(shape), np.ones(shape))
 
     def test_zero_norm_feature_names_the_map_and_the_box(self):
         # The vis boxes match the ground truths exactly, so they are the

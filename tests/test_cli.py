@@ -589,6 +589,62 @@ class TestKlLoss:
         err = capsys.readouterr().err
         assert f"{features}: shape mismatch: vis (3, 4, 16, 16) vs ir {ir_shape}" in err
 
+    @pytest.mark.parametrize("shape", [(1, 2, 0, 16), (0, 2, 16, 16), (1, 0, 16, 16)])
+    def test_feature_maps_with_an_empty_axis_fail_naming_file_and_shape(
+        self, tmp_path, capsys, shape
+    ):
+        # These used to print an IndexError or ZeroDivisionError message.
+        features = tmp_path / "feat.sftn"
+        save_tensors(features, {"vis": np.ones(shape), "ir": np.ones(shape)}, TENSORS_MAGIC)
+        det_file = tmp_path / "dets.txt"
+        det_file.write_text("f1 vis s80 8 8 24 40 0.9\nf1 ir s80 8 8 24 40 0.8\n", "utf-8")
+        ann = tmp_path / "f1.txt"
+        write_annotation(ann, ["person 8 8 16 32 0"])
+        args = ["kl-loss", "--features", str(features), "--detections", str(det_file)]
+        assert main(args + ["--annotations", str(ann)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {features}: ") and f"got shape {shape}" in err
+
+    @pytest.mark.parametrize("side", ["detection", "ground truth"])
+    def test_degenerate_box_names_its_file_frame_scale_and_corners(self, tmp_path, capsys, side):
+        # Both used to print only "degenerate aspect ratio".
+        features = tmp_path / "feat.sftn"
+        save_tensors(features, {"vis": np.ones((1, 1, 8, 8)), "ir": np.ones((1, 1, 8, 8))},
+                     TENSORS_MAGIC)
+        det_file = tmp_path / "dets.txt"
+        lines = ["f1 vis s40 10 10 40 100 0.9", "f1 ir s40 50 10 50 50 0.8"]
+        ann = tmp_path / "f1.txt"
+        gts = ["person 10 10 30 90 0", "person 50 10 0 40 0"]
+        if side == "detection":
+            det_file.write_text("\n".join(lines) + "\n", "utf-8")
+            write_annotation(ann, gts[:1])
+            expected = f"{det_file}: degenerate aspect ratio: ir detection"
+        else:
+            det_file.write_text(lines[0] + "\n", "utf-8")
+            write_annotation(ann, gts)
+            expected = f"{ann}: degenerate aspect ratio: ground truth"
+        args = ["kl-loss", "--features", str(features), "--detections", str(det_file)]
+        assert main(args + ["--annotations", str(ann), "--scale", "s40"]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {expected} (50.0, 10.0, 50.0, 50.0) of frame 'f1' at scale s40\n"
+
+    def test_all_ignored_ground_truths_name_the_annotations_frame_and_scale(
+        self, tmp_path, capsys
+    ):
+        # This used to print only "no reference objects".
+        features = tmp_path / "feat.sftn"
+        save_tensors(features, {"vis": np.ones((1, 1, 8, 8)), "ir": np.ones((1, 1, 8, 8))},
+                     TENSORS_MAGIC)
+        det_file = tmp_path / "dets.txt"
+        det_file.write_text("f1 vis s80 8 8 24 40 0.9\n", "utf-8")
+        ann = tmp_path / "f1.txt"
+        write_annotation(ann, ["people 8 8 16 32 0"])
+        args = ["kl-loss", "--features", str(features), "--detections", str(det_file)]
+        assert main(args + ["--annotations", str(ann)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {ann}: no reference objects")
+        assert "frame 'f1' at scale s80" in err
+
     @pytest.mark.parametrize(
         "flags, frame, scale",
         [(["--frame-id", "nope"], "nope", "s80"), (["--scale", "s40"], "f1", "s40")],
@@ -688,7 +744,23 @@ class TestReliabilityCommand:
             ["000001 vis s80 12 12 40 95 0.9", "000001 ir s80 200 200 200 240 0.9"],
         )
         assert code == 1
-        assert "degenerate aspect ratio" in captured.err
+        assert captured.err == (
+            f"error: {corpus / 'rel_dets.txt'}: degenerate aspect ratio: ir detection "
+            "(200.0, 200.0, 200.0, 240.0) of frame '000001' at scale s80\n"
+        )
+
+    def test_zero_width_ground_truth_in_scored_instance_fails_naming_its_file(
+        self, corpus, capsys
+    ):
+        # This used to print only "degenerate aspect ratio".
+        ann = corpus / "ann" / "000001.txt"
+        write_annotation(ann, ["person 10 10 30 90 0", "person 50 10 0 40 0"])
+        code, _, captured = self._run(corpus, capsys, ["000001 vis s80 12 12 40 95 0.9"])
+        assert code == 1
+        assert captured.err == (
+            f"error: {ann}: degenerate aspect ratio: ground truth (50.0, 10.0, 50.0, 50.0) "
+            "of frame '000001' at scale s80\n"
+        )
 
     def test_frames_absent_from_the_manifest_are_ignored(self, corpus, capsys):
         base = ["000001 vis s80 12 12 40 95 0.9", "000001 ir s80 10 10 40 100 0.8"]
@@ -746,8 +818,12 @@ class TestKernelCalls:
     once per NMS round), not once per frame."""
 
     def test_reliability_scores_the_corpus_with_one_ciou_call(self, tmp_path, monkeypatch):
-        from msfusion import balance
+        from msfusion import balance, geometry
 
+        # ciou_pairs is the one CIoU array kernel: reliability scores the
+        # corpus with one call, and kl-loss one instance with one call per
+        # modality.
+        assert not hasattr(geometry, "ciou_matrix") and not hasattr(balance, "ciou_matrix")
         dets = tmp_path / "dets.txt"
         _multi_frame_dump(dets)
         (tmp_path / "ann").mkdir()
@@ -759,20 +835,26 @@ class TestKernelCalls:
                            "annotations": f"ann/{f:06d}.txt"})
         write_manifest(tmp_path / "manifest.json", frames)
         calls = []
-        for kernel in ("ciou_matrix", "ciou_pairs"):
-            original = getattr(balance, kernel, None)
-            if original is not None:
-                def counting(*args, _original=original, **kwargs):
-                    calls.append(len(args[0]))
-                    return _original(*args, **kwargs)
+        original = balance.ciou_pairs
 
-                monkeypatch.setattr(balance, kernel, counting)
+        def counting(*args, **kwargs):
+            calls.append(len(args[0]))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(balance, "ciou_pairs", counting)
         out = tmp_path / "rel.tsv"
         args = ["reliability", "--detections", str(dets), "--manifest", str(tmp_path / "manifest.json")]
         assert main(args + ["--out", str(out)]) == 0
         rows = [l for l in out.read_text("utf-8").splitlines() if not l.startswith("#")]
         assert len(rows) == 12 * len(SCALES)
         assert len(calls) == 1
+        features = tmp_path / "feat.sftn"
+        maps = np.random.default_rng(9).uniform(0.1, 1.0, (2, 1, 2, 16, 16))
+        save_tensors(features, {"vis": maps[0], "ir": maps[1]}, TENSORS_MAGIC)
+        args = ["kl-loss", "--features", str(features), "--detections", str(dets)]
+        args += ["--annotations", str(tmp_path / "ann" / "000003.txt"), "--frame-id", "000003"]
+        assert main(args + ["--out", str(tmp_path / "kl.txt")]) == 0
+        assert calls[1:] == [14, 14]
 
     def test_nms_runs_one_iou_call_per_round_across_frames(self, tmp_path, monkeypatch):
         from msfusion import geometry

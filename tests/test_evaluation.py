@@ -201,16 +201,6 @@ class TestMissRateCurve:
                 flags |= {flag for _, flag in result.outcomes}
         assert flags == {"tp", "fp", "ignored"}
 
-    def test_sweep_thresholds_between_and_beyond_scores(self):
-        rng = RNG(32)
-        setting = STANDARD_SETTINGS["all"]
-        sweep = [1.5, 1.0, 0.95, 0.55, 0.55, 0.5, 0.25, 0.0, -0.5]
-        for _ in range(20):
-            records = self._records(rng, int(rng.integers(1, 6)))
-            got = miss_rate_curve(records, setting, "det", score_sweep=sweep)
-            assert got == miss_rate_curve_ref(records, setting, "det", score_sweep=sweep)
-            assert len(got) == len(set(sweep))
-
 
 def _hand_corpus():
     """Three frames, six ground truths, hand-placed tps and fps.

@@ -24,11 +24,8 @@ from msfusion.fusion import (
     gelu,
     global_response_norm,
     interleave_rows,
-    layer_norm,
-    merge_patches,
     pointwise_affine,
     softmax,
-    split_patches,
     strip_conv,
     temporal_adaptive_conv,
     temporal_fuse,
@@ -393,20 +390,18 @@ class TestGroupedConv:
             conv2d_same(rand_features((1, 4, 4, 4), 1), np.zeros((4, 4, 3, 3)), np.zeros(3))
 
 
-class TestPatches:
-    def test_patch_counts(self):
-        x = rand_features((2, 3, 16, 16), 40)
-        patched = split_patches(x, 4)
-        assert patched.shape == (2, 16, 3, 16)  # P = 16, S = 16
+def _patches(x, s):
+    # (F, C, H, W) cut into (F, P, C, S) patches, row-major, S = s * s.
+    f, c, h, w = x.shape
+    tiles = x.reshape(f, c, h // s, s, w // s, s).transpose(0, 2, 4, 1, 3, 5)
+    return tiles.reshape(f, (h // s) * (w // s), c, s * s)
 
-    def test_roundtrip_exact(self):
-        x = rand_features((2, 3, 12, 8), 41)
-        back = merge_patches(split_patches(x, 4), 4, 12, 8)
-        np.testing.assert_array_equal(back, x)
 
-    def test_indivisible_patch_size_rejected(self):
-        with pytest.raises(ValueError, match="patch size"):
-            split_patches(rand_features((1, 1, 10, 10), 1), 4)
+def _unpatch(z, s, h, w):
+    # The inverse of _patches.
+    f, _, c, _ = z.shape
+    tiles = z.reshape(f, h // s, w // s, c, s, s).transpose(0, 3, 1, 4, 2, 5)
+    return tiles.reshape(f, c, h, w)
 
 
 class TestTemporalFuse:
@@ -421,8 +416,8 @@ class TestTemporalFuse:
         z = (z - z.mean(axis=-1, keepdims=True)) / np.sqrt(
             z.var(axis=-1, keepdims=True) + 1e-5
         )
-        vis = merge_patches(z[..., : s * s], s, h, w)
-        ir = merge_patches(z[..., s * s :], s, h, w)
+        vis = _unpatch(z[..., : s * s], s, h, w)
+        ir = _unpatch(z[..., s * s :], s, h, w)
         fp = f * (h // s) * (w // s)
         out_vis, out_ir = temporal_fuse(
             vis,
@@ -433,7 +428,7 @@ class TestTemporalFuse:
             np.zeros(fp),
             s,
         )
-        # delta = layer_norm(z) which is ~z because z is pre-normalized
+        # delta is the layer norm of z, which is ~z because z is pre-normalized
         np.testing.assert_allclose(out_vis, 2 * vis, atol=1e-3)
         np.testing.assert_allclose(out_ir, 2 * ir, atol=1e-3)
 
@@ -447,16 +442,16 @@ class TestTemporalFuse:
         gamma = np.ones(2 * s * s)
         beta = np.zeros(2 * s * s)
         out_vis, out_ir = temporal_fuse(vis, ir, gamma, beta, weight, bias, s)
-        z = np.concatenate([split_patches(vis, s), split_patches(ir, s)], axis=-1)
+        z = np.concatenate([_patches(vis, s), _patches(ir, s)], axis=-1)
         mean = z.mean(axis=-1, keepdims=True)
         var = z.var(axis=-1, keepdims=True)
         normed = (z - mean) / np.sqrt(var + 1e-5)
         delta = 2.5 * normed + 0.25
         np.testing.assert_allclose(
-            out_vis, vis + merge_patches(delta[..., : s * s], s, s, s), atol=1e-12
+            out_vis, vis + _unpatch(delta[..., : s * s], s, s, s), atol=1e-12
         )
         np.testing.assert_allclose(
-            out_ir, ir + merge_patches(delta[..., s * s :], s, s, s), atol=1e-12
+            out_ir, ir + _unpatch(delta[..., s * s :], s, s, s), atol=1e-12
         )
 
     def test_bad_patch_size_rejected(self):
@@ -874,6 +869,11 @@ class TestActivations:
         assert np.all(out > 0)
 
 
+def _layer_norm(x, gamma, beta):
+    # The temporal mixer's layer norm over the last axis, into a new buffer.
+    return fusion_module._layer_norm_into(x, np.empty(x.shape), gamma, beta)
+
+
 class TestEpilogues:
     # The blocks write their results into buffers of their own, in the
     # order of the textbook formulas: the bytes match those formulas, and
@@ -884,7 +884,7 @@ class TestEpilogues:
         mean = z.mean(axis=-1, keepdims=True)
         var = z.var(axis=-1, keepdims=True)
         expected = (z - mean) / np.sqrt(var + 1e-5) * gamma + beta
-        assert layer_norm(z, gamma, beta).tobytes() == expected.tobytes()
+        assert _layer_norm(z, gamma, beta).tobytes() == expected.tobytes()
 
     def test_global_response_norm_is_the_textbook_formula(self):
         x = rand_features((3, 6, 5, 7), 73)
@@ -908,7 +908,7 @@ class TestEpilogues:
         temporal = [t(n) for n in ("temporal_ln_gamma", "temporal_ln_beta")]
         temporal += [t("mlp2_weight"), t("mlp2_bias")]
         return {
-            "layer_norm": (layer_norm, *rng.standard_normal((3, 3, 5, 8))),
+            "layer_norm": (_layer_norm, *rng.standard_normal((3, 3, 5, 8))),
             "gelu": (gelu, x),
             "global_response_norm": (global_response_norm, x, t("grn_gamma"), t("grn_beta")),
             "gated_strip_mix": (gated_strip_mix, x, *gate.values()),

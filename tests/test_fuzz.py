@@ -29,8 +29,6 @@ from msfusion.geometry import (
     Detection,
     DetectionTable,
     boxes_array,
-    ciou_matrix,
-    iou_matrix,
     nms,
     segment_pairs,
 )
@@ -45,6 +43,8 @@ from msfusion.ingest import (
     run_config_from_mapping,
 )
 from oracles import (
+    ciou_ref,
+    iou_ref,
     log_average_ref,
     loop_conv2d,
     loop_strip_conv,
@@ -475,14 +475,18 @@ corpus_dets = st.lists(
 
 
 def _old_reliability(vis, ir, gts, n_top):
-    # Reference arithmetic for one instance: a ciou_matrix row maximum per
-    # detection and the .mean() of each modality's sorted top slice.
+    # Reference arithmetic for one instance from the scalar oracle: each
+    # detection's best ciou_ref and the mean of each modality's sorted top
+    # slice. A modality with detections raises on a box without an aspect
+    # ratio among them or the ground truths.
     def top_mean(dets):
         if not dets:
             return 0.0, 0
-        scores = ciou_matrix(boxes_array(d.box for d in dets), boxes_array(gts)).max(axis=1)
-        k = min(n_top, scores.size)
-        return float(np.sort(scores)[::-1][:k].mean()), k
+        if any(min(b.width, b.height) <= 0.0 for b in [d.box for d in dets] + gts):
+            raise ValueError("degenerate aspect ratio")
+        scores = sorted((max(ciou_ref(d.box, g) for g in gts) for d in dets), reverse=True)
+        k = min(n_top, len(scores))
+        return sum(scores[:k]) / k, k
 
     (r_v, k_v), (r_t, k_t) = top_mean(vis), top_mean(ir)
     return ReliabilityReport(r_v, r_t, "ir" if r_t > r_v else "vis", k_t if r_t > r_v else k_v)
@@ -499,8 +503,7 @@ def _reliability_loop(dets, records, n_top, score):
         for scale in ("s80", "s40", "s20"):
             vis = [d for d in dets if (d.frame_id, d.scale_id, d.modality) == (record.frame_id, scale, "vis")]
             ir = [d for d in dets if (d.frame_id, d.scale_id, d.modality) == (record.frame_id, scale, "ir")]
-            corners = boxes_array([d.box for d in vis + ir])
-            if not (iou_matrix(corners, boxes_array(gts)) > 0.0).any():
+            if not any(iou_ref(d.box, g) > 0.0 for d in vis + ir for g in gts):
                 out.append((record.frame_id, scale, None))
             else:
                 out.append((record.frame_id, scale, score(vis, ir, gts, n_top)))
@@ -512,6 +515,28 @@ def _outcome(call, *args):
         return call(*args)
     except ValueError as err:
         return f"ValueError: {err}"
+
+
+def _close_to_reference(got, ref):
+    # The same instances and errors as the reference, and reliabilities
+    # within 1e-12 of it; the reference modality and n_used must agree
+    # except at a near tie, which rounding may tip either way.
+    if isinstance(ref, str):
+        return isinstance(got, str) and got.startswith(ref)
+    if isinstance(got, str) or [i[:2] for i in got] != [i[:2] for i in ref]:
+        return False
+    for (_, _, a), (_, _, b) in zip(got, ref):
+        if (a is None) != (b is None):
+            return False
+        if a is None:
+            continue
+        if abs(a.r_v - b.r_v) > 1e-12 or abs(a.r_t - b.r_t) > 1e-12:
+            return False
+        if abs(b.r_t - b.r_v) > 1e-12 and (a.reference_modality, a.n_used) != (
+            b.reference_modality, b.n_used
+        ):
+            return False
+    return True
 
 
 @given(
@@ -539,7 +564,7 @@ def test_corpus_reliability_matches_the_per_instance_loop(dets, frames, ids, n_t
     ]
     got = _outcome(corpus_reliability, DetectionTable.from_detections(dets), records, n_top)
     assert got == _outcome(_reliability_loop, dets, records, n_top, reliability)
-    assert got == _outcome(_reliability_loop, dets, records, n_top, _old_reliability)
+    assert _close_to_reference(got, _outcome(_reliability_loop, dets, records, n_top, _old_reliability))
     if not isinstance(got, str):  # the kernel takes a list as well as a table
         assert got == corpus_reliability(dets, records, n_top)
 

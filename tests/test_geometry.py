@@ -1,4 +1,4 @@
-"""Box algebra: IoU, CIoU, hulls, their matrix kernels, and greedy NMS."""
+"""Box algebra: IoU, CIoU, hulls, their pair kernels, and greedy NMS."""
 
 import math
 
@@ -14,12 +14,10 @@ from msfusion.geometry import (
     DetectionTable,
     boxes_array,
     ciou,
-    ciou_matrix,
     ciou_pairs,
     convex_hull,
     degenerate_rows,
     iou,
-    iou_matrix,
     iou_pairs,
     nms,
 )
@@ -152,9 +150,9 @@ class TestMatrixKernels:
 
     @given(st.lists(boxes(), max_size=6), st.lists(boxes(), max_size=6))
     @settings(max_examples=200)
-    def test_iou_matrix_equals_scalar_iou_bitwise(self, a, b):
+    def test_iou_pairs_on_a_grid_equal_scalar_iou_bitwise(self, a, b):
         # Degenerate and touching boxes included: hypothesis draws zero sizes.
-        got = iou_matrix(boxes_array(a), boxes_array(b))
+        got = iou_pairs(boxes_array(a)[:, None], boxes_array(b)[None])
         assert got.shape == (len(a), len(b))
         for i, p in enumerate(a):
             for j, q in enumerate(b):
@@ -162,22 +160,22 @@ class TestMatrixKernels:
 
     @given(st.lists(boxes(min_size=0.5), max_size=6), st.lists(boxes(min_size=0.5), max_size=6))
     @settings(max_examples=200)
-    def test_ciou_matrix_matches_scalar_ciou(self, pred, gt):
-        got = ciou_matrix(boxes_array(pred), boxes_array(gt))
-        assert got.shape == (len(pred), len(gt))
-        for i, p in enumerate(pred):
-            for j, q in enumerate(gt):
-                assert abs(got[i, j] - ciou(p, q)) <= 1e-15
+    def test_ciou_pairs_match_scalar_ciou(self, pred, gt):
+        rows = np.repeat(np.arange(len(pred)), len(gt))
+        cols = np.tile(np.arange(len(gt)), len(pred))
+        _, got = ciou_pairs(boxes_array(pred), boxes_array(gt), rows, cols)
+        assert got.shape == (len(pred) * len(gt),)
+        for k, (i, j) in enumerate(zip(rows.tolist(), cols.tolist())):
+            assert abs(got[k] - ciou(pred[i], gt[j])) <= 1e-15
 
     @given(st.lists(boxes(min_size=0.5), max_size=6), st.lists(boxes(min_size=0.5), max_size=6))
     @settings(max_examples=200)
-    def test_ciou_pairs_equal_the_matrix_kernels_bitwise(self, pred, gt):
+    def test_ciou_pairs_overlap_is_iou_pairs_in_any_pair_order(self, pred, gt):
         p, g = boxes_array(pred), boxes_array(gt)
         rows = np.repeat(np.arange(len(pred)), len(gt))
         cols = np.tile(np.arange(len(gt)), len(pred))
         overlap, score = ciou_pairs(p, g, rows, cols)
-        assert overlap.tobytes() == iou_matrix(p, g).tobytes()
-        assert score.tobytes() == ciou_matrix(p, g).tobytes()
+        assert overlap.tobytes() == iou_pairs(p[:, None], g[None]).tobytes()
         # Any pair order, repeats included, gives the same entries.
         order = np.random.default_rng(len(rows)).permutation(np.repeat(np.arange(len(rows)), 2))
         _, shuffled = ciou_pairs(p, g, rows[order], cols[order])
@@ -200,17 +198,10 @@ class TestMatrixKernels:
             overlap, _ = ciou_pairs(corners, corners, np.arange(3), np.zeros(3, dtype=int))
         assert overlap.tolist() == [1.0, 0.0, 0.0]
 
-    def test_ciou_matrix_identical_boxes_score_one(self):
+    def test_ciou_pairs_identical_boxes_score_one(self):
         corners = boxes_array([box(0, 0, 4, 4), box(1, 2, 7, 3)])
-        np.testing.assert_array_equal(np.diag(ciou_matrix(corners, corners)), [1.0, 1.0])
-
-    @pytest.mark.parametrize("side", ["pred", "gt"])
-    def test_ciou_matrix_degenerate_box_raises(self, side):
-        good = boxes_array([box(0, 0, 2, 2), box(1, 1, 4, 5)])
-        flat = boxes_array([box(0, 0, 2, 2), box(0, 0, 5, 0)])
-        pred, gt = (flat, good) if side == "pred" else (good, flat)
-        with pytest.raises(ValueError, match="degenerate aspect ratio"):
-            ciou_matrix(pred, gt)
+        _, score = ciou_pairs(corners, corners, np.arange(2), np.arange(2))
+        np.testing.assert_array_equal(score, [1.0, 1.0])
 
 
 class TestConvexHull:
@@ -290,13 +281,13 @@ class TestNMS:
     def test_scores_one_row_per_kept_box(self, monkeypatch):
         # Memory guard: NMS never builds more than one IoU row at a time.
         rows = []
-        original = geometry.iou_matrix
+        original = geometry.iou_pairs
 
         def recording(a, b):
-            rows.append(a.shape[0])
+            rows.append(a.shape)
             return original(a, b)
 
-        monkeypatch.setattr(geometry, "iou_matrix", recording)
+        monkeypatch.setattr(geometry, "iou_pairs", recording)
         rng = np.random.default_rng(13)
         dets = []
         for _ in range(200):
@@ -304,7 +295,7 @@ class TestNMS:
             w, h = rng.uniform(5, 30, 2)
             dets.append(det(x0, y0, x0 + w, y0 + h, float(rng.uniform(0, 1))))
         kept = nms(dets, 0.3)
-        assert rows and set(rows) == {1} and len(rows) <= len(kept)
+        assert rows and set(rows) == {(4,)} and len(rows) <= len(kept)
 
     def test_per_frame_runs_each_frame_alone_in_sorted_frame_order(self):
         rng = np.random.default_rng(15)
