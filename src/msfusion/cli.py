@@ -216,7 +216,8 @@ def _cmd_reliability(args: argparse.Namespace) -> int:
 def _cmd_forward(args: argparse.Namespace) -> int:
     weights = FusionWeights.load(args.weights)
     tensors = _load_pair(args.input)
-    fused_vis, fused_ir = fusion_forward(tensors["vis"], tensors["ir"], weights)
+    # Handed over, not shared, so the forward can free the maps after dws.
+    fused_vis, fused_ir = fusion_forward(tensors.pop("vis"), tensors.pop("ir"), weights)
     save_tensors(args.out, {"vis": fused_vis, "ir": fused_ir}, TENSORS_MAGIC)
     print(f"wrote fused tensors {tuple(fused_vis.shape)} to {args.out}")
     return 0

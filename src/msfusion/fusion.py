@@ -22,21 +22,36 @@ from .containers import WEIGHTS_MAGIC, load_tensors, save_tensors
 LAYER_NORM_EPS = 1e-5
 GRN_EPS = 1e-6
 
+# The L2 cache of one core. Blocked kernels size their blocks to it, so a
+# temporary is one block long rather than the size of a feature map.
+_L2_BYTES = 2 << 20
+
+
+def _block(item_bytes: int) -> int:
+    # Items per block of about _L2_BYTES: at least one, also for empty items.
+    return max(1, _L2_BYTES // max(item_bytes, 1))
+
 
 def gelu(x: np.ndarray) -> np.ndarray:
-    """Exact Gaussian error linear unit.
+    """Exact Gaussian error linear unit, 0.5 * x * (1 + erf(x / sqrt(2))).
 
-    ``scipy.special`` is imported on the first call rather than with the
-    package: it is most of the import time, and only the forward pass needs it.
+    Computed in that order block by block into the output, so each
+    temporary is one block long. ``scipy.special`` is imported on the first
+    call rather than with the package: it is most of the import time, and
+    only the forward pass needs it.
     """
     from scipy.special import erf
 
-    # 0.5 * x * (1 + erf(x / sqrt(2))) in that order, in one buffer.
     x = np.asarray(x, dtype=np.float64)
-    out = np.divide(x, np.sqrt(2.0), out=np.empty_like(x))
-    erf(out, out=out)
-    out += 1.0
-    out *= 0.5 * x
+    out = np.empty(x.shape)
+    flat, out_flat = x.reshape(-1), out.reshape(-1)
+    step = _block(3 * flat.itemsize)  # a block of x, of out and of 0.5 * x
+    for start in range(0, flat.size, step):
+        xb, ob = flat[start : start + step], out_flat[start : start + step]
+        np.divide(xb, np.sqrt(2.0), out=ob)
+        erf(ob, out=ob)
+        ob += 1.0
+        ob *= 0.5 * xb
     return out
 
 
@@ -58,6 +73,16 @@ def _layer_norm_into(
     out *= gamma
     out += beta
     return out
+
+
+def _layer_norm_rows(z: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> None:
+    # _layer_norm_into over the last axis of contiguous z, in place, in
+    # blocks of rows so the squares it takes are one block long.
+    rows = z.reshape(-1, z.shape[-1])
+    step = _block(2 * rows.shape[1] * rows.itemsize)
+    for start in range(0, len(rows), step):
+        block = rows[start : start + step]
+        _layer_norm_into(block, block, gamma, beta)
 
 
 def _as_features(x: np.ndarray, name: str = "input") -> np.ndarray:
@@ -108,10 +133,11 @@ def _depthwise(x: np.ndarray, *kernels: np.ndarray) -> list[np.ndarray]:
     (C, kh, kw).
 
     The path follows each kernel's tap count. Kernels of at least
-    ``_FFT_MIN_TAPS`` taps multiply spectra in ``_spectral_depthwise``: one
-    rfft2 of ``x`` serves all of them, zero-padded to fast sizes of at least
-    H + rh and W + rw, where rh and rw are the largest half-sides
-    (kh // 2, kw // 2) among them. The wrapped tail of a circular
+    ``_FFT_MIN_TAPS`` taps multiply spectra in ``_spectral_depthwise``, in
+    channel blocks of about one L2 cache, so only the outputs are full size:
+    per block, one rfft2 of ``x`` serves all of them, zero-padded to fast
+    sizes of at least H + rh and W + rw, where rh and rw are the largest
+    half-sides (kh // 2, kw // 2) among them. The wrapped tail of a circular
     correlation that long never reaches the "same" crop, so the full
     correlation (H + kh - 1) is not needed. Smaller kernels run one
     einsum over the sliding windows, which is faster there. Best of 5 per
@@ -131,9 +157,11 @@ def _depthwise(x: np.ndarray, *kernels: np.ndarray) -> list[np.ndarray]:
     11x11 per channel     (3, 64, 20, 20)      13 ms     3 ms
     ====================  ===================  ========  ========
 
-    The two paths differ by rounding only; both are deterministic run to
-    run. ``scipy.fft`` is imported on the first large kernel, as ``gelu``
-    imports ``erf``.
+    The FFT column predates the channel blocks; alternated with the
+    whole-tensor transform in one process, the blocked one was as fast or
+    faster on every row. The two paths differ by rounding only; both are
+    deterministic run to run. ``scipy.fft`` is imported on the first large
+    kernel, as ``gelu`` imports ``erf``.
     """
     large = [k for k in kernels if k.shape[-2] * k.shape[-1] >= _FFT_MIN_TAPS]
     spectral = iter(_spectral_depthwise(x, large) if large else ())
@@ -150,28 +178,41 @@ def _depthwise(x: np.ndarray, *kernels: np.ndarray) -> list[np.ndarray]:
 
 
 def _spectral_depthwise(x: np.ndarray, kernels: list[np.ndarray]) -> list[np.ndarray]:
-    # Depthwise "same" correlations on the FFT, one rfft2 of x for all the
-    # kernels. Each flipped kernel is zero-padded on both sides to the
-    # largest half-sides (rh, rw), so every product is cropped at the same
-    # window [rh, rh + H) x [rw, rw + W). Where the FFT size is below the
-    # padded kernel (maps smaller than it), rfft2 drops kernel rows or
-    # columns that no output in the crop reads.
+    # Depthwise "same" correlations on the FFT, in channel blocks of about
+    # _L2_BYTES of padded planes. Per block, one rfft2 of x serves all the
+    # kernels, and each product's crop is written into that kernel's
+    # output. pocketfft transforms each plane on its own, so the blocks give
+    # the bits of one whole-tensor transform. Each flipped kernel is
+    # zero-padded on both sides to the largest half-sides (rh, rw), so every
+    # product is cropped at the same window [rh, rh + H) x [rw, rw + W). A
+    # shared (kh, kw) kernel's spectrum is taken once per call, a
+    # per-channel kernel's per block. Where the FFT size is below the padded
+    # kernel (maps smaller than it), rfft2 drops kernel rows or columns that
+    # no output in the crop reads.
     from scipy.fft import irfft2, next_fast_len, rfft2
 
-    height, width = x.shape[2:]
+    frames, channels, height, width = x.shape
     rh = max(k.shape[-2] for k in kernels) // 2
     rw = max(k.shape[-1] for k in kernels) // 2
     size = (next_fast_len(height + rh, True), next_fast_len(width + rw, True))
-    spectrum = rfft2(x, size)
-    out = []
-    for i, kernel in enumerate(kernels):
+
+    def kernel_spectrum(kernel: np.ndarray) -> np.ndarray:
         dh, dw = rh - kernel.shape[-2] // 2, rw - kernel.shape[-1] // 2
         pad = [(0, 0)] * (kernel.ndim - 2) + [(dh, dh), (dw, dw)]
-        kernel_spectrum = rfft2(np.pad(kernel[..., ::-1, ::-1], pad), size)
-        last = i == len(kernels) - 1  # the last product may take the spectrum's buffer
-        product = np.multiply(spectrum, kernel_spectrum, out=spectrum if last else None)
-        full = irfft2(product, size)
-        out.append(np.ascontiguousarray(full[:, :, rh : rh + height, rw : rw + width]))
+        return rfft2(np.pad(kernel[..., ::-1, ::-1], pad), size)
+
+    shared = [kernel_spectrum(k) if k.ndim == 2 else None for k in kernels]
+    out = [np.empty(x.shape) for _ in kernels]
+    step = _block(frames * size[0] * size[1] * x.itemsize)  # one channel's padded planes
+    for c0 in range(0, channels, step):
+        block = slice(c0, c0 + step)
+        spectrum = rfft2(x[:, block], size)
+        for i, kernel in enumerate(kernels):
+            ks = kernel_spectrum(kernel[block]) if shared[i] is None else shared[i]
+            last = i == len(kernels) - 1  # the last product may take the spectrum's buffer
+            product = np.multiply(spectrum, ks, out=spectrum if last else None)
+            full = irfft2(product, size)
+            out[i][:, block] = full[:, :, rh : rh + height, rw : rw + width]
     return out
 
 
@@ -323,8 +364,8 @@ def cascade_strip_mix(
 
     Channels split into equal groups, one per kernel pair; group g sees its
     slice plus the previous group's output (group 0 has no addend), then a
-    row strip pass followed by a column strip pass. Groups are concatenated
-    back in order.
+    row strip pass followed by a column strip pass. Each group's output is
+    written into its channels of one output tensor.
     """
     x = _as_features(x)
     row_kernels = np.asarray(row_kernels, dtype=np.float64)
@@ -343,16 +384,14 @@ def cascade_strip_mix(
             f"cascade mix: {channels} channels not divisible by {n_groups} groups"
         )
     per_group = channels // n_groups
-    outputs: list[np.ndarray] = []
-    previous: np.ndarray | None = None
+    out = np.empty(x.shape)
     for g in range(n_groups):
-        xg = x[:, g * per_group : (g + 1) * per_group]
-        if previous is not None:
-            xg = xg + previous
-        yg = strip_conv(strip_conv(xg, row_kernels[g]), col_kernels[g])
-        outputs.append(yg)
-        previous = yg
-    return np.concatenate(outputs, axis=1)
+        group = slice(g * per_group, (g + 1) * per_group)
+        xg = x[:, group]
+        if g:  # plus the previous group's output
+            xg = xg + out[:, group.start - per_group : group.start]
+        out[:, group] = strip_conv(strip_conv(xg, row_kernels[g]), col_kernels[g])
+    return out
 
 
 def gated_strip_mix(
@@ -442,9 +481,12 @@ def channel_mix(
     x = _as_features(x)
     if groups is None:
         groups = x.shape[1]
+    # Each stage rebinds y, so its input is freed as soon as it returns.
     y = conv2d_same(x, conv_weight, conv_bias, groups=groups)
     y = global_response_norm(y, grn_gamma, grn_beta)
-    y = pointwise_affine(gelu(pointwise_affine(y, mlp_w1, mlp_b1)), mlp_w2, mlp_b2)
+    y = pointwise_affine(y, mlp_w1, mlp_b1)
+    y = gelu(y)
+    y = pointwise_affine(y, mlp_w2, mlp_b2)
     y += x
     return y
 
@@ -471,9 +513,9 @@ def temporal_fuse(
 
     Both modalities are cut into patches, concatenated along the patch
     feature axis (visible first) and layer normalized over that axis, as
-    one contiguous (F*P, C*2S) matrix. One affine map over its rows mixes
-    the merged frame/patch axis, and the mixed patches are added to the
-    inputs through the inverse of the patch view.
+    one contiguous (F*P, C*2S) matrix, in blocks of rows. One affine map
+    over its rows mixes the merged frame/patch axis, and the mixed patches
+    are added to the inputs through the inverse of the patch view.
     """
     vis = _as_features(vis, "vis")
     ir = _as_features(ir, "ir")
@@ -497,10 +539,11 @@ def temporal_fuse(
     pairs = z.reshape(f, h // s, w // s, c, 2, s, s)
     pairs[..., 0, :, :] = vis_tiles
     pairs[..., 1, :, :] = ir_tiles
-    _layer_norm_into(z, z, ln_gamma, ln_beta)
+    _layer_norm_rows(z, ln_gamma, ln_beta)
     mixed = mlp2_weight @ z.reshape(f * p, c * 2 * s * s)
+    del z, pairs  # freed before the outputs are allocated
     mixed += mlp2_bias[:, None]
-    mixed = mixed.reshape(pairs.shape)
+    mixed = mixed.reshape(f, h // s, w // s, c, 2, s, s)
     vis_out, ir_out = np.empty(vis.shape), np.empty(ir.shape)
     np.add(vis_tiles, mixed[..., 0, :, :], out=_tiles(vis_out, s))
     np.add(ir_tiles, mixed[..., 1, :, :], out=_tiles(ir_out, s))
@@ -530,9 +573,12 @@ def temporal_adaptive_conv(
 
     This is a standalone block: ``fusion_forward`` does not call it. Its
     ``tada_*`` tensors ride along in the weights container. A non-finite
-    value in any of them raises, naming its ``TADA_SCHEMA`` tensor.
+    value in any of them raises, naming its ``TADA_SCHEMA`` tensor, and so
+    does a clip with an empty axis, naming its shape.
     """
     x = _as_features(x)
+    if 0 in x.shape:
+        raise ValueError(f"clip: expected (F, C, H, W), no axis empty, got shape {x.shape}")
     weights = (base_weight, base_bias, conv1_w, conv1_b, conv2_w, conv2_b, fc_w, fc_b)
     for spec, value in zip(TADA_SCHEMA, weights):
         if not np.isfinite(np.asarray(value, dtype=np.float64)).all():
@@ -793,23 +839,29 @@ def fusion_forward(
     weights.validate(f, c, h, w)
     t = weights.tensor
 
+    # Each intermediate is dropped after its last use, so the working set
+    # holds a few feature maps at a time rather than every one.
     with _named_block("dws"):
         vis_pre = dws_conv(
             vis, t("dws_depth_vis"), t("dws_point_vis"), t("dws_point_bias_vis")
         )
+        del vis  # freed here unless the caller still holds it
         ir_pre = dws_conv(
             ir, t("dws_depth_ir"), t("dws_point_ir"), t("dws_point_bias_ir")
         )
+        del ir
     with _named_block("mlp1"):
         vis1 = pointwise_affine(vis_pre, t("mlp1_weight"), t("mlp1_bias"))
+        del vis_pre
         ir1 = pointwise_affine(ir_pre, t("mlp1_weight"), t("mlp1_bias"))
+        del ir_pre
 
+    # The first taps live on as the even (visible) and odd (thermal) rows.
     stacked = interleave_rows(vis1, ir1)
+    del vis1, ir1
     half = c // 2
-    with _named_block("cascade mix"):
-        long_range = cascade_strip_mix(
-            stacked[:, :half], t("cascade_row_kernels"), t("cascade_col_kernels")
-        )
+    # The gated mixer's working set is the larger, so it runs before the
+    # cascade's output exists.
     with _named_block("gated mix"):
         local = gated_strip_mix(
             stacked[:, half:],
@@ -822,21 +874,27 @@ def fusion_forward(
             t("gate_proj_weight"),
             t("gate_proj_bias"),
         )
-    with _named_block("merge"):
-        merged = pointwise_affine(
-            np.concatenate([long_range, local], axis=1),
-            t("merge_weight"),
-            t("merge_bias"),
+    with _named_block("cascade mix"):
+        long_range = cascade_strip_mix(
+            stacked[:, :half], t("cascade_row_kernels"), t("cascade_col_kernels")
         )
-    vis_mid = merged[:, :, 0::2] + vis1  # deinterleaved, plus the first taps
-    ir_mid = merged[:, :, 1::2] + ir1
+    with _named_block("merge"):
+        merge_in = np.concatenate([long_range, local], axis=1)
+        del long_range, local
+        merged = pointwise_affine(merge_in, t("merge_weight"), t("merge_bias"))
+        del merge_in
+    vis_mid = merged[:, :, 0::2] + stacked[:, :, 0::2]  # deinterleaved, plus the first taps
+    ir_mid = merged[:, :, 1::2] + stacked[:, :, 1::2]
+    del merged, stacked
 
     groups = weights.mix_groups()
     mix = [t(n) for n in ("mix_conv_weight", "mix_conv_bias", "grn_gamma", "grn_beta")]
     mix += [t(n) for n in ("mix_mlp_w1", "mix_mlp_b1", "mix_mlp_w2", "mix_mlp_b2")]
     with _named_block("channel mix"):
         vis2 = channel_mix(vis_mid, *mix, groups=groups)
+        del vis_mid
         ir2 = channel_mix(ir_mid, *mix, groups=groups)
+        del ir_mid
     with _named_block("temporal fuse"):
         return temporal_fuse(
             vis2,

@@ -1,8 +1,10 @@
 """Fusion block forward pass: per-op oracles, degenerate forms, determinism."""
 
 import os
+import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -124,6 +126,128 @@ class TestLargeKernelPath:
             rtol=0,
             atol=1e-10,
         )
+
+
+def _one_shot_spectral(x, kernels):
+    # _spectral_depthwise as one whole-tensor transform: the bits its
+    # channel blocks must give.
+    from scipy.fft import irfft2, next_fast_len, rfft2
+
+    height, width = x.shape[2:]
+    rh = max(k.shape[-2] for k in kernels) // 2
+    rw = max(k.shape[-1] for k in kernels) // 2
+    size = (next_fast_len(height + rh, True), next_fast_len(width + rw, True))
+    spectrum = rfft2(x, size)
+    out = []
+    for kernel in kernels:
+        dh, dw = rh - kernel.shape[-2] // 2, rw - kernel.shape[-1] // 2
+        pad = [(0, 0)] * (kernel.ndim - 2) + [(dh, dh), (dw, dw)]
+        product = spectrum * rfft2(np.pad(kernel[..., ::-1, ::-1], pad), size)
+        out.append(irfft2(product, size)[:, :, rh : rh + height, rw : rw + width])
+    return out
+
+
+def _one_shot_gelu(x):
+    from scipy.special import erf
+
+    return 0.5 * x * (1.0 + erf(x / np.sqrt(2.0)))
+
+
+def _one_shot_temporal_fuse(vis, ir, gamma, beta, weight, bias, s):
+    # temporal_fuse with its layer norm over the whole patch matrix at once.
+    f, c, h, w = vis.shape
+    z = np.concatenate([_patches(vis, s), _patches(ir, s)], axis=-1)
+    centered = z - z.mean(axis=-1, keepdims=True)
+    var = (centered * centered).sum(axis=-1, keepdims=True) / z.shape[-1]
+    normed = centered / np.sqrt(var + 1e-5) * gamma + beta
+    mixed = (weight @ normed.reshape(weight.shape[0], -1) + bias[:, None]).reshape(z.shape)
+    return (
+        vis + _unpatch(mixed[..., : s * s], s, h, w),
+        ir + _unpatch(mixed[..., s * s :], s, h, w),
+    )
+
+
+class TestBlockEdges:
+    # The FFT, GELU and layer-norm kernels run in blocks of about one L2
+    # cache. Each must give the bits of its one-shot form: at a patched
+    # block of 4 items, on counts one below, at and one above the block
+    # (and at several blocks), and at the real block size.
+    STEP = 4
+
+    @pytest.fixture
+    def step(self, monkeypatch):
+        monkeypatch.setattr(fusion_module, "_block", lambda item_bytes: self.STEP)
+        return self.STEP
+
+    @pytest.mark.parametrize("channels", [STEP - 1, STEP, STEP + 1, 3 * STEP + 2])
+    @pytest.mark.parametrize(
+        "x_side, ksizes",
+        [
+            ((9, 8), [(11, 11)]),
+            ((16, 8), [(5, 7), (7, 5)]),  # two kernels share each block's transform
+            ((3, 2), [(11, 11)]),  # map smaller than the kernel
+            ((2, 5), [(7, 9), (5, 5)]),
+        ],
+    )
+    @pytest.mark.parametrize("per_channel", [False, True], ids=["shared", "per_channel"])
+    def test_spectral_depthwise_blocks(self, step, channels, x_side, ksizes, per_channel):
+        x = rand_features((2, channels) + x_side, 95)
+        rng = RNG(96)
+        kernels = [rng.standard_normal((channels,) * per_channel + k) for k in ksizes]
+        got = fusion_module._spectral_depthwise(x, kernels)
+        for a, b in zip(got, _one_shot_spectral(x, kernels)):
+            assert np.array_equal(a, b)
+
+    def test_spectral_depthwise_at_the_real_block(self):
+        # 50 channels of 40x40 planes padded to 45x45 over 3 frames: 43 per
+        # 2 MB block, so two blocks.
+        x = rand_features((3, 50, 40, 40), 97)
+        kernels = [RNG(98).standard_normal((50, 11, 11)), RNG(99).standard_normal((11, 11))]
+        got = fusion_module._spectral_depthwise(x, kernels)
+        for a, b in zip(got, _one_shot_spectral(x, kernels)):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("size", [0, STEP - 1, STEP, STEP + 1, 3 * STEP + 2])
+    def test_gelu_blocks(self, step, size):
+        x = 4.0 * rand_features(size, 100)
+        assert np.array_equal(gelu(x), _one_shot_gelu(x))
+
+    # 87,381 values per 2 MB block of x, the output and 0.5 * x.
+    @pytest.mark.parametrize("size", [87380, 87381, 87382, 2 * 87381 + 5])
+    def test_gelu_at_the_real_block(self, size):
+        x = 4.0 * rand_features(size, 101)
+        assert np.array_equal(gelu(x), _one_shot_gelu(x))
+        assert np.array_equal(gelu(x.reshape(1, -1, 1)), _one_shot_gelu(x).reshape(1, -1, 1))
+
+    @pytest.mark.parametrize("rows", [STEP - 1, STEP, STEP + 1, 3 * STEP + 2])
+    def test_temporal_fuse_layer_norm_blocks(self, step, rows):
+        # One frame of one 2x2 patch per channel: C rows of 2S = 8 values.
+        vis, ir = 3.0 * rand_features((2, 1, rows, 2, 2), 102) + 1.0
+        rng = RNG(103)
+        args = (*rng.standard_normal((2, 8)), rng.standard_normal((1, 1)), rng.standard_normal(1), 2)
+        got = temporal_fuse(vis, ir, *args)
+        for a, b in zip(got, _one_shot_temporal_fuse(vis, ir, *args)):
+            assert np.array_equal(a, b)
+
+    def test_temporal_fuse_layer_norm_at_the_real_block(self):
+        # F*P*C = 3 * 16 * 200 = 9,600 rows of 2S = 32 values, 4,096 rows
+        # per block: two full blocks and a part.
+        vis, ir = rand_features((2, 3, 200, 16, 16), 104)
+        rng = RNG(105)
+        args = (*rng.standard_normal((2, 32)), rng.standard_normal((48, 48)), rng.standard_normal(48), 4)
+        got = temporal_fuse(vis, ir, *args)
+        for a, b in zip(got, _one_shot_temporal_fuse(vis, ir, *args)):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("shape", [(0, 3, 6, 6), (2, 0, 6, 6), (2, 3, 0, 6), (2, 3, 6, 0)])
+    def test_empty_axes_give_empty_outputs(self, shape):
+        x = np.ones(shape)
+        for kernel in (np.ones((5, 7)), np.ones((shape[1], 11, 11))):
+            assert strip_conv(x, kernel).shape == shape
+        assert gelu(x).shape == shape
+        if shape[1]:  # depthwise needs a channel to group by
+            weight = np.ones((shape[1], 1, 11, 11))
+            assert conv2d_same(x, weight, np.ones(shape[1]), groups=shape[1]).shape == shape
 
 
 class TestDwsConv:
@@ -606,6 +730,15 @@ class TestTemporalAdaptiveConv:
         with pytest.raises(ValueError, match=f"tensor '{spec.name}' has non-finite values"):
             temporal_adaptive_conv(rand_features((2, 8, 8, 8), 80), *tensors)
 
+    @pytest.mark.parametrize("shape", [(0, 4, 5, 5), (2, 0, 5, 5), (2, 4, 0, 5), (2, 4, 5, 0)])
+    def test_empty_axis_rejected_naming_the_shape(self, shape):
+        # F = 0 used to leak numpy's "window shape cannot be larger than
+        # input array shape", and H = 0 a "Mean of empty slice" warning.
+        with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+            temporal_adaptive_conv(
+                np.ones(shape), np.zeros((4, 4, 3, 3)), np.zeros(4), **self._calib(4, 2, 81)
+            )
+
 
 class TestFusionWeights:
     def test_seeded_is_deterministic(self):
@@ -838,6 +971,24 @@ class TestFusionForward:
         with pytest.raises(ValueError, match="cascade mix: .*odd"):
             fusion_forward(vis, vis, w)
 
+    def test_working_set_stays_within_six_inputs(self):
+        # Every intermediate is dropped at its last use, and the FFT, GELU
+        # and layer-norm temporaries are one block long, so the forward's
+        # own allocations peak below 6x its two input maps (10.3x when each
+        # intermediate lived until the return).
+        w = FusionWeights.seeded(FusionConfig(frames=3, channels=16, height=32, width=32), 6)
+        vis, ir = rand_features((2, 3, 16, 32, 32), 69)
+        before = vis.tobytes(), ir.tobytes()
+        fusion_forward(vis, ir, w)  # imports scipy outside the traced call
+        tracemalloc.start()
+        try:
+            fusion_forward(vis, ir, w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * (vis.nbytes + ir.nbytes)
+        assert (vis.tobytes(), ir.tobytes()) == before
+
 
 class TestActivations:
     def test_gelu_matches_reference(self):
@@ -845,11 +996,8 @@ class TestActivations:
         np.testing.assert_allclose(gelu(x), gelu_ref(x), atol=1e-12)
 
     def test_gelu_is_exactly_scipy_erf(self):
-        from scipy.special import erf
-
         x = np.concatenate([np.linspace(-8, 8, 1001), [0.0, -0.0, 1e-300, -1e-300, 40.0]])
-        expected = 0.5 * x * (1.0 + erf(x / np.sqrt(2.0)))
-        assert gelu(x).tobytes() == expected.tobytes()
+        assert gelu(x).tobytes() == _one_shot_gelu(x).tobytes()
 
     def test_package_import_leaves_scipy_unloaded(self):
         # scipy.special (gelu's erf) is most of the import time, and
