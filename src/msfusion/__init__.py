@@ -71,7 +71,6 @@ from .geometry import (
 )
 from .ingest import (
     Manifest,
-    ManifestFrame,
     RunConfig,
     attach_detections,
     format_results,

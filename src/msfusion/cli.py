@@ -191,8 +191,8 @@ def _cmd_reliability(args: argparse.Namespace) -> int:
     try:
         reports = corpus_reliability(dets, truths, cfg.n_top)
     except _DegenerateBox as err:  # name the dump, or the annotations of the box's frame
-        frame = next(f for f in manifest.frames if f.frame_id == err.frame_id)
-        source = manifest.root / frame.annotations if err.truth else args.detections
+        name = manifest.annotations[manifest.frame_ids.index(err.frame_id)]
+        source = manifest.root / name if err.truth else args.detections
         raise ValueError(f"{source}: {err}") from None
     if all(report is None for _, _, report in reports):
         raise ValueError(

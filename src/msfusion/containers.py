@@ -8,6 +8,7 @@ precision in manifest order.
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -97,7 +98,7 @@ def load_tensors(path: str | Path, magic: bytes | None = None) -> dict[str, np.n
 
     tensors: dict[str, np.ndarray] = {}
     for name, shape in manifest:
-        size = int(np.prod(shape, dtype=np.int64)) if shape else 1
+        size = math.prod(shape)  # Python ints: an int64 product can wrap
         end = offset + 4 * size
         if end > len(raw):
             raise ValueError(f"{path}: truncated payload for tensor {name!r}")

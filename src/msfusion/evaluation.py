@@ -474,18 +474,15 @@ def evaluate_matrix(
     has MR None (rendered n/a); any other failure, an ambiguous detection
     source included, raises.
 
-    Each setting runs the corpus matcher once, over every frame that a
-    requested split covers under every strategy, and each cell reads its
-    split's frames of its strategy off those matches (the curve counts do
-    not depend on the order of the outcomes, so every cell equals its own
+    Each setting runs the corpus matcher once per strategy, over every
+    frame that a requested split covers, and each cell reads its split's
+    frames off those matches (the curve counts do not depend on the order
+    of the outcomes, so every cell equals its own
     ``log_average_miss_rate``). Every strategy's detection source is
     resolved, so an ambiguous one raises whichever splits are asked for.
     """
     settings = dict(settings) if settings is not None else dict(STANDARD_SETTINGS)
     truths = as_truths(records)
-    detections = [_detection_columns(records, strategy) for strategy in strategies]
-    if not detections:
-        return {}
     n = len(truths.frame_ids)
     member = {
         split: np.array([split in ("all", t) for t in truths.times_of_day], dtype=bool)
@@ -494,36 +491,28 @@ def evaluate_matrix(
     covered = np.zeros(n, dtype=bool)
     for frames in member.values():
         covered |= frames
-    # Frame k * n + i is frame i under strategy k: each strategy's
-    # detections of the covered frames, and those frames' ground truths
-    # once per strategy.
-    det_frame = np.concatenate([k * n + f[covered[f]] for k, (f, _, _) in enumerate(detections)])
-    det_corners = np.concatenate([c[covered[f]] for f, c, _ in detections])
-    det_scores = np.concatenate([s[covered[f]] for f, _, s in detections])
+    detections = []  # each strategy's detections of the covered frames
+    for strategy in strategies:
+        frame, corners, scores = _detection_columns(records, strategy)
+        keep = covered[frame]
+        detections.append((frame[keep], corners[keep], scores[keep]))
     rows = covered[truths.frame]
-    gt_frame = np.concatenate([k * n + truths.frame[rows] for k in range(len(detections))])
-    gt_corners = np.tile(truths.corners[rows], (len(detections), 1))
+    gt_frame, gt_corners = truths.frame[rows], truths.corners[rows]
     table: dict[tuple[str, str, str], tuple[float | None, int]] = {}
     for setting_name, setting in settings.items():
         evaluated = setting.mask(truths)
         n_gt = np.bincount(truths.frame[evaluated], minlength=n)
-        frame, scores, outcome = _match_frames(
-            det_frame,
-            det_corners,
-            det_scores,
-            gt_frame,
-            gt_corners,
-            np.tile(evaluated[rows], len(detections)),
-            setting.match_iou,
-        )
-        strategy_index, frame = np.divmod(frame, n)
+        matches = [
+            _match_frames(*columns, gt_frame, gt_corners, evaluated[rows], setting.match_iou)
+            for columns in detections
+        ]
         for split in splits:
             n_frames = int(np.count_nonzero(member[split]))
             num_gt = int(n_gt[member[split]].sum())
-            for k, strategy in enumerate(strategies):
+            for strategy, (frame, scores, outcome) in zip(strategies, matches):
                 mr = None
                 if num_gt:
-                    cell = (strategy_index == k) & member[split][frame]
+                    cell = member[split][frame]
                     mr = _log_average(*_curve(scores[cell], outcome[cell], n_frames, num_gt))
                 table[(setting_name, split, strategy)] = (mr, num_gt)
     return table

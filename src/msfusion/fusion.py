@@ -171,6 +171,9 @@ def _depthwise(x: np.ndarray, *kernels: np.ndarray) -> list[np.ndarray]:
         if kh * kw >= _FFT_MIN_TAPS:
             out.append(next(spectral))
             continue
+        if not x.size:  # an empty map has no windows to slide
+            out.append(np.empty(x.shape))
+            continue
         windows = sliding_window_view(_pad_same(x, kh, kw), (kh, kw), axis=(2, 3))
         subscripts = "fchwuv,uv->fchw" if kernel.ndim == 2 else "fchwuv,cuv->fchw"
         out.append(np.einsum(subscripts, windows, kernel))

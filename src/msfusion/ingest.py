@@ -59,9 +59,10 @@ Formats handled here:
 * manifest: JSON listing frames (id, time of day, annotation path) and
   optional sequence grouping (frames per group and stride, positive
   integers, and a list of frame id lists); frame ids are JSON strings and
-  ``annotation_scale`` is two JSON numbers.
-  ``eval`` and ``reliability`` score every listed frame; the sequence
-  block is only checked.
+  ``annotation_scale`` is two JSON numbers. ``Manifest`` holds the frames
+  as columns. The sequence block is checked against the frames when the
+  manifest loads, and not kept: ``eval`` and ``reliability`` score every
+  listed frame.
 * run config: UTF-8 ``key = value`` lines, one key per ``RunConfig.echo``
   entry; the CLI writes its flags into the same mapping.
 * results: UTF-8 header block of ``# key = value`` lines followed by
@@ -509,68 +510,38 @@ def group_by_frame(dets: Sequence[Detection]) -> dict[str, Sequence[Detection]]:
 
 
 @dataclass(frozen=True)
-class ManifestFrame:
-    frame_id: str
-    time_of_day: str
-    annotations: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.time_of_day not in TIMES_OF_DAY:
-            raise ValueError(
-                f"frame {self.frame_id!r}: unknown time_of_day {self.time_of_day!r}"
-            )
-
-
-@dataclass(frozen=True)
 class Manifest:
-    """Frame registry with optional fixed-stride sequence grouping (checked
-    here, read nowhere: every listed frame is scored)."""
+    """A frame registry as columns: ``frame_ids``, ``times_of_day`` and
+    ``annotations`` (a path relative to ``root``, or None) hold one entry
+    per frame, in manifest order."""
 
-    frames: tuple[ManifestFrame, ...]
-    frames_per_group: int | None = None
-    stride: int | None = None
-    groups: tuple[tuple[str, ...], ...] = ()
+    frame_ids: tuple[str, ...]
+    times_of_day: tuple[str, ...]
+    annotations: tuple[str | None, ...]
     annotation_scale: tuple[float, float] = (1.0, 1.0)
     root: Path = Path(".")
 
     def __post_init__(self) -> None:
+        if not len(self.frame_ids) == len(self.times_of_day) == len(self.annotations):
+            raise ValueError("manifest columns differ in length")
         if not all(math.isfinite(s) and s > 0.0 for s in self.annotation_scale):
             raise ValueError(
                 "annotation_scale: expected two positive finite numbers, "
                 f"got {list(self.annotation_scale)}"
             )
-        ids = [f.frame_id for f in self.frames]
-        if len(ids) != len(set(ids)):
-            raise ValueError("manifest frame_ids must be unique")
-        known = set(ids)
-        for group in self.groups:
-            if self.frames_per_group is not None and len(group) != self.frames_per_group:
-                raise ValueError(
-                    f"sequence group {group} does not have "
-                    f"{self.frames_per_group} members"
-                )
-            missing = [fid for fid in group if fid not in known]
-            if missing:
-                raise ValueError(f"sequence group references unknown frames {missing}")
-            if self.stride is not None and len(group) > 1:
-                try:
-                    numeric = [int(fid) for fid in group]
-                except ValueError:
-                    raise ValueError(
-                        f"sequence group {group} needs numeric frame ids to "
-                        f"check the stride"
-                    ) from None
-                deltas = {b - a for a, b in zip(numeric, numeric[1:])}
-                if deltas != {self.stride}:
-                    raise ValueError(
-                        f"sequence group {group} is not spaced by stride {self.stride}"
-                    )
+        seen: set[str] = set()
+        for frame_id, time_of_day in zip(self.frame_ids, self.times_of_day):
+            if frame_id in seen:
+                raise ValueError(f"manifest frame_ids must be unique, {frame_id!r} repeats")
+            seen.add(frame_id)
+            if time_of_day not in TIMES_OF_DAY:
+                raise ValueError(f"frame {frame_id!r}: unknown time_of_day {time_of_day!r}")
 
     def load_ground_truths(self) -> GroundTruthTable:
         """Read the referenced annotation files into one table of columns,
         frames in manifest order."""
-        annotated = [k for k, frame in enumerate(self.frames) if frame.annotations is not None]
-        paths = [self.frames[k].annotations for k in annotated]
+        annotated = [k for k, name in enumerate(self.annotations) if name is not None]
+        paths = [self.annotations[k] for k in annotated]
         # os.path.join is several times cheaper than a Path join per frame;
         # the root "." adds no prefix, as in a Path join.
         root = os.fspath(self.root)
@@ -578,8 +549,8 @@ class Manifest:
             paths = [os.path.join(root, name) for name in paths]
         file, corners, occlusion, ignore = _annotation_columns(paths, *self.annotation_scale)
         return GroundTruthTable(
-            tuple(f.frame_id for f in self.frames),
-            tuple(f.time_of_day for f in self.frames),
+            self.frame_ids,
+            self.times_of_day,
             np.array(annotated, dtype=np.intp)[file],
             corners,
             occlusion,
@@ -615,10 +586,11 @@ def _reject_unknown_keys(block: dict, known: tuple[str, ...], where: str) -> Non
 def _manifest_from_payload(payload, root: Path) -> Manifest:
     # Structural errors raise ValueError; a wrongly typed leaf (a number
     # where a list belongs, say) surfaces as TypeError from the conversion.
+    # The sequence block is checked against the frames here, then dropped.
     if not isinstance(payload, dict):
         raise ValueError(f"expected a JSON object, got {type(payload).__name__}")
     _reject_unknown_keys(payload, ("frames", "sequence", "annotation_scale"), "")
-    frames = []
+    frame_ids, times_of_day, annotations = [], [], []
     for k, entry in enumerate(payload.get("frames", [])):
         if not isinstance(entry, dict) or "frame_id" not in entry:
             raise ValueError(f"frames[{k}]: expected an object with a 'frame_id'")
@@ -628,25 +600,20 @@ def _manifest_from_payload(payload, root: Path) -> Manifest:
         _reject_unknown_keys(
             entry, ("frame_id", "time_of_day", "annotations"), f"frame {frame_id!r}: "
         )
-        annotations = entry.get("annotations")
-        if annotations is not None and not isinstance(annotations, str):
+        name = entry.get("annotations")
+        if name is not None and not isinstance(name, str):
             raise ValueError(
-                f"frame {frame_id!r}: annotations must be a file path string, "
-                f"got {annotations!r}"
+                f"frame {frame_id!r}: annotations must be a file path string, got {name!r}"
             )
-        frames.append(
-            ManifestFrame(
-                frame_id=frame_id,
-                time_of_day=str(entry.get("time_of_day", "day")),
-                annotations=annotations,
-            )
-        )
+        frame_ids.append(frame_id)
+        times_of_day.append(entry.get("time_of_day", "day"))
+        annotations.append(name)
     sequence = payload.get("sequence", {})
     if not isinstance(sequence, dict):
         raise ValueError(f"sequence: expected an object, got {sequence!r}")
     _reject_unknown_keys(sequence, ("frames_per_group", "stride", "groups"), "sequence: ")
-    for key in ("frames_per_group", "stride"):
-        value = sequence.get(key)
+    per_group, stride = sequence.get("frames_per_group"), sequence.get("stride")
+    for key, value in (("frames_per_group", per_group), ("stride", stride)):
         # bool is an int subclass; JSON true is not a size.
         if value is not None and (type(value) is not int or value < 1):
             raise ValueError(f"sequence.{key}: expected a positive integer, got {value!r}")
@@ -669,14 +636,26 @@ def _manifest_from_payload(payload, root: Path) -> Manifest:
         scale_x, scale_y = float(scale[0]), float(scale[1])
     except OverflowError:  # an integer beyond the float range
         raise ValueError("annotation_scale: expected two positive finite numbers") from None
-    return Manifest(
-        frames=tuple(frames),
-        frames_per_group=sequence.get("frames_per_group"),
-        stride=sequence.get("stride"),
-        groups=tuple(tuple(g) for g in groups),
-        annotation_scale=(scale_x, scale_y),
-        root=root,
+    manifest = Manifest(
+        tuple(frame_ids), tuple(times_of_day), tuple(annotations), (scale_x, scale_y), root
     )
+    known = set(frame_ids)
+    for group in map(tuple, groups):
+        if per_group is not None and len(group) != per_group:
+            raise ValueError(f"sequence group {group} does not have {per_group} members")
+        missing = [fid for fid in group if fid not in known]
+        if missing:
+            raise ValueError(f"sequence group references unknown frames {missing}")
+        if stride is not None and len(group) > 1:
+            try:
+                numeric = [int(fid) for fid in group]
+            except ValueError:
+                raise ValueError(
+                    f"sequence group {group} needs numeric frame ids to check the stride"
+                ) from None
+            if {b - a for a, b in zip(numeric, numeric[1:])} != {stride}:
+                raise ValueError(f"sequence group {group} is not spaced by stride {stride}")
+    return manifest
 
 
 def attach_detections(

@@ -1,6 +1,7 @@
 """Command-line workflows: fuse, eval, kl-loss, reliability, forward."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -406,6 +407,21 @@ class TestForwardPipeline:
         assert code == 1
         err = capsys.readouterr().err
         assert str(inp) in err and repr(name) in err and "non-finite" in err
+        assert not out.exists()
+
+    def test_forward_names_the_input_whose_dims_overflow_int64(self, tmp_path, capsys):
+        # (65536,) * 4 has 2**64 elements: numpy's int64 product wrapped to 0
+        # and forward printed numpy's reshape error, naming no file.
+        weights = tmp_path / "w.sfwt"
+        assert main(["gen-weights", "--out", str(weights)]) == 0
+        inp = tmp_path / "in.sftn"
+        header = [TENSORS_MAGIC, struct.pack("<I", 1), struct.pack("<I", 3), b"vis"]
+        header += [struct.pack("<I", d) for d in (4, 65536, 65536, 65536, 65536)]
+        inp.write_bytes(b"".join(header))
+        out = tmp_path / "o.sftn"
+        code = main(["forward", "--weights", str(weights), "--input", str(inp), "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {inp}: truncated payload for tensor 'vis'\n"
         assert not out.exists()
 
     def test_forward_rejects_non_finite_weights(self, tmp_path, capsys):

@@ -116,3 +116,22 @@ def test_float32_max_is_written(tmp_path):
     top = float(np.finfo(np.float32).max)
     save_tensors(path, {"vis": np.array([top, -top])}, TENSORS_MAGIC)
     assert load_tensors(path)["vis"].tolist() == [top, -top]
+
+
+def _header_only_container(name, shape):
+    # A hand-built container header for one tensor of ``shape``, no payload.
+    encoded = name.encode()
+    dims = [struct.pack("<I", len(shape))] + [struct.pack("<I", d) for d in shape]
+    return b"".join([TENSORS_MAGIC, struct.pack("<I", 1), struct.pack("<I", len(encoded)),
+                     encoded, *dims])
+
+
+@pytest.mark.parametrize("shape", [(65536,) * 4, (2**31, 2**31, 4)])
+def test_dims_whose_product_overflows_int64_are_a_truncated_payload(tmp_path, shape):
+    # The size was taken in int64 and wrapped to 0, so numpy's reshape
+    # error surfaced without the file's name.
+    path = tmp_path / "t.bin"
+    path.write_bytes(_header_only_container("vis", shape))
+    with pytest.raises(ValueError) as err:
+        load_tensors(path)
+    assert str(err.value) == f"{path}: truncated payload for tensor 'vis'"

@@ -399,9 +399,9 @@ class TestEvaluateMatrix:
                 assert mr == pytest.approx(want_mr, abs=1e-9)
 
     def test_one_iou_pairs_call_per_setting_scores_each_frame_once(self, monkeypatch):
-        # The day and night cells reuse the matches of the "all" pass, and
-        # every strategy's frames share the call: each setting scores each
-        # same-frame (detection, ground truth) pair of each strategy once.
+        # The day and night cells reuse the matches of the "all" pass: each
+        # setting scores each same-frame (detection, ground truth) pair of
+        # each strategy once, in one call per strategy.
         calls = []
         original = evaluation.iou_pairs
 
@@ -415,8 +415,8 @@ class TestEvaluateMatrix:
             r.detections["other"] = r.detections["det"][:1]
         settings = {k: STANDARD_SETTINGS[k] for k in ("all", "reasonable")}
         evaluate_matrix(records, ["det", "other"], settings)
-        pairs = sum((len(r.detections["det"]) + 1) * len(r.gts) for r in records)
-        assert calls == [pairs] * len(settings)
+        pairs = [sum(len(r.detections[s]) * len(r.gts) for r in records) for s in ("det", "other")]
+        assert all(pairs) and calls == pairs * len(settings)
 
     def test_failing_cell_raises_instead_of_na(self):
         # Only a cell without evaluated ground truth is n/a; an ambiguous
@@ -453,8 +453,8 @@ class TestEvaluateMatrix:
         original = evaluation._match_frames
 
         def counting(det_frame, det_corners, det_scores, gt_frame, *rest):
-            # Frame k * 3 + i is record i under strategy k; f3 is record 2.
-            matched.append((sorted(det_frame % 3), sorted(gt_frame % 3)))
+            # f3 is record 2.
+            matched.append((sorted(det_frame), sorted(gt_frame)))
             return original(det_frame, det_corners, det_scores, gt_frame, *rest)
 
         records = _hand_corpus()
@@ -465,7 +465,9 @@ class TestEvaluateMatrix:
         monkeypatch.setattr(evaluation, "_match_frames", counting)
         night = evaluate_matrix(records, ["det", "other"], settings, ["night"])
         assert night == {key: cell for key, cell in full.items() if key[1] == "night"}
-        assert matched == [([2, 2, 2], [2, 2, 2, 2])] * len(settings)
+        # One call per (setting, strategy): "det" has two night detections,
+        # "other" one, and both meet the night frame's two ground truths.
+        assert matched == [([2, 2], [2, 2]), ([2], [2, 2])] * len(settings)
 
     def test_strategy_independence(self):
         records = _hand_corpus()

@@ -91,7 +91,8 @@ class TestStripConv:
 
 class TestLargeKernelPath:
     # Kernels of 25 taps or more correlate on the FFT; the edge cases pad
-    # the map past the kernel, or from a prime size.
+    # the map past the kernel, or from a prime size. The empty maps run
+    # kernels on both sides of the threshold.
     CASES = pytest.mark.parametrize(
         "x_shape, ksize",
         [
@@ -102,6 +103,12 @@ class TestLargeKernelPath:
             ((2, 3, 1, 1), (11, 11)),  # 1x1 map
             ((1, 2, 31, 7), (11, 11)),  # 31 + 11 - 1 and 7 + 11 - 1 are prime
             ((1, 2, 8, 6), (11, 11)),  # 8 + 11 // 2 and 6 + 11 // 2 are prime
+            ((2, 2, 0, 5), (3, 3)),
+            ((1, 2, 4, 0), (3, 3)),
+            ((1, 4, 0, 4), (1, 5)),
+            ((1, 4, 0, 4), (5, 1)),
+            ((2, 2, 0, 5), (11, 11)),
+            ((1, 2, 4, 0), (5, 7)),
         ],
     )
 
@@ -241,13 +248,15 @@ class TestBlockEdges:
 
     @pytest.mark.parametrize("shape", [(0, 3, 6, 6), (2, 0, 6, 6), (2, 3, 0, 6), (2, 3, 6, 0)])
     def test_empty_axes_give_empty_outputs(self, shape):
+        # 3x3 and 1x5 take the einsum path, 5x7 and 11x11 the FFT path.
         x = np.ones(shape)
-        for kernel in (np.ones((5, 7)), np.ones((shape[1], 11, 11))):
-            assert strip_conv(x, kernel).shape == shape
+        for ksize in ((3, 3), (1, 5), (5, 7), (11, 11)):
+            for kernel in (np.ones(ksize), np.ones((shape[1], *ksize))):
+                assert strip_conv(x, kernel).shape == shape
+            if shape[1]:  # depthwise needs a channel to group by
+                weight = np.ones((shape[1], 1, *ksize))
+                assert conv2d_same(x, weight, np.ones(shape[1]), groups=shape[1]).shape == shape
         assert gelu(x).shape == shape
-        if shape[1]:  # depthwise needs a channel to group by
-            weight = np.ones((shape[1], 1, 11, 11))
-            assert conv2d_same(x, weight, np.ones(shape[1]), groups=shape[1]).shape == shape
 
 
 class TestDwsConv:
@@ -332,6 +341,11 @@ class TestCascadeStripMix:
         g1 = shift_depthwise(shift_depthwise(g1_in, rows[1]), cols[1])
         expected = np.concatenate([g0, g1], axis=1)
         np.testing.assert_allclose(cascade_strip_mix(x, rows, cols), expected, atol=1e-10)
+
+    @pytest.mark.parametrize("shape", [(1, 4, 0, 4), (1, 4, 4, 0), (1, 4, 0, 0)])
+    def test_empty_map_gives_empty_output(self, shape):
+        out = cascade_strip_mix(np.ones(shape), np.ones((2, 1, 5)), np.ones((2, 5, 1)))
+        assert out.shape == shape
 
     def test_indivisible_channels_rejected(self):
         with pytest.raises(ValueError, match="divisible"):

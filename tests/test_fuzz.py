@@ -34,7 +34,6 @@ from msfusion.geometry import (
 )
 from msfusion.ingest import (
     Manifest,
-    ManifestFrame,
     ingest_detections,
     load_config,
     load_manifest,
@@ -332,8 +331,13 @@ def test_annotation_columns_match_parse_annotation_text(tmp_path, files, scale):
                 assert str(again.value) == error
             else:
                 assert parse_annotation_text(body, str(path), *scale) == gts
-    frames = tuple(ManifestFrame(str(k), "day", f"{k}.txt") for k in range(len(files)))
-    manifest = Manifest(frames, annotation_scale=scale, root=folder)
+    manifest = Manifest(
+        tuple(str(k) for k in range(len(files))),
+        ("day",) * len(files),
+        tuple(f"{k}.txt" for k in range(len(files))),
+        annotation_scale=scale,
+        root=folder,
+    )
     if error is not None:
         with pytest.raises(ValueError) as err:
             manifest.load_ground_truths()

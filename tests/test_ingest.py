@@ -2,6 +2,7 @@
 
 import json
 import re
+from dataclasses import fields
 
 import pytest
 
@@ -10,7 +11,6 @@ from msfusion.evaluation import STANDARD_SETTINGS, apply_setting
 from msfusion.geometry import SCALES, BBox, Detection, DetectionTable
 from msfusion.ingest import (
     Manifest,
-    ManifestFrame,
     RunConfig,
     group_by_frame,
     ingest_detections,
@@ -77,10 +77,13 @@ class TestAnnotations:
             (tmp_path / f"{stem}.txt").write_text(
                 f"% bbGt version=3\n{row}\n", encoding="utf-8"
             )
-        frames = tuple(
-            ManifestFrame(stem, "night", annotations=f"{stem}.txt") for stem in ("000002", "000001")
+        manifest = Manifest(
+            frame_ids=("000002", "000001"),
+            times_of_day=("night", "night"),
+            annotations=("000002.txt", "000001.txt"),
+            annotation_scale=(2.0, 0.5),
+            root=tmp_path,
         )
-        manifest = Manifest(frames=frames, annotation_scale=(2.0, 0.5), root=tmp_path)
         records = manifest.load_records()
         assert [r.frame_id for r in records] == ["000002", "000001"]
         assert all(r.time_of_day == "night" for r in records)
@@ -95,7 +98,6 @@ class TestAnnotations:
             raise AssertionError("parse_annotation_text called")
 
         monkeypatch.setattr(ingest, "parse_annotation_text", refuse)
-        frames = []
         for k in range(40):
             rows = [
                 f"{('person', 'people')[j % 2]}\t{j}.5 {k} {j + 10}.25  {40 + j}  {j % 3}"
@@ -104,10 +106,12 @@ class TestAnnotations:
             ]
             text = "\r\n".join(["% bbGt version=3", "", *rows, "  "]) + "\r\n" * (k % 3 > 0)
             (tmp_path / f"{k:06d}.txt").write_bytes(text.encode())
-            frames.append(
-                ManifestFrame(f"{k:06d}", ("day", "night")[k % 2], annotations=f"{k:06d}.txt")
-            )
-        truths = Manifest(frames=tuple(frames), root=tmp_path).load_ground_truths()
+        truths = Manifest(
+            frame_ids=tuple(f"{k:06d}" for k in range(40)),
+            times_of_day=tuple(("day", "night")[k % 2] for k in range(40)),
+            annotations=tuple(f"{k:06d}.txt" for k in range(40)),
+            root=tmp_path,
+        ).load_ground_truths()
         assert len(truths.frame) == sum(k % 5 for k in range(40))
         assert truths.ignore.tolist() == [j % 2 == 1 for k in range(40) for j in range(k % 5)]
         assert len(truths.records()) == 40
@@ -366,17 +370,14 @@ class TestManifest:
                 "% bbGt version=3\nperson 0 0 30 80 0\n", encoding="utf-8"
             )
         return Manifest(
-            frames=(
-                ManifestFrame("000001", "day", annotations="000001.txt"),
-                ManifestFrame("000004", "night", annotations="000004.txt"),
-            ),
-            frames_per_group=2,
-            stride=3,
-            groups=(("000001", "000004"),),
+            frame_ids=("000001", "000004"),
+            times_of_day=("day", "night"),
+            annotations=("000001.txt", "000004.txt"),
             root=tmp_path,
         )
 
     def test_load_reads_the_sequence_block(self, tmp_path):
+        # The block is checked against the frames and then dropped.
         path = tmp_path / "manifest.json"
         path.write_text(
             """{
@@ -397,32 +398,64 @@ class TestManifest:
         assert [r.time_of_day for r in records] == ["day", "night"]
         assert all(len(r.gts) == 1 for r in records)
 
-    def test_duplicate_ids_rejected(self):
-        with pytest.raises(ValueError, match="unique"):
-            Manifest(
-                frames=(
-                    ManifestFrame("a", "day"),
-                    ManifestFrame("a", "night"),
-                )
-            )
+    @staticmethod
+    def _load_error(path, payload):
+        # The message of the ValueError that loading ``payload`` raises.
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(ValueError) as err:
+            load_manifest(path)
+        return str(err.value)
 
-    def test_wrong_group_size_rejected(self):
-        with pytest.raises(ValueError, match="members"):
-            Manifest(
-                frames=(ManifestFrame("000001", "day"), ManifestFrame("000002", "day")),
-                frames_per_group=3,
-                stride=1,
-                groups=(("000001", "000002"),),
-            )
+    def test_duplicate_ids_rejected(self, tmp_path):
+        path = tmp_path / "manifest.json"
+        frames = [{"frame_id": "a", "time_of_day": tod} for tod in ("day", "night")]
+        message = self._load_error(path, {"frames": frames})
+        assert message.startswith(f"{path}: ") and "unique" in message
 
-    def test_wrong_stride_rejected(self):
-        with pytest.raises(ValueError, match="stride"):
-            Manifest(
-                frames=(ManifestFrame("000001", "day"), ManifestFrame("000003", "day")),
-                frames_per_group=2,
-                stride=3,
-                groups=(("000001", "000003"),),
-            )
+    def test_wrong_group_size_rejected(self, tmp_path):
+        path = tmp_path / "manifest.json"
+        payload = {
+            "frames": [{"frame_id": "000001"}, {"frame_id": "000002"}],
+            "sequence": {"frames_per_group": 3, "stride": 1, "groups": [["000001", "000002"]]},
+        }
+        message = self._load_error(path, payload)
+        assert message.startswith(f"{path}: ") and "members" in message
+
+    def test_wrong_stride_rejected(self, tmp_path):
+        path = tmp_path / "manifest.json"
+        payload = {
+            "frames": [{"frame_id": "000001"}, {"frame_id": "000003"}],
+            "sequence": {"frames_per_group": 2, "stride": 3, "groups": [["000001", "000003"]]},
+        }
+        message = self._load_error(path, payload)
+        assert message.startswith(f"{path}: ") and "stride" in message
+
+    @pytest.mark.parametrize(
+        "frame_ids, repeated",
+        [(["a", "a"], "a"), (["1", "2", "3", "2"], "2"), (["x", "None", "y", "None"], "None")],
+    )
+    def test_duplicate_id_is_named(self, tmp_path, frame_ids, repeated):
+        # The message used to name no id.
+        path = tmp_path / "manifest.json"
+        message = self._load_error(path, {"frames": [{"frame_id": f} for f in frame_ids]})
+        assert message == f"{path}: manifest frame_ids must be unique, {repeated!r} repeats"
+        with pytest.raises(ValueError, match=f"{repeated!r} repeats"):
+            Manifest(tuple(frame_ids), ("day",) * len(frame_ids), (None,) * len(frame_ids))
+
+    @pytest.mark.parametrize(
+        "time_of_day, shown",
+        [(5, "5"), (None, "None"), ("None", "'None'"), ("dusk", "'dusk'"), (["day"], "['day']")],
+    )
+    def test_time_of_day_error_names_frame_and_json_value(self, tmp_path, time_of_day, shown):
+        # str() used to show JSON null as the string 'None'.
+        path = tmp_path / "manifest.json"
+        payload = {"frames": [{"frame_id": "000001", "time_of_day": time_of_day}]}
+        message = self._load_error(path, payload)
+        assert message == f"{path}: frame '000001': unknown time_of_day {shown}"
+
+    def test_columns_of_different_lengths_rejected(self):
+        with pytest.raises(ValueError, match="columns differ in length"):
+            Manifest(("a", "b"), ("day", "day"), ("a.txt",))
 
     @pytest.mark.parametrize(
         "payload",
@@ -513,13 +546,39 @@ class TestManifest:
         return path
 
     def test_sequence_block_loads(self, tmp_path):
-        manifest = load_manifest(self._sequence_manifest(tmp_path / "m.json"))
-        assert (manifest.frames_per_group, manifest.stride) == (3, 2)
-        assert manifest.groups == (("1", "3", "5"),)
-        unset = load_manifest(
-            self._sequence_manifest(tmp_path / "n.json", frames_per_group=None, stride=None)
+        # A valid block, with or without its sizes, leaves only the frames.
+        frames = Manifest(("1", "3", "5"), ("day",) * 3, (None,) * 3, root=tmp_path)
+        assert load_manifest(self._sequence_manifest(tmp_path / "m.json")) == frames
+        unset = self._sequence_manifest(tmp_path / "n.json", frames_per_group=None, stride=None)
+        assert load_manifest(unset) == frames
+        assert [f.name for f in fields(Manifest)] == [
+            "frame_ids", "times_of_day", "annotations", "annotation_scale", "root"
+        ]
+
+    @pytest.mark.parametrize(
+        "groups, message",
+        [
+            ([["1", "3"]], "sequence group ('1', '3') does not have 3 members"),
+            ([["1", "3", "7"]], "sequence group references unknown frames ['7']"),
+            ([["1", "3", "5"], ["3", "x", "5"]], "sequence group references unknown frames ['x']"),
+            ([["1", "5", "3"]], "sequence group ('1', '5', '3') is not spaced by stride 2"),
+        ],
+    )
+    def test_sequence_group_checked_against_the_frames(self, tmp_path, groups, message):
+        path = self._sequence_manifest(tmp_path / "manifest.json", groups=groups)
+        with pytest.raises(ValueError) as err:
+            load_manifest(path)
+        assert str(err.value) == f"{path}: {message}"
+
+    def test_stride_needs_numeric_frame_ids(self, tmp_path):
+        path = tmp_path / "manifest.json"
+        frames = [{"frame_id": f} for f in ("a", "b")]
+        message = self._load_error(
+            path, {"frames": frames, "sequence": {"stride": 1, "groups": [["a", "b"]]}}
         )
-        assert (unset.frames_per_group, unset.stride) == (None, None)
+        assert message == (
+            f"{path}: sequence group ('a', 'b') needs numeric frame ids to check the stride"
+        )
 
     @pytest.mark.parametrize(
         "key, value",
