@@ -19,8 +19,9 @@ key, so the given flags are written over the file's mapping and both reach
 echo in their output header only the keys that their own flags set, so a
 key a shared config file sets for another subcommand is checked, not echoed.
 
-Exit codes: 0 on success, 1 on runtime/I-O failure (with a one-line
-diagnostic on stderr), 2 on usage errors.
+Exit codes: 0 on success, 1 on bad input or I/O failure (a ``ValueError``
+or ``OSError``, as a one-line diagnostic on stderr), 2 on usage errors. Any
+other exception is a bug, and propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -309,7 +310,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except Exception as err:  # one-line diagnostic, nonzero exit
+    except (ValueError, OSError) as err:  # bad input: one-line diagnostic, nonzero exit
         print(f"error: {err}", file=sys.stderr)
         return 1
 

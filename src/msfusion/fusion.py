@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .containers import WEIGHTS_MAGIC, load_tensors, save_tensors
 
@@ -121,10 +120,6 @@ def _as_strip_kernel(kernel: np.ndarray, channels: int) -> np.ndarray:
     return kernel
 
 
-def _pad_same(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
-    return np.pad(x, ((0, 0), (0, 0), (kh // 2, kh // 2), (kw // 2, kw // 2)))
-
-
 _FFT_MIN_TAPS = 25
 
 
@@ -139,29 +134,25 @@ def _depthwise(x: np.ndarray, *kernels: np.ndarray) -> list[np.ndarray]:
     sizes of at least H + rh and W + rw, where rh and rw are the largest
     half-sides (kh // 2, kw // 2) among them. The wrapped tail of a circular
     correlation that long never reaches the "same" crop, so the full
-    correlation (H + kh - 1) is not needed. Smaller kernels run one
-    einsum over the sliding windows, which is faster there. Best of 5 per
-    call over five runs, 2 BLAS threads on a shared 2-core VM (numpy 2.4,
-    scipy 1.17); a row of two kernels is one call for both:
+    correlation (H + kh - 1) is not needed. Smaller kernels are the fan-in-1
+    case of ``_tap_sum``. Median of three best-of-5 per call, 2 BLAS threads
+    on a shared 2-core VM (numpy 2.4, scipy 1.17):
 
     ====================  ===================  ========  ========
-    kernel                input                einsum    FFT
+    kernel                input                tap sum   FFT
     ====================  ===================  ========  ========
-    3x3 per channel       (3, 64, 80, 80)      37 ms     45 ms
-    1x5 and 5x1 shared    (3, 8, 160, 80)      5 ms      14 ms
-    5x7 shared            (3, 32, 160, 80)     95 ms     44 ms
-    7x5 shared            (3, 32, 160, 80)     78 ms     48 ms
-    5x7 and 7x5 shared    (3, 32, 160, 80)     169 ms    79 ms
-    11x11 per channel     (3, 64, 80, 80)      148 ms    55 ms
-    11x11 per channel     (3, 64, 40, 40)      39 ms     13 ms
-    11x11 per channel     (3, 64, 20, 20)      13 ms     3 ms
+    3x3 per channel       (3, 64, 80, 80)      27 ms     30 ms
+    1x5 shared            (3, 8, 160, 80)      3.1 ms    5.0 ms
+    5x1 shared            (3, 8, 160, 80)      2.7 ms    6.6 ms
+    5x5 shared            (3, 32, 160, 80)     61 ms     32 ms
+    5x7 shared            (3, 32, 160, 80)     85 ms     32 ms
+    11x11 per channel     (3, 64, 80, 80)      268 ms    29 ms
     ====================  ===================  ========  ========
 
-    The FFT column predates the channel blocks; alternated with the
-    whole-tensor transform in one process, the blocked one was as fast or
-    faster on every row. The two paths differ by rounding only; both are
-    deterministic run to run. ``scipy.fft`` is imported on the first large
-    kernel, as ``gelu`` imports ``erf``.
+    The crossover lies between 9 and 25 taps: any threshold in (9, 35]
+    routes the forward's kernels the same way. The paths differ by rounding
+    only; both are deterministic run to run. ``scipy.fft`` is imported on
+    the first large kernel, as ``gelu`` imports ``erf``.
     """
     large = [k for k in kernels if k.shape[-2] * k.shape[-1] >= _FFT_MIN_TAPS]
     spectral = iter(_spectral_depthwise(x, large) if large else ())
@@ -170,14 +161,36 @@ def _depthwise(x: np.ndarray, *kernels: np.ndarray) -> list[np.ndarray]:
         kh, kw = kernel.shape[-2:]
         if kh * kw >= _FFT_MIN_TAPS:
             out.append(next(spectral))
-            continue
-        if not x.size:  # an empty map has no windows to slide
-            out.append(np.empty(x.shape))
-            continue
-        windows = sliding_window_view(_pad_same(x, kh, kw), (kh, kw), axis=(2, 3))
-        subscripts = "fchwuv,uv->fchw" if kernel.ndim == 2 else "fchwuv,cuv->fchw"
-        out.append(np.einsum(subscripts, windows, kernel))
+        else:  # one group per channel; a shared kernel is broadcast to all
+            taps = np.broadcast_to(kernel[..., None, None, :, :], (x.shape[1], 1, 1, kh, kw))
+            out.append(_tap_sum(x, taps))
     return out
+
+
+def _tap_sum(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
+    # Grouped "same" correlation of x (F, C_in, H, W) with taps (G, C_out/G,
+    # C_in/G, kh, kw), summed over the kh * kw taps. x is padded once, with
+    # one spare zero row at the bottom, and each plane is flattened to
+    # (H + kh) * Wp values, Wp = W + kw - 1. Tap (u, v) reads the strided
+    # flat window [u * Wp + v, u * Wp + v + H * Wp) and applies its weights
+    # by np.multiply at fan-in 1 (depthwise, or a channel multiplier), by a
+    # BLAS matmul otherwise. The sums cover H rows of Wp columns; the last
+    # kw - 1 of each row read across a row break and are cropped at the end.
+    frames, _, height, width = x.shape
+    groups, per_group, fan_in, kh, kw = taps.shape
+    row = width + kw - 1
+    span = height * row
+    flat = np.pad(x, ((0, 0), (0, 0), (kh // 2, kh // 2 + 1), (kw // 2, kw // 2)))
+    flat = flat.reshape(frames, groups, fan_in, (height + kh) * row)
+    apply = np.multiply if fan_in == 1 else np.matmul
+    acc = np.zeros((frames, groups, per_group, span))
+    product = np.empty_like(acc)
+    for u in range(kh):
+        for v in range(kw):
+            start = u * row + v
+            apply(taps[..., u, v], flat[..., start : start + span], out=product)
+            acc += product
+    return np.ascontiguousarray(acc.reshape(frames, groups * per_group, height, row)[..., :width])
 
 
 def _spectral_depthwise(x: np.ndarray, kernels: list[np.ndarray]) -> list[np.ndarray]:
@@ -256,21 +269,15 @@ def conv2d_same(
 
     Depthwise (unit fan-in, C_out == C_in) runs as one strip correlation,
     which multiplies FFT spectra for kernels of 25 taps or more (such as the
-    11x11 channel mix) and takes a sliding-window einsum below that. Every
-    other case sums kh * kw matrix products, one per kernel tap. The input
-    is padded once, with one spare zero row at the bottom, and each plane
-    is flattened to (H + kh) * Wp values, Wp = W + kw - 1. Tap (u, v) is then
-    the (G, C_out/G, C_in/G) tap weights times the flat window
-    [u * Wp + v, u * Wp + v + H * Wp), a strided view that BLAS reads in
-    place. The sums cover H rows of Wp columns; the last kw - 1 columns of
-    each row read across a row break and are cropped once at the end. No
-    im2col matrix is built.
+    11x11 channel mix). Every other case, and depthwise below 25 taps, is
+    one tap sum: per kernel tap, the (G, C_out/G, C_in/G) tap weights times
+    a strided window of the once-padded input, accumulated in place.
     """
     x = _as_features(x)
     weight = np.asarray(weight, dtype=np.float64)
     if weight.ndim != 4:
         raise ValueError(f"conv weight: expected rank 4, got shape {weight.shape}")
-    frames, c_in, height, width = x.shape
+    c_in = x.shape[1]
     c_out, fan_in, kh, kw = weight.shape
     _check_odd(kh, kw, "conv weight")
     if groups < 1 or c_in % groups or c_out % groups:
@@ -283,19 +290,7 @@ def conv2d_same(
     if fan_in == 1 and c_out == c_in:
         out = _depthwise(x, weight[:, 0])[0]
     else:
-        row = width + kw - 1
-        span = height * row
-        flat = np.pad(x, ((0, 0), (0, 0), (kh // 2, kh // 2 + 1), (kw // 2, kw // 2)))
-        flat = flat.reshape(frames, groups, fan_in, (height + kh) * row)
-        taps = weight.reshape(groups, c_out // groups, fan_in, kh, kw)
-        acc = np.zeros((frames, groups, c_out // groups, span))
-        product = np.empty_like(acc)
-        for u in range(kh):
-            for v in range(kw):
-                start = u * row + v
-                np.matmul(taps[..., u, v], flat[..., start : start + span], out=product)
-                acc += product
-        out = np.ascontiguousarray(acc.reshape(frames, c_out, height, row)[..., :width])
+        out = _tap_sum(x, weight.reshape(groups, c_out // groups, fan_in, kh, kw))
     if bias is not None:
         out += _as_bias(bias, c_out, "conv bias")[:, None, None]
     return out
@@ -315,9 +310,9 @@ def _conv1d_frames(
     if k % 2 == 0:
         raise ValueError(f"{name}_w: frame kernel size must be odd, got {k}")
     bias = _as_bias(bias, weight.shape[0], f"{name}_b")
-    padded = np.pad(v, ((k // 2, k // 2), (0, 0)))
-    windows = sliding_window_view(padded, k, axis=0)
-    return np.einsum("fcu,ocu->fo", windows, weight) + bias
+    # The frames as the rows of one (C_in, F, 1) map: one product per tap.
+    out = _tap_sum(v.T[None, :, :, None], weight[None, ..., None])
+    return out[0, :, :, 0].T + bias
 
 
 def dws_conv(
@@ -421,8 +416,9 @@ def gated_strip_mix(
         _as_strip_kernel(width_kernel, x.shape[1]),
     )
     hidden = gelu(pointwise_affine(r + c, gate_w1, gate_b1))
-    mixed = pointwise_affine(hidden, gate_w2, gate_b2)
-    pooled = mixed.mean(axis=(2, 3))  # (F, C)
+    # The mean of an affine map is the affine map of the mean: pool first.
+    pooled = hidden.mean(axis=(2, 3), keepdims=True)
+    pooled = pointwise_affine(pooled, gate_w2, gate_b2)[:, :, 0, 0]  # (F, C)
     gate_proj_w = np.asarray(gate_proj_w, dtype=np.float64)
     gate_proj_b = np.asarray(gate_proj_b, dtype=np.float64)
     if gate_proj_w.shape != (3,) or gate_proj_b.shape != (3,):

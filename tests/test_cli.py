@@ -11,6 +11,7 @@ from msfusion.balance import (
     modality_alignment_loss,
     thermal_reliability_percentage,
 )
+from msfusion import cli
 from msfusion.cli import main
 from msfusion.containers import TENSORS_MAGIC, WEIGHTS_MAGIC, load_tensors, save_tensors
 from msfusion.geometry import SCALES, BBox, Detection
@@ -940,6 +941,17 @@ class TestExitCodes:
         code = main(["fuse", "--detections", str(tmp_path / "absent.txt")])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_a_bug_inside_a_subcommand_propagates(self, tmp_path, monkeypatch, capsys):
+        # Input errors are ValueError or OSError; anything else is a bug and
+        # keeps its traceback rather than becoming a one-line "error:".
+        def broken(*args, **kwargs):
+            raise KeyError("x")
+
+        monkeypatch.setattr(cli, "ingest_detections", broken)
+        with pytest.raises(KeyError, match="x"):
+            main(["fuse", "--detections", str(tmp_path / "d.txt")])
+        assert capsys.readouterr().err == ""
 
     # One byte that is not UTF-8 in each kind of text input: the error names
     # the file and the line holding it.

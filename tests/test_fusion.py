@@ -90,12 +90,21 @@ class TestStripConv:
 
 
 class TestLargeKernelPath:
-    # Kernels of 25 taps or more correlate on the FFT; the edge cases pad
-    # the map past the kernel, or from a prime size. The empty maps run
-    # kernels on both sides of the threshold.
+    # Kernels of 25 taps or more correlate on the FFT, smaller ones as a
+    # tap sum; the edge cases pad the map past the kernel, or from a prime
+    # size. The empty maps run kernels on both sides of the threshold.
     CASES = pytest.mark.parametrize(
         "x_shape, ksize",
         [
+            ((2, 3, 8, 9), (1, 1)),
+            ((2, 3, 8, 9), (3, 3)),
+            ((2, 3, 8, 9), (1, 5)),
+            ((2, 3, 8, 9), (5, 1)),
+            ((2, 3, 1, 1), (3, 3)),  # 1x1 map, tap sum
+            ((1, 2, 2, 3), (5, 1)),  # maps smaller than the strip
+            ((1, 2, 3, 2), (1, 5)),
+            ((1, 2, 0, 3), (1, 1)),
+            ((1, 2, 3, 0), (1, 1)),
             ((2, 3, 8, 9), (5, 7)),
             ((2, 3, 8, 9), (7, 5)),
             ((2, 3, 12, 10), (11, 11)),
@@ -122,11 +131,13 @@ class TestLargeKernelPath:
         )
 
     @CASES
-    def test_depthwise_conv2d_matches_naive_loop(self, x_shape, ksize):
+    @pytest.mark.parametrize("multiplier", [1, 2])
+    def test_depthwise_conv2d_matches_naive_loop(self, x_shape, ksize, multiplier):
+        # Multiplier 2 (fan-in 1, C_out = 2 C_in) is always a tap sum.
         x = rand_features(x_shape, 92)
         channels = x_shape[1]
-        weight = RNG(93).standard_normal((channels, 1) + ksize)
-        bias = RNG(94).standard_normal(channels)
+        weight = RNG(93).standard_normal((multiplier * channels, 1) + ksize)
+        bias = RNG(94).standard_normal(multiplier * channels)
         np.testing.assert_allclose(
             conv2d_same(x, weight, bias, groups=channels),
             loop_conv2d(x, weight, bias, groups=channels),
@@ -248,14 +259,19 @@ class TestBlockEdges:
 
     @pytest.mark.parametrize("shape", [(0, 3, 6, 6), (2, 0, 6, 6), (2, 3, 0, 6), (2, 3, 6, 0)])
     def test_empty_axes_give_empty_outputs(self, shape):
-        # 3x3 and 1x5 take the einsum path, 5x7 and 11x11 the FFT path.
+        # 1x1, 3x3, 1x5 and 5x1 take the tap sum, 5x7 and 11x11 the FFT.
         x = np.ones(shape)
-        for ksize in ((3, 3), (1, 5), (5, 7), (11, 11)):
+        for ksize in ((1, 1), (3, 3), (1, 5), (5, 1), (5, 7), (11, 11)):
             for kernel in (np.ones(ksize), np.ones((shape[1], *ksize))):
-                assert strip_conv(x, kernel).shape == shape
+                np.testing.assert_array_equal(strip_conv(x, kernel), shift_depthwise(x, kernel))
             if shape[1]:  # depthwise needs a channel to group by
-                weight = np.ones((shape[1], 1, *ksize))
-                assert conv2d_same(x, weight, np.ones(shape[1]), groups=shape[1]).shape == shape
+                for multiplier in (1, 2):
+                    weight = np.ones((multiplier * shape[1], 1, *ksize))
+                    bias = np.ones(multiplier * shape[1])
+                    np.testing.assert_array_equal(
+                        conv2d_same(x, weight, bias, groups=shape[1]),
+                        loop_conv2d(x, weight, bias, groups=shape[1]),
+                    )
         assert gelu(x).shape == shape
 
 
@@ -423,8 +439,8 @@ class TestGatedStripMix:
     @pytest.mark.parametrize(
         "x_shape, kernels",
         [
-            ((2, 3, 6, 6), ((1, 5), (7, 3))),  # both on the einsum
-            ((2, 3, 6, 6), ((5, 5), (3, 3))),  # one FFT kernel, one einsum
+            ((2, 3, 6, 6), ((1, 5), (7, 3))),  # both tap sums
+            ((2, 3, 6, 6), ((5, 5), (3, 3))),  # one FFT kernel, one tap sum
             ((2, 3, 9, 7), ((3, 9), (11, 5))),  # one spectrum, unequal half-sides
             ((2, 3, 7, 8), ((3, 9, 3), (3, 5, 7))),  # per-channel kernels
             ((1, 3, 2, 3), ((11, 11), (5, 9))),  # map smaller than the kernels

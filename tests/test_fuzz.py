@@ -392,10 +392,61 @@ manifests = st.one_of(
 )
 
 
-@given(st.one_of(manifests.map(json.dumps), st.text()))
+@st.composite
+def valid_manifests(draw):
+    """A manifest payload that loads, and the columns it loads as: string
+    or numeric frame ids, with or without a sequence block that agrees
+    with them."""
+    n = draw(st.integers(0, 6))
+    numeric = draw(st.booleans())
+    if numeric:
+        first, stride = draw(st.integers(0, 10**6)), draw(st.integers(1, 3))
+        ids = [f"{first + k * stride:06d}" for k in range(n)]
+    else:
+        ids = draw(st.lists(st.text(max_size=6), min_size=n, max_size=n, unique=True))
+    frames, times, annotations = [], [], []
+    for frame_id in ids:
+        entry = {"frame_id": frame_id}
+        time_of_day = draw(st.sampled_from([None, "day", "night"]))
+        if time_of_day is not None:
+            entry["time_of_day"] = time_of_day
+        name = draw(st.one_of(st.just("absent"), st.none(), st.text(max_size=8)))
+        if name != "absent":
+            entry["annotations"] = name
+        frames.append(entry)
+        times.append(time_of_day or "day")
+        annotations.append(None if name == "absent" else name)
+    payload = {"frames": frames}
+    if draw(st.booleans()):
+        per_group = draw(st.integers(1, 3))
+        starts = range(0, n - per_group + 1, per_group)
+        sequence = {"groups": [ids[k : k + per_group] for k in starts]}
+        if draw(st.booleans()):
+            sequence["frames_per_group"] = per_group
+        if numeric and draw(st.booleans()):
+            sequence["stride"] = stride
+        payload["sequence"] = sequence
+    scale = (1.0, 1.0)
+    if draw(st.booleans()):
+        positive = st.one_of(st.integers(1, 4), st.floats(1e-3, 1e3))
+        scale = (draw(positive), draw(positive))
+        payload["annotation_scale"] = list(scale)
+    columns = (tuple(ids), tuple(times), tuple(annotations), tuple(map(float, scale)))
+    return payload, columns
+
+
+# Each example loads one manifest drawn to load, which must give its
+# columns, and one drawn from the error paths, which parses or raises a
+# ValueError.
+@given(valid_manifests(), st.one_of(manifests.map(json.dumps), st.text()))
 @FILE_FIXTURE
-def test_load_manifest(tmp_path, text):
+def test_load_manifest(tmp_path, valid, text):
+    payload, columns = valid
     path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    m = load_manifest(path)
+    assert (m.frame_ids, m.times_of_day, m.annotations, m.annotation_scale) == columns
+    assert m.root == tmp_path
     path.write_text(text, encoding="utf-8")
     parses_or_raises_value_error(load_manifest, path)
 
@@ -741,7 +792,7 @@ odd_sides = st.integers(0, 5).map(lambda k: 2 * k + 1)
 )
 @example((1, 2, 3, 4), 11, 11, True, 0)  # map smaller than the kernel
 @example((2, 1, 6, 5), 5, 5, False, 1)  # 25 taps: the smallest FFT kernel
-@example((2, 1, 6, 5), 3, 7, True, 2)  # 21 taps: the largest einsum kernel
+@example((2, 1, 6, 5), 3, 7, True, 2)  # 21 taps: the largest tap-sum kernel
 @example((1, 2, 8, 4), 11, 7, True, 3)  # H + kh // 2 = 13 and W + kw // 2 = 7 are prime
 @example((2, 1, 2, 1), 11, 9, False, 4)  # 7 FFT rows, fewer than the kernel's 11
 @settings(max_examples=60, deadline=None)
@@ -749,7 +800,7 @@ def test_strip_conv_matches_the_loop_on_both_sides_of_the_fft_threshold(
     shape, kh, kw, per_channel, seed
 ):
     # Kernels from 1x1 to 11x11, so below and above the 25 taps at which
-    # _depthwise switches from the sliding-window einsum to the FFT.
+    # _depthwise switches from the tap sum to the FFT.
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(shape)
     kernel = rng.standard_normal((shape[1],) * per_channel + (kh, kw))
