@@ -12,43 +12,41 @@ Formats handled here:
   skipped. Labels other than ``person`` become ignore regions. A row's box
   is ``(x * sx, y * sy, (x + w) * sx, (y + h) * sy)`` for the scale
   factors (the manifest's ``annotation_scale``). One per-line parser
-  reads every body: ``parse_annotation_text`` gives one body's boxes, and
-  ``Manifest.load_ground_truths`` reads a corpus's files in manifest
-  order, one at a time, into the columns of one ``GroundTruthTable``. A
-  bad line raises a ``ValueError`` naming the file and line, so the first
-  bad file raises before a later file is opened. The files are few rows
-  each, so reading them costs more than parsing them; ``load_records``
-  builds its ``FrameRecord`` list from the table.
+  reads every body: ``parse_annotation_text`` gives one body's boxes in
+  pixel units (factors 1), and ``Manifest.load_ground_truths`` reads a
+  corpus's files in manifest order, one at a time, into the columns of
+  one ``GroundTruthTable``. A bad line raises a ``ValueError`` naming the
+  file and line, so the first bad file raises before a later file is
+  opened. The files are few rows each, so reading them costs more than
+  parsing them; ``load_records`` builds its ``FrameRecord`` list from the
+  table.
 * detections: one per line, ``frame_id modality scale_id x_min y_min x_max
   y_max score``; ``#`` lines are comments. A line's tokens are split on
   any whitespace (``str.split``), and a line is a comment when its first
   token starts with ``#``. ``ingest_detections`` has two paths:
 
-  - ``np.loadtxt``, one call per chunk of about 256 KB (ending at a line
-    break), into a structured array: three byte-string fields (frame id,
-    modality, scale) and five float64 fields. The chunk's comment lines
+  - ``np.loadtxt``, one call for the whole dump, into a structured array:
+    the frame id as a Python string, modality and scale as byte strings
+    one byte wider than the longest valid token (so a longer token stays
+    invalid when cut to the field), and five float64 fields. Comment lines
     are cut out first, and ``loadtxt`` splits the rest on whitespace and
     parses each number with ``PyOS_string_to_double``, the routine
-    ``float`` uses. Each string field becomes integer codes through its
-    run heads (the rows where its value changes), so the byte strings live
-    only as long as their chunk's array; the table then validates the
-    rows with array operations. The frame field starts one byte wider
-    than the previous chunk's longest frame id, and a chunk holding an id
-    that fills it is read again as wide as its longest line; the modality
-    and scale fields are one byte wider than the longest valid token, so
-    a longer token stays invalid when cut to the field.
+    ``float`` uses. Each string column becomes integer codes: its run
+    heads (the rows where its value changes) are sorted into the distinct
+    values, and the rows take their run's code. The corners and scores are
+    copied out, so the table holds none of the rows, and the table then
+    validates them with array operations.
   - ``parse_detection_line``, line by line, for any dump that ``loadtxt``
     would not read exactly as it does: one holding a non-ASCII character,
-    a NUL (a numpy string field drops it from a token's end, so ``f\x00``
-    would read as ``f``), whitespace other than space, tab and ``\n``
+    a NUL (a numpy string field drops it from a token's end, so ``vis\x00``
+    would read as ``vis``), whitespace other than space, tab and ``\n``
     (``\v``, ``\f``, ``\x1c``-``\x1f``: mostly line breaks to
-    ``str.splitlines`` but separators to ``loadtxt``), a token ``loadtxt`` rejects but
-    ``float`` reads (``1_0``), a chunk whose fixed-width rows would take
-    more than 8 bytes per character of the chunk (one very long frame
-    id), or any row that fails. It builds the table, or raises the first
-    bad line's own error, naming the file and line. It is slower: a
-    36,855-line dump reads in about 0.27 s against about 0.034 s through
-    ``loadtxt`` (best of 5 on a shared 2-core VM, reading included).
+    ``str.splitlines`` but separators to ``loadtxt``), a token ``loadtxt``
+    rejects but ``float`` reads (``1_0``), or any row that fails. It
+    builds the table, or raises the first bad line's own error, naming the
+    file and line. It is slower: a 37,725-line dump reads in about 0.39 s
+    against about 0.036 s through ``loadtxt`` (best of 5 on a shared
+    2-core VM, reading included).
 
   Both paths give the same table bit for bit. ``serialize_detections``
   writes rows straight from the columns and rejects a frame id the format
@@ -64,7 +62,8 @@ Formats handled here:
   manifest loads, and not kept: ``eval`` and ``reliability`` score every
   listed frame.
 * run config: UTF-8 ``key = value`` lines, one key per ``RunConfig.echo``
-  entry; the CLI writes its flags into the same mapping.
+  entry, each at most once; the CLI writes its flags into the same
+  mapping.
 * results: UTF-8 header block of ``# key = value`` lines followed by
   tab-separated rows; a strategy label holding a tab or a line break
   raises.
@@ -136,6 +135,10 @@ class RunConfig:
         for name in self.settings:
             if name not in STANDARD_SETTINGS:
                 raise ValueError(f"unknown eval setting {name!r}")
+        missing = [scale for scale in SCALES if scale not in self.scale_strides]
+        unknown = [scale for scale in self.scale_strides if scale not in SCALES]
+        if missing or unknown:
+            raise ValueError(f"scale_strides: missing {missing}, unknown {unknown}")
         for scale, stride in self.scale_strides.items():
             if not (math.isfinite(stride) and stride > 0.0):
                 raise ValueError(f"stride_{scale} must be positive and finite, got {stride}")
@@ -190,16 +193,21 @@ def read_text(path: str | Path) -> str:
 
 
 def load_config(path: str | Path) -> dict[str, str]:
-    """Parse a ``key = value`` config file into a string mapping."""
+    """Parse a ``key = value`` config file into a string mapping; a key
+    given twice raises, naming both lines."""
     mapping: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     for lineno, raw in enumerate(read_text(path).splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-        key, value = line.split("=", 1)
-        mapping[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in first_line:
+            raise ValueError(f"{path}:{lineno}: key {key!r} repeats line {first_line[key]}")
+        first_line[key] = lineno
+        mapping[key] = value
     return mapping
 
 
@@ -272,17 +280,12 @@ def _annotation_rows(
         yield x0, y0, x1, y1, occ_code, tokens[0] != "person"
 
 
-def parse_annotation_text(
-    text: str,
-    source: str = "<string>",
-    scale_x: float = 1.0,
-    scale_y: float = 1.0,
-) -> list[GroundTruthBox]:
-    """Parse one bbGt annotation body; coordinates are multiplied by the
-    scale factors (used to undo dataset-level resizing)."""
+def parse_annotation_text(text: str, source: str = "<string>") -> list[GroundTruthBox]:
+    """Parse one bbGt annotation body, in pixel units; a corpus applies its
+    manifest's ``annotation_scale`` through ``Manifest.load_ground_truths``."""
     return [
         GroundTruthBox(BBox(x0, y0, x1, y1), _OCCLUSION_CODES[occ_code], ignore)
-        for x0, y0, x1, y1, occ_code, ignore in _annotation_rows(text, source, scale_x, scale_y)
+        for x0, y0, x1, y1, occ_code, ignore in _annotation_rows(text, source, 1.0, 1.0)
     ]
 
 
@@ -319,112 +322,59 @@ def parse_detection_line(line: str, source: str = "<string>", lineno: int = 0) -
         raise ValueError(f"{source}:{lineno}: {err}") from None
 
 
-# Characters read per loadtxt call, ending at a line break: bounds the
-# fixed-width rows that the call fills.
-_CHUNK_CHARS = 1 << 18
-
-# Characters that send a chunk to the line parser: NUL, which numpy string
-# fields drop from a token's end ("f\x00" would read as "f"), and ASCII
+# Characters that send a dump to the line parser: NUL, which numpy string
+# fields drop from a token's end ("vis\x00" would read as "vis"), and ASCII
 # whitespace other than space, tab and "\n": most of it breaks lines for
 # str.splitlines but separates tokens for loadtxt. Reading has already
 # turned "\r\n" and "\r" into "\n".
 _LINE_PARSER_CHARS = "\x00\v\f\x1c\x1d\x1e\x1f"
 
-# Bytes of the modality and scale fields: one past the longest valid token,
-# so a longer token, cut to this width, is still no valid token.
-_MODALITY_WIDTH = 1 + max(map(len, _MODALITY_ALIASES))
-_SCALE_WIDTH = 1 + max(map(len, SCALES))
-
-# A chunk whose rows would take more than this many bytes per character of
-# the chunk goes to the line parser: one very long frame id would otherwise
-# widen every row of its chunk.
-_ROW_BYTES_PER_CHAR = 8
-
-
-def _chunk_rows(chunk: str, frame_width: int) -> np.ndarray:
-    # The data lines of a chunk as one structured array, frame ids cut to
-    # ``frame_width`` bytes. Raises ValueError, naming no line, when a line
-    # is not eight tokens that loadtxt reads, or the rows would be too wide.
-    dtype = np.dtype([
-        ("frame", f"S{frame_width}"),
-        ("modality", f"S{_MODALITY_WIDTH}"),
-        ("scale", f"S{_SCALE_WIDTH}"),
-        ("corners", np.float64, 4),
-        ("score", np.float64),
-    ])
-    if dtype.itemsize * (chunk.count("\n") + 1) > _ROW_BYTES_PER_CHAR * len(chunk):
-        raise ValueError("rows too wide for the chunk")
-    # loadtxt parses each number with the routine float() uses, but without
-    # float()'s underscore handling: "1_0" fails here and falls back.
-    return np.loadtxt(io.StringIO(chunk), dtype=dtype, comments=None, ndmin=1)
+# One detection line as loadtxt reads it. The frame id is a Python string,
+# as long as it is; modality and scale are byte fields one byte wider than
+# the longest valid token, so a longer token, cut to the field, is still no
+# valid token.
+_ROW_DTYPE = np.dtype([
+    ("frame", object),
+    ("modality", f"S{1 + max(map(len, _MODALITY_ALIASES))}"),
+    ("scale", f"S{1 + max(map(len, SCALES))}"),
+    ("corners", np.float64, 4),
+    ("score", np.float64),
+])
 
 
-def _runs(column: np.ndarray) -> tuple[np.ndarray, list]:
-    # The length and the value of each run of equal values in a column.
-    heads = np.concatenate(([0], np.flatnonzero(column[1:] != column[:-1]) + 1))
-    return np.diff(heads, append=len(column)), column[heads].tolist()
+def _distinct(column: np.ndarray) -> tuple[list, np.ndarray]:
+    # A column's distinct values, sorted, and each row's index into them.
+    # Only the run heads (the rows where the value changes) are sorted.
+    heads = np.flatnonzero(np.concatenate(([True], column[1:] != column[:-1])))
+    values, which = np.unique(column[heads], return_inverse=True)
+    return values.tolist(), np.repeat(which, np.diff(heads, append=len(column)))
 
 
-def _run_codes(lengths: np.ndarray, values: list, code_of) -> np.ndarray:
-    # Integer codes of a column from its runs; ``code_of`` runs once per run.
-    return np.repeat(np.array([code_of(value) for value in values], dtype=np.intp), lengths)
+def _codes(column: np.ndarray, code_of) -> np.ndarray:
+    # Each row's code: ``code_of`` of its decoded value, once per distinct value.
+    values, which = _distinct(column)
+    return np.array([code_of(value.decode()) for value in values], dtype=np.intp)[which]
 
 
 def _table_from_text(text: str) -> DetectionTable:
-    # Detection text read by loadtxt one chunk at a time. Raises ValueError,
-    # naming no line, when a chunk is outside what loadtxt reads exactly as
-    # the line parser would, or any row fails.
-    frame_code: dict[str, int] = {}  # provisional; ranked in sorted order below
-    frame_width = 8  # then one past the previous chunk's longest frame id
-    corners, scores, frames, modalities, scales = [], [], [], [], []
-    start = 0
-    while start < len(text):
-        end = text.find("\n", start + _CHUNK_CHARS) + 1 or len(text)
-        chunk = text[start:end]
-        start = end
-        if not chunk.isascii() or any(c in chunk for c in _LINE_PARSER_CHARS):
-            raise ValueError("text outside what loadtxt reads")
-        if "#" in chunk:  # drop comment lines; a "#" inside a data line stays
-            chunk = "\n".join(
-                line for line in chunk.split("\n") if not line.lstrip().startswith("#")
-            )
-        if not chunk or chunk.isspace():
-            continue
-        rows = _chunk_rows(chunk, frame_width)
-        lengths, ids = _runs(rows["frame"])
-        if max(map(len, ids)) == frame_width:
-            # A frame id may have been cut: read again, as wide as the
-            # longest line, which no token can outgrow.
-            rows = _chunk_rows(chunk, max(map(len, chunk.split("\n"))))
-            lengths, ids = _runs(rows["frame"])
-        frame_width = 1 + max(map(len, ids))
-        frames.append(
-            _run_codes(lengths, ids, lambda f: frame_code.setdefault(f.decode(), len(frame_code)))
-        )
-        modalities.append(
-            _run_codes(
-                *_runs(rows["modality"]),
-                lambda m: _MODALITY_ALIAS_CODES.get(m.decode().lower(), -1),
-            )
-        )
-        scales.append(
-            _run_codes(*_runs(rows["scale"]), lambda s: _SCALE_CODES.get(s.decode(), -1))
-        )
-        corners.append(rows["corners"])
-        scores.append(rows["score"])
-    if not corners:
+    # Detection text read by one loadtxt call. Raises ValueError, naming no
+    # line, when the text is outside what loadtxt reads exactly as the line
+    # parser would, or any row fails.
+    if not text.isascii() or any(c in text for c in _LINE_PARSER_CHARS):
+        raise ValueError("text outside what loadtxt reads")
+    if "#" in text:  # drop comment lines; a "#" inside a data line stays
+        text = "\n".join(line for line in text.split("\n") if not line.lstrip().startswith("#"))
+    if not text or text.isspace():
         return DetectionTable(np.empty((0, 4)), np.empty(0), [], [], [], [])
-    frame_ids = sorted(frame_code)
-    rank = np.empty(len(frame_ids), dtype=np.intp)
-    rank[[frame_code[f] for f in frame_ids]] = np.arange(len(frame_ids))
-    return DetectionTable(
-        np.concatenate(corners),
-        np.concatenate(scores),
-        rank[np.concatenate(frames)],
-        frame_ids,
-        np.concatenate(modalities),
-        np.concatenate(scales),
-    )
+    # loadtxt parses each number with the routine float() uses, but without
+    # float()'s underscore handling: "1_0" fails here and falls back. Fed
+    # bytes, it holds a smaller copy of the text than it would fed a str.
+    rows = np.loadtxt(io.BytesIO(text.encode()), dtype=_ROW_DTYPE, comments=None, ndmin=1)
+    frame_ids, frame_codes = _distinct(rows["frame"])
+    modality_codes = _codes(rows["modality"], lambda m: _MODALITY_ALIAS_CODES.get(m.lower(), -1))
+    scale_codes = _codes(rows["scale"], lambda s: _SCALE_CODES.get(s, -1))
+    corners, scores = rows["corners"].copy(), rows["score"].copy()  # the table keeps no row
+    return DetectionTable(corners, scores, frame_codes, frame_ids, modality_codes, scale_codes)
 
 
 def ingest_detections(path: str | Path) -> DetectionTable:
@@ -432,10 +382,10 @@ def ingest_detections(path: str | Path) -> DetectionTable:
     is NMS's job). A malformed line raises the ``ValueError`` that
     ``parse_detection_line`` raises for it, naming the file and line.
 
-    A dump in the fast form is read in vectorized passes (see the module
-    docstring); any other dump, and any dump with a failing row, goes to
-    ``parse_detection_line`` line by line, which builds the table or
-    raises the first bad line's own error.
+    A dump in the fast form is read by one ``np.loadtxt`` call and coded
+    in vectorized passes (see the module docstring); any other dump, and
+    any dump with a failing row, goes to ``parse_detection_line`` line by
+    line, which builds the table or raises the first bad line's own error.
     """
     text = read_text(path)
     try:

@@ -301,6 +301,15 @@ class TestFuse:
         assert captured.out == ""
         assert captured.err == f"error: {cfg}: unknown config keys: ['nms_thresh']\n"
 
+    def test_a_repeated_config_key_fails_naming_the_file(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("nms_thres = 0.3\nnms_thres = 0.4\n", "utf-8")
+        code = main(["fuse", "--detections", str(self._dets_file(tmp_path)), "--config", str(cfg)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {cfg}:2: key 'nms_thres' repeats line 1\n"
+
     def test_stdout_when_no_out(self, tmp_path, capsys):
         code = main(
             [

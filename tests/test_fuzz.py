@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from msfusion import evaluation, ingest
+from msfusion import evaluation
 from msfusion.balance import ReliabilityReport, corpus_reliability, reliability
 from msfusion.containers import TENSORS_MAGIC, load_tensors, save_tensors
 from msfusion.evaluation import (
@@ -141,57 +141,47 @@ dump_bodies = st.one_of(
 TABLE_COLUMNS = ("corners", "scores", "frame_codes", "modality_codes", "scale_codes")
 
 
-@given(dump_bodies, st.booleans(), st.sampled_from([16, 256]))
+@given(dump_bodies, st.booleans())
 # Rows the fast form would misread if it split lines or tokens as the line
 # parser does not: a row broken over two lines, and other whitespace inside
-# a token whose extra token the chunk's comment line then drops.
-@example(body=[("f vis s80 0", "\n"), ("0 1 1 0.5", "\n")], last_break=True, chunk_chars=16)
-@example(body=[("#", "\n"), ("f\x0bvis s80 0 0 1 1 0.5 1", "\n")], last_break=True,
-         chunk_chars=16)
-@example(body=[("#", "\n"), ("f\u2028vis s80 0 0 1 1 0.5 1", "\n")], last_break=True,
-         chunk_chars=16)
+# a token whose extra token the dump's comment line then drops.
+@example(body=[("f vis s80 0", "\n"), ("0 1 1 0.5", "\n")], last_break=True)
+@example(body=[("#", "\n"), ("f\x0bvis s80 0 0 1 1 0.5 1", "\n")], last_break=True)
+@example(body=[("#", "\n"), ("f\u2028vis s80 0 0 1 1 0.5 1", "\n")], last_break=True)
 # A non-ASCII frame id: the fast form reads ASCII only, so the line parser
 # reads this dump.
 @example(body=[("\u5e27 vis s80 0 0 1 1 0.5", "\n"), ("f ir s40 0 0 1 1 0.25", "\n")],
-         last_break=True, chunk_chars=16)
+         last_break=True)
 # loadtxt's traps. A "#" inside a data line next to a comment line: read
 # with comments, loadtxt would cut "0.5#x" to 0.5.
-@example(body=[("# c", "\n"), ("f vis s80 0 0 1 1 0.5#x", "\n")], last_break=True,
-         chunk_chars=16)
+@example(body=[("# c", "\n"), ("f vis s80 0 0 1 1 0.5#x", "\n")], last_break=True)
 # Frame ids that differ by a trailing NUL, which a numpy string field drops.
 @example(body=[("f vis s80 0 0 1 1 0.5", "\n"), ("f\x00 ir s40 0 0 1 1 0.25", "\n")],
-         last_break=True, chunk_chars=256)
+         last_break=True)
 # "1_0" is 10.0 to float() but fails loadtxt, so the line parser reads it.
 @example(body=[("f vis s80 0 0 1 1 0.5", "\n"), ("g ir s40 0 0 1_0 1 0.25", "\n")],
-         last_break=True, chunk_chars=256)
-# One very long frame id among short rows: wider than any guess, and too
-# wide for a chunk of short rows.
+         last_break=True)
+# One very long frame id among short rows: the frame field holds it whole.
 @example(body=[*[("f vis s80 0 0 1 1 0.5", "\n")] * 10,
                ("x" * 3000 + " ir s40 0 0 1 1 0.25", "\n"), ("g vis s20 0 0 1 1 0.5", "\n")],
-         last_break=False, chunk_chars=256)
+         last_break=False)
 @example(body=[("f vis s80 0 0 1 1 0.5", "\n"), ("x" * 300 + " ir s40 0 0 1 1 0.25", "\n"),
-               ("g vis s20 0 0 1 1 0.5", "\n")], last_break=True, chunk_chars=16)
+               ("g vis s20 0 0 1 1 0.5", "\n")], last_break=True)
 # Tokens one character longer than a valid modality or scale, which a
 # string field one character narrower would cut to a valid one.
-@example(body=[("f visibles s80 0 0 1 1 0.5", "\n")], last_break=True, chunk_chars=16)
-@example(body=[("f vis s800 0 0 1 1 0.5", "\n")], last_break=True, chunk_chars=16)
+@example(body=[("f visibles s80 0 0 1 1 0.5", "\n")], last_break=True)
+@example(body=[("f vis s800 0 0 1 1 0.5", "\n")], last_break=True)
 # A vertical tab and a line separator, token separators to loadtxt but
-# line breaks to the line parser; and a chunk of blanks only, which loadtxt
-# warns about.
-@example(body=[("f vis s80 0 0\x0b1 1 0.5", "\n")], last_break=True, chunk_chars=16)
-@example(body=[("f vis s80 0 0\u20281 1 0.5", "\n")], last_break=True, chunk_chars=16)
-@example(body=[(" " * 30, "\n"), ("f vis s80 0 0 1 1 0.5", "\n")], last_break=True,
-         chunk_chars=16)
+# line breaks to the line parser; and a line of blanks, which loadtxt
+# skips (a dump of blanks only would make it warn).
+@example(body=[("f vis s80 0 0\x0b1 1 0.5", "\n")], last_break=True)
+@example(body=[("f vis s80 0 0\u20281 1 0.5", "\n")], last_break=True)
+@example(body=[(" " * 30, "\n"), ("f vis s80 0 0 1 1 0.5", "\n")], last_break=True)
 @FILE_FIXTURE
-def test_ingest_detections_matches_line_parser(
-    tmp_path, monkeypatch, body, last_break, chunk_chars
-):
+def test_ingest_detections_matches_line_parser(tmp_path, body, last_break):
     # The columnar reader returns exactly what parse_detection_line gives on
     # each data line, in order and bit for bit, or fails with the first
-    # failing line's error. Sixteen-character chunks hold one data line
-    # each, so frames and errors cross chunk boundaries; 256-character
-    # chunks hold several.
-    monkeypatch.setattr(ingest, "_CHUNK_CHARS", chunk_chars)
+    # failing line's error.
     path = tmp_path / "dets.txt"
     text = "".join(line + end for line, end in body)
     path.write_bytes((text if last_break or not body else text[: -len(body[-1][1])]).encode())
@@ -308,8 +298,8 @@ ANN_SCALES = [(1.0, 1.0), (2.0, 0.5), (0.1, 3.0), (1e300, 1.0)]
 def test_annotation_columns_match_parse_annotation_text(tmp_path, files, scale):
     # The columnar reader gives each file's records exactly as the
     # independent parse_annotation_ref gives them, bit for bit, or fails
-    # with the first failing file's own error; parse_annotation_text agrees
-    # with the reference file by file.
+    # with the first failing file's own error; parse_annotation_text, which
+    # reads pixel units, agrees with the reference at scale 1 file by file.
     folder = tmp_path / "ann"
     folder.mkdir(exist_ok=True)
     for old in folder.glob("*.txt"):
@@ -326,11 +316,14 @@ def test_annotation_columns_match_parse_annotation_text(tmp_path, files, scale):
                 expected.append(FrameRecord(str(k), "day", gts))
             except ValueError as err:
                 error = str(err)
+            try:
+                unscaled = parse_annotation_ref(body, str(path))
+            except ValueError as err:
                 with pytest.raises(ValueError) as again:
-                    parse_annotation_text(body, str(path), *scale)
-                assert str(again.value) == error
+                    parse_annotation_text(body, str(path))
+                assert str(again.value) == str(err)
             else:
-                assert parse_annotation_text(body, str(path), *scale) == gts
+                assert parse_annotation_text(body, str(path)) == unscaled
     manifest = Manifest(
         tuple(str(k) for k in range(len(files))),
         ("day",) * len(files),

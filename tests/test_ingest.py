@@ -2,6 +2,7 @@
 
 import json
 import re
+import tracemalloc
 from dataclasses import fields
 
 import pytest
@@ -63,12 +64,6 @@ class TestAnnotations:
             parse_annotation_text(
                 "% bbGt version=3\nperson 0 0 10 20 0\nperson 0 0 inf 20 0\n", "ann.txt"
             )
-
-    def test_scaling_applied(self):
-        gts = parse_annotation_text(
-            "% bbGt version=3\nperson 10 20 30 60 0\n", scale_x=2.0, scale_y=0.5
-        )
-        assert gts[0].box == BBox(20, 10, 80, 40)
 
     def test_directory_ingestion(self, tmp_path):
         # A manifest's annotation paths are read relative to its root, with
@@ -221,55 +216,87 @@ class TestDetections:
         assert len(table) == 1000 and len(table.frame_ids) == 143
 
     def test_raw_and_written_dumps_never_reach_the_line_parser(self, tmp_path, monkeypatch):
-        # A raw dump laid out as a benchmark corpus writes it (six-digit
-        # frame ids, %.2f corners, %.6f scores; more than one chunk), and
-        # serialize_detections' output of it with a "# key = value" header.
+        # A raw dump laid out as a benchmark corpus writes it (%.2f corners,
+        # %.6f scores), with six-digit and with KAIST-style 17-character
+        # frame ids, and serialize_detections' output of it with a
+        # "# key = value" header.
         def refuse(*args):
             raise AssertionError("parse_detection_line called")
 
         monkeypatch.setattr(ingest, "parse_detection_line", refuse)
-        lines = [
-            f"{k // 60 * 10:06d} {('vis', 'ir', 'fused')[k // 20 % 3]} {SCALES[k // 5 % 3]} "
-            f"{k % 97:.2f} {k % 89 + 0.5:.2f} {k % 97 + 20.25:.2f} {k % 89 + 60:.2f} "
-            f"{(k % 1000) / 1000:.6f}"
-            for k in range(6000)
-        ]
-        raw = tmp_path / "raw.txt"
-        raw.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        assert raw.stat().st_size > ingest._CHUNK_CHARS
-        table = ingest_detections(raw)
-        assert len(table) == 6000 and len(table.frame_ids) == 100
-        written = tmp_path / "written.txt"
-        written.write_text(
-            serialize_detections(table, {"strategy": "algo1", "nms_thres": "0.5"}),
-            encoding="utf-8",
-        )
-        again = ingest_detections(written)
-        assert again.frame_ids == table.frame_ids
-        for column in ("corners", "scores", "frame_codes", "modality_codes", "scale_codes"):
-            assert getattr(again, column).tobytes() == getattr(table, column).tobytes()
+        for frame_id in ("{:06d}".format, "set00_V000_I{:05d}".format):
+            lines = [
+                f"{frame_id(k // 60 * 10)} {('vis', 'ir', 'fused')[k // 20 % 3]} "
+                f"{SCALES[k // 5 % 3]} {k % 97:.2f} {k % 89 + 0.5:.2f} {k % 97 + 20.25:.2f} "
+                f"{k % 89 + 60:.2f} {(k % 1000) / 1000:.6f}"
+                for k in range(6000)
+            ]
+            raw = tmp_path / "raw.txt"
+            raw.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            table = ingest_detections(raw)
+            assert len(table) == 6000 and len(table.frame_ids) == 100
+            assert table.frame_ids[1] == frame_id(10)
+            written = tmp_path / "written.txt"
+            written.write_text(
+                serialize_detections(table, {"strategy": "algo1", "nms_thres": "0.5"}),
+                encoding="utf-8",
+            )
+            again = ingest_detections(written)
+            assert again.frame_ids == table.frame_ids
+            for column in ("corners", "scores", "frame_codes", "modality_codes", "scale_codes"):
+                assert getattr(again, column).tobytes() == getattr(table, column).tobytes()
 
-    def test_a_frame_id_too_wide_for_its_chunk_goes_to_the_line_parser(
-        self, tmp_path, monkeypatch
-    ):
-        # Rows are as wide as the chunk's widest frame id: one id of 20,000
-        # characters among short rows would widen a chunk's 1,000 rows to
-        # 20 MB, so the line parser reads the dump.
-        calls = []
+    def test_a_very_long_frame_id_is_read_with_the_rest_of_the_dump(self, tmp_path, monkeypatch):
+        # Frame ids are Python strings as long as they are: one id of 20,000
+        # characters among short rows neither widens the rows nor sends the
+        # dump to the line parser.
+        def refuse(*args):
+            raise AssertionError("parse_detection_line called")
 
-        def count(*args):
-            calls.append(args)
-            return parse_detection_line(*args)
-
-        monkeypatch.setattr(ingest, "parse_detection_line", count)
         long_id = "x" * 20_000
         lines = ["f vis s80 0 0 1 1 0.5"] * 500 + [f"{long_id} ir s40 0 0 2 2 0.25"]
         path = tmp_path / "d.txt"
         path.write_text("\n".join(lines + ["g vis s20 0 0 1 1 0.5"] * 500) + "\n", "utf-8")
+        monkeypatch.setattr(ingest, "parse_detection_line", refuse)
         table = ingest_detections(path)
-        assert len(calls) == 1001
         assert table.frame_ids == ("f", "g", long_id)
         assert table.frame_codes.tolist() == [0] * 500 + [2] + [1] * 500
+        assert table.modality_codes.tolist() == [0] * 500 + [1] + [0] * 500
+        assert table.scale_codes.tolist() == [0] * 500 + [1] + [2] * 500
+
+    def test_a_bad_line_near_the_end_of_a_long_dump_is_named(self, tmp_path):
+        # The one loadtxt call fails naming no line; the line parser then
+        # raises the bad line's own error.
+        lines = [f"{k // 6:06d} vis s80 0 0 1 1 0.5" for k in range(6000)]
+        lines[5998] = "000999 vis s80 0 0 1 1 1.5"
+        path = tmp_path / "d.txt"
+        path.write_text("\n".join(lines) + "\n", "utf-8")
+        with pytest.raises(ValueError) as err:
+            ingest_detections(path)
+        assert str(err.value) == f"{path}:5999: score must be in [0, 1], got 1.5"
+
+    def test_reading_a_dump_holds_under_six_times_its_size(self, tmp_path):
+        # The traced peak of one read of a dump of over 1 MB, the table
+        # included. The modality changes on every row, so every row starts
+        # a run of that column.
+        lines = [
+            f"{k // 60:06d} {('vis', 'ir')[k % 2]} {SCALES[k // 2 % 3]} {k % 97:.2f} "
+            f"{k % 89:.2f} {k % 97 + 20.25:.2f} {k % 89 + 60.5:.2f} {k % 1000 / 1000:.6f}"
+            for k in range(24_000)
+        ]
+        path = tmp_path / "d.txt"
+        path.write_text("\n".join(lines) + "\n", "utf-8")
+        size = path.stat().st_size
+        assert size >= 1 << 20
+        ingest_detections(path)  # first-call imports and caches stay outside the trace
+        tracemalloc.start()
+        try:
+            table = ingest_detections(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(table) == 24_000
+        assert peak < 6 * size
 
     def test_group_by_frame_of_a_table_and_a_list_agree(self):
         dets = [
@@ -308,6 +335,29 @@ class TestRunConfig:
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown config keys"):
             run_config_from_mapping({"betaa": "1"})
+
+    def test_a_repeated_key_is_rejected_naming_both_lines(self, tmp_path):
+        # The last value used to win silently; a manifest already rejects a
+        # repeated frame id.
+        path = tmp_path / "run.cfg"
+        path.write_text("n_top = 3\nn_top = 5\n", encoding="utf-8")
+        with pytest.raises(ValueError) as err:
+            load_config(path)
+        assert str(err.value) == f"{path}:2: key 'n_top' repeats line 1"
+
+    @pytest.mark.parametrize(
+        "strides, named",
+        [
+            ({"s80": 4.0, "s99": 1.0}, "missing ['s40', 's20'], unknown ['s99']"),
+            ({"s80": 8.0, "s40": 16.0}, "missing ['s20'], unknown []"),
+            ({"s80": 8.0, "s40": 16.0, "s20": 32.0, "s10": 64.0}, "missing [], unknown ['s10']"),
+        ],
+    )
+    def test_a_stride_map_without_exactly_the_scales_is_rejected(self, strides, named):
+        # A map missing a scale used to construct, and echo() then raised a
+        # KeyError for it.
+        with pytest.raises(ValueError, match=f"^scale_strides: {re.escape(named)}$"):
+            RunConfig(scale_strides=strides)
 
     def test_malformed_line_reports_location(self, tmp_path):
         path = tmp_path / "run.cfg"
