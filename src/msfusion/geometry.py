@@ -23,8 +23,12 @@ NMS suppresses each frame on its own and runs all frames at once as a
 wavefront: each round keeps the best live row of every frame and scores the frame's
 other live rows against it in one ``iou_pairs`` call, so the rounds number
 the most rows any one frame keeps, not the sum over frames. Once one frame
-is left, each round scores the kept row against the live rows after it,
-as single-frame NMS always does.
+is left, it is walked in blocks of B live rows, the block layout of GPU
+NMS kernels: one call settles the block on itself, one more scores only
+its kept rows against the live rows after it. B starts at 16, doubles
+when a block keeps more than half its rows and halves otherwise, within
+256 and 2**18 // live rows, so memory is O(B * live rows) with at most
+2**18 IoU values per call (for frames of up to 2**18 rows).
 
 ``DetectionTable`` holds many detections as columns: the corners as an
 (N, 4) float64 array, the scores as a float64 array, and integer codes for
@@ -524,6 +528,10 @@ def as_table(dets: Iterable[Detection]) -> DetectionTable:
     return DetectionTable.from_detections(dets)
 
 
+# Bounds on the rows B of a walk block, and on B * live rows.
+_BLOCK_MIN, _BLOCK_MAX, _BLOCK_VALUES = 16, 256, 1 << 18
+
+
 def _segmented_nms(
     corners: np.ndarray, scores: np.ndarray, segments: np.ndarray, iou_threshold: float
 ) -> np.ndarray:
@@ -532,10 +540,12 @@ def _segmented_nms(
     # order. The segments run as a wavefront: every round keeps the first
     # live row of each segment and scores the segment's other live rows
     # against it in one ``iou_pairs`` call, so there are as many rounds as
-    # the largest segment keeps rows. Once one segment is left, each round
-    # scores its kept row against the rows after it, the single-segment walk.
+    # the largest segment keeps rows. Once one segment is left, it is walked
+    # in blocks of B rows (see the module docstring): one (B, B) call settles
+    # a block, one more scores its kept rows against the rows after it. The
+    # earlier row is always ``a``, so the IoU bits are those of a row walk.
     alive = np.lexsort((-scores, segments))  # stable: ties keep row order
-    kept = []
+    kept = [alive[:0]]  # an empty run, so the concatenation never lacks one
     while alive.size and segments[alive[0]] != segments[alive[-1]]:
         segment = segments[alive]
         head = np.empty(alive.size, dtype=bool)
@@ -547,14 +557,22 @@ def _segmented_nms(
         alive = alive[~head]
         if alive.size:
             alive = alive[~(iou_pairs(corners[owner], corners[alive]) > iou_threshold)]
-    walk = []
+    size = _BLOCK_MIN
     while alive.size:
-        first, rest = alive[0], alive[1:]
-        walk.append(first)
-        if not rest.size:
-            break
-        alive = rest[~(iou_pairs(corners[first], corners[rest]) > iou_threshold)]
-    kept = np.concatenate([*kept, np.array(walk, dtype=np.intp)])
+        size = min(max(size, _BLOCK_MIN), _BLOCK_MAX, max(1, _BLOCK_VALUES // alive.size))
+        head, alive = alive[:size], alive[size:]
+        block = corners[head]
+        over = np.triu(iou_pairs(block[:, None], block[None]) > iou_threshold, 1)
+        keep = np.ones(head.size, dtype=bool)
+        for i in range(head.size):
+            if keep[i]:
+                keep &= ~over[i]
+        kept.append(head[keep])
+        if alive.size:
+            over = iou_pairs(block[keep][:, None], corners[alive][None]) > iou_threshold
+            alive = alive[~over.any(axis=0)]
+        size = size * 2 if 2 * np.count_nonzero(keep) > head.size else size // 2
+    kept = np.concatenate(kept)
     return kept[np.argsort(segments[kept], kind="stable")]
 
 
@@ -571,8 +589,9 @@ def nms(dets: Sequence[Detection], iou_threshold: float = 0.45) -> Sequence[Dete
     of its own detection objects.
 
     All frames run together as a wavefront (``_segmented_nms``), one IoU
-    call per round; a single frame scores one IoU row per kept box, so
-    memory stays O(n) and no n x n matrix is built.
+    call per round; the last frame left is walked in blocks of B <= 256
+    rows, two IoU calls per block, so memory is O(B * live rows), at most
+    2**18 values per call, and no n x n matrix is built.
     """
     if not 0.0 <= iou_threshold <= 1.0:
         raise ValueError(f"iou_threshold must be in [0, 1], got {iou_threshold}")

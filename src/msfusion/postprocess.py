@@ -12,9 +12,11 @@ the same-frame visible x thermal pairs of every frame at once from
 builds the hulls and confidences elementwise; they equal ``convex_hull``
 and the scalar mean exactly. NMS runs every frame of one table at once
 (``nms`` suppresses each frame on its own as a wavefront of one IoU call
-per round). Given tables, both functions return tables and build no
-``Detection`` object; given lists, they convert them once, run the same
-array code, and return ``FusedDetection`` and ``Detection`` lists.
+per round, then walks the last frame left in blocks of B <= 256 rows:
+O(B * live rows) memory, at most 2**18 IoU values per call). Given
+tables, both functions return tables and build no ``Detection`` object;
+given lists, they convert them once, run the same array code, and return
+``FusedDetection`` and ``Detection`` lists.
 
 Ordering contract: fused pairs (IoU ``>=`` the threshold) keep the pair
 order of ``geometry.segment_pairs`` over the frame-sorted visible rows

@@ -68,6 +68,33 @@ def nms_ref(dets, iou_threshold):
     return kept
 
 
+def _iou_row_ref(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # iou_ref of corner row ``a`` with every row of ``b``, in its order of
+    # operations, so each entry equals iou_ref bit for bit.
+    ix = np.maximum(0.0, np.minimum(a[2], b[:, 2]) - np.maximum(a[0], b[:, 0]))
+    iy = np.maximum(0.0, np.minimum(a[3], b[:, 3]) - np.maximum(a[1], b[:, 1]))
+    inter = ix * iy
+    union = (a[2] - a[0]) * (a[3] - a[1]) + (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1]) - inter
+    positive = union > 0.0
+    return np.where(positive, inter / np.where(positive, union, 1.0), 0.0)
+
+
+def walk_nms_ref(corners, scores, segments, iou_threshold) -> np.ndarray:
+    """Row indices greedy NMS keeps, segment by segment (codes ascending),
+    each segment in stable descending score order: one IoU row per kept
+    box against the live rows after it, suppressing strictly above the
+    threshold. Fast enough for frames of thousands of boxes."""
+    kept = []
+    for code in np.unique(segments).tolist():
+        rows = np.flatnonzero(segments == code)
+        alive = rows[np.argsort(-scores[rows], kind="stable")]
+        while alive.size:
+            first, rest = alive[0], alive[1:]
+            kept.append(first)
+            alive = rest[~(_iou_row_ref(corners[first], corners[rest]) > iou_threshold)]
+    return np.array(kept, dtype=np.intp)
+
+
 def check_nms_survivors(all_dets, survivors, iou_threshold) -> bool:
     """Pairwise survivor condition: survivors mutually below threshold and
     every suppressed box overlaps a higher-scoring survivor above it."""

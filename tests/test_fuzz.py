@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from msfusion import evaluation
+from msfusion import evaluation, geometry
 from msfusion.balance import ReliabilityReport, corpus_reliability, reliability
 from msfusion.containers import TENSORS_MAGIC, load_tensors, save_tensors
 from msfusion.evaluation import (
@@ -51,6 +51,7 @@ from oracles import (
     match_outcomes_ref,
     nms_ref,
     parse_annotation_ref,
+    walk_nms_ref,
 )
 
 FILE_FIXTURE = settings(
@@ -634,6 +635,117 @@ def test_per_frame_nms_matches_nms_ref_frame_by_frame(dets, threshold):
     kept = nms(dets, threshold)
     assert [id(d) for d in kept] == [id(d) for d in expected]
     assert nms(DetectionTable.from_detections(dets), threshold) == expected
+
+
+def _boxes(rng, n, span, flat=0.0):
+    # n boxes on a span x span canvas, corners rounded to whole pixels so
+    # that IoUs often land on the thresholds; a ``flat`` share has no area.
+    x0, y0 = np.round(rng.uniform(0, span, (2, n)))
+    w, h = np.round(rng.uniform(1, 40, (2, n)))
+    w[rng.random(n) < flat] = 0.0
+    return np.stack([x0, y0, x0 + w, y0 + h], axis=1)
+
+
+def _disjoint(n):
+    # n pairwise disjoint 10 x 10 boxes. Walked in row order, every block
+    # keeps all its rows, so the block size doubles each time.
+    i = np.arange(n)
+    return np.stack([i % 40 * 20.0, i // 40 * 20.0, i % 40 * 20.0 + 10, i // 40 * 20.0 + 10], 1)
+
+
+def _doubling_then_halving():
+    # 112 disjoint rows (blocks of 16, 32 and 64 keep all), then 300
+    # disjoint boxes twice each with a tied score: every later block keeps
+    # exactly half, so the size halves from 128 down to the minimum.
+    boxes, scores = _disjoint(412), np.linspace(1.0, 0.0, 412)
+    corners = np.concatenate([boxes[:112], np.repeat(boxes[112:], 2, axis=0)])
+    scores = np.concatenate([scores[:112], np.repeat(scores[112:], 2)])
+    return corners, scores, np.zeros(len(scores), dtype=np.intp)
+
+
+def _nms_case(name):
+    rng = np.random.default_rng(sum(map(ord, name)))
+    kind, _, n = name.partition("-")
+    n = int(n or 0)
+    one = np.zeros(n, dtype=np.intp)
+    if kind == "random":  # tied scores, some flat boxes
+        return _boxes(rng, n, 150, flat=0.1), np.round(rng.random(n), 1), one
+    if kind == "disjoint":
+        return _disjoint(n), np.linspace(1.0, 0.0, n), one
+    if kind == "sparse":  # most rows kept: the block size climbs to the cap
+        return _boxes(rng, n, 1500), rng.random(n), one
+    if kind == "copies":  # every row but the first is suppressed below threshold 1
+        return np.tile([[3.0, 4.0, 30.0, 60.0]], (n, 1)), np.full(n, 0.5), one
+    if kind == "flat":  # zero-area boxes never overlap anything
+        return _boxes(rng, n, 60, flat=1.0), np.round(rng.random(n), 1), one
+    if kind == "halving":
+        return _doubling_then_halving()
+    if kind == "frames":  # the largest frame is walked in blocks after the wavefront
+        counts = [5, 300, 3, 6]
+        segments = np.repeat(np.arange(len(counts)), counts)
+        rng.shuffle(segments)
+        return _boxes(rng, len(segments), 400), np.round(rng.random(len(segments)), 2), segments
+    raise ValueError(name)
+
+
+def _walk_blocks(monkeypatch):
+    # Rows of each block the walk settles: its settle call passes two views
+    # of one block, and no other iou_pairs call shares memory.
+    blocks = []
+    original = geometry.iou_pairs
+
+    def recording(a, b):
+        if np.shares_memory(a, b):
+            blocks.append(a.shape[0])
+        return original(a, b)
+
+    monkeypatch.setattr(geometry, "iou_pairs", recording)
+    return blocks
+
+
+EDGES = [b + d for b in (16, 32, 64, 128, 256) for d in (-1, 0, 1)]
+
+
+@pytest.mark.parametrize("threshold", [0.0, 1.0 / 3.0, 0.45, 0.5, 1.0])
+@pytest.mark.parametrize(
+    "case",
+    [f"random-{n}" for n in [0, 1, *EDGES]]
+    + [f"disjoint-{2 * b - 16 + d}" for b in (16, 32, 64, 128, 256) for d in (-1, 0, 1)]
+    + ["copies-300", "flat-200", "halving", "frames", "sparse-1500"],
+)
+def test_segmented_nms_matches_the_walk_across_block_edges(case, threshold, monkeypatch):
+    corners, scores, segments = _nms_case(case)
+    blocks = _walk_blocks(monkeypatch)
+    kept = geometry._segmented_nms(corners, scores, segments, threshold)
+    assert np.array_equal(kept, walk_nms_ref(corners, scores, segments, threshold))
+    assert kept.dtype == np.intp
+    if case == "frames":
+        assert blocks and sum(blocks) > 16  # the walk ran after the wavefront
+
+
+@pytest.mark.parametrize("b", [16, 32, 64, 128, 256])
+@pytest.mark.parametrize("d", [-1, 0, 1])
+def test_walk_blocks_double_to_the_edge_of_the_frame(b, d, monkeypatch):
+    # Disjoint rows that leave b + d live rows when the block size reaches b.
+    blocks = _walk_blocks(monkeypatch)
+    geometry._segmented_nms(*_nms_case(f"disjoint-{2 * b - 16 + d}"), 0.5)
+    doubled = [16 << k for k in range(b.bit_length() - 5)]
+    assert blocks == doubled + [min(b, b + d)] + [1] * (d == 1)
+
+
+def test_walk_blocks_halve_when_half_the_block_is_suppressed(monkeypatch):
+    blocks = _walk_blocks(monkeypatch)
+    geometry._segmented_nms(*_doubling_then_halving(), 0.5)
+    assert blocks[:8] == [16, 32, 64, 128, 64, 32, 16, 16]
+
+
+def test_walk_blocks_stay_within_the_values_cap(monkeypatch):
+    # After blocks of 16 to 128, 1,260 live rows allow 2**18 // 1,260 = 208.
+    blocks = _walk_blocks(monkeypatch)
+    geometry._segmented_nms(*_nms_case("disjoint-1500"), 0.5)
+    assert blocks[:5] == [16, 32, 64, 128, 208]
+    live = 1500 - np.cumsum([0, *blocks[:-1]])
+    assert all(rows * n <= 1 << 18 for rows, n in zip(blocks, live.tolist()))
 
 
 segment_codes = st.lists(st.integers(0, 5), max_size=12)

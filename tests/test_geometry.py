@@ -1,6 +1,7 @@
 """Box algebra: IoU, CIoU, hulls, their pair kernels, and greedy NMS."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -231,6 +232,11 @@ def det(x0, y0, x1, y1, score, frame="f0", scale="s80", modality="vis"):
     return Detection(BBox(x0, y0, x1, y1), score, modality, scale, frame)
 
 
+def one_frame_table(corners, scores):
+    zeros = np.zeros(len(scores), dtype=np.intp)
+    return DetectionTable(corners, scores, zeros, ("f0",), zeros, zeros)
+
+
 class TestNMS:
     def test_exact_duplicate_suppressed(self):
         dets = [det(0, 0, 10, 10, 0.9), det(0, 0, 10, 10, 0.8)]
@@ -278,24 +284,48 @@ class TestNMS:
                 kept = nms(dets, threshold)
                 assert [id(d) for d in kept] == [id(d) for d in nms_ref(dets, threshold)]
 
-    def test_scores_one_row_per_kept_box(self, monkeypatch):
-        # Memory guard: NMS never builds more than one IoU row at a time.
-        rows = []
+    def test_walk_scores_blocks_of_at_most_256_rows(self, monkeypatch):
+        # Memory guard: the single-frame walk settles a block of at most 256
+        # rows on itself in one call, then scores the block's kept rows
+        # against the rest in at most one more. Every block keeps its first
+        # row, so the calls number at most twice the kept rows.
+        calls = []
         original = geometry.iou_pairs
 
         def recording(a, b):
-            rows.append(a.shape)
+            calls.append((a.shape[0], np.shares_memory(a, b)))  # a settle: two views of a block
             return original(a, b)
 
         monkeypatch.setattr(geometry, "iou_pairs", recording)
         rng = np.random.default_rng(13)
-        dets = []
-        for _ in range(200):
-            x0, y0 = rng.uniform(0, 60, 2)
-            w, h = rng.uniform(5, 30, 2)
-            dets.append(det(x0, y0, x0 + w, y0 + h, float(rng.uniform(0, 1))))
-        kept = nms(dets, 0.3)
-        assert rows and set(rows) == {(4,)} and len(rows) <= len(kept)
+        x0, y0 = rng.uniform(0, 600, (2, 1000))
+        w, h = rng.uniform(5, 30, (2, 1000))
+        table = one_frame_table(np.stack([x0, y0, x0 + w, y0 + h], axis=1), rng.uniform(0, 1, 1000))
+        kept = nms(table, 0.3)
+        rows = [n for n, _ in calls]
+        assert calls and calls[0][1] and max(rows) == 256
+        assert all(prev[1] for prev, (_, settle) in zip(calls, calls[1:]) if not settle)
+        assert len(calls) <= 2 * len(kept)
+
+    def test_walk_peak_memory_stays_bounded_on_a_huge_frame(self):
+        # 20,000 boxes in 2,000 disjoint cells of ten near-copies: every
+        # cell keeps one box, so the block size climbs while thousands of
+        # rows are live. Without the cap of 2**18 values on B * live rows,
+        # the walk's IoU temporaries peak at about 180 MB.
+        cells, copies = 2000, 10
+        cell = np.arange(cells)
+        x0 = np.repeat(cell % 100 * 20.0, copies) + np.tile(np.arange(copies) * 0.1, cells)
+        y0 = np.repeat(cell // 100 * 20.0, copies)
+        scores = np.repeat(np.random.default_rng(14).uniform(0.5, 1.0, cells), copies)
+        scores -= np.tile(np.arange(copies) * 0.05, cells)
+        table = one_frame_table(np.stack([x0, y0, x0 + 10.0, y0 + 10.0], axis=1), scores)
+        tracemalloc.start()
+        try:
+            kept = nms(table, 0.45)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(kept) == cells and peak < 16e6
 
     def test_per_frame_runs_each_frame_alone_in_sorted_frame_order(self):
         rng = np.random.default_rng(15)

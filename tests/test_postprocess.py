@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from msfusion import geometry
 from msfusion.geometry import BBox, Detection, DetectionTable
 from msfusion.postprocess import PostprocessConfig, fuse_scale, run_strategy
-from oracles import fuse_scale_ref, run_strategy_ref
+from oracles import fuse_scale_ref, run_strategy_ref, walk_nms_ref
 
 RNG = np.random.default_rng
 
@@ -246,3 +247,53 @@ class TestTableInputs:
             got = run_strategy(table_v, table_t, cfg)
             assert isinstance(got, DetectionTable)
             assert got == run_strategy(vis, ir, cfg)
+
+
+def crowded_frame(rng, persons=25, candidates=8, false_pos=50):
+    """One 640 x 512 frame: per modality and scale, ``candidates`` jittered
+    boxes around each of ``persons`` people plus ``false_pos`` loose boxes,
+    rounded as a detection dump rounds them."""
+    tall = np.exp(rng.uniform(np.log(60.0), np.log(200.0), persons))
+    people = np.stack(
+        [rng.uniform(0, 640 - 0.41 * tall), rng.uniform(0, 512 - tall), 0.41 * tall, tall], 1
+    )
+    corners, scores, modalities, scales = [], [], [], []
+    for modality in (0, 1):
+        for scale in (0, 1, 2):
+            x, y, w, h = np.repeat(people, candidates, axis=0).T
+            x = np.clip(x + rng.normal(0, 0.1 * w), 0, 638)
+            y = np.clip(y + rng.normal(0, 0.1 * h), 0, 508)
+            w = np.maximum(w * np.exp(rng.normal(0, 0.1, len(w))), 2.0)
+            h = np.maximum(h * np.exp(rng.normal(0, 0.1, len(h))), 4.0)
+            fh = np.exp(rng.uniform(np.log(20.0), np.log(200.0), false_pos))
+            fx, fy = rng.uniform(0, 640 - 0.41 * fh), rng.uniform(0, 512 - fh)
+            x, y = np.concatenate([x, fx]), np.concatenate([y, fy])
+            x1 = np.minimum(x + np.concatenate([w, 0.41 * fh]), 640)
+            y1 = np.minimum(y + np.concatenate([h, fh]), 512)
+            corners.append(np.round(np.stack([x, y, x1, y1], 1), 2))
+            scores.append(np.round(np.concatenate(
+                [rng.beta(5, 2, len(w)), rng.beta(2, 5, false_pos)]), 6))
+            modalities.append(np.full(len(x), modality))
+            scales.append(np.full(len(x), scale))
+    n = sum(map(len, scores))
+    return DetectionTable(
+        np.concatenate(corners), np.concatenate(scores), np.zeros(n, dtype=np.intp),
+        ("000000",), np.concatenate(modalities), np.concatenate(scales),
+    )
+
+
+@pytest.mark.parametrize("strategy", ["vis", "ir", "both", "algo1"])
+def test_crowded_frame_matches_the_walk_reference(strategy, monkeypatch):
+    # A frame at benchmark crowd scale (1,500 boxes, thousands of fused
+    # ones): the block walk gives the rows of one IoU row per kept box.
+    frame = crowded_frame(RNG(41))
+    assert len(frame) == 1500
+    vis, ir = frame.subset(modality="vis"), frame.subset(modality="ir")
+    cfg = PostprocessConfig(strategy=strategy)
+    got = run_strategy(vis, ir, cfg)
+    monkeypatch.setattr(geometry, "_segmented_nms", walk_nms_ref)
+    want = run_strategy(vis, ir, cfg)
+    assert len(want) > 20
+    assert got.frame_ids == want.frame_ids
+    for name in ("corners", "scores", "frame_codes", "modality_codes", "scale_codes"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
