@@ -21,7 +21,8 @@ go to visible.
 
 ``roi_align`` pools any number of boxes, given as ``BBox`` objects or as an
 (N, 4) corner array, into the rows of one (N, 9 * F * C) array, gathering
-the bilinear corners of every sample point at once; the alignment loss
+the bilinear corners of every sample point in chunks of boxes sized to
+the package's one 2 MiB budget (``geometry._block``); the alignment loss
 calls it once per feature map with the scaled corners of the reference
 modality's top detections.
 """
@@ -42,6 +43,7 @@ from .geometry import (
     BBox,
     Detection,
     DetectionTable,
+    _block,
     as_table,
     boxes_array,
     check_corners,
@@ -248,10 +250,6 @@ def corpus_reliability(
     ]
 
 
-# Boxes per RoIAlign chunk are chosen so each gathered (boxes, samples,
-# samples, F * C) corner block holds about this many float64 values.
-_ROI_CHUNK_VALUES = 1 << 16
-
 # The RoIAlign grid of the paper: 3x3 bins of 2x2 bilinear samples each.
 _ROI_BINS = 3
 _ROI_SAMPLES = 2
@@ -307,7 +305,7 @@ def roi_align(feature_map: np.ndarray, boxes: Sequence[BBox] | np.ndarray) -> np
     pixels = pixels.reshape(height, width, f * c)
     samples = _ROI_BINS * _ROI_SAMPLES
     out = np.empty((n, _ROI_BINS, _ROI_BINS, f * c))
-    chunk = max(1, _ROI_CHUNK_VALUES // (samples * samples * f * c))
+    chunk = _block(4 * samples * samples * f * c * 8)  # a box's four gathered corners
     for start in range(0, n, chunk):
         part = slice(start, start + chunk)
         y_lo, y_hi, hy, ly, y_in = (a[part, :, None] for a in ys)
@@ -365,15 +363,18 @@ def relation_matrix(cos: np.ndarray) -> np.ndarray:
 def kl_rowwise(p: np.ndarray, q: np.ndarray) -> float:
     """Sum over rows of KL(p_i || q_i) with natural logarithms.
 
-    Zero entries of p contribute nothing (0 * ln 0 = 0 convention); q must
-    be strictly positive, which row-softmax output guarantees.
+    Zero entries of p contribute nothing (0 * ln 0 = 0 convention); p must
+    be finite and non-negative, q finite and strictly positive, which
+    row-softmax output guarantees.
     """
     p = np.asarray(p, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
     if p.shape != q.shape:
         raise ValueError(f"dimension mismatch: {p.shape} vs {q.shape}")
-    if np.any(q <= 0.0):
-        raise ValueError("q entries must be strictly positive")
+    if not (np.isfinite(p).all() and (p >= 0.0).all()):
+        raise ValueError("p entries must be finite and non-negative")
+    if not (np.isfinite(q).all() and (q > 0.0).all()):
+        raise ValueError("q entries must be strictly positive and finite")
     mask = p > 0.0
     return float(np.sum(p[mask] * np.log(p[mask] / q[mask])))
 
@@ -406,8 +407,8 @@ def total_loss(
     terms = (l_reg_v, l_reg_t, l_obj_v, l_obj_t, l_kl)
     if not all(math.isfinite(t) for t in terms):
         raise ValueError("loss terms must be finite")
-    if beta < 0.0:
-        raise ValueError(f"beta must be >= 0, got {beta}")
+    if not (math.isfinite(beta) and beta >= 0.0):
+        raise ValueError(f"beta must be finite and >= 0, got {beta}")
     return l_reg_v + l_reg_t + l_obj_v + l_obj_t + beta * l_kl
 
 

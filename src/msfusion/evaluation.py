@@ -95,6 +95,17 @@ class EvalSetting:
     match_iou: float = 0.5
 
     def __post_init__(self) -> None:
+        # Each check rejects a setting that would silently score nothing.
+        where = f"setting {self.name!r}"
+        if not 0.0 <= self.match_iou <= 1.0:
+            raise ValueError(f"{where}: match_iou must be in [0, 1], got {self.match_iou}")
+        for key in ("min_height", "max_height"):
+            value = getattr(self, key)
+            if value is not None and np.isnan(value):
+                raise ValueError(f"{where}: {key} is NaN")
+        unknown = sorted(set(self.allowed_occlusion) - set(OCCLUSION_LEVELS))
+        if unknown:
+            raise ValueError(f"{where}: unknown occlusion tiers {unknown}")
         if (
             self.min_height is not None
             and self.max_height is not None

@@ -5,7 +5,8 @@ height, width. Convolutions follow the deep-learning convention
 (cross-correlation) with zero "same" padding, so every block preserves its
 input shape. Weights are plain named arrays bundled in ``FusionWeights``;
 nothing here trains, and two runs with the same inputs and weights produce
-bit-identical outputs.
+bit-identical outputs. GELU, layer norm and the FFT correlations run in
+blocks of the package's one 2 MiB budget, ``geometry._block``.
 """
 
 from __future__ import annotations
@@ -17,18 +18,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .containers import WEIGHTS_MAGIC, load_tensors, save_tensors
+from .geometry import _block
 
 LAYER_NORM_EPS = 1e-5
 GRN_EPS = 1e-6
-
-# The L2 cache of one core. Blocked kernels size their blocks to it, so a
-# temporary is one block long rather than the size of a feature map.
-_L2_BYTES = 2 << 20
-
-
-def _block(item_bytes: int) -> int:
-    # Items per block of about _L2_BYTES: at least one, also for empty items.
-    return max(1, _L2_BYTES // max(item_bytes, 1))
 
 
 def gelu(x: np.ndarray) -> np.ndarray:
@@ -194,8 +187,8 @@ def _tap_sum(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
 
 
 def _spectral_depthwise(x: np.ndarray, kernels: list[np.ndarray]) -> list[np.ndarray]:
-    # Depthwise "same" correlations on the FFT, in channel blocks of about
-    # _L2_BYTES of padded planes. Per block, one rfft2 of x serves all the
+    # Depthwise "same" correlations on the FFT, in channel blocks of one
+    # _block budget of padded planes. Per block, one rfft2 of x serves all the
     # kernels, and each product's crop is written into that kernel's
     # output. pocketfft transforms each plane on its own, so the blocks give
     # the bits of one whole-tensor transform. Each flipped kernel is
@@ -446,8 +439,8 @@ def global_response_norm(
     epsilon in the division guards the all-zero signal.
     """
     x = _as_features(x)
-    gamma = np.asarray(gamma, dtype=np.float64)
-    beta = np.asarray(beta, dtype=np.float64)
+    gamma = _as_bias(gamma, x.shape[1], "grn_gamma")
+    beta = _as_bias(beta, x.shape[1], "grn_beta")
     norms = np.sqrt((x * x).sum(axis=(2, 3), keepdims=True))  # (F, C, 1, 1)
     scaled = norms / (norms.mean(axis=1, keepdims=True) + GRN_EPS)
     # gamma * (x * n) + beta + x in that order, in one buffer.
@@ -468,18 +461,17 @@ def channel_mix(
     mlp_b1: np.ndarray,
     mlp_w2: np.ndarray,
     mlp_b2: np.ndarray,
-    groups: int | None = None,
 ) -> np.ndarray:
     """Channel interaction block with a residual connection.
 
     Grouped large-kernel correlation, global response normalization, then a
     two-layer pointwise MLP over channels with GELU activation; the block
-    input is added back at the end. ``groups`` defaults to the channel
-    count (depthwise).
+    input is added back at the end. The correlation's groups are the
+    channels over the fan-in of ``conv_weight`` (fan-in 1 is depthwise).
     """
     x = _as_features(x)
-    if groups is None:
-        groups = x.shape[1]
+    shape = np.shape(conv_weight)  # another rank gets conv2d_same's error
+    groups = max(1, x.shape[1] // max(shape[1], 1)) if len(shape) == 4 else 1
     # Each stage rebinds y, so its input is freed as soon as it returns.
     y = conv2d_same(x, conv_weight, conv_bias, groups=groups)
     y = global_response_norm(y, grn_gamma, grn_beta)
@@ -488,6 +480,15 @@ def channel_mix(
     y = pointwise_affine(y, mlp_w2, mlp_b2)
     y += x
     return y
+
+
+def _as_patch_size(value) -> int:
+    # One positive integer: a fraction such as 4.4 would otherwise run
+    # silently as 4, and NaN or inf would fail in int().
+    value = np.asarray(value, dtype=np.float64)
+    if value.size != 1 or not (value.item() >= 1 and value.item().is_integer()):
+        raise ValueError(f"patch_size: expected one positive integer, got {value}")
+    return int(value.item())
 
 
 def _tiles(x: np.ndarray, s: int) -> np.ndarray:
@@ -521,7 +522,7 @@ def temporal_fuse(
     if vis.shape != ir.shape:
         raise ValueError(f"shape mismatch: vis {vis.shape} vs ir {ir.shape}")
     f, c, h, w = vis.shape
-    s = int(patch_size)
+    s = _as_patch_size(patch_size)
     vis_tiles, ir_tiles = _tiles(vis, s), _tiles(ir, s)
     p = (h // s) * (w // s)
     ln_gamma = _as_bias(ln_gamma, 2 * s * s, "temporal_ln_gamma")
@@ -729,11 +730,7 @@ class FusionWeights:
 
     @property
     def patch_size(self) -> int:
-        value = self.tensor("patch_size")
-        # A fraction such as 4.4 would otherwise run silently as 4.
-        if value.size != 1 or not (value.item() >= 1 and float(value.item()).is_integer()):
-            raise ValueError(f"patch_size: expected one positive integer, got {value}")
-        return int(value.item())
+        return _as_patch_size(self.tensor("patch_size"))
 
     @classmethod
     def seeded(cls, config: FusionConfig | None = None, seed: int = 0) -> "FusionWeights":
@@ -886,13 +883,12 @@ def fusion_forward(
     ir_mid = merged[:, :, 1::2] + stacked[:, :, 1::2]
     del merged, stacked
 
-    groups = weights.mix_groups()
     mix = [t(n) for n in ("mix_conv_weight", "mix_conv_bias", "grn_gamma", "grn_beta")]
     mix += [t(n) for n in ("mix_mlp_w1", "mix_mlp_b1", "mix_mlp_w2", "mix_mlp_b2")]
     with _named_block("channel mix"):
-        vis2 = channel_mix(vis_mid, *mix, groups=groups)
+        vis2 = channel_mix(vis_mid, *mix)
         del vis_mid
-        ir2 = channel_mix(ir_mid, *mix, groups=groups)
+        ir2 = channel_mix(ir_mid, *mix)
         del ir_mid
     with _named_block("temporal fuse"):
         return temporal_fuse(

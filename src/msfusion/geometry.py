@@ -28,7 +28,9 @@ NMS kernels: one call settles the block on itself, one more scores only
 its kept rows against the live rows after it. B starts at 16, doubles
 when a block keeps more than half its rows and halves otherwise, within
 256 and 2**18 // live rows, so memory is O(B * live rows) with at most
-2**18 IoU values per call (for frames of up to 2**18 rows).
+2**18 IoU values per call (for frames of up to 2**18 rows). That cap, the
+8,192 pairs of a ``ciou_pairs`` chunk and every other chunk of the package
+come from ``_block``: one 2 MiB budget, the L2 cache of one core.
 
 ``DetectionTable`` holds many detections as columns: the corners as an
 (N, 4) float64 array, the scores as a float64 array, and integer codes for
@@ -62,6 +64,15 @@ import numpy as np
 
 MODALITIES = ("vis", "ir", "fused")
 SCALES = ("s80", "s40", "s20")
+
+# The L2 cache of one core. Every chunked kernel sizes its blocks to it, so
+# a temporary is one block long rather than the size of its whole input.
+_L2_BYTES = 2 << 20
+
+
+def _block(item_bytes: int) -> int:
+    # Items per block of about _L2_BYTES: at least one, also for empty items.
+    return max(1, _L2_BYTES // max(item_bytes, 1))
 
 
 @dataclass(frozen=True)
@@ -249,12 +260,6 @@ def _ciou_terms(p: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return overlap, overlap - rho2 / c2 - aspect_term
 
 
-# Pairs per ciou_pairs chunk: the gathered columns and temporaries of a
-# chunk stay small enough for the allocator to reuse, instead of mapping
-# fresh pages for every array.
-_PAIR_CHUNK = 1 << 13
-
-
 def ciou_pairs(
     pred: np.ndarray, gt: np.ndarray, pred_rows: np.ndarray, gt_rows: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -270,8 +275,9 @@ def ciou_pairs(
     """
     p_columns, g_columns = _ciou_columns(pred), _ciou_columns(gt)
     overlap, score = np.empty(len(pred_rows)), np.empty(len(pred_rows))
-    for start in range(0, len(pred_rows), _PAIR_CHUNK):
-        part = slice(start, start + _PAIR_CHUNK)
+    step = _block(32 * 8)  # per pair: 16 gathered columns, 16 temporaries
+    for start in range(0, len(pred_rows), step):
+        part = slice(start, start + step)
         # np.take along axis 1 keeps each gathered column contiguous.
         overlap[part], score[part] = _ciou_terms(
             np.take(p_columns, pred_rows[part], axis=1),
@@ -528,8 +534,8 @@ def as_table(dets: Iterable[Detection]) -> DetectionTable:
     return DetectionTable.from_detections(dets)
 
 
-# Bounds on the rows B of a walk block, and on B * live rows.
-_BLOCK_MIN, _BLOCK_MAX, _BLOCK_VALUES = 16, 256, 1 << 18
+# Bounds on the rows B of a walk block; _block also caps B * live rows.
+_BLOCK_MIN, _BLOCK_MAX = 16, 256
 
 
 def _segmented_nms(
@@ -559,7 +565,7 @@ def _segmented_nms(
             alive = alive[~(iou_pairs(corners[owner], corners[alive]) > iou_threshold)]
     size = _BLOCK_MIN
     while alive.size:
-        size = min(max(size, _BLOCK_MIN), _BLOCK_MAX, max(1, _BLOCK_VALUES // alive.size))
+        size = min(max(size, _BLOCK_MIN), _BLOCK_MAX, _block(8 * alive.size))
         head, alive = alive[:size], alive[size:]
         block = corners[head]
         over = np.triu(iou_pairs(block[:, None], block[None]) > iou_threshold, 1)

@@ -212,35 +212,30 @@ def load_config(path: str | Path) -> dict[str, str]:
 
 
 def run_config_from_mapping(mapping: Mapping[str, str]) -> RunConfig:
-    """Build a RunConfig from string key/value pairs, applying defaults."""
-    base = RunConfig()
-    unknown = set(mapping) - set(base.echo())
+    """Build a RunConfig from string key/value pairs over the defaults' ``echo``."""
+    values = RunConfig().echo()
+    unknown = set(mapping) - set(values)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    values.update(mapping)
 
-    def get(key: str, default, kind=float):
-        if key not in mapping:
-            return default
+    def get(key: str, kind=float):
         try:
-            return kind(mapping[key])
+            return kind(values[key])
         except ValueError:
-            raise ValueError(f"{key}: expected {kind.__name__}, got {mapping[key]!r}") from None
+            raise ValueError(f"{key}: expected {kind.__name__}, got {values[key]!r}") from None
 
     post = PostprocessConfig(
-        conf_threshold_v=get("conf_thres_v", base.postprocess.conf_threshold_v),
-        conf_threshold_t=get("conf_thres_t", base.postprocess.conf_threshold_t),
-        iou_thres=get("iou_thres", base.postprocess.iou_thres),
-        nms_threshold=get("nms_thres", base.postprocess.nms_threshold),
-        strategy=get("strategy", base.postprocess.strategy, str),
+        conf_threshold_v=get("conf_thres_v"),
+        conf_threshold_t=get("conf_thres_t"),
+        iou_thres=get("iou_thres"),
+        nms_threshold=get("nms_thres"),
+        strategy=get("strategy", str),
     )
-    settings = tuple(
-        s.strip() for s in get("settings", ",".join(base.settings), str).split(",") if s.strip()
-    )
-    strides = {
-        scale: get(f"stride_{scale}", DEFAULT_SCALE_STRIDES[scale]) for scale in SCALES
-    }
+    settings = tuple(s.strip() for s in get("settings", str).split(",") if s.strip())
+    strides = {scale: get(f"stride_{scale}") for scale in SCALES}
     return RunConfig(
-        n_top=get("n_top", base.n_top, int),
+        n_top=get("n_top", int),
         postprocess=post,
         settings=settings,
         scale_strides=strides,

@@ -291,7 +291,7 @@ class TestBatchedRoiAlign:
         fmap = rng.standard_normal((2, 2, 8, 8))
         boxes = self._boxes(rng, 11, 8)
         whole = roi_align(fmap, boxes)
-        monkeypatch.setattr(balance_module, "_ROI_CHUNK_VALUES", 1)  # one box per chunk
+        monkeypatch.setattr(balance_module, "_block", lambda item_bytes: 1)  # one box per chunk
         np.testing.assert_array_equal(roi_align(fmap, boxes), whole)
 
     def test_degenerate_box_in_batch_rejected(self):
@@ -415,6 +415,21 @@ class TestKL:
         with pytest.raises(ValueError, match="mismatch"):
             kl_rowwise(np.ones((2, 2)) / 2, np.ones((3, 3)) / 3)
 
+    @pytest.mark.parametrize(
+        "p, q, name",
+        [
+            ([[math.nan, 1.0]], [[0.5, 0.5]], "p"),  # used to drop the NaN: 0.693
+            ([[math.inf, 1.0]], [[0.5, 0.5]], "p"),
+            ([[-0.5, 1.5]], [[0.5, 0.5]], "p"),
+            ([[0.5, 0.5]], [[math.nan, 0.5]], "q"),  # used to give NaN
+            ([[0.5, 0.5]], [[math.inf, 0.5]], "q"),  # used to give -inf
+        ],
+        ids=["nan_p", "inf_p", "negative_p", "nan_q", "inf_q"],
+    )
+    def test_non_finite_or_negative_entries_rejected(self, p, q, name):
+        with pytest.raises(ValueError, match=f"^{name} entries must be"):
+            kl_rowwise(np.array(p), np.array(q))
+
     def test_matches_loop_oracle(self):
         rng = RNG(10)
         p = relation_matrix(rng.uniform(-1, 1, (5, 5)))
@@ -473,6 +488,9 @@ class TestTotalLoss:
     def test_negative_beta_rejected(self):
         with pytest.raises(ValueError, match="beta"):
             total_loss(0, 0, 0, 0, 0, -1.0)
+        for beta in (math.nan, math.inf):  # these used to give NaN and inf
+            with pytest.raises(ValueError, match="beta must be finite and >= 0"):
+                total_loss(0, 0, 0, 0, 0, beta)
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError, match="finite"):

@@ -67,6 +67,24 @@ class TestApplySetting:
         )
         assert evaluated == [] and len(ignored) == 1
 
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"match_iou": float("nan")}, "match_iou"),
+            ({"match_iou": 2.0}, "match_iou"),
+            ({"min_height": float("nan")}, "min_height"),
+            ({"max_height": float("nan")}, "max_height"),
+            (
+                {"allowed_occlusion": frozenset({"none", "nonee"})},
+                r"unknown occlusion tiers \['nonee'\]",
+            ),
+        ],
+        ids=["nan_iou", "iou_2", "nan_min_height", "nan_max_height", "unknown_tier"],
+    )
+    def test_setting_that_scores_nothing_rejected(self, changes, message):
+        with pytest.raises(ValueError, match=f"setting 'bad': {message}"):
+            evaluation.EvalSetting("bad", **changes)
+
     def test_partition_is_disjoint_and_complete(self):
         rng = RNG(1)
         gts = [

@@ -494,8 +494,25 @@ class TestChannelMix:
     def test_indivisible_groups_rejected(self):
         x = rand_features((1, 4, 4, 4), 34)
         w = self._weights(4)
+        w["conv_weight"] = RNG(34).standard_normal((4, 3, 3, 3))  # fan-in 3 on 4 channels
         with pytest.raises(ValueError, match="groups"):
-            channel_mix(x, **w, groups=3)
+            channel_mix(x, **w)
+
+    def test_conv_weight_of_another_rank_gets_the_rank_error(self):
+        w = self._weights(4)
+        w["conv_weight"] = np.ones((4, 3, 3))
+        with pytest.raises(ValueError, match="expected rank 4"):
+            channel_mix(rand_features((1, 4, 4, 4), 34), **w)
+
+    @pytest.mark.parametrize("size", [(), (1,), (3,), (5,)], ids=["scalar", "1", "3", "5"])
+    @pytest.mark.parametrize("name", ["grn_gamma", "grn_beta"])
+    def test_grn_parameter_of_another_length_rejected(self, name, size):
+        x = rand_features((1, 4, 4, 4), 35)
+        args = {"grn_gamma": np.ones(4), "grn_beta": np.ones(4)}
+        args[name] = np.ones(size)
+        shown = re.escape(str(size))
+        with pytest.raises(ValueError, match=rf"{name}: expected \(4,\), got {shown}"):
+            global_response_norm(x, args["grn_gamma"], args["grn_beta"])
 
 
 class TestGroupedConv:
@@ -619,6 +636,11 @@ class TestTemporalFuse:
                 np.zeros(1),
                 2,
             )
+        # 4.4 used to run as 4, and inf to raise OverflowError.
+        x = np.zeros((1, 1, 4, 4))
+        for size in (4.4, np.inf, np.nan):
+            with pytest.raises(ValueError, match="patch_size: expected one positive integer"):
+                temporal_fuse(x, x, np.ones(32), np.zeros(32), np.eye(1), np.zeros(1), size)
 
     @pytest.mark.parametrize(
         "name, index",

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from msfusion import geometry
+from msfusion import balance, geometry
 from msfusion.geometry import (
     BBox,
     Detection,
@@ -188,9 +188,41 @@ class TestMatrixKernels:
         corners = np.hstack([corners, corners + rng.uniform(1, 30, (40, 2))])
         rows, cols = rng.integers(0, 40, 300), rng.integers(0, 40, 300)
         whole = ciou_pairs(corners, corners, rows, cols)
-        monkeypatch.setattr(geometry, "_PAIR_CHUNK", 7)
+        monkeypatch.setattr(geometry, "_block", lambda item_bytes: 7)
         for got, expected in zip(ciou_pairs(corners, corners, rows, cols), whole):
             assert got.tobytes() == expected.tobytes()
+
+    def test_block_sizes_equal_the_old_chunk_constants(self, monkeypatch):
+        # Every chunked kernel sizes its blocks with geometry._block: 8,192
+        # CIoU pairs, 2**18 IoU values per NMS walk call and 2**16 gathered
+        # RoIAlign corner values, the constants the one budget replaced.
+        block, sizes, chunks = geometry._block, [], []
+
+        def recording(item_bytes):
+            sizes.append(block(item_bytes))
+            return sizes[-1]
+
+        terms = geometry._ciou_terms
+
+        def chunk_terms(p, g):
+            chunks.append(p.shape[1])
+            return terms(p, g)
+
+        monkeypatch.setattr(geometry, "_block", recording)
+        monkeypatch.setattr(balance, "_block", recording)
+        monkeypatch.setattr(geometry, "_ciou_terms", chunk_terms)
+        corners = np.array([[0.0, 0.0, 2.0, 3.0], [1.0, 1.0, 4.0, 2.0]])
+        rows = np.arange(20_000) % 2
+        ciou_pairs(corners, corners, rows, rows[::-1])
+        assert sizes == [8192] and chunks == [8192, 8192, 3616]
+        for live in (1, 750, 4295, 20_000):
+            sizes.clear()
+            nms(one_frame_table(np.tile([0.0, 0.0, 10.0, 10.0], (live, 1)), np.ones(live)))
+            assert sizes[0] == max(1, 2**18 // live)  # the first block sees every row live
+        for frames, channels in ((1, 1), (2, 2), (3, 64)):
+            sizes.clear()
+            balance.roi_align(np.ones((frames, channels, 4, 4)), corners)
+            assert sizes == [max(1, 2**16 // (36 * frames * channels))]
 
     def test_ciou_pairs_leave_degenerate_boxes_to_the_caller(self):
         corners = boxes_array([box(0, 0, 2, 2), box(1, 1, 1, 3), box(0, 0, 0, 0)])
