@@ -331,11 +331,15 @@ def cosine_matrix(features: Sequence[np.ndarray] | np.ndarray) -> np.ndarray:
     (N, D) array, such as ``roi_align`` returns, or a sequence of vectors.
 
     The result is symmetric with a unit diagonal (both enforced exactly
-    against round-off). A zero-norm vector is an error naming its index.
+    against round-off). A non-finite or zero-norm vector is an error naming
+    its index.
     """
     if len(features) < 1:
         raise ValueError("need at least one RoI feature")
     vectors = np.asarray(features, dtype=np.float64).reshape(len(features), -1)
+    bad = np.flatnonzero(~np.isfinite(vectors).all(axis=1))
+    if bad.size:
+        raise ValueError(f"non-finite RoI feature at index {bad[0]}")
     norms = np.linalg.norm(vectors, axis=1)
     zero = np.flatnonzero(norms == 0.0)
     if zero.size:

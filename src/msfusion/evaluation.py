@@ -47,8 +47,10 @@ from .geometry import (
     BBox,
     Detection,
     DetectionTable,
+    _codes,
     as_table,
     boxes_array,
+    check_corners,
     iou_pairs,
     segment_pairs,
 )
@@ -78,6 +80,12 @@ class GroundTruthBox:
         return self.box.height
 
 
+def _check_match_iou(match_iou: float, where: str = "") -> None:
+    # Outside [0, 1], or NaN, no pair or every pair would be a hit.
+    if not 0.0 <= match_iou <= 1.0:
+        raise ValueError(f"{where}match_iou must be in [0, 1], got {match_iou}")
+
+
 @dataclass(frozen=True)
 class EvalSetting:
     """Which ground truths count: height window, occlusion tiers, match IoU.
@@ -97,8 +105,7 @@ class EvalSetting:
     def __post_init__(self) -> None:
         # Each check rejects a setting that would silently score nothing.
         where = f"setting {self.name!r}"
-        if not 0.0 <= self.match_iou <= 1.0:
-            raise ValueError(f"{where}: match_iou must be in [0, 1], got {self.match_iou}")
+        _check_match_iou(self.match_iou, f"{where}: ")
         for key in ("min_height", "max_height"):
             value = getattr(self, key)
             if value is not None and np.isnan(value):
@@ -192,6 +199,13 @@ class GroundTruthTable:
     source to a ``DetectionTable`` whose rows join the frames by frame id;
     rows of frames not listed are left out. The columns are read, never
     written.
+
+    The constructor checks the ground-truth columns with array operations:
+    equal lengths, ``frame`` non-decreasing in [0, len(frame_ids)),
+    occlusion codes in range, boolean ignore flags, valid corners, and
+    every time of day in ``TIMES_OF_DAY``. A ``ValueError`` names the
+    column, or for bad corners the row (``row i:``, as ``DetectionTable``
+    names its rows). The detection tables check themselves.
     """
 
     frame_ids: tuple[str, ...]
@@ -201,6 +215,24 @@ class GroundTruthTable:
     occlusion: np.ndarray
     ignore: np.ndarray
     detections: Mapping[str, DetectionTable] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        n_frames = len(self.frame_ids)
+        if n_frames != len(self.times_of_day):
+            raise ValueError(f"{n_frames} frame ids but {len(self.times_of_day)} times of day")
+        unknown = sorted(set(self.times_of_day) - set(TIMES_OF_DAY))
+        if unknown:
+            raise ValueError(f"unknown times of day {unknown}")
+        n = len(check_corners(self.corners))
+        frame = _codes(self.frame, n, n_frames, "frame")
+        if np.any(frame[1:] < frame[:-1]):
+            raise ValueError("frame must be non-decreasing")
+        _codes(self.occlusion, n, len(OCCLUSION_LEVELS), "occlusion")
+        ignore = np.asarray(self.ignore)
+        if ignore.shape != (n,) or ignore.dtype != bool:
+            raise ValueError(
+                f"ignore: expected {n} booleans, got shape {ignore.shape} of {ignore.dtype}"
+            )
 
     @classmethod
     def from_records(cls, records: Sequence[FrameRecord]) -> "GroundTruthTable":
@@ -329,8 +361,10 @@ def match_frame(
     ignored ground truth under the same IoU rule (ignored gts absorb any
     number of detections and the detection counts as neither tp nor fp);
     otherwise it is a false positive. Unmatched evaluated ground truths are
-    misses. This is the corpus matcher run on one frame.
+    misses. This is the corpus matcher run on one frame. A ``match_iou``
+    outside [0, 1], or NaN, raises ``ValueError``.
     """
+    _check_match_iou(match_iou)
     table = as_table(dets)
     gts = [*evaluated_gts, *ignored_gts]
     _, scores, outcome = _match_frames(
@@ -491,7 +525,11 @@ def evaluate_matrix(
     of the outcomes, so every cell equals its own
     ``log_average_miss_rate``). Every strategy's detection source is
     resolved, so an ambiguous one raises whichever splits are asked for.
+    A split not in ``SPLITS`` raises ``ValueError``.
     """
+    unknown = [split for split in splits if split not in SPLITS]
+    if unknown:
+        raise ValueError(f"unknown split {unknown[0]!r}, expected one of {SPLITS}")
     settings = dict(settings) if settings is not None else dict(STANDARD_SETTINGS)
     truths = as_truths(records)
     n = len(truths.frame_ids)

@@ -5,8 +5,11 @@ height, width. Convolutions follow the deep-learning convention
 (cross-correlation) with zero "same" padding, so every block preserves its
 input shape. Weights are plain named arrays bundled in ``FusionWeights``;
 nothing here trains, and two runs with the same inputs and weights produce
-bit-identical outputs. GELU, layer norm and the FFT correlations run in
-blocks of the package's one 2 MiB budget, ``geometry._block``.
+bit-identical outputs. ``FORWARD_SCHEMA`` lays the weights out as one run of
+rows per forward block, in that block's argument order, as ``TADA_SCHEMA``
+does for its block, and ``fusion_forward`` passes each block its rows.
+GELU, layer norm and the FFT correlations run in blocks of the package's
+one 2 MiB budget, ``geometry._block``.
 """
 
 from __future__ import annotations
@@ -665,19 +668,24 @@ _W, _B = 0.1, 0.01  # seeded scales of weights and of biases
 # A dim is an int; an input size (c, half, two_s, fp, from _input_dims); a
 # shared size, bound by the first row that names it and checked on every
 # later row; or a kernel side k_N that each tensor picks for itself (the
-# blocks check that it is odd) and that seeded weights set to N. Rows are in
-# seeding order.
-FORWARD_SCHEMA = (
+# blocks check that it is odd) and that seeded weights set to N. Each forward
+# block has a run of rows in its argument order; the runs are in seeding order.
+_DWS_VIS = (
     WeightSpec("dws_depth_vis", ("c", "k_3", "k_3"), _W),
     WeightSpec("dws_point_vis", ("c", "c"), _W),
     WeightSpec("dws_point_bias_vis", ("c",), _B),
+)
+_DWS_IR = (
     WeightSpec("dws_depth_ir", ("c", "k_3", "k_3"), _W),
     WeightSpec("dws_point_ir", ("c", "c"), _W),
     WeightSpec("dws_point_bias_ir", ("c",), _B),
-    WeightSpec("mlp1_weight", ("c", "c"), _W),
-    WeightSpec("mlp1_bias", ("c",), _B),
+)
+_MLP1 = (WeightSpec("mlp1_weight", ("c", "c"), _W), WeightSpec("mlp1_bias", ("c",), _B))
+_CASCADE = (
     WeightSpec("cascade_row_kernels", ("cascade_groups", 1, "k_5"), _W),
     WeightSpec("cascade_col_kernels", ("cascade_groups", "k_5", 1), _W),
+)
+_GATED = (
     WeightSpec("local_height_kernel", ("k_5", "k_7"), _W),
     WeightSpec("local_width_kernel", ("k_7", "k_5"), _W),
     WeightSpec("gate_w1", ("gate_hidden", "half"), _W),
@@ -686,8 +694,9 @@ FORWARD_SCHEMA = (
     WeightSpec("gate_b2", ("half",), _B),
     WeightSpec("gate_proj_weight", (3,), _W),
     WeightSpec("gate_proj_bias", (3,), _B),
-    WeightSpec("merge_weight", ("c", "c"), _W),
-    WeightSpec("merge_bias", ("c",), _B),
+)
+_MERGE = (WeightSpec("merge_weight", ("c", "c"), _W), WeightSpec("merge_bias", ("c",), _B))
+_CHANNEL_MIX = (
     WeightSpec("mix_conv_weight", ("c", "mix_fan_in", "k_11", "k_11"), _W),
     WeightSpec("mix_conv_bias", ("c",), _B),
     WeightSpec("grn_gamma", ("c",), _W),
@@ -696,11 +705,14 @@ FORWARD_SCHEMA = (
     WeightSpec("mix_mlp_b1", ("mix_hidden",), _B),
     WeightSpec("mix_mlp_w2", ("c", "mix_hidden"), _W),
     WeightSpec("mix_mlp_b2", ("c",), _B),
+)
+_TEMPORAL = (
     WeightSpec("temporal_ln_gamma", ("two_s",), _B, offset=1.0),
     WeightSpec("temporal_ln_beta", ("two_s",), _B),
     WeightSpec("mlp2_weight", ("fp", "fp"), _W),
     WeightSpec("mlp2_bias", ("fp",), _B),
 )
+FORWARD_SCHEMA = _DWS_VIS + _DWS_IR + _MLP1 + _CASCADE + _GATED + _MERGE + _CHANNEL_MIX + _TEMPORAL
 
 # The standalone temporal_adaptive_conv, in its argument order; seeded after
 # the forward tensors. The container also holds a scalar "patch_size".
@@ -833,23 +845,21 @@ def fusion_forward(
         raise ValueError(f"shape mismatch: vis {vis.shape} vs ir {ir.shape}")
     f, c, h, w = vis.shape
     weights.validate(f, c, h, w)
-    t = weights.tensor
+
+    def rows(block: tuple[WeightSpec, ...]) -> list[np.ndarray]:
+        return [weights.tensor(s.name) for s in block]
 
     # Each intermediate is dropped after its last use, so the working set
     # holds a few feature maps at a time rather than every one.
     with _named_block("dws"):
-        vis_pre = dws_conv(
-            vis, t("dws_depth_vis"), t("dws_point_vis"), t("dws_point_bias_vis")
-        )
+        vis_pre = dws_conv(vis, *rows(_DWS_VIS))
         del vis  # freed here unless the caller still holds it
-        ir_pre = dws_conv(
-            ir, t("dws_depth_ir"), t("dws_point_ir"), t("dws_point_bias_ir")
-        )
+        ir_pre = dws_conv(ir, *rows(_DWS_IR))
         del ir
     with _named_block("mlp1"):
-        vis1 = pointwise_affine(vis_pre, t("mlp1_weight"), t("mlp1_bias"))
+        vis1 = pointwise_affine(vis_pre, *rows(_MLP1))
         del vis_pre
-        ir1 = pointwise_affine(ir_pre, t("mlp1_weight"), t("mlp1_bias"))
+        ir1 = pointwise_affine(ir_pre, *rows(_MLP1))
         del ir_pre
 
     # The first taps live on as the even (visible) and odd (thermal) rows.
@@ -859,44 +869,22 @@ def fusion_forward(
     # The gated mixer's working set is the larger, so it runs before the
     # cascade's output exists.
     with _named_block("gated mix"):
-        local = gated_strip_mix(
-            stacked[:, half:],
-            t("local_height_kernel"),
-            t("local_width_kernel"),
-            t("gate_w1"),
-            t("gate_b1"),
-            t("gate_w2"),
-            t("gate_b2"),
-            t("gate_proj_weight"),
-            t("gate_proj_bias"),
-        )
+        local = gated_strip_mix(stacked[:, half:], *rows(_GATED))
     with _named_block("cascade mix"):
-        long_range = cascade_strip_mix(
-            stacked[:, :half], t("cascade_row_kernels"), t("cascade_col_kernels")
-        )
+        long_range = cascade_strip_mix(stacked[:, :half], *rows(_CASCADE))
     with _named_block("merge"):
         merge_in = np.concatenate([long_range, local], axis=1)
         del long_range, local
-        merged = pointwise_affine(merge_in, t("merge_weight"), t("merge_bias"))
+        merged = pointwise_affine(merge_in, *rows(_MERGE))
         del merge_in
     vis_mid = merged[:, :, 0::2] + stacked[:, :, 0::2]  # deinterleaved, plus the first taps
     ir_mid = merged[:, :, 1::2] + stacked[:, :, 1::2]
     del merged, stacked
 
-    mix = [t(n) for n in ("mix_conv_weight", "mix_conv_bias", "grn_gamma", "grn_beta")]
-    mix += [t(n) for n in ("mix_mlp_w1", "mix_mlp_b1", "mix_mlp_w2", "mix_mlp_b2")]
     with _named_block("channel mix"):
-        vis2 = channel_mix(vis_mid, *mix)
+        vis2 = channel_mix(vis_mid, *rows(_CHANNEL_MIX))
         del vis_mid
-        ir2 = channel_mix(ir_mid, *mix)
+        ir2 = channel_mix(ir_mid, *rows(_CHANNEL_MIX))
         del ir_mid
     with _named_block("temporal fuse"):
-        return temporal_fuse(
-            vis2,
-            ir2,
-            t("temporal_ln_gamma"),
-            t("temporal_ln_beta"),
-            t("mlp2_weight"),
-            t("mlp2_bias"),
-            weights.patch_size,
-        )
+        return temporal_fuse(vis2, ir2, *rows(_TEMPORAL), weights.patch_size)

@@ -321,13 +321,17 @@ def _invalid_rows(corners: np.ndarray, scores: np.ndarray) -> np.ndarray:
 
 def check_corners(corners) -> np.ndarray:
     """``corners`` as an (N, 4) float64 array whose every row is a valid
-    ``BBox``; the first invalid row raises ``BBox``'s own error."""
+    ``BBox``; the first invalid row raises ``BBox``'s own error, prefixed
+    ``row i:`` as ``DetectionTable`` names its rows."""
     corners = np.asarray(corners, dtype=np.float64)
     if corners.ndim != 2 or corners.shape[1] != 4:
         raise ValueError(f"expected (N, 4) corners, got shape {corners.shape}")
     bad = np.flatnonzero(_invalid_corners(corners))
     if bad.size:
-        BBox(*corners[bad[0]].tolist())  # raises
+        try:
+            BBox(*corners[bad[0]].tolist())
+        except ValueError as err:
+            raise ValueError(f"row {bad[0]}: {err}") from None
     return corners
 
 

@@ -326,6 +326,14 @@ class TestCosineMatrix:
         with pytest.raises(ValueError, match="zero-norm RoI feature at index 1"):
             cosine_matrix([np.ones(3), np.zeros(3)])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_vector_rejected(self, bad):
+        # It made the whole matrix NaN, with a RuntimeWarning from the division.
+        features = np.ones((3, 4))
+        features[1, 2] = bad
+        with pytest.raises(ValueError, match="non-finite RoI feature at index 1"):
+            cosine_matrix(features)
+
     def test_matches_dot_product_oracle(self):
         rng = RNG(6)
         vecs = [rng.standard_normal(12) for _ in range(5)]

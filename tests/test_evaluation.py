@@ -1,6 +1,8 @@
 """Setting filters, greedy matching, and the log-average miss rate."""
 
 import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,8 +11,10 @@ from msfusion import evaluation
 from msfusion.evaluation import (
     FPPI_REFERENCE_POINTS,
     STANDARD_SETTINGS,
+    SPLITS,
     FrameRecord,
     GroundTruthBox,
+    GroundTruthTable,
     apply_setting,
     evaluate_matrix,
     log_average_miss_rate,
@@ -180,6 +184,14 @@ class TestMatchFrame:
             dets, evaluated, [], 1.0 / 3.0
         )
         assert [flag for _, flag in result.outcomes] == ["tp", "fp"]
+
+
+    @pytest.mark.parametrize("match_iou", [float("nan"), 2.0, -0.5])
+    def test_match_iou_outside_the_unit_interval_rejected(self, match_iou):
+        # NaN and 2.0 made an exact hit a false positive; -0.5 made any
+        # pair a hit.
+        with pytest.raises(ValueError, match=r"^match_iou must be in \[0, 1\], got"):
+            match_frame([det(0, 0, 10, 10, 0.9)], [gt(0, 0, 10, 10)], [], match_iou)
 
 
 class TestMissRateCurve:
@@ -487,6 +499,12 @@ class TestEvaluateMatrix:
         # "other" one, and both meet the night frame's two ground truths.
         assert matched == [([2, 2], [2, 2]), ([2], [2, 2])] * len(settings)
 
+    def test_unknown_split_rejected(self):
+        # It matched no frame and returned every cell as (None, 0), n/a.
+        message = re.escape(f"unknown split 'dusk', expected one of {SPLITS}")
+        with pytest.raises(ValueError, match=message):
+            evaluate_matrix(_hand_corpus(), ["det"], None, ["dusk"])
+
     def test_strategy_independence(self):
         records = _hand_corpus()
         for r in records:
@@ -496,3 +514,71 @@ class TestEvaluateMatrix:
             del r.detections["other"]
         without = evaluate_matrix(records, ["det"], {"all": STANDARD_SETTINGS["all"]})
         assert with_other == without
+
+
+class TestGroundTruthTable:
+    # _hand_corpus as a table: frames f1, f2, f3 holding two ground truths
+    # each, so rows 0-5 lie in frames 0, 0, 1, 1, 2, 2.
+    def _table(self):
+        return GroundTruthTable.from_records(_hand_corpus())
+
+    @pytest.mark.parametrize(
+        "column, message",
+        [
+            ("frame", r"frame: expected 6 integer codes, got shape \(5,\)"),
+            # The corners set the row count.
+            ("corners", r"frame: expected 5 integer codes, got shape \(6,\)"),
+            ("occlusion", r"occlusion: expected 6 integer codes, got shape \(5,\)"),
+            ("ignore", r"ignore: expected 6 booleans, got shape \(5,\)"),
+        ],
+    )
+    def test_column_lengths_must_agree(self, column, message):
+        table = self._table()
+        with pytest.raises(ValueError, match=message):
+            replace(table, **{column: getattr(table, column)[:-1]})
+
+    def test_times_of_day_must_list_every_frame(self):
+        with pytest.raises(ValueError, match="3 frame ids but 2 times of day"):
+            replace(self._table(), times_of_day=("day", "day"))
+
+    def test_frame_index_beyond_the_frames_rejected(self):
+        # It raised IndexError in evaluate_matrix.
+        table = self._table()
+        with pytest.raises(ValueError, match=r"frame: codes must lie in \[0, 3\)"):
+            replace(table, frame=table.frame + 1)
+        with pytest.raises(ValueError, match=r"frame: codes must lie in \[0, 1\)"):
+            GroundTruthTable(("f0",), ("day",), np.array([1]), np.array([[0.0, 0, 10, 10]]),
+                             np.array([0]), np.array([False]))
+
+    def test_decreasing_frame_rejected(self):
+        table = self._table()
+        with pytest.raises(ValueError, match="frame must be non-decreasing"):
+            replace(table, frame=table.frame[::-1].copy())
+
+    def test_unknown_occlusion_code_rejected(self):
+        # It raised IndexError in evaluate_matrix.
+        table = self._table()
+        occlusion = table.occlusion.copy()
+        occlusion[3] = 5
+        with pytest.raises(ValueError, match=r"occlusion: codes must lie in \[0, 3\)"):
+            replace(table, occlusion=occlusion)
+
+    def test_unknown_time_of_day_rejected(self):
+        # It dropped the frame from both the day and the night rows.
+        with pytest.raises(ValueError, match=r"unknown times of day \['dusk'\]"):
+            replace(self._table(), times_of_day=("day", "dusk", "night"))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -1.0])
+    def test_invalid_corners_name_the_row(self, value):
+        # A NaN corner was silently a miss: a perfect detector scored 100%
+        # MR under the "all" setting.
+        table = self._table()
+        corners = table.corners.copy()
+        corners[4, 2] = value  # x_max
+        with pytest.raises(ValueError, match="^row 4: invalid box corners"):
+            replace(table, corners=corners)
+
+    def test_ignore_flags_must_be_booleans(self):
+        table = self._table()
+        with pytest.raises(ValueError, match="ignore: expected 6 booleans, got shape"):
+            replace(table, ignore=table.ignore.astype(np.intp))
