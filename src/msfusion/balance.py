@@ -8,14 +8,14 @@ pushes the weaker feature distribution toward the stronger one.
 One kernel scores a list of (detection, ground truth) pairs: one
 ``geometry.ciou_pairs`` call, then each detection's best score and overlap
 test by ``reduceat``; a box without an aspect ratio raises, named with its
-side, frame and scale. ``corpus_reliability`` gives it every pair of the
-same frame from ``geometry.segment_pairs``, in the pair order stated
-there, and averages the top scores of all (instance, modality) slices of
-one length as the rows of one sorted matrix. ``best_ciou_scores`` gives it
-one instance's detections, each paired with every ground truth, and
-``reliability`` averages those through the same top-n step, so every
-report is bit for bit what the per-instance arithmetic (a sorted slice's
-``.mean()``) gives.
+side, frame and scale. ``corpus_reliability`` joins detections to frames
+by ``evaluation``'s one frame-id join, gives it every same-frame pair
+(``geometry.segment_pairs`` order) and averages the top scores of all
+(instance, modality) slices of one length as the rows of one sorted
+matrix. ``best_ciou_scores`` gives it one instance's detections, each
+paired with every ground truth, and ``reliability`` averages those through
+the same top-n step, so every report is bit for bit what the per-instance
+arithmetic (a sorted slice's ``.mean()``) gives.
 Instances come in record order, then ``SCALES`` order; ties ``r_t == r_v``
 go to visible.
 
@@ -30,12 +30,13 @@ modality's top detections.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .evaluation import FrameRecord, GroundTruthTable, as_truths
+from .evaluation import FrameRecord, GroundTruthTable, _frame_index, as_truths
 from .fusion import softmax
 from .geometry import (
     MODALITIES,
@@ -122,6 +123,14 @@ def best_ciou_scores(dets: Sequence[Detection], gts: Sequence[BBox]) -> np.ndarr
     return _best_ciou(as_table(dets), np.arange(n), boxes_array(gts), det, gt)[0]
 
 
+def _check_n_top(n_top) -> None:
+    # n_top slices each modality's sorted scores: an integer, at least 1.
+    if not isinstance(n_top, numbers.Integral):
+        raise ValueError(f"n_top must be an integer, got {n_top}")
+    if n_top < 1:
+        raise ValueError(f"n_top must be >= 1, got {n_top}")
+
+
 def _instance_reports(
     scores: np.ndarray, slices: np.ndarray, n_instances: int, n_top: int
 ) -> list[ReliabilityReport]:
@@ -133,8 +142,7 @@ def _instance_reports(
     # matrix, and .mean(axis=1) of contiguous descending rows is the same
     # pairwise sum and division, bit for bit, as .mean() of each slice's
     # descending top scores.
-    if n_top < 1:
-        raise ValueError(f"n_top must be >= 1, got {n_top}")
+    _check_n_top(n_top)
     count = np.bincount(slices, minlength=2 * n_instances)
     start = np.cumsum(count) - count
     means = np.zeros(2 * n_instances)
@@ -208,14 +216,14 @@ def corpus_reliability(
     ``reliability`` gives for that instance.
 
     The whole corpus runs as one pass over the ground-truth columns of
-    ``as_truths(records)``, so a ``GroundTruthTable`` is read as it is. One
-    stable sort groups the rows by frame, scale and modality;
-    ``segment_pairs`` gives each record its frame's rows and each of those
-    rows the record's ground truths; ``_best_ciou`` scores the pairs and
-    takes each detection's best score; and the (instance, modality) slices
-    of each length are sorted and averaged as the rows of one matrix. Each
-    report equals the one ``reliability`` gives for its instance, bit for
-    bit.
+    ``as_truths(records)``, so a ``GroundTruthTable`` is read as it is. The
+    join ``miss_rate_curve`` uses gives each detection its record; one
+    stable sort groups the rows by record, scale and modality;
+    ``segment_pairs`` gives each row its record's ground truths;
+    ``_best_ciou`` scores the pairs and takes each detection's best score;
+    and the (instance, modality) slices of each length are sorted and
+    averaged as the rows of one matrix. Each report equals the one
+    ``reliability`` gives for its instance, bit for bit.
     """
     table = as_table(dets)
     truths = as_truths(records)
@@ -224,16 +232,16 @@ def corpus_reliability(
     gt_corners = truths.corners[kept]
     scored_records, gt_record = np.unique(truths.frame[kept], return_inverse=True)
     frame_ids = [truths.frame_ids[i] for i in scored_records.tolist()]
-    # Each record's vis and ir rows, by scale, then modality, then row; a
-    # frame without detections gets a code no row has.
-    lookup = {frame_id: i for i, frame_id in enumerate(table.frame_ids)}
-    code = [lookup.get(frame_id, len(lookup)) for frame_id in frame_ids]
-    key = (table.frame_codes * len(SCALES) + table.scale_codes) * len(MODALITIES)
+    # Each row's scored record or -1 (frame index -1 reads the spare slot);
+    # then the scored vis and ir rows by record, scale, modality and row.
+    slot = np.full(len(truths.frame_ids) + 1, -1, dtype=np.intp)
+    slot[scored_records] = np.arange(len(frame_ids))
+    record = slot[_frame_index(truths, table)]
+    key = (record * len(SCALES) + table.scale_codes) * len(MODALITIES)
     key += table.modality_codes
-    rows = np.flatnonzero(table.modality_codes != MODALITIES.index("fused"))
+    rows = np.flatnonzero((record >= 0) & (table.modality_codes != MODALITIES.index("fused")))
     rows = rows[np.argsort(key[rows], kind="stable")]
-    record, at = segment_pairs(code, table.frame_codes[rows])
-    rows = rows[at]
+    record = record[rows]
     # Each detection meets the ground truths of its record in one run of
     # pairs.
     det, gt = segment_pairs(record, gt_record)
@@ -340,11 +348,18 @@ def cosine_matrix(features: Sequence[np.ndarray] | np.ndarray) -> np.ndarray:
     bad = np.flatnonzero(~np.isfinite(vectors).all(axis=1))
     if bad.size:
         raise ValueError(f"non-finite RoI feature at index {bad[0]}")
-    norms = np.linalg.norm(vectors, axis=1)
-    zero = np.flatnonzero(norms == 0.0)
+    scaled = np.abs(vectors)
+    largest = scaled.max(axis=1, initial=0.0)
+    zero = np.flatnonzero(largest == 0.0)
     if zero.size:
         raise ValueError(f"zero-norm RoI feature at index {zero[0]}")
-    gram = vectors @ vectors.T
+    # Each row times the power of two that puts its largest magnitude in
+    # [0.5, 1): exact, and neither the norms nor the Gram product can then
+    # overflow or underflow. The norms are np.linalg.norm's arithmetic,
+    # squaring in place, so the one buffer serves all three steps.
+    np.ldexp(vectors, -np.frexp(largest)[1][:, None], out=scaled)
+    gram = scaled @ scaled.T
+    norms = np.sqrt(np.add.reduce(np.multiply(scaled, scaled, out=scaled), axis=1))
     cos = gram / np.outer(norms, norms)
     cos = (cos + cos.T) / 2.0
     np.fill_diagonal(cos, 1.0)

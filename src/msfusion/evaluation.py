@@ -12,10 +12,11 @@ plus the ``DetectionTable`` of each detection source. ``ingest`` reads
 a corpus's bbGt files straight into one, line by line with the parser
 ``parse_annotation_text`` uses, which raises its own ``file:line``
 errors. The list API (``FrameRecord`` and ``GroundTruthBox`` lists) is
-converted once on entry by ``as_truths``, as ``as_table`` converts
-detection lists, so there is one matcher. A
-setting's evaluated ground truths are ``EvalSetting.mask``, array
-comparisons that decide as ``admits`` does for each box.
+converted once on entry by ``as_truths``, detections included, each row
+on its record's frame; one join by frame id then maps detections to
+frames, here and in ``balance.corpus_reliability``. A setting's evaluated
+ground truths are ``EvalSetting.mask``, array comparisons that decide as
+``admits`` does for each box.
 
 Matching runs a whole corpus at once, on flat columns. The detections are
 sorted stably by (frame, -score); ``geometry.segment_pairs`` lists each
@@ -191,21 +192,21 @@ class FrameRecord:
 class GroundTruthTable:
     """A corpus as columns: its frames, their ground truths and detections.
 
-    ``frame_ids`` and ``times_of_day`` list the frames. Row i of the
+    ``frame_ids`` (unique) and ``times_of_day`` list the frames. Row i of the
     ground-truth columns is a box of frame ``frame[i]`` (non-decreasing;
     rows of a frame in record order) with corners ``corners[i]`` ((N, 4)
     float64, valid ``BBox`` corners), occlusion ``OCCLUSION_LEVELS[
     occlusion[i]]`` and ignore flag ``ignore[i]``. ``detections`` maps each
-    source to a ``DetectionTable`` whose rows join the frames by frame id;
-    rows of frames not listed are left out. The columns are read, never
-    written.
+    source to a ``DetectionTable``, whose rows one join by frame id maps to
+    the frames, leaving out rows of frames not listed (``from_records`` puts
+    each record's rows on its frame). The columns are read, never written.
 
-    The constructor checks the ground-truth columns with array operations:
-    equal lengths, ``frame`` non-decreasing in [0, len(frame_ids)),
-    occlusion codes in range, boolean ignore flags, valid corners, and
-    every time of day in ``TIMES_OF_DAY``. A ``ValueError`` names the
-    column, or for bad corners the row (``row i:``, as ``DetectionTable``
-    names its rows). The detection tables check themselves.
+    The constructor checks that the frame ids are unique and, with array
+    operations, the ground-truth columns: equal lengths, ``frame``
+    non-decreasing in [0, len(frame_ids)), occlusion codes in range, boolean
+    ignore flags, valid corners, and every time of day in ``TIMES_OF_DAY``.
+    A ``ValueError`` names the column, or for bad corners the row (``row i:``,
+    as ``DetectionTable`` names its rows). The detection tables check themselves.
     """
 
     frame_ids: tuple[str, ...]
@@ -218,6 +219,9 @@ class GroundTruthTable:
 
     def __post_init__(self) -> None:
         n_frames = len(self.frame_ids)
+        if len(set(self.frame_ids)) != n_frames:
+            repeated = next(f for f in self.frame_ids if self.frame_ids.count(f) > 1)
+            raise ValueError(f"frame ids must be unique, {repeated!r} repeats")
         if n_frames != len(self.times_of_day):
             raise ValueError(f"{n_frames} frame ids but {len(self.times_of_day)} times of day")
         unknown = sorted(set(self.times_of_day) - set(TIMES_OF_DAY))
@@ -236,8 +240,16 @@ class GroundTruthTable:
 
     @classmethod
     def from_records(cls, records: Sequence[FrameRecord]) -> "GroundTruthTable":
-        """The ground truths of ``records`` (their detections stay behind)."""
+        """The ground truths of ``records``, and per source one table of the
+        records' detections, every row moved onto its record's frame."""
         gts = [g for r in records for g in r.gts]
+        tables: dict[str, list[DetectionTable]] = {}
+        for r in records:
+            for source, dets in r.detections.items():
+                t = as_table(dets)
+                columns = t.corners, t.scores, np.zeros(len(t), dtype=np.intp), (r.frame_id,)
+                moved = DetectionTable(*columns, t.modality_codes, t.scale_codes)
+                tables.setdefault(source, []).append(moved)
         return cls(
             tuple(r.frame_id for r in records),
             tuple(r.time_of_day for r in records),
@@ -245,6 +257,7 @@ class GroundTruthTable:
             boxes_array(g.box for g in gts),
             np.array([OCCLUSION_LEVELS.index(g.occlusion) for g in gts], dtype=np.intp),
             np.array([g.ignore for g in gts], dtype=bool),
+            {source: DetectionTable.concat(moved) for source, moved in tables.items()},
         )
 
     def records(self) -> list[FrameRecord]:
@@ -266,7 +279,7 @@ class GroundTruthTable:
 
 def as_truths(records: Sequence[FrameRecord] | GroundTruthTable) -> GroundTruthTable:
     """``records`` itself when it is a table, else the table of its ground
-    truths."""
+    truths and detections (``GroundTruthTable.from_records``)."""
     if isinstance(records, GroundTruthTable):
         return records
     return GroundTruthTable.from_records(records)
@@ -385,39 +398,26 @@ def match_frame(
     )
 
 
-def _select_detections(detections: Mapping, source: str | None, where: str):
-    # The detections of ``source``; with None, of the one source there is.
-    if source is None:
-        if len(detections) != 1:
-            raise ValueError(
-                f"{where}ambiguous detection source, have {sorted(detections)}"
-            )
-        return next(iter(detections.values()))
-    return detections.get(source, [])
+def _frame_index(truths: GroundTruthTable, table: DetectionTable) -> np.ndarray:
+    # The one join of detections to frames: each row's frame index, -1 if unlisted.
+    lookup = {frame_id: i for i, frame_id in enumerate(truths.frame_ids)}
+    code_frame = np.array([lookup.get(f, -1) for f in table.frame_ids], dtype=np.intp)
+    return code_frame[table.frame_codes]
 
 
 def _detection_columns(
-    records: Sequence[FrameRecord] | GroundTruthTable, source: str | None
+    truths: GroundTruthTable, source: str | None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # (frame index, corners, scores) of every detection of ``source`` in
-    # the corpus, rows of a frame in their order. A table joins its source
-    # table's rows to its frames by id; records each hold their own.
-    if isinstance(records, GroundTruthTable):
-        table = as_table(_select_detections(records.detections, source, ""))
-        lookup = {frame_id: i for i, frame_id in enumerate(records.frame_ids)}
-        code_frame = np.array([lookup.get(f, -1) for f in table.frame_ids], dtype=np.intp)
-        frame = code_frame[table.frame_codes]
-        listed = frame >= 0
-        return frame[listed], table.corners[listed], table.scores[listed]
-    tables = [
-        as_table(_select_detections(r.detections, source, f"frame {r.frame_id}: "))
-        for r in records
-    ]
-    return (
-        np.repeat(np.arange(len(tables)), [len(t) for t in tables]),
-        np.concatenate([t.corners for t in tables] + [np.empty((0, 4))]),
-        np.concatenate([t.scores for t in tables] + [np.empty(0)]),
-    )
+    # (frame index, corners, scores) of the listed frames' detections of
+    # ``source`` (None: the one source), rows of a frame in their order.
+    if source is None:
+        if len(truths.detections) != 1:
+            raise ValueError(f"ambiguous detection source, have {sorted(truths.detections)}")
+        (source,) = truths.detections
+    table = as_table(truths.detections.get(source, ()))
+    frame = _frame_index(truths, table)
+    listed = frame >= 0
+    return frame[listed], table.corners[listed], table.scores[listed]
 
 
 def _curve(
@@ -457,7 +457,7 @@ def miss_rate_curve(
         raise ValueError("empty setting")
     evaluated = setting.mask(truths)
     _, scores, outcome = _match_frames(
-        *_detection_columns(records, source),
+        *_detection_columns(truths, source),
         truths.frame,
         truths.corners,
         evaluated,
@@ -542,7 +542,7 @@ def evaluate_matrix(
         covered |= frames
     detections = []  # each strategy's detections of the covered frames
     for strategy in strategies:
-        frame, corners, scores = _detection_columns(records, strategy)
+        frame, corners, scores = _detection_columns(truths, strategy)
         keep = covered[frame]
         detections.append((frame[keep], corners[keep], scores[keep]))
     rows = covered[truths.frame]

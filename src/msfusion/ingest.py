@@ -81,7 +81,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .balance import DEFAULT_TOP_N
+from .balance import DEFAULT_TOP_N, _check_n_top
 from .evaluation import (
     STANDARD_SETTINGS,
     TIMES_OF_DAY,
@@ -128,8 +128,7 @@ class RunConfig:
     )
 
     def __post_init__(self) -> None:
-        if self.n_top < 1:
-            raise ValueError(f"n_top must be >= 1, got {self.n_top}")
+        _check_n_top(self.n_top)
         if not self.settings:
             raise ValueError("settings: expected at least one eval setting")
         for name in self.settings:

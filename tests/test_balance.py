@@ -91,6 +91,29 @@ class TestReliability:
         with pytest.raises(ValueError, match="no reference objects"):
             reliability([], [], [], n_top=1)
 
+    @pytest.mark.parametrize("n_top", [1.5, math.nan, 2.0, "3"])
+    def test_non_integer_n_top_rejected(self, n_top):
+        # A float leaked "TypeError: slice indices must be integers".
+        gts = [BBox(0, 0, 10, 10)]
+        dets = [det(BBox(0, 0, 10, 10), 0.9, "vis"), det(BBox(1, 0, 11, 10), 0.8, "ir")]
+        message = f"^n_top must be an integer, got {re.escape(str(n_top))}$"
+        with pytest.raises(ValueError, match=message):
+            reliability(dets[:1], dets[1:], gts, n_top=n_top)
+        with pytest.raises(ValueError, match=message):
+            corpus_reliability(dets, [FrameRecord("f0", "day", [GroundTruthBox(gts[0])])], n_top)
+        maps = np.ones((1, 1, 8, 8))
+        with pytest.raises(ValueError, match=message):
+            modality_alignment_loss(dets[:1], dets[1:], gts, maps, maps, n_top=n_top)
+
+    def test_numpy_integer_n_top_accepted(self):
+        gts = [BBox(0, 0, 10, 10)]
+        dets = [det(BBox(0, 0, 10, 10), 0.9, "vis")]
+        assert reliability(dets, [], gts, n_top=np.int64(1)) == reliability(dets, [], gts, n_top=1)
+
+    def test_best_ciou_scores_without_ground_truth_raises(self):
+        with pytest.raises(ValueError, match="^no reference objects$"):
+            best_ciou_scores([det(BBox(0, 0, 4, 4))], [])
+
     def test_no_detections_scores_zero(self):
         report = reliability([], [], [BBox(0, 0, 5, 5)])
         assert report.r_v == 0.0 and report.r_t == 0.0
@@ -163,6 +186,11 @@ class TestCorpusReliability:
         assert corpus_reliability([], [], 5) == []
         record = FrameRecord("f0", "day", [GroundTruthBox(BBox(0, 0, 4, 4))])
         assert corpus_reliability([], [record], 5) == [("f0", s, None) for s in SCALES]
+
+    def test_repeated_frame_ids_rejected(self):
+        record = FrameRecord("f0", "day", [GroundTruthBox(BBox(0, 0, 4, 4))])
+        with pytest.raises(ValueError, match="frame ids must be unique, 'f0' repeats"):
+            corpus_reliability([], [record, record], 5)
 
     def test_n_top_checked(self):
         with pytest.raises(ValueError, match="n_top must be >= 1"):
@@ -326,6 +354,25 @@ class TestCosineMatrix:
         with pytest.raises(ValueError, match="zero-norm RoI feature at index 1"):
             cosine_matrix([np.ones(3), np.zeros(3)])
 
+    @pytest.mark.parametrize("scale", [1e200, 1e-200, 1e-310])
+    def test_huge_and_tiny_finite_rows(self, scale):
+        # 1e200 overflowed the Gram product (a RuntimeWarning, NaN with
+        # warnings off); 1e-200 and subnormals underflowed the norm, so a
+        # nonzero row was rejected as zero-norm.
+        cos = cosine_matrix(np.array([[1.0, 1.0], [1.0, -1.0]]) * scale)
+        np.testing.assert_allclose(cos, [[1.0, 0.0], [0.0, 1.0]], rtol=0, atol=1e-15)
+
+    def test_rows_of_any_scale_give_the_cosines_of_unit_rows(self):
+        rng = RNG(8)
+        rows = rng.standard_normal((6, 9))
+        scaled = rows * np.array([1e300, 1e-300, 1e150, 1.0, 1e-305, 1e-3])[:, None]
+        np.testing.assert_allclose(cosine_matrix(scaled), cosine_matrix(rows), rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("features", [[], np.empty((0, 4))], ids=["list", "array"])
+    def test_no_vector_rejected(self, features):
+        with pytest.raises(ValueError, match="^need at least one RoI feature$"):
+            cosine_matrix(features)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_vector_rejected(self, bad):
         # It made the whole matrix NaN, with a RuntimeWarning from the division.
@@ -350,6 +397,12 @@ class TestCosineMatrix:
 
 
 class TestRelationMatrix:
+    @pytest.mark.parametrize("shape", [(3,), (2, 2, 2)])
+    def test_matrix_of_another_rank_rejected(self, shape):
+        message = re.escape(f"expected a 2-D matrix, got shape {shape}")
+        with pytest.raises(ValueError, match=message):
+            relation_matrix(np.zeros(shape))
+
     def test_two_zeros_split_evenly(self):
         out = relation_matrix(np.array([[0.0, 0.0]]))
         np.testing.assert_allclose(out, [[0.5, 0.5]], atol=1e-15)

@@ -51,6 +51,14 @@ def test_unknown_magic_rejected(tmp_path):
         load_tensors(path)
 
 
+@pytest.mark.parametrize("magic", [b"", b"SFT1", b"SFTENSOR9"])
+def test_magic_of_another_length_rejected_before_writing(tmp_path, magic):
+    path = tmp_path / "t.bin"
+    with pytest.raises(ValueError, match="^container magic must be 8 bytes$"):
+        save_tensors(path, {"w": np.zeros(2, dtype=np.float32)}, magic)
+    assert not path.exists()
+
+
 def test_truncated_payload_rejected(tmp_path):
     path = tmp_path / "t.bin"
     save_tensors(path, {"w": np.zeros(8, dtype=np.float32)}, TENSORS_MAGIC)

@@ -117,6 +117,30 @@ class TestApplySetting:
         assert [len(evaluated), len(ignored)] == [2, 4]
 
 
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: GroundTruthBox(BBox(0, 0, 4, 8), "total"), "unknown occlusion 'total'"),
+        (lambda: FrameRecord("f0", "dusk"), "unknown time_of_day 'dusk'"),
+        (
+            lambda: evaluation.EvalSetting("bad", min_height=50.0, max_height=50.0),
+            "empty height window in setting 'bad'",
+        ),
+        (lambda: miss_rate_curve([], STANDARD_SETTINGS["all"]), "empty setting"),
+        (
+            lambda: log_average_miss_rate(
+                GroundTruthTable.from_records([]), STANDARD_SETTINGS["all"], "det"
+            ),
+            "empty setting",
+        ),
+    ],
+    ids=["occlusion", "time_of_day", "height_window", "no_frames", "no_frames_table"],
+)
+def test_invalid_input_rejected(make, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make()
+
+
 class TestMatchFrame:
     def test_table_matches_like_a_list(self):
         rng = RNG(9)
@@ -516,6 +540,67 @@ class TestEvaluateMatrix:
         assert with_other == without
 
 
+class TestDetectionSource:
+    # Each record's detections score on the record's own frame, whatever
+    # frame id they name, and source=None means the one source of the corpus.
+    @staticmethod
+    def _renamed(records, frame_id):
+        for r in records:
+            r.detections = {
+                source: [replace(d, frame_id=frame_id) for d in dets]
+                for source, dets in r.detections.items()
+            }
+        return records
+
+    def test_record_detections_score_on_their_own_frame(self):
+        # Every detection names frame f1; joined by id, all would score there.
+        records, moved = _hand_corpus(), self._renamed(_hand_corpus(), "f1")
+        setting = STANDARD_SETTINGS["all"]
+        assert miss_rate_curve(moved, setting, "det") == miss_rate_curve(records, setting, "det")
+        assert log_average_miss_rate(moved, setting, "det") == log_average_miss_rate(
+            records, setting, "det"
+        )
+        assert evaluate_matrix(moved, ["det"]) == evaluate_matrix(records, ["det"])
+
+    def test_records_carry_their_detections_into_the_table(self):
+        records = self._renamed(_hand_corpus(), "elsewhere")
+        table = GroundTruthTable.from_records(records)
+        assert list(table.detections) == ["det"]
+        got = table.detections["det"]
+        assert [d.frame_id for d in got] == ["f1"] * 3 + ["f2"] * 2 + ["f3"] * 2
+        assert [d.score for d in got] == [d.score for r in records for d in r.detections["det"]]
+
+    def test_the_one_source_is_the_default(self):
+        records = _hand_corpus()
+        setting = STANDARD_SETTINGS["all"]
+        table = GroundTruthTable.from_records(records)
+        expected = log_average_miss_rate(records, setting, "det")
+        assert log_average_miss_rate(records, setting) == expected
+        assert log_average_miss_rate(table, setting) == expected
+        by_name = evaluate_matrix(records, ["det"])
+        assert evaluate_matrix(records, [None]) == {
+            (name, split, None): cell for (name, split, _), cell in by_name.items()
+        }
+
+    def test_records_holding_different_sources_are_ambiguous(self):
+        # Each record used to score its own one source silently.
+        records = _hand_corpus()
+        records[2].detections = {"other": records[2].detections["det"]}
+        message = r"^ambiguous detection source, have \['det', 'other'\]$"
+        with pytest.raises(ValueError, match=message):
+            miss_rate_curve(records, STANDARD_SETTINGS["all"])
+        with pytest.raises(ValueError, match=message):
+            evaluate_matrix(records, [None])
+
+    def test_a_record_without_detections_leaves_one_source(self):
+        # It raised "frame f3: ambiguous detection source, have []".
+        records, empty = _hand_corpus(), _hand_corpus()
+        records[2].detections = {}
+        empty[2].detections = {"det": []}
+        setting = STANDARD_SETTINGS["all"]
+        assert miss_rate_curve(records, setting) == miss_rate_curve(empty, setting, "det")
+
+
 class TestGroundTruthTable:
     # _hand_corpus as a table: frames f1, f2, f3 holding two ground truths
     # each, so rows 0-5 lie in frames 0, 0, 1, 1, 2, 2.
@@ -582,3 +667,16 @@ class TestGroundTruthTable:
         table = self._table()
         with pytest.raises(ValueError, match="ignore: expected 6 booleans, got shape"):
             replace(table, ignore=table.ignore.astype(np.intp))
+
+    def test_repeated_frame_ids_rejected(self):
+        # A detection joined the last frame of its id: two exact detections
+        # of frames ("f1", "f1") scored 85.7% MR under "all" instead of 0.
+        corners = np.array([[0.0, 0, 10, 10], [20.0, 0, 30, 10]])
+        message = "frame ids must be unique, 'f1' repeats"
+        with pytest.raises(ValueError, match=message):
+            GroundTruthTable(("f1", "f1"), ("day", "day"), np.array([0, 1]), corners,
+                             np.array([0, 0]), np.array([False, False]))
+        records = _hand_corpus()
+        records[1].frame_id = "f1"
+        with pytest.raises(ValueError, match=message):
+            evaluate_matrix(records, ["det"])

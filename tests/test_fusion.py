@@ -54,6 +54,44 @@ def delta_kernel(kh, kw):
     return k
 
 
+_X4 = np.ones((1, 4, 4, 4))
+_TEMPORAL = (np.ones(8), np.zeros(8), np.eye(8), np.zeros(8), 2)  # F=2, P=4, S=2
+
+
+@pytest.mark.parametrize(
+    "run, message",
+    [
+        (lambda: strip_conv(np.ones((4, 4)), np.ones((3, 3))),
+         "input: expected a (F, C, H, W) tensor, got shape (4, 4)"),
+        (lambda: strip_conv(_X4, np.ones(3)), "strip kernel: expected rank 2 or 3, got shape (3,)"),
+        (lambda: pointwise_affine(_X4, np.ones((2, 3))),
+         "pointwise weight: expected (C_out, 4), got (2, 3)"),
+        (lambda: pointwise_affine(_X4, np.ones(4)),
+         "pointwise weight: expected (C_out, 4), got (4,)"),
+        (lambda: deinterleave_rows(np.ones((1, 1, 3, 2))), "cannot deinterleave odd row count 3"),
+        (lambda: cascade_strip_mix(_X4, np.ones((1, 5)), np.ones((1, 5, 1))),
+         "cascade kernels: expected (groups, kh, kw) stacks"),
+        (lambda: cascade_strip_mix(_X4, np.ones((2, 1, 5)), np.ones((1, 5, 1))),
+         "cascade kernels: 2 row kernels vs 1 column kernels"),
+        (lambda: temporal_fuse(np.ones((2, 4, 4, 4)), np.ones((2, 4, 2, 4)), *_TEMPORAL),
+         "shape mismatch: vis (2, 4, 4, 4) vs ir (2, 4, 2, 4)"),
+        (lambda: temporal_fuse(np.ones((2, 4, 4, 4)), np.ones((2, 4, 4, 4)), *_TEMPORAL[:2],
+                               np.eye(7), *_TEMPORAL[3:]),
+         "mlp2_weight: expected (8, 8) for F=2, P=4, got (7, 7)"),
+        # Fewer ir channels: past the check, dws would name its kernel instead.
+        (lambda: fusion_forward(np.ones((3, 8, 16, 16)), np.ones((3, 4, 16, 16)),
+                                FusionWeights.seeded()),
+         "shape mismatch: vis (3, 8, 16, 16) vs ir (3, 4, 16, 16)"),
+    ],
+    ids=["features_rank", "strip_kernel_rank", "pointwise_columns", "pointwise_rank",
+         "odd_rows", "cascade_rank", "cascade_counts", "temporal_shapes", "mlp2_weight",
+         "forward_shapes"],
+)
+def test_malformed_argument_rejected(run, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run()
+
+
 class TestStripConv:
     def test_centered_delta_is_identity(self):
         x = rand_features((2, 3, 5, 6), 0)
@@ -431,6 +469,14 @@ class TestGatedStripMix:
             + gates[:, :, 2][:, :, None, None] * x
         )
 
+    @pytest.mark.parametrize("name, size", [("gate_proj_w", 2), ("gate_proj_b", 4)])
+    def test_gate_projection_of_another_length_rejected(self, name, size):
+        w = self._weights(3)
+        w[name] = np.ones(size)
+        message = "^gate projection: expected three logit weights and biases$"
+        with pytest.raises(ValueError, match=message):
+            gated_strip_mix(rand_features((1, 3, 8, 8), 24), **w)
+
     def test_matches_hand_wiring_oracle(self):
         x = rand_features((2, 3, 6, 6), 27)
         w = self._weights(3, seed=28)
@@ -730,6 +776,12 @@ class TestTemporalAdaptiveConv:
             temporal_adaptive_conv(
                 x, np.zeros((4, 4, 3, 3)), np.zeros(3), **self._calib(4, 2, 74)
             )
+
+    def test_base_weight_rank_checked(self):
+        x = rand_features((2, 4, 5, 5), 75)
+        message = re.escape("base weight: expected rank 4, got shape (4, 4, 3)")
+        with pytest.raises(ValueError, match=message):
+            temporal_adaptive_conv(x, np.zeros((4, 4, 3)), np.zeros(4), **self._calib(4, 2, 76))
 
     def test_base_weight_fan_in_checked(self):
         x = rand_features((2, 4, 5, 5), 75)

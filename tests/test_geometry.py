@@ -1,6 +1,7 @@
 """Box algebra: IoU, CIoU, hulls, their pair kernels, and greedy NMS."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -14,6 +15,7 @@ from msfusion.geometry import (
     Detection,
     DetectionTable,
     boxes_array,
+    check_corners,
     ciou,
     ciou_pairs,
     convex_hull,
@@ -400,6 +402,37 @@ def _mixed_dets():
                   geometry.MODALITIES[k % 3], geometry.SCALES[k % 3], frame)
         for k, frame in enumerate(frames)
     ]
+
+
+_ROW = [[0.0, 0.0, 1.0, 1.0]]
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: Detection(box(0, 0, 1, 1), 0.5, "uv", "s80", "f"), "unknown modality 'uv'"),
+        (lambda: Detection(box(0, 0, 1, 1), 0.5, "ir", "s10", "f"), "unknown scale_id 's10'"),
+        (lambda: check_corners(np.ones((2, 3))), "expected (N, 4) corners, got shape (2, 3)"),
+        (lambda: check_corners(np.ones(4)), "expected (N, 4) corners, got shape (4,)"),
+        (
+            lambda: DetectionTable(_ROW, [0.5, 0.5], [0], ["f"], [0], [0]),
+            "scores: expected shape (1,), got (2,)",
+        ),
+        (
+            lambda: DetectionTable(_ROW, [0.5], [0], ["f"], [0], [0]).subset(modality="uv"),
+            "unknown modality 'uv'",
+        ),
+        (
+            lambda: DetectionTable(_ROW, [0.5], [0], ["f"], [0], [0]).subset(scale_id="s10"),
+            "unknown scale_id 's10'",
+        ),
+    ],
+    ids=["modality", "scale", "corners_columns", "corners_rank", "scores", "subset_modality",
+         "subset_scale"],
+)
+def test_invalid_tag_or_shape_rejected(make, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make()
 
 
 class TestDetectionTable:

@@ -1,6 +1,7 @@
 """File format parsing, serialization round trips, and run configuration."""
 
 import json
+import math
 import re
 import tracemalloc
 from dataclasses import fields
@@ -332,6 +333,16 @@ class TestRunConfig:
         assert cfg.scale_strides["s20"] == 64.0
         assert cfg.scale_strides["s80"] == 8.0  # untouched default
 
+    @pytest.mark.parametrize(
+        "n_top, message", [(0, "n_top must be >= 1, got 0"), (-3, "n_top must be >= 1, got -3"),
+                           (1.5, "n_top must be an integer, got 1.5"),
+                           (math.nan, "n_top must be an integer, got nan")],
+    )
+    def test_n_top_must_be_a_positive_integer(self, n_top, message):
+        # A float n_top constructed silently and raised a TypeError in scoring.
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            RunConfig(n_top=n_top)
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown config keys"):
             run_config_from_mapping({"betaa": "1"})
@@ -358,6 +369,12 @@ class TestRunConfig:
         # KeyError for it.
         with pytest.raises(ValueError, match=f"^scale_strides: {re.escape(named)}$"):
             RunConfig(scale_strides=strides)
+
+    def test_a_directory_is_named_in_the_read_error(self, tmp_path):
+        # The read of a path that opens but cannot be read names the path.
+        with pytest.raises(IsADirectoryError) as err:
+            load_config(tmp_path)
+        assert err.value.filename == str(tmp_path)
 
     def test_malformed_line_reports_location(self, tmp_path):
         path = tmp_path / "run.cfg"
