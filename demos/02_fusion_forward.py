@@ -14,7 +14,6 @@ from pathlib import Path
 import numpy as np
 
 from msfusion import (
-    FusionConfig,
     FusionWeights,
     deinterleave_rows,
     fusion_forward,
@@ -25,8 +24,7 @@ from msfusion import (
 rng = np.random.default_rng(42)
 
 # A small scale: 3 frames, 8 channels, 16x16 spatial.
-config = FusionConfig(frames=3, channels=8, height=16, width=16, patch_size=4)
-weights = FusionWeights.seeded(config, seed=7)
+weights = FusionWeights.seeded(frames=3, channels=8, height=16, width=16, patch_size=4, seed=7)
 vis = rng.standard_normal((3, 8, 16, 16))
 ir = rng.standard_normal((3, 8, 16, 16))
 

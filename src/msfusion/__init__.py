@@ -38,7 +38,6 @@ from .evaluation import (
     miss_rate_curve,
 )
 from .fusion import (
-    FusionConfig,
     FusionWeights,
     cascade_strip_mix,
     channel_mix,

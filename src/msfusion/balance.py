@@ -71,12 +71,13 @@ class ReliabilityReport:
     n_used: int
 
 
-class _DegenerateBox(ValueError):
-    # A box without an aspect ratio; ``frame_id`` and ``truth`` (a ground
-    # truth, not a detection) let a caller name the file it came from.
-    def __init__(self, message: str, frame_id: str, truth: bool) -> None:
+class _InputError(ValueError):
+    # An error that one input is at fault for, so a caller can name the file
+    # it came from: ``source`` is "detections", "truths" or "features", and
+    # ``frame_id`` the frame of the box at fault, if one is.
+    def __init__(self, message: str, source: str, frame_id: str | None = None) -> None:
         super().__init__(message)
-        self.frame_id, self.truth = frame_id, truth
+        self.source, self.frame_id = source, frame_id
 
 
 def _best_ciou(
@@ -105,7 +106,8 @@ def _best_ciou(
         frame_id = table.frame_ids[table.frame_codes[row]]
         scale = SCALES[table.scale_codes[row]]
         message = f"{side} {tuple(box.tolist())} of frame {frame_id!r} at scale {scale}"
-        raise _DegenerateBox(f"degenerate aspect ratio: {message}", frame_id, not flat[i])
+        source = "detections" if flat[i] else "truths"
+        raise _InputError(f"degenerate aspect ratio: {message}", source, frame_id)
     return np.maximum.reduceat(score, first), counted
 
 
@@ -461,14 +463,15 @@ def modality_alignment_loss(
     ref = report.reference_modality
     reference = as_table(thermal_dets if ref == "ir" else vis_dets)
     if not reference:
-        raise ValueError(f"no reference detections: no {ref} detection to pool")
+        raise _InputError(f"no reference detections: no {ref} detection to pool", "detections")
     scaled = reference.corners[top] / stride
     relations = []
     for name, feature_map in (("vis", vis_features), ("ir", thermal_features)):
         try:
             relations.append(relation_matrix(cosine_matrix(roi_align(feature_map, scaled))))
         except ValueError as err:
-            raise ValueError(f"{name} feature map, {ref} reference boxes: {err}") from None
+            message = f"{name} feature map, {ref} reference boxes: {err}"
+            raise _InputError(message, "features") from None
     return report, kl_loss(report, *relations)
 
 

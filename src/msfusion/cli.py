@@ -33,14 +33,14 @@ from pathlib import Path
 import numpy as np
 
 from .balance import (
-    _DegenerateBox,
+    _InputError,
     corpus_reliability,
     modality_alignment_loss,
     thermal_reliability_percentage,
 )
 from .containers import TENSORS_MAGIC, load_tensors, save_tensors
 from .evaluation import STANDARD_SETTINGS, SPLITS, evaluate_matrix
-from .fusion import FusionConfig, FusionWeights, fusion_forward
+from .fusion import FusionWeights, _InputSizeError, fusion_forward
 from .geometry import SCALES
 from .ingest import (
     RunConfig,
@@ -146,12 +146,12 @@ def _cmd_kl_loss(args: argparse.Namespace) -> int:
         frame_id = frames[0]
     scale = args.scale
     stride = args.stride if args.stride is not None else cfg.scale_strides[scale]
+    where = f"frame {frame_id!r} at scale {scale}"
     vis = dets.subset(frame_id=frame_id, modality="vis", scale_id=scale)
     ir = dets.subset(frame_id=frame_id, modality="ir", scale_id=scale)
     if not (vis or ir):
         raise ValueError(
-            f"{args.detections}: no reference detections: no vis or ir detection of frame "
-            f"{frame_id!r} at scale {scale}"
+            f"{args.detections}: no reference detections: no vis or ir detection of {where}"
         )
     gts = [
         g.box
@@ -159,14 +159,16 @@ def _cmd_kl_loss(args: argparse.Namespace) -> int:
         if not g.ignore
     ]
     if not gts:
-        where = f"frame {frame_id!r} at scale {scale}"
         raise ValueError(f"{args.annotations}: no reference objects: all ignored, for {where}")
     try:
         report, loss = modality_alignment_loss(
             vis, ir, gts, features["vis"], features["ir"], n_top=cfg.n_top, stride=stride
         )
-    except _DegenerateBox as err:
-        raise ValueError(f"{args.annotations if err.truth else args.detections}: {err}") from None
+    except _InputError as err:  # name its file, and the frame and scale unless it does
+        paths = {"detections": args.detections, "truths": args.annotations}
+        path = paths.get(err.source, args.features)
+        suffix = f", for {where}" if err.frame_id is None else ""
+        raise ValueError(f"{path}: {err}{suffix}") from None
     lines = [
         f"frame_id = {frame_id}",
         f"scale = {scale}",
@@ -191,9 +193,9 @@ def _cmd_reliability(args: argparse.Namespace) -> int:
     dets = ingest_detections(args.detections)
     try:
         reports = corpus_reliability(dets, truths, cfg.n_top)
-    except _DegenerateBox as err:  # name the dump, or the annotations of the box's frame
-        name = manifest.annotations[manifest.frame_ids.index(err.frame_id)]
-        source = manifest.root / name if err.truth else args.detections
+    except _InputError as err:  # name the dump, or the annotations of the box's frame
+        frame = manifest.frame_ids.index(err.frame_id)
+        source = manifest.annotation_path(frame) if err.source == "truths" else args.detections
         raise ValueError(f"{source}: {err}") from None
     if all(report is None for _, _, report in reports):
         raise ValueError(
@@ -218,22 +220,24 @@ def _cmd_forward(args: argparse.Namespace) -> int:
     weights = FusionWeights.load(args.weights)
     tensors = _load_pair(args.input)
     # Handed over, not shared, so the forward can free the maps after dws.
-    fused_vis, fused_ir = fusion_forward(tensors.pop("vis"), tensors.pop("ir"), weights)
+    # _load_pair has checked the maps, so an error is the weights', or, where
+    # a size of the input takes part, both files'.
+    try:
+        fused_vis, fused_ir = fusion_forward(tensors.pop("vis"), tensors.pop("ir"), weights)
+    except _InputSizeError as err:
+        raise ValueError(f"{args.weights} does not fit {args.input}: {err}") from None
+    except ValueError as err:
+        raise ValueError(f"{args.weights}: {err}") from None
     save_tensors(args.out, {"vis": fused_vis, "ir": fused_ir}, TENSORS_MAGIC)
     print(f"wrote fused tensors {tuple(fused_vis.shape)} to {args.out}")
     return 0
 
 
 def _cmd_gen_weights(args: argparse.Namespace) -> int:
-    config = FusionConfig(
-        frames=args.frames,
-        channels=args.channels,
-        height=args.height,
-        width=args.width,
-        patch_size=args.patch_size,
-        cascade_groups=args.cascade_groups,
+    weights = FusionWeights.seeded(
+        args.frames, args.channels, args.height, args.width, args.patch_size,
+        args.cascade_groups, seed=args.seed,
     )
-    weights = FusionWeights.seeded(config, seed=args.seed)
     weights.save(args.out)
     print(f"wrote {len(weights.tensors)} weight tensors to {args.out}")
     return 0

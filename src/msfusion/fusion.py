@@ -8,14 +8,15 @@ nothing here trains, and two runs with the same inputs and weights produce
 bit-identical outputs. ``FORWARD_SCHEMA`` lays the weights out as one run of
 rows per forward block, in that block's argument order, as ``TADA_SCHEMA``
 does for its block, and ``fusion_forward`` passes each block its rows.
-GELU, layer norm and the FFT correlations run in blocks of the package's
-one 2 MiB budget, ``geometry._block``.
+``FusionWeights.seeded`` draws test weights from the same rows, in order,
+given the six sizes of one scale: frames, channels, height, width, patch
+size and cascade groups. GELU, layer norm and the FFT correlations run in
+blocks of the package's one 2 MiB budget, ``geometry._block``.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -57,27 +58,19 @@ def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     return e / e.sum(axis=axis, keepdims=True)
 
 
-def _layer_norm_into(
-    x: np.ndarray, out: np.ndarray, gamma: np.ndarray, beta: np.ndarray
-) -> np.ndarray:
-    # (x - mean) / sqrt(var + eps) * gamma + beta, written into ``out`` (which
-    # may be ``x``) in that order; var is taken the way np.var takes it.
-    np.subtract(x, x.mean(axis=-1, keepdims=True), out=out)
-    var = (out * out).sum(axis=-1, keepdims=True) / out.shape[-1]
-    out /= np.sqrt(var + LAYER_NORM_EPS)
-    out *= gamma
-    out += beta
-    return out
-
-
 def _layer_norm_rows(z: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> None:
-    # _layer_norm_into over the last axis of contiguous z, in place, in
-    # blocks of rows so the squares it takes are one block long.
+    # (z - mean) / sqrt(var + eps) * gamma + beta over the last axis of
+    # contiguous z, in place and in that order, with var taken the way np.var
+    # takes it; in blocks of rows so the squares it takes are one block long.
     rows = z.reshape(-1, z.shape[-1])
     step = _block(2 * rows.shape[1] * rows.itemsize)
     for start in range(0, len(rows), step):
         block = rows[start : start + step]
-        _layer_norm_into(block, block, gamma, beta)
+        np.subtract(block, block.mean(axis=-1, keepdims=True), out=block)
+        var = (block * block).sum(axis=-1, keepdims=True) / block.shape[-1]
+        block /= np.sqrt(var + LAYER_NORM_EPS)
+        block *= gamma
+        block += beta
 
 
 def _as_features(x: np.ndarray, name: str = "input") -> np.ndarray:
@@ -85,6 +78,13 @@ def _as_features(x: np.ndarray, name: str = "input") -> np.ndarray:
     if x.ndim != 4:
         raise ValueError(f"{name}: expected a (F, C, H, W) tensor, got shape {x.shape}")
     return x
+
+
+def _as_pair(vis: np.ndarray, ir: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    vis, ir = _as_features(vis, "vis"), _as_features(ir, "ir")
+    if vis.shape != ir.shape:
+        raise ValueError(f"shape mismatch: vis {vis.shape} vs ir {ir.shape}")
+    return vis, ir
 
 
 def _check_odd(kh: int, kw: int, name: str) -> None:
@@ -332,10 +332,7 @@ def dws_conv(
 def interleave_rows(vis: np.ndarray, ir: np.ndarray) -> np.ndarray:
     """Stack two equally shaped tensors row by row: output row 2i is the
     visible row i, row 2i+1 the thermal row i."""
-    vis = _as_features(vis, "vis")
-    ir = _as_features(ir, "ir")
-    if vis.shape != ir.shape:
-        raise ValueError(f"shape mismatch: vis {vis.shape} vs ir {ir.shape}")
+    vis, ir = _as_pair(vis, ir)
     f, c, h, w = vis.shape
     out = np.empty((f, c, 2 * h, w), dtype=np.float64)
     out[:, :, 0::2] = vis
@@ -520,10 +517,7 @@ def temporal_fuse(
     over its rows mixes the merged frame/patch axis, and the mixed patches
     are added to the inputs through the inverse of the patch view.
     """
-    vis = _as_features(vis, "vis")
-    ir = _as_features(ir, "ir")
-    if vis.shape != ir.shape:
-        raise ValueError(f"shape mismatch: vis {vis.shape} vs ir {ir.shape}")
+    vis, ir = _as_pair(vis, ir)
     f, c, h, w = vis.shape
     s = _as_patch_size(patch_size)
     vis_tiles, ir_tiles = _tiles(vis, s), _tiles(ir, s)
@@ -604,16 +598,25 @@ def temporal_adaptive_conv(
     return out
 
 
+class _InputSizeError(ValueError):
+    """A weights error that a size of the input takes part in, so a caller
+    can name the input's file as well as the weights'."""
+
+
 def _input_dims(
     frames: int, channels: int, height: int, width: int, patch_size: int
 ) -> dict[str, int]:
     """Sizes the weight layout derives from a (frames, channels, height,
     width) input cut into patch_size patches."""
+    given = {"frames": frames, "channels": channels, "height": height, "width": width}
+    for name, value in given.items():
+        if value < 1:
+            raise _InputSizeError(f"{name} must be >= 1, got {value}")
     if channels % 2:
-        raise ValueError(f"channels must be even, got {channels}")
+        raise _InputSizeError(f"channels must be even, got {channels}")
     s = patch_size
     if s < 1 or height % s or width % s:
-        raise ValueError(f"patch_size {s} does not divide {(height, width)}")
+        raise _InputSizeError(f"patch_size {s} does not divide {(height, width)}")
     return {
         "c": channels,
         "half": channels // 2,
@@ -625,32 +628,6 @@ def _input_dims(
 def _check_cascade_groups(groups: int, half: int, name: str) -> None:
     if groups < 1 or half % groups:
         raise ValueError(f"{name}: {groups} groups do not divide {half} mixer channels")
-
-
-@dataclass(frozen=True)
-class FusionConfig:
-    """Static shape of one fusion block instance (one feature scale).
-
-    Every other size of the seeded weights comes from the layout tables,
-    ``FORWARD_SCHEMA`` and ``TADA_SCHEMA``.
-    """
-
-    frames: int = 3
-    channels: int = 8
-    height: int = 16
-    width: int = 16
-    patch_size: int = 4
-    cascade_groups: int = 4
-
-    def __post_init__(self) -> None:
-        for name in ("frames", "channels", "height", "width"):
-            value = getattr(self, name)
-            if value < 1:
-                raise ValueError(f"{name} must be >= 1, got {value}")
-        dims = _input_dims(
-            self.frames, self.channels, self.height, self.width, self.patch_size
-        )
-        _check_cascade_groups(self.cascade_groups, dims["half"], "cascade_groups")
 
 
 class WeightSpec(NamedTuple):
@@ -745,19 +722,25 @@ class FusionWeights:
         return _as_patch_size(self.tensor("patch_size"))
 
     @classmethod
-    def seeded(cls, config: FusionConfig | None = None, seed: int = 0) -> "FusionWeights":
+    def seeded(
+        cls, frames: int = 3, channels: int = 8, height: int = 16, width: int = 16,
+        patch_size: int = 4, cascade_groups: int = 4, seed: int = 0,
+    ) -> "FusionWeights":
         """Deterministic random weights for testing and demos: the schema
-        rows drawn in order at the seeded sizes."""
-        cfg = config or FusionConfig()
+        rows drawn in order at the sizes of a (frames, channels, height,
+        width) input cut into patch_size patches, with the cascade mixer's
+        channels / 2 in cascade_groups groups. Each size is at least 1,
+        channels are even, and the patches and groups divide what they
+        split."""
+        sizes = _input_dims(frames, channels, height, width, patch_size)
+        _check_cascade_groups(cascade_groups, sizes["half"], "cascade_groups")
         rng = np.random.default_rng(seed)
-        c = cfg.channels
-        sizes = _input_dims(cfg.frames, c, cfg.height, cfg.width, cfg.patch_size)
         sizes.update(
-            cascade_groups=cfg.cascade_groups,
-            gate_hidden=c // 2,
-            mix_hidden=c,
+            cascade_groups=cascade_groups,
+            gate_hidden=channels // 2,
+            mix_hidden=channels,
             mix_fan_in=1,  # depthwise channel-mix convolution
-            reduce=max(c // 4, 1),
+            reduce=max(channels // 4, 1),
         )
         tensors: dict[str, np.ndarray] = {}
         for spec in FORWARD_SCHEMA + TADA_SCHEMA:
@@ -766,7 +749,7 @@ class FusionWeights:
                 for d in spec.dims
             )
             tensors[spec.name] = spec.offset + rng.standard_normal(shape) * spec.scale
-        tensors["patch_size"] = np.float64(cfg.patch_size)
+        tensors["patch_size"] = np.float64(patch_size)
         return cls(tensors)
 
     @classmethod
@@ -789,9 +772,14 @@ class FusionWeights:
     def validate(self, frames: int, channels: int, height: int, width: int) -> None:
         """Check every ``FORWARD_SCHEMA`` tensor against a (frames, channels,
         height, width) input, and that its values are finite; an error
-        names the tensor."""
+        names the tensor. Where the input takes part, the error is an
+        ``_InputSizeError``: a bad input size, or a misfit in the first row
+        to use c or fp (half follows c, and two_s comes from the weights'
+        own patch size). A misfit in a later row is between the weights'
+        own tensors."""
         sizes = _input_dims(frames, channels, height, width, self.patch_size)
         bound_by: dict[str, str] = {}
+        unmet = {"c", "fp"}
         for spec in FORWARD_SCHEMA:
             value = self.tensor(spec.name)
             shape = value.shape
@@ -806,9 +794,11 @@ class FusionWeights:
             if not ok:
                 known = {d: sizes[d] for d in spec.dims if d in sizes}
                 bound = "".join(f"; {d} from {bound_by[d]}" for d in known if d in bound_by)
-                raise ValueError(
+                error = _InputSizeError if unmet.intersection(spec.dims) else ValueError
+                raise error(
                     f"{spec.name}: expected shape {spec.dims} with {known}{bound}, got {shape}"
                 )
+            unmet.difference_update(spec.dims)
             if not np.isfinite(value).all():
                 raise ValueError(f"tensor {spec.name!r} has non-finite values")
         _check_cascade_groups(
@@ -839,10 +829,7 @@ def fusion_forward(
     feed the temporal fusion stage. Returns (vis_fused, ir_fused) with the
     input shape.
     """
-    vis = _as_features(vis, "vis")
-    ir = _as_features(ir, "ir")
-    if vis.shape != ir.shape:
-        raise ValueError(f"shape mismatch: vis {vis.shape} vs ir {ir.shape}")
+    vis, ir = _as_pair(vis, ir)
     f, c, h, w = vis.shape
     weights.validate(f, c, h, w)
 

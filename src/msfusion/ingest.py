@@ -485,12 +485,7 @@ class Manifest:
         """Read the referenced annotation files into one table of columns,
         frames in manifest order."""
         annotated = [k for k, name in enumerate(self.annotations) if name is not None]
-        paths = [self.annotations[k] for k in annotated]
-        # os.path.join is several times cheaper than a Path join per frame;
-        # the root "." adds no prefix, as in a Path join.
-        root = os.fspath(self.root)
-        if root != ".":
-            paths = [os.path.join(root, name) for name in paths]
+        paths = [self.annotation_path(k) for k in annotated]
         file, corners, occlusion, ignore = _annotation_columns(paths, *self.annotation_scale)
         return GroundTruthTable(
             self.frame_ids,
@@ -500,6 +495,14 @@ class Manifest:
             occlusion,
             ignore,
         )
+
+    def annotation_path(self, k: int) -> str:
+        """Frame k's annotation file as it is opened and named in errors:
+        its manifest path, joined to ``root`` as written. os.path.join is
+        several times cheaper than a Path join, and the root "." adds no
+        prefix, as in a Path join."""
+        root = os.fspath(self.root)
+        return self.annotations[k] if root == "." else os.path.join(root, self.annotations[k])
 
     def load_records(self) -> list[FrameRecord]:
         """Ingest the referenced annotation files into frame records."""

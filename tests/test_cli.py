@@ -1,5 +1,6 @@
 """Command-line workflows: fuse, eval, kl-loss, reliability, forward."""
 
+import hashlib
 import json
 import struct
 
@@ -455,6 +456,69 @@ class TestForwardPipeline:
         assert f"{weights}: tensor 'mlp1_weight' has non-finite values" in err
         assert not out.exists()
 
+    @staticmethod
+    def _forward_error(tmp_path, capsys, edit=None, shape=(3, 8, 16, 16)):
+        # forward's stderr for default seeded weights, after ``edit`` of
+        # their tensors, on zero maps of ``shape``.
+        weights = tmp_path / "w.sfwt"
+        assert main(["gen-weights", "--out", str(weights)]) == 0
+        if edit is not None:
+            tensors = load_tensors(weights, WEIGHTS_MAGIC)
+            edit(tensors)
+            save_tensors(weights, tensors, WEIGHTS_MAGIC)
+        inp = tmp_path / "in.sftn"
+        save_tensors(inp, {"vis": np.zeros(shape), "ir": np.zeros(shape)}, TENSORS_MAGIC)
+        out = tmp_path / "o.sftn"
+        code = main(["forward", "--weights", str(weights), "--input", str(inp), "--out", str(out)])
+        assert code == 1 and not out.exists()
+        return weights, inp, capsys.readouterr().err
+
+    def test_weights_that_do_not_fit_themselves_name_the_weights(self, tmp_path, capsys):
+        # This used to print the tensor's error alone, naming no file.
+        def edit(tensors):
+            tensors["mlp1_bias"] = np.zeros(9)
+
+        weights, _, err = self._forward_error(tmp_path, capsys, edit)
+        assert err == f"error: {weights}: mlp1_bias: expected shape ('c',) with {{'c': 8}}, got (9,)\n"
+
+    def test_missing_patch_size_names_the_weights(self, tmp_path, capsys):
+        weights, _, err = self._forward_error(tmp_path, capsys, lambda t: t.pop("patch_size"))
+        assert err == f"error: {weights}: missing weight tensor 'patch_size'\n"
+
+    @pytest.mark.parametrize(
+        "shape, message",
+        [
+            ((3, 8, 16, 8), "mlp2_weight: expected shape ('fp', 'fp') with {'fp': 24}, got (48, 48)"),
+            ((3, 4, 16, 16), "dws_depth_vis: expected shape ('c', 'k_3', 'k_3') with {'c': 4}, got (8, 3, 3)"),
+            ((3, 8, 16, 10), "patch_size 4 does not divide (16, 10)"),
+        ],
+        ids=["width", "channels", "patch"],
+    )
+    def test_an_input_size_the_weights_do_not_fit_names_both_files(
+        self, tmp_path, capsys, shape, message
+    ):
+        weights, inp, err = self._forward_error(tmp_path, capsys, shape=shape)
+        assert err == f"error: {weights} does not fit {inp}: {message}\n"
+
+    @pytest.mark.parametrize(
+        "flags, digest",
+        [
+            (["--seed", "7"], "b6e20ebb34e22ba3180047feb1aa0b5a936874f42c628c8801d87c069efc5108"),
+            (
+                ["--seed", "3", "--frames", "2", "--channels", "4", "--height", "8", "--width", "8",
+                 "--patch-size", "2", "--cascade-groups", "2"],
+                "51e8851b47a231e76cc45ca03b51c3f3a985e61817d9b7b9ca47716772f7eb5e",
+            ),
+        ],
+        ids=["default", "small"],
+    )
+    def test_gen_weights_bytes_are_pinned(self, tmp_path, capsys, flags, digest):
+        # The seeded layout: schema rows drawn in order from one generator.
+        # Any change to the order, the sizes or the draws changes the bytes.
+        weights = tmp_path / "w.sfwt"
+        assert main(["gen-weights", *flags, "--out", str(weights)]) == 0
+        assert hashlib.sha256(weights.read_bytes()).hexdigest() == digest
+
 
 class TestKlLoss:
     def test_matches_library_pipeline(self, tmp_path, capsys):
@@ -692,6 +756,42 @@ class TestKlLoss:
         assert "no reference detections" in err
         assert str(det_file) in err and repr(frame) in err and f"scale {scale}" in err
 
+    @staticmethod
+    def _kl_loss_error(tmp_path, capsys, vis_map, dets):
+        features = tmp_path / "feat.sftn"
+        save_tensors(features, {"vis": vis_map, "ir": np.ones((1, 1, 8, 8))}, TENSORS_MAGIC)
+        det_file = tmp_path / "dets.txt"
+        det_file.write_text("".join(line + "\n" for line in dets), "utf-8")
+        ann = tmp_path / "f1.txt"
+        write_annotation(ann, ["person 8 8 16 32 0"])
+        args = ["kl-loss", "--features", str(features), "--detections", str(det_file)]
+        assert main(args + ["--annotations", str(ann)]) == 1
+        return features, det_file, capsys.readouterr().err
+
+    def test_reference_modality_without_rows_names_the_dump_frame_and_scale(
+        self, tmp_path, capsys
+    ):
+        # One far ir box scores r_t < 0 = r_v, so vis is the reference and
+        # has no row. This used to print the library's error, naming no file.
+        _, det_file, err = self._kl_loss_error(
+            tmp_path, capsys, np.ones((1, 1, 8, 8)), ["f1 ir s80 200 200 230 260 0.9"]
+        )
+        assert err == (
+            f"error: {det_file}: no reference detections: no vis detection to pool, "
+            "for frame 'f1' at scale s80\n"
+        )
+
+    def test_feature_map_failure_names_the_features_file(self, tmp_path, capsys):
+        # An all-zero vis map pools a zero-norm RoI feature; this used to
+        # print the library's error, naming no file.
+        features, _, err = self._kl_loss_error(
+            tmp_path, capsys, np.zeros((1, 1, 8, 8)), ["f1 vis s80 8 8 24 40 0.9"]
+        )
+        assert err == (
+            f"error: {features}: vis feature map, vis reference boxes: zero-norm RoI feature "
+            "at index 0, for frame 'f1' at scale s80\n"
+        )
+
     def test_missing_feature_tensor_names_file_and_tensor(self, tmp_path, capsys):
         features = tmp_path / "feat.sftn"
         save_tensors(features, {"vis": np.ones((1, 1, 8, 8))}, TENSORS_MAGIC)
@@ -787,6 +887,25 @@ class TestReliabilityCommand:
             f"error: {ann}: degenerate aspect ratio: ground truth (50.0, 10.0, 50.0, 50.0) "
             "of frame '000001' at scale s80\n"
         )
+
+    def test_parse_and_degenerate_box_errors_name_one_annotation_path(self, tmp_path, capsys):
+        # The reader joined "./sub//a.txt" to the manifest's folder as written
+        # and the degenerate-box error through pathlib, which normalises it:
+        # two names for one file.
+        data = tmp_path / "data"
+        (data / "sub").mkdir(parents=True)
+        frames = [{"frame_id": "a", "annotations": "./sub//a.txt"}]
+        write_manifest(data / "m.json", frames)
+        dets = tmp_path / "dets.txt"
+        dets.write_text("a vis s80 12 12 40 95 0.9\n", "utf-8")
+        args = ["reliability", "--detections", str(dets), "--manifest", str(data / "m.json")]
+        named = []
+        for lines in (["person 10 10 thirty 90 0"], ["person 10 10 30 90 0", "person 50 10 0 40 0"]):
+            write_annotation(data / "sub" / "a.txt", lines)
+            assert main(args) == 1
+            err = capsys.readouterr().err
+            named.append(err.removeprefix("error: ").split(":")[0])
+        assert named[0] == named[1] == f"{data}/./sub//a.txt"
 
     def test_frames_absent_from_the_manifest_are_ignored(self, corpus, capsys):
         base = ["000001 vis s80 12 12 40 95 0.9", "000001 ir s80 10 10 40 100 0.8"]

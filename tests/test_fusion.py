@@ -1,5 +1,6 @@
 """Fusion block forward pass: per-op oracles, degenerate forms, determinism."""
 
+import inspect
 import os
 import re
 import subprocess
@@ -14,7 +15,6 @@ from msfusion import fusion as fusion_module
 from msfusion.fusion import (
     FORWARD_SCHEMA,
     TADA_SCHEMA,
-    FusionConfig,
     FusionWeights,
     cascade_strip_mix,
     channel_mix,
@@ -828,7 +828,7 @@ class TestTemporalAdaptiveConv:
     def test_non_finite_weight_names_its_tensor(self, spec):
         # One NaN used to come back silently: in tada_conv1_weight it made
         # every output NaN.
-        w = FusionWeights.seeded(FusionConfig(frames=2, channels=8, height=8, width=8), seed=5)
+        w = FusionWeights.seeded(frames=2, channels=8, height=8, width=8, seed=5)
         tensors = [w.tensor(s.name).copy() for s in TADA_SCHEMA]
         tensors[TADA_SCHEMA.index(spec)].flat[0] = np.nan
         with pytest.raises(ValueError, match=f"tensor '{spec.name}' has non-finite values"):
@@ -891,11 +891,11 @@ def _off_by_one_cases():
                     yield pytest.param(spec.name, axis, delta, id=f"{spec.name}-{axis}{delta:+d}")
 
 
-SCHEMA_CONFIGS = [
-    FusionConfig(),
-    FusionConfig(frames=2, channels=4, height=8, width=8, patch_size=2, cascade_groups=2),
-    FusionConfig(frames=1, channels=2, height=4, width=6, patch_size=2, cascade_groups=1),
-    FusionConfig(frames=4, channels=16, height=9, width=6, patch_size=3, cascade_groups=8),
+SCHEMA_SIZES = [  # (frames, channels, height, width, patch_size, cascade_groups)
+    pytest.param((3, 8, 16, 16, 4, 4), id="defaults"),
+    pytest.param((2, 4, 8, 8, 2, 2), id="f2-c4-8x8-p2-g2"),
+    pytest.param((1, 2, 4, 6, 2, 1), id="f1-c2-4x6-p2-g1"),
+    pytest.param((4, 16, 9, 6, 3, 8), id="f4-c16-9x6-p3-g8"),
 ]
 
 
@@ -920,10 +920,10 @@ class TestWeightSchema:
         ref = reference_forward(vis, vis, w.tensors, 4)
         assert max(np.max(np.abs(o - r)) for o, r in zip(out, ref)) <= 1e-5
 
-    @pytest.mark.parametrize("cfg", SCHEMA_CONFIGS, ids=str)
-    def test_seeded_weights_validate_and_run(self, cfg):
-        w = FusionWeights.seeded(cfg, seed=4)
-        shape = (cfg.frames, cfg.channels, cfg.height, cfg.width)
+    @pytest.mark.parametrize("sizes", SCHEMA_SIZES)
+    def test_seeded_weights_validate_and_run(self, sizes):
+        w = FusionWeights.seeded(*sizes, seed=4)
+        shape = sizes[:4]
         w.validate(*shape)
         vis, ir = rand_features(shape, 91), rand_features(shape, 92)
         out_vis, out_ir = fusion_forward(vis, ir, w)
@@ -977,7 +977,7 @@ class TestWeightSchema:
     )
     def test_config_rejects_inconsistent_shapes(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
-            FusionConfig(**kwargs)
+            FusionWeights.seeded(**kwargs)
 
     @pytest.mark.parametrize("value", [0, -4])
     @pytest.mark.parametrize("field", ["frames", "channels", "height", "width"])
@@ -985,11 +985,15 @@ class TestWeightSchema:
         # channels=0 used to seed a weights file with empty tensors, and a
         # negative size failed in numpy naming no field.
         with pytest.raises(ValueError, match=rf"^{field} must be >= 1, got {value}$"):
-            FusionConfig(**{field: value})
+            FusionWeights.seeded(**{field: value})
 
     def test_config_has_only_the_caller_set_fields(self):
-        assert list(FusionConfig.__dataclass_fields__) == [
-            "frames", "channels", "height", "width", "patch_size", "cascade_groups"
+        # The six sizes of one feature scale and the seed, with the
+        # defaults gen-weights documents.
+        params = inspect.signature(FusionWeights.seeded).parameters.values()
+        assert [(p.name, p.default) for p in params] == [
+            ("frames", 3), ("channels", 8), ("height", 16), ("width", 16),
+            ("patch_size", 4), ("cascade_groups", 4), ("seed", 0),
         ]
 
 
@@ -1006,8 +1010,9 @@ class TestFusionForward:
         # Zero every weight after the first residual tap (and make GRN and
         # the temporal stage neutral): the pre-temporal features must equal
         # the tap values, so the block output is tap + temporal delta of it.
-        cfg = FusionConfig(frames=2, channels=4, height=8, width=8, patch_size=2, cascade_groups=2)
-        w = FusionWeights.seeded(cfg, seed=1)
+        w = FusionWeights.seeded(
+            frames=2, channels=4, height=8, width=8, patch_size=2, cascade_groups=2, seed=1
+        )
         for name in (
             "cascade_row_kernels",
             "cascade_col_kernels",
@@ -1080,7 +1085,7 @@ class TestFusionForward:
         # and layer-norm temporaries are one block long, so the forward's
         # own allocations peak below 6x its two input maps (10.3x when each
         # intermediate lived until the return).
-        w = FusionWeights.seeded(FusionConfig(frames=3, channels=16, height=32, width=32), 6)
+        w = FusionWeights.seeded(frames=3, channels=16, height=32, width=32, seed=6)
         vis, ir = rand_features((2, 3, 16, 32, 32), 69)
         before = vis.tobytes(), ir.tobytes()
         fusion_forward(vis, ir, w)  # imports scipy outside the traced call
@@ -1123,7 +1128,9 @@ class TestActivations:
 
 def _layer_norm(x, gamma, beta):
     # The temporal mixer's layer norm over the last axis, into a new buffer.
-    return fusion_module._layer_norm_into(x, np.empty(x.shape), gamma, beta)
+    out = np.array(x, dtype=np.float64)
+    fusion_module._layer_norm_rows(out, gamma, beta)
+    return out
 
 
 class TestEpilogues:
@@ -1150,8 +1157,7 @@ class TestEpilogues:
     def _read_only_calls():
         rng = RNG(75)
         x, y = rng.standard_normal((2, 2, 4, 8, 8))
-        cfg = FusionConfig(frames=2, channels=4, height=8, width=8, cascade_groups=2)
-        weights = FusionWeights.seeded(cfg, 76)
+        weights = FusionWeights.seeded(frames=2, channels=4, height=8, width=8, cascade_groups=2, seed=76)
         t = weights.tensor
         tada = [t(spec.name) for spec in TADA_SCHEMA]
         mix = [t(n) for n in ("mix_conv_weight", "mix_conv_bias", "grn_gamma", "grn_beta")]
@@ -1160,7 +1166,7 @@ class TestEpilogues:
         temporal = [t(n) for n in ("temporal_ln_gamma", "temporal_ln_beta")]
         temporal += [t("mlp2_weight"), t("mlp2_bias")]
         return {
-            "layer_norm": (_layer_norm, *rng.standard_normal((3, 3, 5, 8))),
+            "layer_norm": (_layer_norm, rng.standard_normal((3, 5, 8)), *rng.standard_normal((2, 8))),
             "gelu": (gelu, x),
             "global_response_norm": (global_response_norm, x, t("grn_gamma"), t("grn_beta")),
             "gated_strip_mix": (gated_strip_mix, x, *gate.values()),
